@@ -81,7 +81,11 @@ def cmd_solve(args) -> int:
         return EXIT_USAGE
 
     if args.method == "mdp":
-        table = value_iteration(config)
+        try:
+            table = value_iteration(config)
+        except CapExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
         text = table.to_text()
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

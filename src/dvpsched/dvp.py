@@ -19,10 +19,11 @@ whose real-relaxation is used by the schedule optimizer.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .mdp import TransitionKernel, resolve_policy
 
 ENUM_CAP_DEFAULT = 10_000_000
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_S_MAX_STEPS = 100  # Newton-or-bisection steps of the exponent search
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,12 @@ class ChernoffParam:
         """E[e^{-s B}] for a single Bernoulli(1 - p_e) slot."""
         return (1.0 - p_e) * math.exp(-self.s) + p_e
 
+    def log_alpha(self, p_e: float) -> float:
+        """log(alpha), accurate where alpha is near 1."""
+        return _log_alpha(p_e, self.s)
 
-def _as_n2(config: ScenarioConfig, schedule) -> list[float]:
+
+def _as_n2(config: ScenarioConfig, schedule) -> np.ndarray:
     """Accept a Schedule or a raw per-frame link-2 allocation vector (real
     values allowed, for the relaxed optimizer)."""
     if isinstance(schedule, Schedule):
@@ -82,30 +87,47 @@ def _as_n2(config: ScenarioConfig, schedule) -> list[float]:
             )
         if schedule.N != config.N:
             raise ValueError(f"schedule N={schedule.N} != config N={config.N}")
-        return list(schedule.n2)
-    n2 = [float(v) for v in schedule]
+        return np.array(schedule.n2, dtype=float)
+    n2 = np.array([float(v) for v in schedule])
     if len(n2) != config.w:
         raise ValueError(f"allocation has {len(n2)} frames, deadline needs {config.w}")
     return n2
+
+
+class UnionTerms(NamedTuple):
+    """The w+1 union terms in matrix form: term j has trial count
+    c[j] + A[j] @ n2 and threshold m[j]. Row 0 is the all-horizon
+    second-link term; row u (u = 1..w) counts the first link's frames
+    0..u-2 (A = -1, since n1 = N - n2, with their N's in c) and the second
+    link's frames u..w-1 (A = +1)."""
+
+    c: np.ndarray
+    A: np.ndarray
+    m: np.ndarray
+
+
+@functools.lru_cache(maxsize=128)
+def union_terms(config: ScenarioConfig) -> UnionTerms:
+    """The scenario's union terms; see UnionTerms. Cached, so the arrays
+    are read-only."""
+    w = config.w
+    frame = np.arange(w)
+    last = np.arange(1, w + 1)[:, None]
+    A = np.vstack([np.ones(w), (frame >= last).astype(float) - (frame <= last - 2)])
+    c = np.concatenate([[0.0], config.N * (last[:, 0] - 1.0)])
+    m = np.array([config.total_load - 1] + [config.first_hop_load - 1] * w)
+    for arr in (c, A, m):
+        arr.flags.writeable = False
+    return UnionTerms(c, A, m)
 
 
 def bound_terms(config: ScenarioConfig, schedule) -> list[tuple[float, int]]:
     """(trial count, threshold) per union term: the all-horizon second-link
     term, then one term per last-clearing frame u = 1..w combining the
     first link's frames before u with the second link's frames from u on."""
-    n2 = _as_n2(config, schedule)
-    w = config.w
-    suffix2 = [0.0] * (w + 1)
-    for u in range(w - 1, -1, -1):
-        suffix2[u] = suffix2[u + 1] + n2[u]
-    terms = [(suffix2[0], config.total_load - 1)]
-    prefix1 = 0.0
-    for u in range(1, w + 1):
-        # prefix1 covers link-1 frames 0..u-2
-        if u >= 2:
-            prefix1 += config.N - n2[u - 2]
-        terms.append((prefix1 + suffix2[u], config.first_hop_load - 1))
-    return terms
+    c, A, m = union_terms(config)
+    trials = c + A @ _as_n2(config, schedule)
+    return list(zip(trials.tolist(), m.tolist()))
 
 
 def dvpub(config: ScenarioConfig, schedule: Schedule) -> EvalResult:
@@ -118,8 +140,41 @@ def dvpub(config: ScenarioConfig, schedule: Schedule) -> EvalResult:
     return EvalResult(dvp=sum(terms), method="dvpub", detail=tuple(terms))
 
 
+def _log_alpha(p_e: float, s: float) -> float:
+    """log E[e^{-s B}] for one Bernoulli(1 - p_e) slot, relatively accurate
+    both near s = 0 (alpha near 1) and for large s (alpha near p_e)."""
+    if p_e == 0.0:
+        return -s
+    shortfall = (1.0 - p_e) * math.expm1(-s)  # alpha - 1
+    if shortfall > -0.5:
+        return math.log1p(shortfall)
+    return math.log(p_e + (1.0 - p_e) * math.exp(-s))
+
+
 def _exp_or_inf(exponent: float) -> float:
     return math.exp(exponent) if exponent < 709.0 else math.inf
+
+
+def _log_terms(config: ScenarioConfig, n2, s: float) -> np.ndarray:
+    """Exponent of each union term's bound at a fixed s:
+    T_j log(alpha(s)) + s m_j, so that wtb = sum(exp(_log_terms))."""
+    c, A, m = union_terms(config)
+    return (c + A @ _as_n2(config, n2)) * _log_alpha(config.p_e, s) + s * m
+
+
+def _log_sum_exp(e: np.ndarray) -> tuple[float, np.ndarray]:
+    """log(sum(exp(e))) and the softmax weights exp(e) / sum(exp(e))."""
+    top = e.max()
+    p = np.exp(e - top)
+    total = p.sum()
+    return top + math.log(total), p / total
+
+
+def log_wtb(config: ScenarioConfig, n2, s: float) -> tuple[float, np.ndarray]:
+    """log wtb at a fixed s, computed in log space so that it stays finite
+    where the bound's value under- or overflows, with each union term's
+    share of the bound (its softmax weight)."""
+    return _log_sum_exp(_log_terms(config, n2, s))
 
 
 def wtb(config: ScenarioConfig, schedule, s: float | ChernoffParam) -> float:
@@ -132,31 +187,28 @@ def wtb(config: ScenarioConfig, schedule, s: float | ChernoffParam) -> float:
     s_val = s.s if isinstance(s, ChernoffParam) else float(s)
     if not s_val > 0:
         raise ValueError(f"s must be > 0, got {s_val}")
-    if config.p_e == 0.0:
-        log_alpha = -s_val
-    else:
-        log_alpha = math.log(config.p_e + (1.0 - config.p_e) * math.exp(-s_val))
-    total = 0.0
-    for trials, threshold in bound_terms(config, schedule):
-        total += _exp_or_inf(trials * log_alpha + s_val * threshold)
-    return total
+    e = _log_terms(config, schedule, s_val)
+    if e.max() >= 709.0:
+        return math.inf
+    return float(np.exp(e).sum())
 
 
-def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
+def _log_wtb_in_s(T: np.ndarray, m: np.ndarray, p_e: float, s: float):
+    """log wtb and its first two derivatives in s, for fixed trial counts.
+
+    With r = (1 - p_e) e^{-s} / alpha, each exponent e_j = T_j log alpha + s m_j
+    has e_j' = m_j - r T_j and e_j'' = r (1 - r) T_j >= 0, so the
+    log-sum-exp g = log sum exp(e_j) is convex with
+    g' = E_p[e'] and g'' = E_p[e''] + Var_p(e') under the softmax weights p."""
+    q = 1.0 - p_e
+    alpha = p_e + q * math.exp(-s)
+    r = q * math.exp(-s) / alpha if p_e > 0.0 else 1.0
+    g, p = _log_sum_exp(T * _log_alpha(p_e, s) + s * m)
+    slope = m - r * T
+    g1 = float(p @ slope)
+    g2 = (r * p_e / alpha if p_e > 0.0 else 0.0) * float(p @ T)
+    g2 += float(p @ (slope - g1) ** 2)
+    return g, g1, g2
 
 
 def wtb_min_s(
@@ -170,45 +222,54 @@ def wtb_min_s(
 ) -> tuple[ChernoffParam, float]:
     """Minimize the exponential-moment bound over the exponent.
 
-    The objective is a sum of terms exp(T log(alpha(s)) + s m) whose
-    exponents are convex in s, so it is unimodal and a golden-section
-    search over a bracket converges; the upper end is doubled while the
-    objective still falls there (alpha saturates at p_e for large s, so a
-    handful of doublings always suffices)."""
-    n2 = _as_n2(config, schedule)
-    f = lambda s: wtb(config, n2, s)
-    hi = s_hi
-    for _ in range(max_doublings):
-        if f(2.0 * hi) < f(hi):
+    log wtb is a log-sum-exp of exponents convex in s (see _log_wtb_in_s),
+    so its derivative is increasing and the minimizer is its root. The
+    bracket [s_lo, s_hi] has its upper end doubled while the bound still
+    falls there (alpha saturates at p_e for large s, so a handful of
+    doublings always suffices); an optimum outside it sits at the nearer
+    end. Inside, safeguarded Newton steps on the derivative, with a
+    bisection whenever a step would leave the shrinking bracket, stop when
+    a step or the bracket is below tol."""
+    c, A, m = union_terms(config)
+    T = c + A @ _as_n2(config, schedule)
+    f = lambda s: _log_wtb_in_s(T, m, config.p_e, s)
+    s, (g, g1, g2) = s_lo, f(s_lo)
+    if g1 < 0.0:
+        lo, hi = s, s_hi
+        g, g1, g2 = f(hi)
+        for _ in range(max_doublings):
+            if g1 >= 0.0:
+                break
             hi *= 2.0
-        else:
-            break
-    s_star = _golden_section(f, s_lo, hi, tol)
-    return ChernoffParam(s_star), f(s_star)
+            g, g1, g2 = f(hi)
+        s = hi
+        if g1 > 0.0:  # the minimizer lies inside the bracket
+            for _ in range(_S_MAX_STEPS):
+                if g1 < 0.0:
+                    lo = s
+                elif g1 > 0.0:
+                    hi = s
+                else:
+                    break
+                nxt = s - g1 / g2 if g2 > 0.0 else math.nan
+                if not lo < nxt < hi:  # outside, or no curvature: bisect
+                    nxt = 0.5 * (lo + hi)
+                if abs(nxt - s) <= tol:
+                    break
+                s = nxt
+                g, g1, g2 = f(s)
+    return ChernoffParam(s), _exp_or_inf(g)
 
 
 def wtb_gradient(config: ScenarioConfig, n2: Sequence[float], s: float) -> list[float]:
     """Partial derivatives of the fixed-s bound w.r.t. each link-2
-    allocation. Term value times log(alpha) times the trial-count
-    sensitivity: +1 where the frame lies in the term's link-2 window,
-    -1 where it lies in the link-1 window (since n1 = N - n2)."""
-    n2 = _as_n2(config, n2)
-    w = config.w
-    if config.p_e == 0.0:
-        log_alpha = -s
-    else:
-        log_alpha = math.log(config.p_e + (1.0 - config.p_e) * math.exp(-s))
-    terms = bound_terms(config, n2)
-    values = [_exp_or_inf(t * log_alpha + s * m) for t, m in terms]
-    grad = [0.0] * w
-    for j in range(w):
-        g = values[0]  # whole-horizon link-2 term includes every frame
-        for u in range(1, w + 1):
-            sens = (1 if j >= u else 0) - (1 if j <= u - 2 else 0)
-            if sens:
-                g += sens * values[u]
-        grad[j] = g * log_alpha
-    return grad
+    allocation: term value times log(alpha) times the term's row of A
+    (+1 where the frame lies in the term's link-2 window, -1 where it lies
+    in its link-1 window, since n1 = N - n2)."""
+    e = _log_terms(config, n2, s)
+    with np.errstate(over="ignore"):
+        values = np.exp(e)
+    return (_log_alpha(config.p_e, s) * (values @ union_terms(config).A)).tolist()
 
 
 def exact_dvp_enum(
@@ -284,7 +345,11 @@ def exact_dvp_chain(
     leftover = sum(
         float(rho[i]) * (st.q1 + st.q2) for i, st in enumerate(kernel.states)
     )
-    dvp = 1.0 - float(rho[kernel.index(0, 0)])
+    # sum the non-empty states directly: 1 - P(empty) would cancel away
+    # every DVP below the kernel rows' rounding drift (~1e-14)
+    nonempty = np.ones(S, dtype=bool)
+    nonempty[kernel.index(0, 0)] = False
+    dvp = min(float(rho[nonempty].sum()), 1.0)
     return EvalResult(
         dvp=dvp,
         method="exact-chain",

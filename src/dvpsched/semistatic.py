@@ -8,7 +8,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .dvp import ChernoffParam, dvpub, exact_dvp_chain, wtb_gradient, wtb_min_s
+import numpy as np
+
+from .dvp import ChernoffParam, dvpub, exact_dvp_chain, log_wtb, union_terms, wtb_min_s
 from .mdp import TransitionKernel
 from .model import CapExceededError, ScenarioConfig, Schedule
 
@@ -16,18 +18,26 @@ EXHAUSTIVE_CAP_DEFAULT = 1_000_000
 NEIGHBOR_W_CAP = 24
 
 _ARMIJO_C = 1e-4
-_GRAD_TOL = 1e-7
-_MAX_ITERS = 10_000
+_PG_TOL = 1e-9  # projected gradient of log wtb, so independent of the bound's scale
+_MAX_ITERS = 200
+_MAX_HALVINGS = 60
+_DAMPING = 0.1
+
+STOP_REASONS = ("converged", "line-search-stalled", "max-iters")
 
 
 @dataclass(frozen=True)
 class RelaxedSchedule:
     """Real-valued link-2 allocation in the box [1, N-1]^w, with the bound
-    exponent and value at the joint optimum."""
+    exponent and value at the joint optimum, the number of Newton
+    iterations taken and why the solver stopped (one of STOP_REASONS; the
+    defaults describe an allocation given rather than solved for)."""
 
     n2: tuple[float, ...]
     s: ChernoffParam
     objective: float
+    iterations: int = 0
+    stop_reason: str = "converged"
 
 
 @dataclass(frozen=True)
@@ -41,51 +51,84 @@ class SemiStaticResult:
     relaxed: RelaxedSchedule | None = None
 
 
-def _project_box(vec: list[float], lo: float, hi: float) -> list[float]:
-    return [min(max(v, lo), hi) for v in vec]
+def _log_bound(config: ScenarioConfig, x: np.ndarray):
+    """phi(x) = min_s log wtb(x, s), with the minimizing exponent, the
+    bound's value, and the union terms' softmax weights at that exponent."""
+    s_param, value = wtb_min_s(config, x)
+    phi, weights = log_wtb(config, x, s_param.s)
+    return phi, s_param, value, weights
 
 
 def solve_relaxed(config: ScenarioConfig) -> RelaxedSchedule:
     """Minimize the transient bound over the relaxed box [1, N-1]^w.
 
-    Projected gradient descent on the allocation, alternating with exact
-    one-dimensional minimization over the exponent; backtracking (halving)
-    line search with an Armijo condition. Starts from the uniform split,
-    stops when the projected gradient is negligible or after a fixed
-    iteration budget.
+    Projected Newton (Bertsekas, 1982) on phi(n2) = min_s log wtb(n2, s),
+    starting from the even split. With the union terms' trial counts
+    T = c + A n2 and softmax weights p at the optimal exponent s*, the
+    envelope gradient is log(alpha(s*)) A^T p, and log wtb at fixed s is a
+    log-sum-exp of terms affine in n2, whose Hessian log(alpha)^2 Cov_p(A),
+    plus _DAMPING times the projected gradient's norm on its diagonal
+    (Li, Fukushima, Qi and Yamashita, 2004), is the Newton matrix on the
+    coordinates not held at a face of the box. Steps are projected back
+    into the box and backtracked (halving) until phi meets an Armijo
+    condition. The solver stops when the projected gradient of log wtb is
+    below _PG_TOL, which does not depend on how small the bound is, when
+    no halving decreases phi, or after _MAX_ITERS iterations.
     """
     if config.N < 2:
         raise ValueError(f"relaxed box [1, N-1] is empty for N={config.N}")
-    w = config.w
     lo, hi = 1.0, float(config.N - 1)
-    x = _project_box([config.N / 2.0] * w, lo, hi)
-    s_param, fx = wtb_min_s(config, x)
-    # the objective can sit many orders of magnitude below the unit box
-    # scale, so the line search remembers its last accepted step and grows
-    # it; plain unit steps stall far from stationarity
-    step = 1.0
-    for _ in range(_MAX_ITERS):
-        grad = wtb_gradient(config, x, s_param.s)
-        projected = [xi - min(max(xi - gi, lo), hi) for xi, gi in zip(x, grad)]
-        if math.sqrt(sum(g * g for g in projected)) < _GRAD_TOL:
+    A = union_terms(config).A
+    x = np.clip(np.full(config.w, config.N / 2.0), lo, hi)
+    phi, s_param, value, p = _log_bound(config, x)
+    stop_reason = "max-iters"
+    iterations = 0
+    while iterations < _MAX_ITERS:
+        log_alpha = s_param.log_alpha(config.p_e)
+        pA = p @ A
+        grad = log_alpha * pA
+        pg_norm = np.linalg.norm(x - np.clip(x - grad, lo, hi))
+        if pg_norm <= _PG_TOL:
+            stop_reason = "converged"
             break
-        step = min(step * 4.0, 1e12)
-        improved = False
-        for _ in range(80):
-            cand = _project_box([xi - step * gi for xi, gi in zip(x, grad)], lo, hi)
-            moved = sum(g * (c - xi) for g, c, xi in zip(grad, cand, x))
-            if moved >= 0.0:
-                step *= 0.5
-                continue
-            s_cand, f_cand = wtb_min_s(config, cand)
-            if f_cand <= fx + _ARMIJO_C * moved:
-                x, fx, s_param = cand, f_cand, s_cand
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
+        iterations += 1
+        held = ((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0))
+        free = ~held
+        step = -grad
+        Af = A[:, free] - pA[free]
+        hess = log_alpha**2 * (Af.T @ (p[:, None] * Af))
+        # the damping keeps steps finite along the flat directions of a
+        # non-unique optimum (as at L) and vanishes as the iterates converge
+        hess[np.diag_indices_from(hess)] += _DAMPING * pg_norm
+        try:
+            step[free] = -np.linalg.solve(hess, grad[free])
+        except np.linalg.LinAlgError:
+            pass  # singular: keep the gradient step on the free coordinates
+        if grad @ step >= 0.0:
+            step = -grad
+        # a nearly singular Hessian gives a huge step that the box clips
+        # anyway; start the search no longer than the box is wide
+        t = min(1.0, (hi - lo) / np.abs(step).max())
+        for _ in range(_MAX_HALVINGS):
+            cand = np.clip(x + t * step, lo, hi)
+            decrease = grad @ (cand - x)
+            if decrease < 0.0:
+                result = _log_bound(config, cand)
+                if result[0] <= phi + _ARMIJO_C * decrease:
+                    x = cand
+                    phi, s_param, value, p = result
+                    break
+            t *= 0.5
+        else:
+            stop_reason = "line-search-stalled"
             break
-    return RelaxedSchedule(n2=tuple(x), s=s_param, objective=fx)
+    return RelaxedSchedule(
+        n2=tuple(x.tolist()),
+        s=s_param,
+        objective=value,
+        iterations=iterations,
+        stop_reason=stop_reason,
+    )
 
 
 def _schedule_from_n2(config: ScenarioConfig, n2: tuple[int, ...]) -> Schedule:

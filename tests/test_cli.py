@@ -73,6 +73,16 @@ class TestSolve:
         )
         assert code == 3
 
+    def test_mdp_kernel_cap_exceeded_exits_three(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--N", "20", "--pe", "0.4", "--w", "5", "--y", "20",
+            "--x1", "20", "--x2", "20", "--method", "mdp",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "cap" in err
+
     def test_full_domain_flag_widens_opt(self, capsys):
         args = ["solve", "--N", "2", "--pe", "0.7", "--w", "2", "--y", "1",
                 "--x1", "0", "--x2", "0", "--method", "opt"]

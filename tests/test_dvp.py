@@ -10,10 +10,12 @@ from dvpsched import (
     ChernoffParam,
     ScenarioConfig,
     Schedule,
+    TransitionKernel,
     binomial_pmf,
     dvpub,
     exact_dvp_chain,
     exact_dvp_enum,
+    value_iteration,
     wtb,
     wtb_min_s,
 )
@@ -136,6 +138,29 @@ class TestExactEvaluators:
         res = exact_dvp_chain(HAND_CFG, HAND_SCHED)
         # the single packet departs iff the run succeeds: E[D] = 0.25
         assert res.mean_departures == pytest.approx(0.25, abs=1e-12)
+
+
+class TestSmallDvps:
+    """The chain sums the mass left on non-empty states; 1 - P(empty) would
+    lose every DVP below the kernel rows' rounding drift (~1e-14)."""
+
+    def test_low_loss_matches_enumeration(self):
+        cfg = ScenarioConfig(N=4, p_e=0.01, w=5, y=1, x1=1, x2=1)
+        sched = Schedule(n1=(3, 3, 2, 1, 1), N=4)
+        e = exact_dvp_enum(cfg, sched).dvp
+        assert e < 1e-12
+        assert exact_dvp_chain(cfg, sched).dvp == pytest.approx(e, rel=1e-9, abs=0.0)
+
+    def test_large_instance_mdp_table_is_positive(self):
+        # L of the roadmap: 1 - P(empty) read -1.55e-14 here
+        cfg = ScenarioConfig(N=16, p_e=0.4, w=12, y=10, x1=10, x2=10)
+        kernel = TransitionKernel(cfg)
+        dvp = exact_dvp_chain(cfg, value_iteration(cfg, kernel), kernel=kernel).dvp
+        assert 0.0 < dvp < 1e-14
+
+    def test_far_below_rounding(self):
+        cfg = ScenarioConfig(N=10, p_e=0.02, w=10, y=1, x1=1, x2=1)
+        assert 1e-73 < exact_dvp_chain(cfg, "fifty").dvp < 1e-72
 
 
 class TestDvpub:

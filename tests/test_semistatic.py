@@ -25,6 +25,7 @@ from dvpsched import (
     wtb_w,
 )
 from dvpsched.dvp import wtb_gradient
+from dvpsched.semistatic import STOP_REASONS
 
 # frozen via the exact chain at (y=1, x1=1, x2=1, N=4, w=4, p_e=0.2)
 GOLDEN_CFG = ScenarioConfig(N=4, p_e=0.2, w=4, y=1, x1=1, x2=1)
@@ -109,6 +110,35 @@ class TestSolveRelaxed:
         cfg = ScenarioConfig(N=2, p_e=0.3, w=3, y=1, x1=0, x2=0)
         relaxed = solve_relaxed(cfg)
         assert relaxed.n2 == (1.0, 1.0, 1.0)
+
+
+class TestSolverScaleFree:
+    """The solver minimizes log wtb and stops on its projected gradient, so
+    its result does not depend on how small the bound is."""
+
+    def test_wtb_w_reaches_opt_at_low_loss(self):
+        cfg = ScenarioConfig(N=6, p_e=0.05, w=4, y=1, x1=1, x2=1)
+        kern = TransitionKernel(cfg)
+        dv_w = exact_dvp_chain(cfg, wtb_w(cfg).schedule, kernel=kern).dvp
+        dv_opt = exact_dvp_chain(cfg, opt(cfg).schedule, kernel=kern).dvp
+        assert dv_w <= 1.01 * dv_opt
+
+    def test_large_instance_descends_below_even_split(self):
+        cfg = ScenarioConfig(N=16, p_e=0.4, w=12, y=10, x1=10, x2=10)
+        relaxed = solve_relaxed(cfg)
+        assert relaxed.objective <= 1e-10
+        assert relaxed.stop_reason in STOP_REASONS
+        assert relaxed.stop_reason != "max-iters"
+        assert relaxed.iterations > 0
+
+    def test_projected_log_gradient_vanishes(self):
+        cfg = ScenarioConfig(N=6, p_e=0.4, w=6, y=1, x1=3, x2=3)
+        relaxed = solve_relaxed(cfg)
+        x = np.array(relaxed.n2)
+        # the envelope gradient of log wtb is the fixed-s gradient over wtb
+        grad = np.array(wtb_gradient(cfg, relaxed.n2, relaxed.s.s)) / relaxed.objective
+        projected = x - np.clip(x - grad, 1.0, cfg.N - 1.0)
+        assert np.linalg.norm(projected) <= 1e-7
 
 
 class TestRoundNearest:
