@@ -7,10 +7,12 @@ Exit codes: 0 ok, 2 usage or malformed input, 3 infeasible or cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import semistatic
 from .dvp import exact_dvp_chain
@@ -18,17 +20,38 @@ from .mdp import BASELINE_KINDS, PolicyTable, value_iteration
 from .model import CapExceededError, ScenarioConfig, Schedule
 from .sim import SimSpec, simulate
 
-SEMISTATIC_METHODS = ("wtb-r", "wtb-w", "wtb-d", "e-wtb", "e-dvpub", "opt", "fifty")
-ALL_POLICIES = SEMISTATIC_METHODS + ("mdp", "mw", "wfq", "bp")
 
-_SCORE_LABEL = {
-    "wtb-r": "wtb",
-    "wtb-w": "wtb",
-    "e-wtb": "wtb",
-    "wtb-d": "dvpub",
-    "e-dvpub": "dvpub",
-    "opt": "dvp",
-    "fifty": "dvp",
+class Method(NamedTuple):
+    """How `solve` and `sweep` obtain one method's policy, and for a
+    semi-static method the criterion its score is.
+
+    `solve(config, relaxed, full_domain)` returns a SemiStaticResult for a
+    semi-static method (its score is the `score` criterion), else a
+    PolicyTable or a baseline name; the wtb-* methods start from
+    `relaxed(config)`, and `full_domain` widens opt's search. Solvers are
+    looked up when called, so that wrapping them in their modules reaches
+    this table too."""
+
+    solve: Callable
+    score: str = ""
+
+
+METHODS = {
+    "wtb-r": Method(lambda c, relaxed, full_domain: semistatic.round_nearest(c, relaxed(c)), "wtb"),
+    "wtb-w": Method(
+        lambda c, relaxed, full_domain: semistatic.neighbor_search(c, relaxed(c), "wtb"), "wtb"
+    ),
+    "wtb-d": Method(
+        lambda c, relaxed, full_domain: semistatic.neighbor_search(c, relaxed(c), "dvpub"), "dvpub"
+    ),
+    "e-wtb": Method(lambda c, relaxed, full_domain: semistatic.e_wtb(c), "wtb"),
+    "e-dvpub": Method(lambda c, relaxed, full_domain: semistatic.e_dvpub(c), "dvpub"),
+    "opt": Method(lambda c, relaxed, full_domain: semistatic.opt(c, full_domain=full_domain), "dvp"),
+    "fifty": Method(lambda c, relaxed, full_domain: semistatic.fifty_fifty(c), "dvp"),
+    "mdp": Method(lambda c, relaxed, full_domain: value_iteration(c)),
+    "mw": Method(lambda c, relaxed, full_domain: "mw"),
+    "wfq": Method(lambda c, relaxed, full_domain: "wfq"),
+    "bp": Method(lambda c, relaxed, full_domain: "bp"),
 }
 
 EXIT_OK = 0
@@ -40,24 +63,6 @@ EXIT_CELL_FAILURES = 4
 def fmt_prob(v: float) -> str:
     """10 significant digits; %g switches to scientific below 1e-4."""
     return f"{v:.10g}"
-
-
-def _solve_semistatic(config: ScenarioConfig, method: str, full_domain: bool):
-    if method == "wtb-r":
-        return semistatic.wtb_r(config)
-    if method == "wtb-w":
-        return semistatic.wtb_w(config)
-    if method == "wtb-d":
-        return semistatic.wtb_d(config)
-    if method == "e-wtb":
-        return semistatic.e_wtb(config)
-    if method == "e-dvpub":
-        return semistatic.e_dvpub(config)
-    if method == "opt":
-        return semistatic.opt(config, full_domain=full_domain)
-    if method == "fifty":
-        return semistatic.fifty_fifty(config)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -80,27 +85,22 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.method == "mdp":
-        try:
-            table = value_iteration(config)
-        except CapExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        text = table.to_text()
+    method = METHODS[args.method]
+    try:
+        result = method.solve(config, semistatic.solve_relaxed, args.full_domain)
+    except (CapExceededError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    if not method.score:
+        text = result.to_text()
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
         return EXIT_OK
-
-    try:
-        result = _solve_semistatic(config, args.method, args.full_domain)
-    except (CapExceededError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     print("n1=" + ",".join(str(v) for v in result.schedule.n1))
-    print(f"{_SCORE_LABEL[args.method]}={fmt_prob(result.score)}")
+    print(f"{method.score}={fmt_prob(result.score)}")
     return EXIT_OK
 
 
@@ -196,7 +196,7 @@ def parse_sweep_file(text: str) -> SweepSpec:
 
     policies = values["policies"]
     for p in policies:
-        if p not in ALL_POLICIES:
+        if p not in METHODS:
             raise ValueError(f"unknown policy {p!r}")
     evaluator = values.get("evaluator", ["exact"])[0]
     if evaluator not in ("exact", "monte-carlo"):
@@ -215,29 +215,18 @@ def parse_sweep_file(text: str) -> SweepSpec:
     )
 
 
-def _sweep_cell(config: ScenarioConfig, policy_name: str, spec: SweepSpec, cache: dict):
+def _sweep_cell(config: ScenarioConfig, policy_name: str, spec: SweepSpec, relaxed):
     """Evaluate one (config, policy) cell; returns (dvp, ci_low, ci_high)."""
-    key = (config, policy_name)
-    if policy_name in ("wtb-r", "wtb-w", "wtb-d"):
-        relaxed = cache.get((config, "relaxed"))
-        if relaxed is None:
-            relaxed = semistatic.solve_relaxed(config)
-            cache[(config, "relaxed")] = relaxed
-        if policy_name == "wtb-r":
-            policy = semistatic.round_nearest(config, relaxed).schedule
-        else:
-            crit = "wtb" if policy_name == "wtb-w" else "dvpub"
-            policy = semistatic.neighbor_search(config, relaxed, crit).schedule
-    elif policy_name in ("e-wtb", "e-dvpub", "opt"):
-        policy = _solve_semistatic(config, policy_name, False).schedule
-    elif policy_name == "mdp":
-        policy = value_iteration(config)
+    method = METHODS[policy_name]
+    if policy_name == "fifty":
+        # the cell evaluates the schedule itself; fifty_fifty would score it too
+        policy = semistatic.even_split(config)
     else:
-        policy = policy_name  # baseline kinds incl. fifty
-
+        policy = method.solve(config, relaxed, False)
+        if method.score:
+            policy = policy.schedule
     if spec.evaluator == "exact":
-        res = exact_dvp_chain(config, policy)
-        return res.dvp, None, None
+        return exact_dvp_chain(config, policy).dvp, None, None
     sim = simulate(config, SimSpec(spec.reps, spec.seed, policy))
     return sim.dvp_hat, sim.ci_low, sim.ci_high
 
@@ -298,7 +287,8 @@ def run_sweep(spec: SweepSpec, out) -> int:
     )
     out.write(SWEEP_HEADER + "\n")
     failures = 0
-    cache: dict = {}  # shares one relaxed solve across a config's wtb-* rows
+    # one relaxed solve per config, shared by its wtb-* rows
+    relaxed = functools.cache(semistatic.solve_relaxed)
     for x1, x2, w, N, pe, y in cells:
         for policy_name in sorted(spec.policies):
             start = time.perf_counter()
@@ -306,7 +296,7 @@ def run_sweep(spec: SweepSpec, out) -> int:
             error = ""
             try:
                 config = ScenarioConfig(N=N, p_e=pe, w=w, y=y, x1=x1, x2=x2)
-                dvp, lo, hi = _sweep_cell(config, policy_name, spec, cache=cache)
+                dvp, lo, hi = _sweep_cell(config, policy_name, spec, relaxed)
             except (ValueError, CapExceededError) as exc:
                 error = str(exc)
                 failures += 1
@@ -342,7 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="compute a schedule or policy table")
     _add_config_args(p_solve)
-    p_solve.add_argument("--method", required=True, choices=SEMISTATIC_METHODS + ("mdp",))
+    p_solve.add_argument(
+        "--method",
+        required=True,
+        # the semi-static methods and the MDP table; a baseline has nothing to solve
+        choices=[name for name, method in METHODS.items() if method.score or name == "mdp"],
+    )
     p_solve.add_argument("--out", help="write the mdp policy table here")
     p_solve.add_argument(
         "--full-domain",

@@ -36,7 +36,7 @@ from .model import (
     binomial_tail_at_most,
     step_queues,
 )
-from .mdp import TransitionKernel, resolve_policy
+from .mdp import TransitionKernel, policy_actions
 
 ENUM_CAP_DEFAULT = 10_000_000
 
@@ -320,38 +320,27 @@ def exact_dvp_chain(
     config: ScenarioConfig, policy, kernel: TransitionKernel | None = None
 ) -> EvalResult:
     """Exact DVP by propagating the joint backlog distribution through the
-    w frames under the given policy (schedule, policy table, baseline name,
-    or callable). The batch met the deadline iff both queues are empty at
-    the horizon, since departures equal the initial load minus what is
-    left."""
+    w frames under the given policy, in any form mdp.policy_actions accepts
+    (schedule, policy table, baseline name, or callable); each frame is one
+    gather of the live states' kernel rows under their actions and one
+    vector-matrix product. The batch met the deadline iff both queues are
+    empty at the horizon, since departures equal the initial load minus
+    what is left."""
+    act = policy_actions(policy, config)
     if kernel is None:
         kernel = TransitionKernel(config)
-    act = resolve_policy(policy, config)
-    S = kernel.n_states
-    rho = np.zeros(S)
+    rho = np.zeros(kernel.n_states)
     rho[kernel.index(config.first_hop_load, config.x2)] = 1.0
     for epoch in range(config.w):
-        nxt = np.zeros(S)
-        for i in np.nonzero(rho)[0]:
-            state = kernel.states[i]
-            a = act(epoch, state.q1, state.q2)
-            if not 0 <= a <= config.N:
-                raise ValueError(
-                    f"policy returned n1={a} outside 0..{config.N} "
-                    f"at epoch={epoch} state=({state.q1},{state.q2})"
-                )
-            nxt += rho[i] * kernel.P[a, i]
-        rho = nxt
-    leftover = sum(
-        float(rho[i]) * (st.q1 + st.q2) for i, st in enumerate(kernel.states)
-    )
+        live = np.flatnonzero(rho)
+        acts = act(epoch, kernel.q1[live], kernel.q2[live])
+        rho = rho[live] @ kernel.P[acts, live]
+    left = kernel.q1 + kernel.q2
     # sum the non-empty states directly: 1 - P(empty) would cancel away
     # every DVP below the kernel rows' rounding drift (~1e-14)
-    nonempty = np.ones(S, dtype=bool)
-    nonempty[kernel.index(0, 0)] = False
-    dvp = min(float(rho[nonempty].sum()), 1.0)
+    dvp = min(float(rho[left > 0].sum()), 1.0)
     return EvalResult(
         dvp=dvp,
         method="exact-chain",
-        mean_departures=config.total_load - leftover,
+        mean_departures=config.total_load - float(rho @ left),
     )

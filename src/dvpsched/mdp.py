@@ -18,6 +18,7 @@ policies over the same state space.
 from __future__ import annotations
 
 import io
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,6 +197,7 @@ class TransitionKernel:
             for q2 in range(total - q1 + 1)
         ]
         self._index = {s: i for i, s in enumerate(self.states)}
+        self.q1, self.q2 = np.array(self.states, dtype=np.int64).T
         self.n_states = len(self.states)
         assert self.n_states == n_states
         P = np.zeros((n_actions, self.n_states, self.n_states))
@@ -376,16 +378,18 @@ def baseline_actions(kind: str, q1: np.ndarray, q2: np.ndarray, N: int) -> np.nd
     raise ValueError(f"unknown baseline {kind!r}")
 
 
-def baseline_policy(kind: str, config: ScenarioConfig, state: QueueState, epoch: int) -> int:
-    """Scalar form of baseline_actions for one (state, epoch)."""
-    return int(
-        baseline_actions(kind, np.array([state.q1]), np.array([state.q2]), config.N)[0]
-    )
+def policy_actions(policy, config: ScenarioConfig):
+    """Check a policy against the scenario once and return its vectorised
+    form actions(epoch, q1, q2) -> n1 over equal-length state arrays.
 
-
-def resolve_policy(policy, config: ScenarioConfig):
-    """Normalize a schedule, policy table, baseline name, or callable into a
-    function (epoch, q1, q2) -> n1."""
+    A policy is a Schedule, a PolicyTable (a missing entry raises
+    PolicyLookupError naming the epoch and state), a baseline name from
+    BASELINE_KINDS, or a callable (epoch, q1, q2) -> n1 on ints. The
+    callable is asked once per distinct state, and an action that is not
+    an integer in 0..N raises ValueError naming the epoch and state. The
+    states must lie in the backlog rectangle, as every reachable state does.
+    """
+    width = config.q2_max + 1
     if isinstance(policy, Schedule):
         if len(policy) != config.w:
             raise ValueError(
@@ -394,17 +398,41 @@ def resolve_policy(policy, config: ScenarioConfig):
         if policy.N != config.N:
             raise ValueError(f"schedule N={policy.N} differs from config N={config.N}")
         n1 = policy.n1
-        return lambda epoch, q1, q2: n1[epoch]
+        return lambda epoch, q1, q2: np.full(q1.shape, n1[epoch], dtype=np.int64)
     if isinstance(policy, PolicyTable):
         if policy.config != config:
             raise ValueError("policy table was built for a different scenario")
-        return lambda epoch, q1, q2: policy.action(epoch, q1, q2)
+
+        def table(epoch, q1, q2):
+            acts = policy.actions[epoch, q1 * width + q2]
+            if np.any(acts < 0):
+                bad = int(np.argmax(acts < 0))
+                raise PolicyLookupError(
+                    f"no action stored for epoch={epoch} "
+                    f"state=({int(q1[bad])},{int(q2[bad])})"
+                )
+            return acts
+
+        return table
     if isinstance(policy, str):
         if policy not in BASELINE_KINDS:
             raise ValueError(f"unknown policy name {policy!r}")
-        return lambda epoch, q1, q2: baseline_policy(
-            policy, config, QueueState(q1, q2), epoch
-        )
-    if callable(policy):
-        return policy
-    raise TypeError(f"cannot interpret {type(policy).__name__} as a policy")
+        return lambda epoch, q1, q2: baseline_actions(policy, q1, q2, config.N)
+    if not callable(policy):
+        raise TypeError(f"cannot interpret {type(policy).__name__} as a policy")
+
+    def rule(epoch, q1, q2):
+        states, inverse = np.unique(q1 * width + q2, return_inverse=True)
+        acts = []
+        for s1, s2 in (divmod(i, width) for i in states.tolist()):
+            a = policy(epoch, s1, s2)
+            # a float such as 2.0 is refused, not truncated to an action
+            if not isinstance(a, numbers.Integral) or not 0 <= a <= config.N:
+                raise ValueError(
+                    f"policy returned n1={a} outside the integers 0..{config.N} "
+                    f"at epoch={epoch} state=({s1},{s2})"
+                )
+            acts.append(a)
+        return np.array(acts, dtype=np.int64)[inverse]
+
+    return rule

@@ -108,19 +108,6 @@ class QueueState(NamedTuple):
     q2: int
 
 
-class FrameOutcome(NamedTuple):
-    """Granted service and resulting departures for one frame."""
-
-    s1: int
-    s2: int
-    d1: int
-    d2: int
-
-    @classmethod
-    def from_service(cls, state: QueueState, s1: int, s2: int) -> "FrameOutcome":
-        return cls(s1, s2, min(state.q1, s1), min(state.q2, s2))
-
-
 def binomial_pmf(n: int, p: float, r: int) -> float:
     """P{Binomial(n, p) = r}, computed in log space for stability at the
     cumulative trial counts (up to a few hundred) this toolkit produces."""
@@ -183,14 +170,3 @@ def step_queues(state: QueueState, s1: int, s2: int) -> tuple[QueueState, int]:
     d2 = min(q2, s2)
     return QueueState(q1 - d1, q2 - d2 + d1), d2
 
-
-def cumulative_slots(schedule: Schedule, link: int, frames: int) -> int:
-    """Slots allocated to a link over the first `frames` frames. The granted
-    cumulative service over those frames is Binomial(result, 1 - p_e).
-    Zero frames means zero trials."""
-    if link not in (1, 2):
-        raise ValueError(f"link must be 1 or 2, got {link}")
-    if frames < 0 or frames > len(schedule):
-        raise ValueError(f"frames={frames} outside 0..{len(schedule)}")
-    alloc = schedule.n1 if link == 1 else schedule.n2
-    return sum(alloc[:frames])

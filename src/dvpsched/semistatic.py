@@ -72,8 +72,9 @@ def solve_relaxed(config: ScenarioConfig) -> RelaxedSchedule:
     coordinates not held at a face of the box. Steps are projected back
     into the box and backtracked (halving) until phi meets an Armijo
     condition. The solver stops when the projected gradient of log wtb is
-    below _PG_TOL, which does not depend on how small the bound is, when
-    no halving decreases phi, or after _MAX_ITERS iterations.
+    below _PG_TOL, which does not depend on how small the bound is, or the
+    bound is exactly 0 (as at p_e = 0), when no halving decreases phi, or
+    after _MAX_ITERS iterations.
     """
     if config.N < 2:
         raise ValueError(f"relaxed box [1, N-1] is empty for N={config.N}")
@@ -88,7 +89,7 @@ def solve_relaxed(config: ScenarioConfig) -> RelaxedSchedule:
         pA = p @ A
         grad = log_alpha * pA
         pg_norm = np.linalg.norm(x - np.clip(x - grad, lo, hi))
-        if pg_norm <= _PG_TOL:
+        if pg_norm <= _PG_TOL or value == 0.0:  # a zero bound cannot fall further
             stop_reason = "converged"
             break
         iterations += 1
@@ -230,11 +231,15 @@ def exhaustive(
     )
 
 
-def fifty_fifty(config: ScenarioConfig) -> SemiStaticResult:
+def even_split(config: ScenarioConfig) -> Schedule:
     """Queue-agnostic even split; the spare slot of an odd frame goes to the
-    first link. Scored by its exact DVP."""
-    n1 = ((config.N + 1) // 2,) * config.w
-    schedule = Schedule(n1=n1, N=config.N)
+    first link."""
+    return Schedule(n1=((config.N + 1) // 2,) * config.w, N=config.N)
+
+
+def fifty_fifty(config: ScenarioConfig) -> SemiStaticResult:
+    """The even split, scored by its exact DVP."""
+    schedule = even_split(config)
     score = exact_dvp_chain(config, schedule).dvp
     return SemiStaticResult(schedule=schedule, method="fifty-fifty", score=score)
 

@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import BASELINE_KINDS, PolicyTable, baseline_actions
-from .model import (
-    PolicyLookupError,
-    ScenarioConfig,
-    Schedule,
-    binomial_cdf,
-)
+from .mdp import policy_actions
+from .model import ScenarioConfig, binomial_cdf
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 DEFAULT_CHUNK = 1 << 14
@@ -27,8 +22,9 @@ DEFAULT_CHUNK = 1 << 14
 
 @dataclass(frozen=True, eq=False)
 class SimSpec:
-    """Replication count, stream seed, and the policy to simulate (schedule,
-    policy table, or baseline name)."""
+    """Replication count, stream seed, and the policy to simulate: a
+    schedule, policy table, baseline name or callable, as for
+    exact_dvp_chain (see mdp.policy_actions)."""
 
     replications: int
     seed: int
@@ -74,43 +70,18 @@ def _inversion_table(N: int, q: float) -> np.ndarray:
     return cdf
 
 
-def _frame_actions(policy, config: ScenarioConfig, epoch: int, q1, q2) -> np.ndarray:
-    if isinstance(policy, Schedule):
-        return np.full(q1.shape, policy.n1[epoch], dtype=np.int64)
-    if isinstance(policy, PolicyTable):
-        idx = q1 * (config.q2_max + 1) + q2
-        acts = policy.actions[epoch, idx]
-        if np.any(acts < 0):
-            bad = int(np.argmax(acts < 0))
-            raise PolicyLookupError(
-                f"no action stored for epoch={epoch} "
-                f"state=({int(q1[bad])},{int(q2[bad])})"
-            )
-        return acts
-    return baseline_actions(policy, q1, q2, config.N)
-
-
 def simulate(
     config: ScenarioConfig, spec: SimSpec, chunk_size: int = DEFAULT_CHUNK
 ) -> SimResult:
     """Estimate DVP and expected departures for a policy; Wilson 95% CI.
 
+    The policy is checked against the scenario before any draw and then
+    asked for the actions of a whole chunk of replications per frame, so
+    a callable is called once per distinct state in each chunk and frame.
     The result does not depend on chunk_size. A run is a violation iff any
     packet is still queued after the final frame.
     """
-    policy = spec.policy
-    if isinstance(policy, Schedule):
-        if len(policy) != config.w or policy.N != config.N:
-            raise ValueError("schedule does not match the scenario")
-    elif isinstance(policy, PolicyTable):
-        if policy.config != config:
-            raise ValueError("policy table was built for a different scenario")
-    elif isinstance(policy, str):
-        if policy not in BASELINE_KINDS:
-            raise ValueError(f"unknown policy name {policy!r}")
-    else:
-        raise TypeError(f"cannot simulate a {type(policy).__name__} policy")
-
+    act = policy_actions(spec.policy, config)
     w, N = config.w, config.N
     q = 1.0 - config.p_e
     cdf = _inversion_table(N, q)
@@ -130,7 +101,7 @@ def simulate(
         q1 = np.full(n, config.first_hop_load, dtype=np.int64)
         q2 = np.full(n, config.x2, dtype=np.int64)
         for k in range(w):
-            acts = _frame_actions(policy, config, k, q1, q2)
+            acts = act(k, q1, q2)
             s1 = (u[:, k, None] >= cdf[acts]).sum(axis=1)
             s2 = (u[:, w + k, None] >= cdf[N - acts]).sum(axis=1)
             d1 = np.minimum(q1, s1)

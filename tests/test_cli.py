@@ -13,7 +13,29 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# solve --N 4 --pe 0.2 --w 4 --y 1 --x1 1 --x2 1, recorded once per method
+SOLVE_GOLDEN = {
+    "wtb-r": ("n1=3,2,1,1", "wtb=0.005360313105"),
+    "wtb-w": ("n1=3,2,1,1", "wtb=0.005360313105"),
+    "e-wtb": ("n1=3,2,1,1", "wtb=0.005360313105"),
+    "wtb-d": ("n1=3,3,1,1", "dvpub=0.002011648"),
+    "e-dvpub": ("n1=3,3,1,1", "dvpub=0.002011648"),
+    "opt": ("n1=3,3,1,1", "dvp=0.001618712363"),
+    "fifty": ("n1=2,2,2,2", "dvp=0.006224427254"),
+}
+
+
 class TestSolve:
+    @pytest.mark.parametrize("method", sorted(SOLVE_GOLDEN))
+    def test_semistatic_golden(self, capsys, method):
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--N", "4", "--pe", "0.2", "--w", "4", "--y", "1",
+            "--x1", "1", "--x2", "1", "--method", method,
+        )
+        assert (code, err) == (0, "")
+        assert tuple(out.splitlines()) == SOLVE_GOLDEN[method]
+
     def test_semistatic_prints_schedule_and_score(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -78,6 +100,16 @@ class TestSolve:
             capsys,
             "solve", "--N", "20", "--pe", "0.4", "--w", "5", "--y", "20",
             "--x1", "20", "--x2", "20", "--method", "mdp",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "cap" in err
+
+    def test_fifty_kernel_cap_exceeded_exits_three(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--N", "20", "--pe", "0.4", "--w", "5", "--y", "20",
+            "--x1", "20", "--x2", "20", "--method", "fifty",
         )
         assert code == 3
         assert out == ""

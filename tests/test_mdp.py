@@ -10,16 +10,17 @@ from dvpsched import (
     QueueState,
     ScenarioConfig,
     Schedule,
+    SimSpec,
     TransitionKernel,
-    baseline_policy,
     build_state_space,
     exact_dvp_chain,
     reward,
+    simulate,
     transition_probs,
     transition_probs_casewise,
     value_iteration,
 )
-from dvpsched.mdp import baseline_actions, resolve_policy
+from dvpsched.mdp import baseline_actions
 
 
 def random_config(rng, max_N=4):
@@ -264,75 +265,119 @@ class TestPolicyTable:
             PolicyTable.from_text("0 0 0 0 0.0\n")
 
 
+def one_action(kind, N, q1, q2):
+    """A baseline's action in one state, through the vectorised rule."""
+    return int(baseline_actions(kind, np.array([q1]), np.array([q2]), N)[0])
+
+
 class TestBaselines:
     def test_max_weight_favors_longest_queue(self):
-        cfg = ScenarioConfig(N=4, p_e=0.2, w=2, y=2, x1=1, x2=1)
-        assert baseline_policy("mw", cfg, QueueState(3, 1), 0) == 4
-        assert baseline_policy("mw", cfg, QueueState(1, 3), 0) == 0
-        assert baseline_policy("mw", cfg, QueueState(2, 2), 0) == 4  # tie upstream
+        assert one_action("mw", 4, 3, 1) == 4
+        assert one_action("mw", 4, 1, 3) == 0
+        assert one_action("mw", 4, 2, 2) == 4  # tie upstream
 
     def test_wfq_proportional(self):
-        cfg = ScenarioConfig(N=4, p_e=0.2, w=2, y=2, x1=1, x2=1)
-        assert baseline_policy("wfq", cfg, QueueState(1, 3), 0) == 1
-        assert baseline_policy("wfq", cfg, QueueState(3, 1), 0) == 3
-        assert baseline_policy("wfq", cfg, QueueState(0, 0), 0) == 2
+        assert one_action("wfq", 4, 1, 3) == 1
+        assert one_action("wfq", 4, 3, 1) == 3
+        assert one_action("wfq", 4, 0, 0) == 2
         # half-up at an exact .5 share
-        cfg5 = ScenarioConfig(N=5, p_e=0.2, w=2, y=2, x1=1, x2=1)
-        assert baseline_policy("wfq", cfg5, QueueState(1, 1), 0) == 3
+        assert one_action("wfq", 5, 1, 1) == 3
 
     def test_backpressure_weights(self):
-        cfg = ScenarioConfig(N=4, p_e=0.2, w=2, y=2, x1=1, x2=1)
-        assert baseline_policy("bp", cfg, QueueState(1, 2), 0) == 0  # w1=-1 < w2=2
-        assert baseline_policy("bp", cfg, QueueState(4, 1), 0) == 4  # w1=3 > w2=1
-        assert baseline_policy("bp", cfg, QueueState(0, 0), 0) == 2  # both <= 0
-        assert baseline_policy("bp", cfg, QueueState(2, 1), 0) == 2  # w1=w2=1 tie
+        assert one_action("bp", 4, 1, 2) == 0  # w1=-1 < w2=2
+        assert one_action("bp", 4, 4, 1) == 4  # w1=3 > w2=1
+        assert one_action("bp", 4, 0, 0) == 2  # both <= 0
+        assert one_action("bp", 4, 2, 1) == 2  # w1=w2=1 tie
 
     def test_fifty_even_split(self):
-        cfg = ScenarioConfig(N=5, p_e=0.2, w=2, y=1, x1=0, x2=0)
-        assert baseline_policy("fifty", cfg, QueueState(1, 0), 0) == 3
+        assert one_action("fifty", 5, 1, 0) == 3
 
     def test_vector_matches_scalar(self):
+        # each entry of a many-state call equals its one-state call
         rng = np.random.default_rng(17)
         q1 = rng.integers(0, 6, size=50)
         q2 = rng.integers(0, 6, size=50)
-        cfg = ScenarioConfig(N=5, p_e=0.2, w=2, y=3, x1=2, x2=0)
         for kind in ("mw", "wfq", "bp", "fifty"):
-            vec = baseline_actions(kind, q1, q2, cfg.N)
+            vec = baseline_actions(kind, q1, q2, 5)
             for i in range(50):
-                assert vec[i] == baseline_policy(
-                    kind, cfg, QueueState(int(q1[i]), int(q2[i])), 0
-                )
+                assert vec[i] == one_action(kind, 5, q1[i], q2[i])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             baseline_actions("rr", np.array([1]), np.array([1]), 4)
 
 
+def assert_both_raise(exc, cfg, policy, match=None):
+    """The exact chain and Monte Carlo reject a policy alike."""
+    with pytest.raises(exc, match=match):
+        exact_dvp_chain(cfg, policy)
+    with pytest.raises(exc, match=match):
+        simulate(cfg, SimSpec(1000, 3, policy))
+
+
 class TestResolvePolicy:
+    """Both evaluators read a policy through mdp.policy_actions, so each
+    malformed policy fails the same way in either."""
+
     def test_schedule_length_checked(self):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
-        with pytest.raises(ValueError):
-            resolve_policy(Schedule(n1=(1,), N=2), cfg)
+        assert_both_raise(ValueError, cfg, Schedule(n1=(1,), N=2), match="1 frames")
 
     def test_foreign_table_rejected(self):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
         other = ScenarioConfig(N=2, p_e=0.4, w=2, y=1, x1=0, x2=0)
-        with pytest.raises(ValueError):
-            resolve_policy(value_iteration(other), cfg)
+        assert_both_raise(ValueError, cfg, value_iteration(other), match="different")
 
     def test_unknown_name_rejected(self):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
-        with pytest.raises(ValueError):
-            resolve_policy("round-robin", cfg)
+        assert_both_raise(ValueError, cfg, "round-robin", match="round-robin")
+
+    def test_non_policy_rejected(self):
+        cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
+        assert_both_raise(TypeError, cfg, 3.14, match="float")
+
+    def test_truncated_table_names_state(self):
+        cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
+        text = value_iteration(cfg).to_text()
+        # drop every epoch-1 row with q1 == 1 (reachable when frame 0 fails)
+        kept = [ln for ln in text.splitlines() if not ln.startswith("1 1")]
+        table = PolicyTable.from_text("\n".join(kept))
+        assert_both_raise(PolicyLookupError, cfg, table, match=r"epoch=1 state=\(1,")
 
     def test_callable_policy_through_chain(self):
-        # an epoch-switching rule equals the matching fixed schedule
-        cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
-        by_rule = exact_dvp_chain(cfg, lambda epoch, q1, q2: 1 if epoch == 0 else 0)
-        by_schedule = exact_dvp_chain(cfg, Schedule(n1=(1, 0), N=2))
-        assert by_rule.dvp == pytest.approx(by_schedule.dvp, abs=1e-15)
+        # an epoch-switching rule equals the matching fixed schedule, to the
+        # bit in the chain and draw for draw in Monte Carlo
+        cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
+        schedule = Schedule(n1=(2, 2, 1), N=3)
+        rule = lambda epoch, q1, q2: schedule.n1[epoch]
+        assert exact_dvp_chain(cfg, rule) == exact_dvp_chain(cfg, schedule)
+        spec = lambda policy: SimSpec(20_000, 11, policy)
+        assert simulate(cfg, spec(rule)) == simulate(cfg, spec(schedule))
+
+    def test_callable_sees_each_live_state(self):
+        # a state-dependent rule gives the baseline it reimplements
+        cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
+        rule = lambda epoch, q1, q2: 3 if q1 >= q2 else 0
+        assert exact_dvp_chain(cfg, rule) == exact_dvp_chain(cfg, "mw")
+        spec = lambda policy: SimSpec(5000, 2, policy)
+        assert simulate(cfg, spec(rule)) == simulate(cfg, spec("mw"))
 
     def test_out_of_range_action_reported(self):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
-        with pytest.raises(ValueError, match="epoch=0"):
-            exact_dvp_chain(cfg, lambda epoch, q1, q2: 5)
+        assert_both_raise(
+            ValueError, cfg, lambda epoch, q1, q2: 5, match=r"n1=5 .* epoch=0 state=\(1,0\)"
+        )
+
+    @pytest.mark.parametrize(
+        "action", [1.0, 1.5, np.float64(1.0)], ids=["float", "fraction", "numpy-float"]
+    )
+    def test_non_integer_action_reported(self, action):
+        cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
+        assert_both_raise(
+            ValueError, cfg, lambda epoch, q1, q2: action, match=r"epoch=0 state=\(1,0\)"
+        )
+
+    def test_numpy_integer_action_accepted(self):
+        cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
+        rule = lambda epoch, q1, q2: np.int64(1)
+        assert exact_dvp_chain(cfg, rule) == exact_dvp_chain(cfg, Schedule(n1=(1, 1), N=2))

@@ -1,4 +1,4 @@
-"""Core model: binomial numerics, queue stepping, cumulative slot counts."""
+"""Core model: binomial numerics, queue stepping, scenario and schedule checks."""
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +12,6 @@ from dvpsched import (
     Schedule,
     binomial_cdf,
     binomial_pmf,
-    cumulative_slots,
     step_queues,
 )
 
@@ -133,24 +132,6 @@ class TestStepQueues:
             state, d2 = step_queues(state, s1, s2)
             total_d2 += d2
         assert total_d2 == int(y + x1 + x2) - state.q1 - state.q2
-
-
-class TestCumulativeSlots:
-    def test_empty_prefix(self):
-        assert cumulative_slots(Schedule(n1=(2, 2, 2), N=4), 1, 0) == 0
-
-    def test_constant_allocation(self):
-        assert cumulative_slots(Schedule(n1=(2, 2, 2), N=2), 1, 3) == 6
-
-    def test_complement_link(self):
-        assert cumulative_slots(Schedule(n1=(1, 3, 2), N=4), 2, 2) == 4
-
-    def test_domain_errors(self):
-        sched = Schedule(n1=(1, 1), N=2)
-        with pytest.raises(ValueError):
-            cumulative_slots(sched, 1, 3)
-        with pytest.raises(ValueError):
-            cumulative_slots(sched, 3, 1)
 
 
 class TestConfigAndSchedule:

@@ -140,6 +140,13 @@ class TestSolverScaleFree:
         projected = x - np.clip(x - grad, 1.0, cfg.N - 1.0)
         assert np.linalg.norm(projected) <= 1e-7
 
+    def test_zero_bound_stops_at_once(self):
+        # lossless: the bound is exactly 0, which no step can improve
+        relaxed = solve_relaxed(ScenarioConfig(N=4, p_e=0.0, w=4, y=1, x1=1, x2=1))
+        assert relaxed.objective == 0.0
+        assert relaxed.stop_reason == "converged"
+        assert relaxed.iterations <= 1
+
 
 class TestRoundNearest:
     def test_nearest_integer(self):

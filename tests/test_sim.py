@@ -7,6 +7,7 @@ from dvpsched import (
     PolicyTable,
     ScenarioConfig,
     Schedule,
+    SimResult,
     SimSpec,
     exact_dvp_chain,
     simulate,
@@ -17,6 +18,24 @@ from dvpsched.sim import _inversion_table
 
 HAND_CFG = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
 HAND_SCHED = Schedule(n1=(1, 1), N=2)
+
+GOLDEN_CFG = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
+# simulate(GOLDEN_CFG, SimSpec(20_000, 11, policy)), recorded once; the
+# stream, and so every field, must not move under refactoring
+GOLDEN_STREAMS = {
+    "schedule": SimResult(
+        dvp_hat=0.619, ci_low=0.6122473547212111, ci_high=0.625706940697436,
+        mean_departures=2.14215, replications=20000,
+    ),
+    "table": SimResult(
+        dvp_hat=0.3474, ci_low=0.3408309734554091, ci_high=0.354027635948914,
+        mean_departures=2.5838, replications=20000,
+    ),
+    "mw": SimResult(
+        dvp_hat=0.46095, ci_low=0.45404980518159466, ci_high=0.4678651928343872,
+        mean_departures=2.38465, replications=20000,
+    ),
+}
 
 
 class TestSimulate:
@@ -40,6 +59,16 @@ class TestSimulate:
     def test_bit_identical_reruns(self):
         spec = SimSpec(30_000, 99, HAND_SCHED)
         assert simulate(HAND_CFG, spec) == simulate(HAND_CFG, spec)
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_STREAMS))
+    def test_golden_stream(self, kind):
+        policy = {
+            "schedule": Schedule(n1=(2, 2, 1), N=3),
+            "table": value_iteration(GOLDEN_CFG),
+            "mw": "mw",
+        }[kind]
+        res = simulate(GOLDEN_CFG, SimSpec(20_000, 11, policy))
+        assert res == GOLDEN_STREAMS[kind]
 
     def test_chunking_does_not_change_the_stream(self):
         spec = SimSpec(10_000, 7, HAND_SCHED)
