@@ -16,42 +16,52 @@ from typing import Callable, NamedTuple
 
 from . import semistatic
 from .dvp import exact_dvp_chain
-from .mdp import BASELINE_KINDS, PolicyTable, value_iteration
+from .mdp import BASELINE_KINDS, PolicyTable, TransitionKernel, kernel_key, value_iteration
 from .model import CapExceededError, ScenarioConfig, Schedule
 from .sim import SimSpec, simulate
+
+
+class Sources(NamedTuple):
+    """What a method's solve draws on: `relaxed(config)` gives the relaxed
+    schedule the wtb-* methods start from, `kernel(config)` the transition
+    kernel that opt and mdp evaluate with, and `full_domain` widens opt's
+    search."""
+
+    relaxed: Callable
+    kernel: Callable
+    full_domain: bool = False
 
 
 class Method(NamedTuple):
     """How `solve` and `sweep` obtain one method's policy, and for a
     semi-static method the criterion its score is.
 
-    `solve(config, relaxed, full_domain)` returns a SemiStaticResult for a
-    semi-static method (its score is the `score` criterion), else a
-    PolicyTable or a baseline name; the wtb-* methods start from
-    `relaxed(config)`, and `full_domain` widens opt's search. Solvers are
-    looked up when called, so that wrapping them in their modules reaches
-    this table too."""
+    `solve(config, sources)` returns a SemiStaticResult for a semi-static
+    method (its score is the `score` criterion), else a PolicyTable or a
+    baseline name. Solvers are looked up when called, so that wrapping them
+    in their modules reaches this table too."""
 
     solve: Callable
     score: str = ""
 
 
 METHODS = {
-    "wtb-r": Method(lambda c, relaxed, full_domain: semistatic.round_nearest(c, relaxed(c)), "wtb"),
-    "wtb-w": Method(
-        lambda c, relaxed, full_domain: semistatic.neighbor_search(c, relaxed(c), "wtb"), "wtb"
-    ),
+    "wtb-r": Method(lambda c, src: semistatic.round_nearest(c, src.relaxed(c)), "wtb"),
+    "wtb-w": Method(lambda c, src: semistatic.neighbor_search(c, src.relaxed(c), "wtb"), "wtb"),
     "wtb-d": Method(
-        lambda c, relaxed, full_domain: semistatic.neighbor_search(c, relaxed(c), "dvpub"), "dvpub"
+        lambda c, src: semistatic.neighbor_search(c, src.relaxed(c), "dvpub"), "dvpub"
     ),
-    "e-wtb": Method(lambda c, relaxed, full_domain: semistatic.e_wtb(c), "wtb"),
-    "e-dvpub": Method(lambda c, relaxed, full_domain: semistatic.e_dvpub(c), "dvpub"),
-    "opt": Method(lambda c, relaxed, full_domain: semistatic.opt(c, full_domain=full_domain), "dvp"),
-    "fifty": Method(lambda c, relaxed, full_domain: semistatic.fifty_fifty(c), "dvp"),
-    "mdp": Method(lambda c, relaxed, full_domain: value_iteration(c)),
-    "mw": Method(lambda c, relaxed, full_domain: "mw"),
-    "wfq": Method(lambda c, relaxed, full_domain: "wfq"),
-    "bp": Method(lambda c, relaxed, full_domain: "bp"),
+    "e-wtb": Method(lambda c, src: semistatic.e_wtb(c), "wtb"),
+    "e-dvpub": Method(lambda c, src: semistatic.e_dvpub(c), "dvpub"),
+    "opt": Method(
+        lambda c, src: semistatic.opt(c, full_domain=src.full_domain, make_kernel=src.kernel),
+        "dvp",
+    ),
+    "fifty": Method(lambda c, src: semistatic.fifty_fifty(c), "dvp"),
+    "mdp": Method(lambda c, src: value_iteration(c, src.kernel(c))),
+    "mw": Method(lambda c, src: "mw"),
+    "wfq": Method(lambda c, src: "wfq"),
+    "bp": Method(lambda c, src: "bp"),
 }
 
 EXIT_OK = 0
@@ -87,7 +97,9 @@ def cmd_solve(args) -> int:
 
     method = METHODS[args.method]
     try:
-        result = method.solve(config, semistatic.solve_relaxed, args.full_domain)
+        result = method.solve(
+            config, Sources(semistatic.solve_relaxed, TransitionKernel, args.full_domain)
+        )
     except (CapExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -215,20 +227,35 @@ def parse_sweep_file(text: str) -> SweepSpec:
     )
 
 
-def _sweep_cell(config: ScenarioConfig, policy_name: str, spec: SweepSpec, relaxed):
+def _sweep_cell(config: ScenarioConfig, policy_name: str, spec: SweepSpec, sources: Sources):
     """Evaluate one (config, policy) cell; returns (dvp, ci_low, ci_high)."""
     method = METHODS[policy_name]
     if policy_name == "fifty":
         # the cell evaluates the schedule itself; fifty_fifty would score it too
         policy = semistatic.even_split(config)
     else:
-        policy = method.solve(config, relaxed, False)
+        policy = method.solve(config, sources)
         if method.score:
             policy = policy.schedule
     if spec.evaluator == "exact":
-        return exact_dvp_chain(config, policy).dvp, None, None
+        return exact_dvp_chain(config, policy, kernel=sources.kernel(config)).dvp, None, None
     sim = simulate(config, SimSpec(spec.reps, spec.seed, policy))
     return sim.dvp_hat, sim.ci_low, sim.ci_high
+
+
+def _last_kernel() -> Callable:
+    """kernel(config) that keeps only the kernel it built last, and builds
+    anew when the scenario's kernel_key changes."""
+    kernel = None
+
+    def get(config: ScenarioConfig) -> TransitionKernel:
+        nonlocal kernel
+        if kernel is None or kernel.key != kernel_key(config):
+            kernel = None  # free the old kernel before building the next
+            kernel = TransitionKernel(config)
+        return kernel
+
+    return get
 
 
 SWEEP_HEADER = "x1,x2,w,N,pe,y,policy,dvp,ci_low,ci_high,ms"
@@ -287,8 +314,14 @@ def run_sweep(spec: SweepSpec, out) -> int:
     )
     out.write(SWEEP_HEADER + "\n")
     failures = 0
-    # one relaxed solve per config, shared by its wtb-* rows
-    relaxed = functools.cache(semistatic.solve_relaxed)
+    # one relaxed solve per config, shared by its wtb-* rows. Sorted cells
+    # that share a kernel_key are consecutive, so under exact evaluation
+    # one kernel serves all of them; Monte Carlo needs a kernel only
+    # inside value_iteration and drops it there.
+    sources = Sources(
+        functools.cache(semistatic.solve_relaxed),
+        _last_kernel() if spec.evaluator == "exact" else TransitionKernel,
+    )
     for x1, x2, w, N, pe, y in cells:
         for policy_name in sorted(spec.policies):
             start = time.perf_counter()
@@ -296,7 +329,7 @@ def run_sweep(spec: SweepSpec, out) -> int:
             error = ""
             try:
                 config = ScenarioConfig(N=N, p_e=pe, w=w, y=y, x1=x1, x2=x2)
-                dvp, lo, hi = _sweep_cell(config, policy_name, spec, relaxed)
+                dvp, lo, hi = _sweep_cell(config, policy_name, spec, sources)
             except (ValueError, CapExceededError) as exc:
                 error = str(exc)
                 failures += 1

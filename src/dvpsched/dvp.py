@@ -36,7 +36,7 @@ from .model import (
     binomial_tail_at_most,
     step_queues,
 )
-from .mdp import TransitionKernel, policy_actions
+from .mdp import TransitionKernel, checked_kernel, policy_actions
 
 ENUM_CAP_DEFAULT = 10_000_000
 
@@ -323,12 +323,12 @@ def exact_dvp_chain(
     w frames under the given policy, in any form mdp.policy_actions accepts
     (schedule, policy table, baseline name, or callable); each frame is one
     gather of the live states' kernel rows under their actions and one
-    vector-matrix product. The batch met the deadline iff both queues are
+    vector-matrix product. A given kernel must come from a scenario with the
+    same mdp.kernel_key. The batch met the deadline iff both queues are
     empty at the horizon, since departures equal the initial load minus
     what is left."""
     act = policy_actions(policy, config)
-    if kernel is None:
-        kernel = TransitionKernel(config)
+    kernel = checked_kernel(config, kernel)
     rho = np.zeros(kernel.n_states)
     rho[kernel.index(config.first_hop_load, config.x2)] = 1.0
     for epoch in range(config.w):

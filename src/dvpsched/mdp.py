@@ -30,6 +30,7 @@ from .model import (
     ScenarioConfig,
     Schedule,
     binomial_pmf,
+    binomial_pmf_table,
     step_queues,
 )
 
@@ -63,8 +64,9 @@ def transition_probs(
     config: ScenarioConfig, state: QueueState, n1: int
 ) -> dict[QueueState, float]:
     """One-frame transition distribution, by marginalizing the queue update
-    over the two independent binomial service draws. This is the source of
-    truth for the kernel; see transition_probs_casewise for the closed-form
+    over the two independent binomial service draws, summed in s1-major,
+    s2-minor order. It is the oracle the kernel's rows are tested against
+    bit for bit; see transition_probs_casewise for the closed-form
     counterpart kept as a cross-check."""
     if not 0 <= n1 <= config.N:
         raise ValueError(f"action n1={n1} outside 0..{config.N}")
@@ -168,6 +170,12 @@ def transition_probs_casewise(
     return out
 
 
+def kernel_key(config: ScenarioConfig) -> tuple:
+    """What a TransitionKernel depends on: N, p_e and the backlog bounds,
+    not the deadline w."""
+    return (config.N, config.p_e, config.q1_max, config.q2_max)
+
+
 class TransitionKernel:
     """Dense per-action transition matrices.
 
@@ -175,10 +183,14 @@ class TransitionKernel:
     the dynamics cannot leave, {q1 <= q1_max, q1 + q2 <= q1_max + q2_max}:
     corner states of the rectangle with q1 + q2 above the initial load are
     unreachable in their own scenario but can relay beyond q2_max, and
-    keeping their rows exact keeps every rectangle row exact."""
+    keeping their rows exact keeps every rectangle row exact.
+
+    States are numbered row-major: q1[i], q2[i] are state i's backlogs and
+    lookup[q1, q2] its index (-1 outside the domain). pmf is the binomial
+    table of one frame's service (model.binomial_pmf_table)."""
 
     def __init__(self, config: ScenarioConfig):
-        self.config = config
+        self.key = kernel_key(config)
         total = config.q1_max + config.q2_max
         n_actions = config.N + 1
         n_states = (config.q1_max + 1) * (total + 1) - config.q1_max * (config.q1_max + 1) // 2
@@ -191,32 +203,68 @@ class TransitionKernel:
                 entries,
                 KERNEL_ENTRY_CAP,
             )
-        self.states = [
-            QueueState(q1, q2)
-            for q1 in range(config.q1_max + 1)
-            for q2 in range(total - q1 + 1)
-        ]
-        self._index = {s: i for i, s in enumerate(self.states)}
-        self.q1, self.q2 = np.array(self.states, dtype=np.int64).T
-        self.n_states = len(self.states)
+        grid = np.add.outer(np.arange(config.q1_max + 1), np.arange(total + 1))
+        self.q1, self.q2 = np.nonzero(grid <= total)
+        self.n_states = len(self.q1)
         assert self.n_states == n_states
-        P = np.zeros((n_actions, self.n_states, self.n_states))
-        for i, state in enumerate(self.states):
-            for a in range(n_actions):
-                for nxt, prob in transition_probs(config, state, a).items():
-                    P[a, i, self._index[nxt]] += prob
+        self.lookup = np.full(grid.shape, -1, dtype=np.int64)
+        self.lookup[self.q1, self.q2] = np.arange(n_states)
+        self.pmf = binomial_pmf_table(config.N, 1.0 - config.p_e)
+        q1 = self.q1[:, None, None]
+        q2 = self.q2[:, None, None]
+        row_start = (np.arange(n_states) * n_states)[:, None, None]
+        P = np.zeros((n_actions, n_states, n_states))
+        for a in range(n_actions):
+            n2 = config.N - a
+            # outcome (i, s1, s2) along axes 0, 1, 2: flattened, each entry's
+            # contributions arrive in transition_probs' s1-major, s2-minor
+            # order, and add.at sums them one by one, so every entry equals
+            # transition_probs bit for bit
+            d1 = np.minimum(q1, np.arange(a + 1)[:, None])
+            d2 = np.minimum(q2, np.arange(n2 + 1))
+            nxt = self.lookup[q1 - d1, q2 - d2 + d1]
+            prob = np.outer(self.pmf[a, : a + 1], self.pmf[n2, : n2 + 1])
+            np.add.at(
+                P[a].reshape(-1),
+                (row_start + nxt).ravel(),
+                np.broadcast_to(prob, nxt.shape).ravel(),
+            )
         self.P = P
 
     def index(self, q1: int, q2: int) -> int:
-        try:
-            return self._index[QueueState(q1, q2)]
-        except KeyError:
-            raise ValueError(f"state ({q1},{q2}) outside the kernel's domain") from None
+        rows, cols = self.lookup.shape
+        if 0 <= q1 < rows and 0 <= q2 < cols and self.lookup[q1, q2] >= 0:
+            return int(self.lookup[q1, q2])
+        raise ValueError(f"state ({q1},{q2}) outside the kernel's domain")
 
-    def transitions(self, state: QueueState, action: int) -> list[tuple[QueueState, float]]:
-        """Sparse view of one (state, action) row."""
-        row = self.P[action, self.index(state.q1, state.q2)]
-        return [(self.states[j], float(p)) for j, p in enumerate(row) if p > 0.0]
+    def rewards(self) -> np.ndarray:
+        """Stage rewards R[a, i] = reward(config, state i, a), each summed
+        over r in reward()'s order, so bit for bit equal to it."""
+        N = len(self.pmf) - 1
+        R = np.empty((N + 1, self.n_states))
+        for a in range(N + 1):
+            n2 = N - a
+            acc = np.zeros(self.n_states)
+            for r in range(n2 + 1):
+                acc = acc + np.minimum(self.q2, r) * self.pmf[n2, r]
+            R[a] = acc
+        return R
+
+
+def checked_kernel(
+    config: ScenarioConfig, kernel: TransitionKernel | None = None
+) -> TransitionKernel:
+    """The kernel to evaluate config with: `kernel` when it was built for a
+    scenario of the same kernel_key (any deadline), a new one when None.
+    A kernel of another scenario raises ValueError."""
+    if kernel is None:
+        return TransitionKernel(config)
+    if kernel.key != kernel_key(config):
+        raise ValueError(
+            f"kernel was built for (N, p_e, q1_max, q2_max) = {kernel.key}, "
+            f"scenario needs {kernel_key(config)}"
+        )
+    return kernel
 
 
 def reward(config: ScenarioConfig, state: QueueState, n1: int) -> float:
@@ -323,13 +371,9 @@ def value_iteration(config: ScenarioConfig, kernel: TransitionKernel | None = No
     action maximizing immediate expected departures plus expected
     continuation, ties broken toward the smallest n1. One sweep costs
     (N + 1) * |states| kernel rows, repeated for each of the w epochs."""
-    if kernel is None:
-        kernel = TransitionKernel(config)
+    kernel = checked_kernel(config, kernel)
     S = kernel.n_states
-    n_actions = config.N + 1
-    R = np.array(
-        [[reward(config, state, a) for state in kernel.states] for a in range(n_actions)]
-    )  # (A, S)
+    R = kernel.rewards()  # (A, S)
     actions = np.zeros((config.w, S), dtype=np.int64)
     values = np.zeros((config.w + 1, S))
     for k in range(config.w - 1, -1, -1):
@@ -337,9 +381,9 @@ def value_iteration(config: ScenarioConfig, kernel: TransitionKernel | None = No
         best = np.argmax(q_sa, axis=0)  # first (= smallest) maximizing action
         actions[k] = best
         values[k] = q_sa[best, np.arange(S)]
-    # publish on the rectangle the table contract uses
-    rect = build_state_space(config)
-    cols = np.array([kernel.index(s.q1, s.q2) for s in rect])
+    # publish on the rectangle the table contract uses, row-major as in
+    # build_state_space
+    cols = kernel.lookup[:, : config.q2_max + 1].ravel()
     return PolicyTable(
         config=config, actions=actions[:, cols], values=values[:, cols]
     )

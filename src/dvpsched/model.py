@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 
 class CapExceededError(RuntimeError):
     """An enumeration would exceed its configured size cap."""
@@ -131,6 +133,17 @@ def binomial_pmf(n: int, p: float, r: int) -> float:
         + (n - r) * math.log(1.0 - p)
     )
     return math.exp(log_pmf)
+
+
+def binomial_pmf_table(N: int, p: float) -> np.ndarray:
+    """table[n, r] = binomial_pmf(n, p, r) for 0 <= r <= n <= N, and 0 for
+    r > n: every binomial probability of one frame's service, each entry
+    taken from binomial_pmf itself."""
+    table = np.zeros((N + 1, N + 1))
+    for n in range(N + 1):
+        for r in range(n + 1):
+            table[n, r] = binomial_pmf(n, p, r)
+    return table
 
 
 def binomial_cdf(n: int, p: float, r: int) -> float:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -191,11 +192,14 @@ def exhaustive(
     criterion: str,
     cap: int = EXHAUSTIVE_CAP_DEFAULT,
     full_domain: bool = False,
+    make_kernel: Callable[[ScenarioConfig], TransitionKernel] = TransitionKernel,
 ) -> SemiStaticResult:
     """Search every allocation in {1..N-1}^w (optionally {0..N}^w for the
     exact criterion) for the minimizer of the chosen criterion. The exact
-    criterion evaluates each candidate with the chain evaluator; its default
-    domain matches the bound methods so rankings stay comparable."""
+    criterion evaluates each candidate with the chain evaluator, on the
+    kernel make_kernel(config) returns once the domain and the cap are
+    checked; its default domain matches the bound methods so rankings stay
+    comparable."""
     if criterion not in ("dvpub", "wtb", "exact"):
         raise ValueError(f"criterion must be dvpub, wtb or exact, got {criterion!r}")
     if full_domain and criterion != "exact":
@@ -211,7 +215,7 @@ def exhaustive(
         raise CapExceededError(
             f"exhaustive search over {count} schedules exceeds cap {cap}", count, cap
         )
-    kernel = TransitionKernel(config) if criterion == "exact" else None
+    kernel = make_kernel(config) if criterion == "exact" else None
     best_n2 = None
     best_score = math.inf
     for n2 in itertools.product(values, repeat=config.w):
@@ -268,5 +272,8 @@ def opt(
     config: ScenarioConfig,
     cap: int = EXHAUSTIVE_CAP_DEFAULT,
     full_domain: bool = False,
+    make_kernel: Callable[[ScenarioConfig], TransitionKernel] = TransitionKernel,
 ) -> SemiStaticResult:
-    return exhaustive(config, "exact", cap=cap, full_domain=full_domain)
+    return exhaustive(
+        config, "exact", cap=cap, full_domain=full_domain, make_kernel=make_kernel
+    )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mdp import policy_actions
-from .model import ScenarioConfig, binomial_cdf
+from .model import ScenarioConfig, binomial_pmf_table
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 DEFAULT_CHUNK = 1 << 14
@@ -62,11 +62,11 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float,
 
 def _inversion_table(N: int, q: float) -> np.ndarray:
     """cdf[a, r] = P{Binomial(a, q) <= r} for r < a, and 1 beyond, so that
-    counting thresholds <= u inverts the distribution."""
-    cdf = np.ones((N + 1, max(N, 1)))
-    for a in range(N + 1):
-        for r in range(min(a, cdf.shape[1])):
-            cdf[a, r] = binomial_cdf(a, q, r)
+    counting thresholds <= u inverts the distribution. The running sums are
+    binomial_cdf's, term for term."""
+    cols = max(N, 1)
+    cdf = np.minimum(np.cumsum(binomial_pmf_table(N, q), axis=1), 1.0)[:, :cols]
+    cdf[np.arange(cols) >= np.arange(N + 1)[:, None]] = 1.0
     return cdf
 
 

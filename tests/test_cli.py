@@ -1,10 +1,21 @@
 """Command-line interface: output contracts, file formats, exit codes."""
 import io
+import weakref
+from pathlib import Path
 
 import pytest
 
-from dvpsched import PolicyTable, ScenarioConfig, exact_dvp_chain
-from dvpsched.cli import SWEEP_HEADER, SweepRow, main, parse_sweep_file, run_sweep
+from dvpsched import (
+    PolicyTable,
+    ScenarioConfig,
+    TransitionKernel,
+    exact_dvp_chain,
+    value_iteration,
+)
+from dvpsched import cli
+from dvpsched.cli import SWEEP_HEADER, SweepRow, fmt_prob, main, parse_sweep_file, run_sweep
+
+SWEEPS = Path(__file__).resolve().parent.parent / "sweeps"
 
 
 def run_cli(capsys, *argv):
@@ -315,6 +326,79 @@ class TestSweepRun:
         good = [ln for ln in lines[1:] if ln.split(",")[7] != ""]
         assert len(bad) == 1 and len(good) == 1
         assert len(bad[0].split(",")) == 12  # trailing error column
+
+    def test_exact_sweep_shares_one_kernel_per_backlog_pair(self, monkeypatch):
+        built = []
+        init = TransitionKernel.__init__
+
+        def counted(kernel, config):
+            built.append(config)
+            init(kernel, config)
+
+        monkeypatch.setattr(TransitionKernel, "__init__", counted)
+        spec = parse_sweep_file((SWEEPS / "dynamic-deadlines.sweep").read_text())
+        buf = io.StringIO()
+        assert run_sweep(spec, buf) == 0
+        monkeypatch.undo()
+        # a kernel per cell and per table made 96: 16 configs x (5 + 1)
+        assert [(c.x1, c.x2) for c in built] == [(1, 1), (1, 3), (3, 1), (3, 3)]
+        rows = [SweepRow.from_csv(ln) for ln in buf.getvalue().splitlines()[1:]]
+        assert len(rows) == 80
+        for row in rows:
+            cfg = ScenarioConfig(N=row.N, p_e=row.pe, w=row.w, y=row.y, x1=row.x1, x2=row.x2)
+            policy = value_iteration(cfg) if row.policy == "mdp" else row.policy
+            # as evaluated on a kernel of the cell's own
+            assert fmt_prob(row.dvp) == fmt_prob(exact_dvp_chain(cfg, policy).dvp)
+
+    def test_monte_carlo_sweep_keeps_no_kernel(self, monkeypatch):
+        kernels = []
+        init = TransitionKernel.__init__
+
+        def tracked(kernel, config):
+            init(kernel, config)
+            kernels.append(weakref.ref(kernel))
+
+        simulate = cli.simulate
+
+        def checked(config, spec):
+            # every kernel died with the value_iteration call that needed it
+            assert all(ref() is None for ref in kernels)
+            return simulate(config, spec)
+
+        monkeypatch.setattr(TransitionKernel, "__init__", tracked)
+        monkeypatch.setattr(cli, "simulate", checked)
+        spec = parse_sweep_file(
+            "x1=1\nx2=1, 2\nw=3\nN=3\npe=0.4\ny=1\npolicies=mdp, mw, fifty\n"
+            "evaluator=monte-carlo\nreps=2000\nseed=4\n"
+        )
+        buf = io.StringIO()
+        assert run_sweep(spec, buf) == 0
+        assert len(kernels) == 2  # one per mdp cell
+        assert len(buf.getvalue().splitlines()) == 1 + 6
+
+    def test_sweep_over_kernel_cap_writes_one_error_row_per_cell(self):
+        spec = parse_sweep_file(
+            "x1=20\nx2=20\nw=5\nN=20\npe=0.4\ny=20\n"
+            "policies=mdp, bp, mw, wfq, fifty, opt, wtb-w\n"
+        )
+        buf = io.StringIO()
+        assert run_sweep(spec, buf) == 4
+        rows = [SweepRow.from_csv(ln) for ln in buf.getvalue().splitlines()[1:]]
+        # recorded before kernels were shared; opt meets its own cap first
+        kernel_cap = (
+            "dense kernel needs 231609861 entries (21 actions x 3321^2 states); "
+            "cap is 50000000"
+        )
+        assert {r.policy: r.error for r in rows} == {
+            "bp": kernel_cap,
+            "fifty": kernel_cap,
+            "mdp": kernel_cap,
+            "mw": kernel_cap,
+            "opt": "exhaustive search over 2476099 schedules exceeds cap 1000000",
+            "wfq": kernel_cap,
+            "wtb-w": kernel_cap,
+        }
+        assert all(r.dvp is None for r in rows)
 
     def test_cli_sweep_file_to_csv(self, capsys, tmp_path):
         sweep = tmp_path / "sweep.txt"

@@ -14,6 +14,7 @@ from dvpsched import (
     TransitionKernel,
     build_state_space,
     exact_dvp_chain,
+    opt,
     reward,
     simulate,
     transition_probs,
@@ -108,24 +109,97 @@ class TestTransitionProbs:
                         assert case[k] == pytest.approx(ref[k], abs=1e-12)
 
 
+def kernel_grid():
+    """Criterion 05's grid (test_acceptance), plus a lossless and a dead
+    channel."""
+    for (y, x1) in ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0)):
+        for x2 in (0, 1, 2, 3):
+            for N in (1, 2, 3, 4, 5, 6):
+                for pe in (0.35, 0.7, 0.0, 1.0):
+                    yield ScenarioConfig(N=N, p_e=pe, w=2, y=y, x1=x1, x2=x2)
+
+
+def oracle_row(kern, cfg, state, a):
+    """A kernel row assembled from transition_probs as the loop-built kernel
+    did: each probability added to a zero entry."""
+    row = np.zeros(kern.n_states)
+    for nxt, p in transition_probs(cfg, state, a).items():
+        row[kern.index(nxt.q1, nxt.q2)] += p
+    return row
+
+
 class TestKernel:
     def test_dense_rows_match_sparse_dict(self):
         cfg = ScenarioConfig(N=3, p_e=0.3, w=2, y=1, x1=1, x2=1)
         kern = TransitionKernel(cfg)
         for st in build_state_space(cfg):
+            i = kern.index(st.q1, st.q2)
             for a in range(cfg.N + 1):
-                sparse = dict(kern.transitions(st, a))
                 ref = transition_probs(cfg, st, a)
-                assert sparse.keys() == {k for k, v in ref.items() if v > 0}
-                for k, v in ref.items():
-                    if v > 0:
-                        assert sparse[k] == pytest.approx(v, abs=1e-14)
+                support = {
+                    QueueState(int(kern.q1[j]), int(kern.q2[j]))
+                    for j in np.flatnonzero(kern.P[a, i])
+                }
+                assert support == {k for k, v in ref.items() if v > 0}
+                assert np.array_equal(kern.P[a, i], oracle_row(kern, cfg, st, a))
+
+    def test_rows_bit_identical_to_oracles(self):
+        # == throughout, not approx: the vectorised build sums each entry's
+        # contributions in transition_probs' order, and the stage rewards in
+        # reward()'s
+        for cfg in kernel_grid():
+            kern = TransitionKernel(cfg)
+            R = kern.rewards()
+            for i, st in enumerate(zip(kern.q1.tolist(), kern.q2.tolist())):
+                st = QueueState(*st)
+                for a in range(cfg.N + 1):
+                    assert np.array_equal(kern.P[a, i], oracle_row(kern, cfg, st, a))
+                    assert R[a, i] == reward(cfg, st, a)
 
     def test_rows_sum_to_one(self):
         cfg = ScenarioConfig(N=2, p_e=0.4, w=3, y=2, x1=1, x2=2)
         kern = TransitionKernel(cfg)
         sums = kern.P.sum(axis=2)
         assert np.allclose(sums, 1.0, atol=1e-12)
+
+    def test_index_domain(self):
+        # q1 <= q1_max = 2 and q1 + q2 <= q1_max + q2_max = 6, row-major
+        cfg = ScenarioConfig(N=2, p_e=0.4, w=3, y=1, x1=1, x2=2)
+        kern = TransitionKernel(cfg)
+        assert kern.n_states == 7 + 6 + 5
+        assert kern.index(0, 6) == 6 and kern.index(1, 0) == 7 and kern.index(2, 4) == 17
+        for q1, q2 in ((-1, 0), (0, -1), (3, 0), (0, 7), (1, 6), (2, 5)):
+            with pytest.raises(ValueError, match="outside the kernel's domain"):
+                kern.index(q1, q2)
+
+
+class TestKernelScenarioGuard:
+    CFG = ScenarioConfig(N=4, p_e=0.4, w=4, y=1, x1=1, x2=1)
+    OTHERS = {
+        "p_e": ScenarioConfig(N=4, p_e=0.2, w=4, y=1, x1=1, x2=1),
+        "N": ScenarioConfig(N=5, p_e=0.4, w=4, y=1, x1=1, x2=1),
+        "q1_max": ScenarioConfig(N=4, p_e=0.4, w=4, y=1, x1=2, x2=0),
+        "q2_max": ScenarioConfig(N=4, p_e=0.4, w=4, y=1, x1=1, x2=2),
+    }
+
+    @pytest.mark.parametrize("field", sorted(OTHERS))
+    def test_other_scenarios_kernel_rejected(self, field):
+        kern = TransitionKernel(self.OTHERS[field])
+        with pytest.raises(ValueError, match="kernel was built for"):
+            exact_dvp_chain(self.CFG, "mw", kernel=kern)
+        with pytest.raises(ValueError, match="kernel was built for"):
+            value_iteration(self.CFG, kern)
+        with pytest.raises(ValueError, match="kernel was built for"):
+            opt(self.CFG, make_kernel=lambda c: kern)
+
+    def test_other_deadline_accepted(self):
+        # the kernel does not depend on w, nor on how q1_max splits into y, x1
+        kern = TransitionKernel(ScenarioConfig(N=4, p_e=0.4, w=1, y=2, x1=0, x2=1))
+        assert exact_dvp_chain(self.CFG, "mw", kernel=kern) == exact_dvp_chain(self.CFG, "mw")
+        shared, own = value_iteration(self.CFG, kern), value_iteration(self.CFG)
+        assert np.array_equal(shared.actions, own.actions)
+        assert np.array_equal(shared.values, own.values)
+        assert opt(self.CFG, make_kernel=lambda c: kern) == opt(self.CFG)
 
 
 class TestReward:

@@ -12,6 +12,7 @@ from dvpsched import (
     Schedule,
     binomial_cdf,
     binomial_pmf,
+    binomial_pmf_table,
     step_queues,
 )
 
@@ -63,6 +64,16 @@ class TestBinomialPmf:
                 assert binomial_pmf(n, 0.3, r) == pytest.approx(
                     float(c * want), rel=1e-12
                 )
+
+
+class TestBinomialPmfTable:
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.95, 1.0])
+    def test_entries_are_binomial_pmf(self, p):
+        table = binomial_pmf_table(5, p)
+        assert table.shape == (6, 6)
+        for n in range(6):
+            for r in range(6):
+                assert table[n, r] == (binomial_pmf(n, p, r) if r <= n else 0.0)
 
 
 class TestBinomialCdf:

@@ -9,6 +9,7 @@ from dvpsched import (
     Schedule,
     SimResult,
     SimSpec,
+    binomial_cdf,
     exact_dvp_chain,
     simulate,
     value_iteration,
@@ -145,6 +146,17 @@ class TestWilson:
 
 
 class TestInversionSampling:
+    @pytest.mark.parametrize("N", [1, 2, 7, 20])
+    @pytest.mark.parametrize("p_e", [0.0, 0.05, 0.4, 0.77, 1.0])
+    def test_table_is_binomial_cdf(self, N, p_e):
+        q = 1.0 - p_e
+        cdf = _inversion_table(N, q)
+        assert cdf.shape == (N + 1, N)
+        for a in range(N + 1):
+            for r in range(N):
+                # ==, not approx: the table keeps the sampled streams fixed
+                assert cdf[a, r] == (binomial_cdf(a, q, r) if r < a else 1.0)
+
     def test_support_and_mean(self):
         # drawn service stays within the slot count and matches the
         # binomial mean to within three standard errors
