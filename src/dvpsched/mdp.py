@@ -461,7 +461,10 @@ def policy_actions(policy, config: ScenarioConfig):
     if isinstance(policy, str):
         if policy not in BASELINE_KINDS:
             raise ValueError(f"unknown policy name {policy!r}")
-        return lambda epoch, q1, q2: baseline_actions(policy, q1, q2, config.N)
+        # the rules ignore the epoch: evaluate them once over the rectangle
+        cells = np.arange((config.q1_max + 1) * width)
+        grid = baseline_actions(policy, cells // width, cells % width, config.N)
+        return lambda epoch, q1, q2: grid[q1 * width + q2]
     if not callable(policy):
         raise TypeError(f"cannot interpret {type(policy).__name__} as a policy")
 

@@ -5,11 +5,16 @@ keyed by the seed (one block budget per replication, sized by the horizon),
 so the random inputs of replication r never depend on chunking or worker
 scheduling: identical (config, spec) give bit-identical results. Binomial
 service draws use one uniform per link per frame, inverted through the
-binomial distribution function.
+binomial distribution function: a guide table (indexed search, Chen & Asau
+1974) resolves most draws from the uniform's bucket, and the few that fall
+in a bucket holding a threshold are counted exactly against the whole row,
+so the draws, and the stream, are the same as with full counting.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,6 +23,7 @@ from .model import ScenarioConfig, binomial_pmf_table
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 DEFAULT_CHUNK = 1 << 14
+GUIDE_BITS = 10  # 1 024 buckets; fewer than 1% of them hold a threshold for N <= 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,6 +37,10 @@ class SimSpec:
     policy: object
 
     def __post_init__(self):
+        for name in ("replications", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if not 0 <= self.seed < 2**64:
@@ -39,11 +49,17 @@ class SimSpec:
 
 @dataclass(frozen=True)
 class SimResult:
+    """The estimate and its Wilson interval. wall_s (the run's wall time)
+    and exact_fallbacks (the draws the guide table left to exact counting)
+    say how it was obtained and take no part in equality."""
+
     dvp_hat: float
     ci_low: float
     ci_high: float
     mean_departures: float
     replications: int
+    wall_s: float = field(default=0.0, compare=False)
+    exact_fallbacks: int = field(default=0, compare=False)
 
 
 def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -70,6 +86,30 @@ def _inversion_table(N: int, q: float) -> np.ndarray:
     return cdf
 
 
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Flat g[a * 2**GUIDE_BITS + b] = #{cdf[a] <= u}, the same for every u
+    in bucket [b, b + 1) / 2**GUIDE_BITS, or -1 where a threshold lies
+    strictly inside the bucket and the count depends on u."""
+    edges = np.arange((1 << GUIDE_BITS) + 1) / (1 << GUIDE_BITS)
+    rows = []
+    for thresholds in cdf:
+        at_low = np.searchsorted(thresholds, edges[:-1], side="right")
+        below_high = np.searchsorted(thresholds, edges[1:], side="left")
+        rows.append(np.where(at_low == below_high, at_low, -1))
+    return np.concatenate(rows)
+
+
+def _draw(u: np.ndarray, acts: np.ndarray, cdf: np.ndarray, guide: np.ndarray):
+    """#{cdf[acts[i]] <= u[i]} for each i, and how many draws needed the
+    exact count. u * 2**GUIDE_BITS is an exact scaling, so each draw lands
+    in its true bucket."""
+    s = guide[(acts << GUIDE_BITS) + (u * (1 << GUIDE_BITS)).astype(np.intp)]
+    exact = np.flatnonzero(s < 0)
+    if exact.size:
+        s[exact] = (u[exact, None] >= cdf[acts[exact]]).sum(axis=1)
+    return s, exact.size
+
+
 def simulate(
     config: ScenarioConfig, spec: SimSpec, chunk_size: int = DEFAULT_CHUNK
 ) -> SimResult:
@@ -81,16 +121,21 @@ def simulate(
     The result does not depend on chunk_size. A run is a violation iff any
     packet is still queued after the final frame.
     """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    start = time.perf_counter()
     act = policy_actions(spec.policy, config)
     w, N = config.w, config.N
     q = 1.0 - config.p_e
     cdf = _inversion_table(N, q)
+    guide = _guide_table(cdf)
     words_per_rep = 2 * w
     blocks_per_rep = -(-words_per_rep // 4)  # Philox yields 4 words per block
     row = 4 * blocks_per_rep
 
     violations = 0
     departed = 0
+    fallbacks = 0
     done = 0
     while done < spec.replications:
         n = min(chunk_size, spec.replications - done)
@@ -102,8 +147,9 @@ def simulate(
         q2 = np.full(n, config.x2, dtype=np.int64)
         for k in range(w):
             acts = act(k, q1, q2)
-            s1 = (u[:, k, None] >= cdf[acts]).sum(axis=1)
-            s2 = (u[:, w + k, None] >= cdf[N - acts]).sum(axis=1)
+            s1, f1 = _draw(u[:, k], acts, cdf, guide)
+            s2, f2 = _draw(u[:, w + k], N - acts, cdf, guide)
+            fallbacks += f1 + f2
             d1 = np.minimum(q1, s1)
             q1 = q1 - d1
             q2 = np.maximum(q2 - s2, 0) + d1
@@ -120,4 +166,6 @@ def simulate(
         ci_high=hi,
         mean_departures=departed / n_total,
         replications=n_total,
+        wall_s=time.perf_counter() - start,
+        exact_fallbacks=fallbacks,
     )

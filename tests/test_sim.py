@@ -1,7 +1,14 @@
 """Monte Carlo estimator: correctness, reproducibility, interval behavior."""
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dvpsched
 from dvpsched import (
     PolicyLookupError,
     PolicyTable,
@@ -15,7 +22,7 @@ from dvpsched import (
     value_iteration,
     wilson_interval,
 )
-from dvpsched.sim import _inversion_table
+from dvpsched.sim import DEFAULT_CHUNK, GUIDE_BITS, _draw, _guide_table, _inversion_table
 
 HAND_CFG = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
 HAND_SCHED = Schedule(n1=(1, 1), N=2)
@@ -37,6 +44,88 @@ GOLDEN_STREAMS = {
         mean_departures=2.38465, replications=20000,
     ),
 }
+
+# the benchmark's three Monte Carlo scenarios (N, p_e, w, y, x1, x2) under
+# each dynamic policy, simulate(cfg, SimSpec(50_000, 1, policy)) recorded
+# before draws went through the guide table; "mdp" is value_iteration's table
+GOLDEN_BENCH_SCALE = {
+    ((6, 0.4, 6, 1, 3, 3), "mdp"): SimResult(
+        dvp_hat=0.00012, ci_low=5.4998199932506644e-05,
+        ci_high=0.00026180663662669906, mean_departures=6.99988,
+        replications=50000,
+    ),
+    ((6, 0.4, 6, 1, 3, 3), "mw"): SimResult(
+        dvp_hat=0.00128, ci_low=0.0010025985065716702,
+        ci_high=0.0016340280999915192, mean_departures=6.99856,
+        replications=50000,
+    ),
+    ((6, 0.4, 6, 1, 3, 3), "wfq"): SimResult(
+        dvp_hat=0.00052, ci_low=0.0003549024872305227,
+        ci_high=0.0007618408907093669, mean_departures=6.99946,
+        replications=50000,
+    ),
+    ((6, 0.4, 6, 1, 3, 3), "bp"): SimResult(
+        dvp_hat=0.01234, ci_low=0.011409112246613602,
+        ci_high=0.0133458150291255, mean_departures=6.98742,
+        replications=50000,
+    ),
+    ((6, 0.4, 6, 1, 3, 3), "fifty"): SimResult(
+        dvp_hat=0.0262, ci_low=0.02483591320444472,
+        ci_high=0.027636884530135082, mean_departures=6.96592,
+        replications=50000,
+    ),
+    ((6, 0.3, 4, 1, 2, 2), "mdp"): SimResult(
+        dvp_hat=0.00022, ci_low=0.00012285301612294255,
+        ci_high=0.0003939364557814342, mean_departures=4.99978,
+        replications=50000,
+    ),
+    ((6, 0.3, 4, 1, 2, 2), "mw"): SimResult(
+        dvp_hat=0.00508, ci_low=0.004493741529370347,
+        ci_high=0.00574230122030934, mean_departures=4.99472,
+        replications=50000,
+    ),
+    ((6, 0.3, 4, 1, 2, 2), "wfq"): SimResult(
+        dvp_hat=0.001, ci_low=0.0007586635624695673,
+        ci_high=0.0013180060651271433, mean_departures=4.99898,
+        replications=50000,
+    ),
+    ((6, 0.3, 4, 1, 2, 2), "bp"): SimResult(
+        dvp_hat=0.06188, ci_low=0.05980159947780508,
+        ci_high=0.06402571614793173, mean_departures=4.93776,
+        replications=50000,
+    ),
+    ((6, 0.3, 4, 1, 2, 2), "fifty"): SimResult(
+        dvp_hat=0.0207, ci_low=0.01948835049647194,
+        ci_high=0.02198529229412345, mean_departures=4.97594,
+        replications=50000,
+    ),
+    ((10, 0.5, 8, 5, 5, 5), "mdp"): SimResult(
+        dvp_hat=0.00028, ci_low=0.0001668041917435913,
+        ci_high=0.00046997606136788797, mean_departures=14.9996,
+        replications=50000,
+    ),
+    ((10, 0.5, 8, 5, 5, 5), "mw"): SimResult(
+        dvp_hat=0.00516, ci_low=0.004568882662300291,
+        ci_high=0.005827147795655532, mean_departures=14.99384,
+        replications=50000,
+    ),
+    ((10, 0.5, 8, 5, 5, 5), "wfq"): SimResult(
+        dvp_hat=0.00194, ci_low=0.0015906906113567054,
+        ci_high=0.0023658345884846124, mean_departures=14.99794,
+        replications=50000,
+    ),
+    ((10, 0.5, 8, 5, 5, 5), "bp"): SimResult(
+        dvp_hat=0.01724, ci_low=0.01613560769118401,
+        ci_high=0.018418566716468465, mean_departures=14.98022,
+        replications=50000,
+    ),
+    ((10, 0.5, 8, 5, 5, 5), "fifty"): SimResult(
+        dvp_hat=0.04788, ci_low=0.0460429994246275,
+        ci_high=0.04978646725278536, mean_departures=14.91672,
+        replications=50000,
+    ),
+}
+M_SIZE = (10, 0.5, 8, 5, 5, 5)
 
 
 class TestSimulate:
@@ -70,6 +159,20 @@ class TestSimulate:
         }[kind]
         res = simulate(GOLDEN_CFG, SimSpec(20_000, 11, policy))
         assert res == GOLDEN_STREAMS[kind]
+
+    @pytest.mark.parametrize("cell", sorted(GOLDEN_BENCH_SCALE), ids=str)
+    def test_golden_stream_at_bench_scale(self, cell):
+        scenario, name = cell
+        cfg = ScenarioConfig(*scenario)
+        policy = value_iteration(cfg) if name == "mdp" else name
+        res = simulate(cfg, SimSpec(50_000, 1, policy))
+        assert res == GOLDEN_BENCH_SCALE[cell]
+
+    def test_chunking_does_not_change_the_bench_scale_stream(self):
+        cfg = ScenarioConfig(*M_SIZE)
+        spec = SimSpec(50_000, 1, value_iteration(cfg))
+        for chunk in (64, DEFAULT_CHUNK, 100_000):
+            assert simulate(cfg, spec, chunk_size=chunk) == GOLDEN_BENCH_SCALE[(M_SIZE, "mdp")]
 
     def test_chunking_does_not_change_the_stream(self):
         spec = SimSpec(10_000, 7, HAND_SCHED)
@@ -128,6 +231,54 @@ class TestSimulate:
         with pytest.raises(TypeError):
             simulate(HAND_CFG, SimSpec(10, 1, 3.14))
 
+    @pytest.mark.parametrize(
+        "replications, seed", [(True, 1), (2.5, 1), (10.0, 1), (10, True), (10, 1.5)]
+    )
+    def test_spec_rejects_non_integer_counts(self, replications, seed):
+        with pytest.raises(TypeError, match="must be an integer"):
+            SimSpec(replications, seed, HAND_SCHED)
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = SimSpec(np.int64(3000), np.uint64(4), HAND_SCHED)
+        assert simulate(HAND_CFG, spec) == simulate(HAND_CFG, SimSpec(3000, 4, HAND_SCHED))
+
+    def test_chunk_size_below_one_rejected(self):
+        # a chunk of 0 never advanced the replication count; run it in a
+        # child interpreter so that a hang fails the test, not the suite
+        code = (
+            "from dvpsched import ScenarioConfig, Schedule, SimSpec, simulate\n"
+            "cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)\n"
+            "spec = SimSpec(10, 1, Schedule(n1=(1, 1), N=2))\n"
+            "for chunk in (0, -1):\n"
+            "    try:\n"
+            "        simulate(cfg, spec, chunk_size=chunk)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = str(Path(dvpsched.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "chunk_size must be >= 1, got 0",
+            "chunk_size must be >= 1, got -1",
+        ]
+
+    def test_run_statistics_stay_out_of_equality(self):
+        res = simulate(GOLDEN_CFG, SimSpec(20_000, 11, "mw"))
+        assert res.wall_s > 0.0
+        # 2 draws per frame and replication, a few of them counted exactly
+        assert 0 < res.exact_fallbacks < 0.05 * 2 * GOLDEN_CFG.w * 20_000
+        assert res == dataclasses.replace(res, wall_s=0.0, exact_fallbacks=0)
+        assert res == GOLDEN_STREAMS["mw"]
+
+    def test_lossless_draws_need_no_exact_count(self):
+        # every threshold is 0 or 1, so no bucket holds one strictly inside
+        cfg = ScenarioConfig(N=4, p_e=0.0, w=3, y=1, x1=1, x2=1)
+        assert simulate(cfg, SimSpec(5000, 2, "mw")).exact_fallbacks == 0
+
 
 class TestWilson:
     def test_contains_point_estimate(self):
@@ -156,6 +307,34 @@ class TestInversionSampling:
             for r in range(N):
                 # ==, not approx: the table keeps the sampled streams fixed
                 assert cdf[a, r] == (binomial_cdf(a, q, r) if r < a else 1.0)
+
+    @pytest.mark.parametrize("p_e", [0.0, 0.05, 0.4, 0.77, 1.0])
+    def test_guide_table_matches_exact_counting(self, p_e):
+        buckets = 1 << GUIDE_BITS
+        edges = np.arange(buckets) / buckets
+        for N in range(21):
+            cdf = _inversion_table(N, 1.0 - p_e)
+            guide = _guide_table(cdf)
+            table = guide.reshape(N + 1, buckets)
+            # few buckets hold a threshold, so the exact count stays rare
+            assert (table < 0).mean() <= 0.009
+            for a in range(N + 1):
+                points = np.concatenate([cdf[a], edges, [0.0, np.nextafter(1.0, 0.0)]])
+                u = np.concatenate(
+                    [points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)]
+                )
+                u = u[(u >= 0.0) & (u < 1.0)]
+                exact = (u[:, None] >= cdf[a]).sum(axis=1)
+                guided = table[a, (u * buckets).astype(np.intp)]
+                resolved = guided >= 0
+                assert np.array_equal(guided[resolved], exact[resolved]), (N, a)
+                # a bucket is left to exact counting only when a threshold
+                # lies strictly inside it
+                inside = (cdf[a] > edges[:, None]) & (cdf[a] < edges[:, None] + 1 / buckets)
+                assert np.array_equal(table[a] < 0, inside.any(axis=1)), (N, a)
+                drawn, fallbacks = _draw(u, np.full(u.shape, a), cdf, guide)
+                assert np.array_equal(drawn, exact), (N, a)
+                assert fallbacks == (~resolved).sum()
 
     def test_support_and_mean(self):
         # drawn service stays within the slot count and matches the
