@@ -89,6 +89,9 @@ def _config_from(args) -> ScenarioConfig:
 
 
 def cmd_solve(args) -> int:
+    if args.full_domain and args.method != "opt":
+        print("error: --full-domain applies to --method opt", file=sys.stderr)
+        return EXIT_USAGE
     try:
         config = _config_from(args)
     except ValueError as exc:

@@ -32,8 +32,8 @@ from .model import (
     QueueState,
     ScenarioConfig,
     Schedule,
+    binomial_cdf_table,
     binomial_pmf,
-    binomial_tail_at_most,
     step_queues,
 )
 from .mdp import TransitionKernel, checked_kernel, policy_actions
@@ -130,13 +130,26 @@ def bound_terms(config: ScenarioConfig, schedule) -> list[tuple[float, int]]:
     return list(zip(trials.tolist(), m.tolist()))
 
 
+def _term_cdf(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The CDF table every union term's tail is read from, covering every
+    trial count up to w * N, and each term's column in it: its threshold,
+    clipped to the table, where the tail is 1 for any trial count."""
+    n_max = config.w * config.N
+    cdf = binomial_cdf_table(n_max, 1.0 - config.p_e)
+    return cdf, np.minimum(union_terms(config).m, n_max)
+
+
 def dvpub(config: ScenarioConfig, schedule: Schedule) -> EvalResult:
     """Union-bound DVP estimate: the sum of the binomial tails of the union
-    terms. Unclamped; may exceed 1."""
-    terms = [
-        binomial_tail_at_most(int(round(trials)), 1.0 - config.p_e, threshold)
-        for trials, threshold in bound_terms(config, schedule)
-    ]
+    terms. Unclamped; may exceed 1. The tails are read from _term_cdf's
+    table, so an allocation outside [0, N]^w whose trial counts leave
+    0..w*N raises ValueError."""
+    c, A, _ = union_terms(config)
+    cdf, cols = _term_cdf(config)
+    trials = np.rint(c + A @ _as_n2(config, schedule)).astype(np.intp)
+    if trials.min() < 0 or trials.max() >= len(cdf):
+        raise ValueError(f"union-term trial counts {trials.tolist()} outside 0..{len(cdf) - 1}")
+    terms = cdf[trials, cols].tolist()
     return EvalResult(dvp=sum(terms), method="dvpub", detail=tuple(terms))
 
 

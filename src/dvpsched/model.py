@@ -10,6 +10,7 @@ frame.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -162,13 +163,16 @@ def binomial_cdf(n: int, p: float, r: int) -> float:
     return min(total, 1.0)
 
 
-def binomial_tail_at_most(n: int, p: float, r: int) -> float:
-    """binomial_cdf with the threshold clamped into the support, so callers
-    assembling bound terms may pass thresholds beyond n (probability 1) or
-    below 0 (probability 0)."""
-    if r < 0:
-        return 0.0
-    return binomial_cdf(n, p, min(r, int(n)))
+@functools.lru_cache(maxsize=64)
+def binomial_cdf_table(n_max: int, p: float) -> np.ndarray:
+    """cdf[n, r] = binomial_cdf(n, p, r) for 0 <= r < n <= n_max, and 1 for
+    r >= n. Each row is the running sum of binomial_pmf_table's row, added
+    in binomial_cdf's order and capped at 1 as it is, so every entry equals
+    binomial_cdf bit for bit. Cached, so the array is read-only."""
+    cdf = np.minimum(np.cumsum(binomial_pmf_table(n_max, p), axis=1), 1.0)
+    cdf[np.arange(n_max + 1) >= np.arange(n_max + 1)[:, None]] = 1.0
+    cdf.flags.writeable = False
+    return cdf
 
 
 def step_queues(state: QueueState, s1: int, s2: int) -> tuple[QueueState, int]:

@@ -6,17 +6,31 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .dvp import ChernoffParam, dvpub, exact_dvp_chain, log_wtb, union_terms, wtb_min_s
-from .mdp import TransitionKernel
+from .dvp import (
+    ChernoffParam,
+    _term_cdf,
+    dvpub,
+    exact_dvp_chain,
+    log_wtb,
+    union_terms,
+    wtb_min_s,
+)
+from .mdp import TransitionKernel, checked_kernel
 from .model import CapExceededError, ScenarioConfig, Schedule
 
 EXHAUSTIVE_CAP_DEFAULT = 1_000_000
 NEIGHBOR_W_CAP = 24
+
+# branch-and-bound prunes a child whose bound exceeds the incumbent by more
+# than this share: the backward bounds and the forward chain sum the same
+# non-negative terms in different orders
+_BNB_MARGIN = 1e-9
+_GRID_BLOCK = 1024  # schedules per block of the union-bound search
 
 _ARMIJO_C = 1e-4
 _PG_TOL = 1e-9  # projected gradient of log wtb, so independent of the bound's scale
@@ -44,12 +58,15 @@ class RelaxedSchedule:
 @dataclass(frozen=True)
 class SemiStaticResult:
     """An integer schedule, how it was chosen, and the criterion value that
-    selected it."""
+    selected it. nodes, for the exhaustive searches, is the work done: the
+    chain steps opt's branch-and-bound took, or the schedules e-dvpub and
+    e-wtb scored. It takes no part in equality."""
 
     schedule: Schedule
     method: str
     score: float
     relaxed: RelaxedSchedule | None = None
+    nodes: int = field(default=0, compare=False)
 
 
 def _log_bound(config: ScenarioConfig, x: np.ndarray):
@@ -187,6 +204,113 @@ def neighbor_search(
     )
 
 
+def _product_blocks(values: np.ndarray, w: int):
+    """values^w in itertools.product order, in blocks of at most
+    _GRID_BLOCK rows (len(values) rows where one value alone exceeds that):
+    np.indices gives the trailing digits once, and each block fills in the
+    leading ones. Every block is the same array, refilled."""
+    k = len(values)
+    t = w
+    while t > 1 and k**t > _GRID_BLOCK:
+        t -= 1
+    grid = np.empty((k**t, w), dtype=values.dtype)
+    grid[:, w - t :] = values[np.indices((k,) * t).reshape(t, -1).T]
+    for head in np.ndindex(*(k,) * (w - t)):
+        grid[:, : w - t] = values[list(head)]
+        yield grid
+
+
+def _least_dvpub(config: ScenarioConfig, values: np.ndarray) -> tuple[tuple[int, ...], float]:
+    """The first n2 in values^w, in itertools.product order, of least
+    dvpub, and that value. Each block adds the union terms' tails, read
+    from dvpub's table, in dvpub's term order, so every sum equals dvpub's
+    bit for bit, and argmin keeps the first minimum as a strict < does."""
+    c, A, _ = union_terms(config)
+    cdf, cols = _term_cdf(config)
+    best_n2, best = None, math.inf
+    for grid in _product_blocks(values.astype(float), config.w):
+        acc = np.zeros(len(grid))
+        for j in range(len(c)):
+            trials = np.rint(c[j] + grid @ A[j]).astype(np.intp)
+            acc = acc + cdf[trials, cols[j]]
+        i = int(np.argmin(acc))
+        if acc[i] < best:
+            best_n2, best = tuple(int(v) for v in grid[i]), float(acc[i])
+    return best_n2, best
+
+
+def _least_exact_dvp(
+    config: ScenarioConfig, values: np.ndarray, kernel: TransitionKernel
+) -> tuple[tuple[int, ...], float, int]:
+    """The first n2 in values^w, in itertools.product order, of least exact
+    DVP, that DVP, and the chain steps taken, by depth-first
+    branch-and-bound.
+
+    A node at depth k holds its prefix's backlog distribution rho_k, and a
+    child advances it one frame with exact_dvp_chain's own gather and
+    product, so every leaf's score equals exact_dvp_chain's bit for bit.
+    The bound is the violation-to-go over the search's own actions: with
+    V_w the indicator of a non-empty state, Q_k = P[acts] @ V_{k+1} and
+    V_k = Q_k.min(0), a child's Q_k[j] @ rho_k is the least DVP that
+    action j followed by the best closed-loop play can reach, and an
+    open-loop completion is one closed-loop policy. A greedy dive down the
+    least bounds gives the first incumbent. The search keeps its own stack,
+    so w is not limited by Python's recursion depth. Leaves are visited in
+    product order and replace the best only when strictly below it, and a child is
+    pruned only when its bound exceeds the incumbent by more than
+    _BNB_MARGIN, so the first minimum wins, as in a full scan."""
+    w = config.w
+    acts = config.N - values
+    nonempty = kernel.q1 + kernel.q2 > 0
+    violation = nonempty.astype(float)
+    Q = [None] * w
+    for k in range(w - 1, -1, -1):
+        Q[k] = (kernel.P @ violation)[acts]
+        violation = Q[k].min(axis=0)
+    nodes = 0
+
+    def advance(rho: np.ndarray, a: int) -> np.ndarray:
+        nonlocal nodes
+        nodes += 1
+        live = np.flatnonzero(rho)
+        return rho[live] @ kernel.P[np.full(live.size, a), live]
+
+    def dvp(rho: np.ndarray) -> float:
+        return min(float(rho[nonempty].sum()), 1.0)
+
+    start = np.zeros(kernel.n_states)
+    start[kernel.index(config.first_hop_load, config.x2)] = 1.0
+    rho = start
+    for k in range(w):
+        rho = advance(rho, acts[int(np.argmin(Q[k] @ rho))])
+    dive = dvp(rho)
+
+    best, best_path = math.inf, None
+    path = [-1] * w  # the child last tried at each depth
+    rhos = [start] + [None] * (w - 1)
+    bounds = [(Q[0] @ start).tolist()] + [None] * (w - 1)
+    k = 0
+    while k >= 0:
+        limit = min(dive, best) * (1.0 + _BNB_MARGIN)
+        j = path[k] + 1
+        while j < len(acts) and bounds[k][j] > limit:
+            j += 1
+        if j == len(acts):  # every child of this node is done: back up
+            path[k] = -1
+            k -= 1
+            continue
+        path[k] = j
+        child = advance(rhos[k], acts[j])
+        if k + 1 < w:
+            k += 1
+            rhos[k], bounds[k] = child, (Q[k] @ child).tolist()
+        else:
+            score = dvp(child)
+            if score < best:
+                best, best_path = score, list(path)
+    return tuple(values[best_path].tolist()), best, nodes
+
+
 def exhaustive(
     config: ScenarioConfig,
     criterion: str,
@@ -194,44 +318,52 @@ def exhaustive(
     full_domain: bool = False,
     make_kernel: Callable[[ScenarioConfig], TransitionKernel] = TransitionKernel,
 ) -> SemiStaticResult:
-    """Search every allocation in {1..N-1}^w (optionally {0..N}^w for the
-    exact criterion) for the minimizer of the chosen criterion. The exact
-    criterion evaluates each candidate with the chain evaluator, on the
-    kernel make_kernel(config) returns once the domain and the cap are
-    checked; its default domain matches the bound methods so rankings stay
-    comparable."""
+    """The minimizer of the chosen criterion over every allocation in
+    {1..N-1}^w (optionally {0..N}^w for the exact criterion), the first in
+    itertools.product order of n2 where several tie; the default domain
+    matches the bound methods so rankings stay comparable. A domain of more
+    than cap schedules raises CapExceededError.
+
+    The exact criterion is searched by branch-and-bound (_least_exact_dvp)
+    on the kernel make_kernel(config) returns once the domain and the cap
+    are checked; dvpub scores the whole domain in vectorised blocks
+    (_least_dvpub); wtb scores one schedule at a time. Each returns the
+    schedule and score that scoring every schedule in turn would."""
     if criterion not in ("dvpub", "wtb", "exact"):
         raise ValueError(f"criterion must be dvpub, wtb or exact, got {criterion!r}")
     if full_domain and criterion != "exact":
         raise ValueError("the widened {0..N}^w domain applies to the exact criterion")
     if full_domain:
-        values = range(0, config.N + 1)
+        values = np.arange(0, config.N + 1)
     else:
         if config.N < 2:
             raise ValueError(f"domain {{1..N-1}} is empty for N={config.N}")
-        values = range(1, config.N)
+        values = np.arange(1, config.N)
     count = len(values) ** config.w
     if count > cap:
         raise CapExceededError(
             f"exhaustive search over {count} schedules exceeds cap {cap}", count, cap
         )
-    kernel = make_kernel(config) if criterion == "exact" else None
-    best_n2 = None
-    best_score = math.inf
-    for n2 in itertools.product(values, repeat=config.w):
-        schedule = _schedule_from_n2(config, n2)
-        if criterion == "dvpub":
-            score = dvpub(config, schedule).dvp
-        elif criterion == "wtb":
-            _, score = wtb_min_s(config, schedule)
-        else:
-            score = exact_dvp_chain(config, schedule, kernel=kernel).dvp
-        if score < best_score:
-            best_score = score
-            best_n2 = n2
+    nodes = count
+    if criterion == "exact":
+        kernel = checked_kernel(config, make_kernel(config))
+        best_n2, best_score, nodes = _least_exact_dvp(config, values, kernel)
+    elif criterion == "dvpub":
+        best_n2, best_score = _least_dvpub(config, values)
+    else:
+        best_n2 = None
+        best_score = math.inf
+        for n2 in itertools.product(values.tolist(), repeat=config.w):
+            _, score = wtb_min_s(config, _schedule_from_n2(config, n2))
+            if score < best_score:
+                best_score = score
+                best_n2 = n2
     method = {"dvpub": "e-dvpub", "wtb": "e-wtb", "exact": "opt"}[criterion]
     return SemiStaticResult(
-        schedule=_schedule_from_n2(config, best_n2), method=method, score=best_score
+        schedule=_schedule_from_n2(config, best_n2),
+        method=method,
+        score=best_score,
+        nodes=nodes,
     )
 
 

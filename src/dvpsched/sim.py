@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mdp import policy_actions
-from .model import ScenarioConfig, binomial_pmf_table
+from .model import ScenarioConfig, binomial_cdf_table
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 DEFAULT_CHUNK = 1 << 14
@@ -78,12 +78,9 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float,
 
 def _inversion_table(N: int, q: float) -> np.ndarray:
     """cdf[a, r] = P{Binomial(a, q) <= r} for r < a, and 1 beyond, so that
-    counting thresholds <= u inverts the distribution. The running sums are
-    binomial_cdf's, term for term."""
-    cols = max(N, 1)
-    cdf = np.minimum(np.cumsum(binomial_pmf_table(N, q), axis=1), 1.0)[:, :cols]
-    cdf[np.arange(cols) >= np.arange(N + 1)[:, None]] = 1.0
-    return cdf
+    counting thresholds <= u inverts the distribution: the first max(N, 1)
+    columns of model.binomial_cdf_table, binomial_cdf's sums term for term."""
+    return binomial_cdf_table(N, q)[:, : max(N, 1)]
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:

@@ -36,7 +36,35 @@ SOLVE_GOLDEN = {
 }
 
 
+# solve at S = --N 6 --pe 0.4 --w 6 --y 1 --x1 3 --x2 3, recorded with the
+# full scans that opt and e-dvpub made before branch-and-bound and
+# vectorisation
+S_ARGS = ("--N", "6", "--pe", "0.4", "--w", "6", "--y", "1", "--x1", "3", "--x2", "3")
+S_GOLDEN = {
+    ("opt",): ("n1=5,5,2,1,1,1", "dvp=0.007484261722"),
+    ("e-dvpub",): ("n1=5,5,2,1,1,1", "dvpub=0.00773503112"),
+    ("opt", "--full-domain"): ("n1=4,5,6,0,0,0", "dvp=0.005474184279"),
+}
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 class TestSolve:
+    @pytest.mark.parametrize("method", sorted(S_GOLDEN))
+    def test_exhaustive_golden_at_s(self, capsys, method):
+        code, out, err = run_cli(capsys, "solve", *S_ARGS, "--method", *method)
+        assert (code, err) == (0, "")
+        assert tuple(out.splitlines()) == S_GOLDEN[method]
+
+    @pytest.mark.parametrize("method", ["wtb-w", "e-dvpub", "fifty", "mdp"])
+    def test_full_domain_refused_for_other_methods(self, capsys, method):
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--N", "4", "--pe", "0.2", "--w", "3", "--y", "1",
+            "--x1", "1", "--x2", "1", "--method", method, "--full-domain",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --full-domain applies to --method opt\n"
+
     @pytest.mark.parametrize("method", sorted(SOLVE_GOLDEN))
     def test_semistatic_golden(self, capsys, method):
         code, out, err = run_cli(
@@ -257,6 +285,15 @@ class TestSweepParsing:
 
 
 class TestSweepRun:
+    def test_semistatic_sweep_file_golden(self):
+        # sweeps/semistatic-deadlines.sweep, recorded before opt used
+        # branch-and-bound and e-dvpub a vectorised pass; ms column dropped
+        spec = parse_sweep_file((SWEEPS / "semistatic-deadlines.sweep").read_text())
+        buf = io.StringIO()
+        assert run_sweep(spec, buf) == 0
+        got = [line.rsplit(",", 1)[0] for line in buf.getvalue().splitlines()]
+        assert got == (GOLDEN / "semistatic-deadlines.csv").read_text().splitlines()
+
     def test_header_rows_and_sorting(self):
         spec = parse_sweep_file(SWEEP_TEXT)
         buf = io.StringIO()

@@ -11,6 +11,7 @@ from dvpsched import (
     ScenarioConfig,
     Schedule,
     TransitionKernel,
+    binomial_cdf,
     binomial_pmf,
     dvpub,
     exact_dvp_chain,
@@ -193,6 +194,29 @@ class TestDvpub:
         res = dvpub(cfg, Schedule(n1=(2,), N=4))
         assert res.detail[-1] == 1.0
         assert res.dvp >= 1.0 >= exact_dvp_chain(cfg, Schedule(n1=(2,), N=4)).dvp
+
+
+    def test_terms_are_binomial_cdf_tails(self):
+        # the per-term loop dvpub ran before it read binomial_cdf_table: a
+        # threshold at or beyond the trial count gives 1
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            cfg, sched = random_instance(rng, max_N=6, max_w=6, max_load=9)
+            q = 1.0 - cfg.p_e
+            tails = [
+                binomial_cdf(int(trials), q, min(threshold, int(trials)))
+                for trials, threshold in bound_terms(cfg, sched)
+            ]
+            res = dvpub(cfg, sched)
+            assert res.detail == tuple(tails)
+            assert res.dvp == sum(tails)
+
+    def test_rejects_allocations_beyond_the_table(self):
+        # link-2 allocations above N give trial counts outside 0..w*N
+        cfg = ScenarioConfig(N=4, p_e=0.2, w=2, y=1, x1=0, x2=0)
+        for n2 in ([2.0, 9.0], [9.0, 2.0]):
+            with pytest.raises(ValueError, match="trial counts"):
+                dvpub(cfg, n2)
 
 
 class TestWtb:

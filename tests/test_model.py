@@ -15,6 +15,7 @@ from dvpsched import (
     binomial_pmf_table,
     step_queues,
 )
+from dvpsched.model import binomial_cdf_table
 
 
 def exact_binomial_cdf(n: int, p: Fraction, r: int) -> Fraction:
@@ -99,6 +100,27 @@ class TestBinomialCdf:
             binomial_cdf(2, 0.5, 3)
         with pytest.raises(ValueError):
             binomial_cdf(2, 0.5, -1)
+
+
+class TestBinomialCdfTable:
+    # n_max = w * N for the largest semi-static benchmark scenario (N = w = 6),
+    # on test_sim.py's inversion-table p_e grid, both ends included
+    @pytest.mark.parametrize("p_e", [0.0, 0.05, 0.4, 0.77, 1.0])
+    def test_entries_are_binomial_cdf(self, p_e):
+        q = 1.0 - p_e
+        n_max = 36
+        cdf = binomial_cdf_table(n_max, q)
+        assert cdf.shape == (n_max + 1, n_max + 1)
+        for n in range(n_max + 1):
+            for r in range(n_max + 1):
+                # ==, not approx: dvpub's sums, and so e-dvpub's argmin, read it
+                assert cdf[n, r] == (binomial_cdf(n, q, r) if r < n else 1.0)
+
+    def test_cached_and_read_only(self):
+        cdf = binomial_cdf_table(4, 0.8)
+        assert binomial_cdf_table(4, 0.8) is cdf
+        with pytest.raises(ValueError):
+            cdf[1, 0] = 0.5
 
 
 class TestStepQueues:

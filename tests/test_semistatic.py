@@ -1,4 +1,5 @@
 """Semi-static schedule computation: relaxed solve, roundings, exhaustive."""
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,6 +13,7 @@ from dvpsched import (
     TransitionKernel,
     dvpub,
     e_dvpub,
+    e_wtb,
     exact_dvp_chain,
     exhaustive,
     fifty_fifty,
@@ -25,7 +27,7 @@ from dvpsched import (
     wtb_w,
 )
 from dvpsched.dvp import wtb_gradient
-from dvpsched.semistatic import STOP_REASONS
+from dvpsched.semistatic import STOP_REASONS, _product_blocks
 
 # frozen via the exact chain at (y=1, x1=1, x2=1, N=4, w=4, p_e=0.2)
 GOLDEN_CFG = ScenarioConfig(N=4, p_e=0.2, w=4, y=1, x1=1, x2=1)
@@ -281,6 +283,116 @@ class TestExhaustive:
         # on a dead channel every schedule scores DVP = 1
         cfg = ScenarioConfig(N=3, p_e=1.0, w=2, y=1, x1=0, x2=0)
         assert opt(cfg).schedule.n2 == (1, 1)
+
+
+def scan_exact(cfg, full_domain=False):
+    """The full scan exhaustive's exact criterion made before it used
+    branch-and-bound: every schedule's exact_dvp_chain in product order,
+    the first strict minimum kept."""
+    values = range(0, cfg.N + 1) if full_domain else range(1, cfg.N)
+    kern = TransitionKernel(cfg)
+    best_n2, best = None, float("inf")
+    for n2 in itertools.product(values, repeat=cfg.w):
+        sched = Schedule(n1=tuple(cfg.N - v for v in n2), N=cfg.N)
+        score = exact_dvp_chain(cfg, sched, kernel=kern).dvp
+        if score < best:
+            best_n2, best = n2, score
+    return best_n2, best
+
+
+def scan_dvpub(cfg):
+    """The full scan e-dvpub made before it was vectorised."""
+    best_n2, best = None, float("inf")
+    for n2 in itertools.product(range(1, cfg.N), repeat=cfg.w):
+        score = dvpub(cfg, Schedule(n1=tuple(cfg.N - v for v in n2), N=cfg.N)).dvp
+        if score < best:
+            best_n2, best = n2, score
+    return best_n2, best
+
+
+def random_configs(count, seed, max_schedules):
+    rng = np.random.default_rng(seed)
+    configs = []
+    while len(configs) < count:
+        cfg = ScenarioConfig(
+            N=int(rng.integers(2, 6)),
+            p_e=float(rng.choice([0.0, 0.01, 0.05, 0.2, 0.4, 0.7, 1.0])),
+            w=int(rng.integers(1, 6)),
+            y=int(rng.integers(1, 4)),
+            x1=int(rng.integers(0, 4)),
+            x2=int(rng.integers(0, 4)),
+        )
+        if (cfg.N - 1) ** cfg.w <= max_schedules:
+            configs.append(cfg)
+    return configs
+
+
+CRITERION_06_GRID = [
+    ScenarioConfig(N=4, p_e=0.2, w=w, y=1, x1=x, x2=x) for w in (3, 4, 5, 6) for x in (1, 2)
+]
+# three scenarios of the semistatic benchmark's low-loss block
+LOW_LOSS = [
+    ScenarioConfig(N=4, p_e=0.02, w=5, y=1, x1=1, x2=1),
+    ScenarioConfig(N=5, p_e=0.1, w=6, y=1, x1=1, x2=1),
+    ScenarioConfig(N=6, p_e=0.05, w=5, y=1, x1=1, x2=1),
+]
+
+
+class TestSearchesAgreeWithFullScan:
+    """opt's branch-and-bound and e-dvpub's vectorised pass return the
+    schedule and score of a full scan, ==, not approx."""
+
+    def check(self, cfg, full_domain=False):
+        res = opt(cfg, full_domain=full_domain)
+        assert (res.schedule.n2, res.score) == scan_exact(cfg, full_domain)
+        if not full_domain:
+            res = e_dvpub(cfg)
+            assert (res.schedule.n2, res.score) == scan_dvpub(cfg)
+
+    @pytest.mark.parametrize("full_domain", [False, True])
+    def test_criterion_06_grid(self, full_domain):
+        for cfg in CRITERION_06_GRID:
+            self.check(cfg, full_domain)
+
+    def test_low_loss_scenarios(self):
+        for cfg in LOW_LOSS:
+            self.check(cfg)
+
+    def test_random_configs(self):
+        for i, cfg in enumerate(random_configs(200, 808, 3000)):
+            # the widened domain too on every fourth config, where it is small
+            self.check(cfg)
+            if i % 4 == 3 and (cfg.N + 1) ** cfg.w <= 1000:
+                self.check(cfg, full_domain=True)
+
+
+class TestSearchWork:
+    def test_branch_and_bound_visits_few_nodes(self):
+        cfg = ScenarioConfig(N=6, p_e=0.4, w=6, y=1, x1=3, x2=3)
+        assert opt(cfg).nodes < 5**6
+
+    def test_scans_count_every_schedule(self):
+        cfg = ScenarioConfig(N=4, p_e=0.2, w=3, y=1, x1=1, x2=1)
+        assert e_dvpub(cfg).nodes == 3**3
+        assert e_wtb(cfg).nodes == 3**3
+
+    def test_nodes_stay_out_of_equality(self):
+        res = opt(GOLDEN_CFG)
+        assert res.nodes > 0
+        assert res == dataclasses.replace(res, nodes=0)
+
+    def test_long_horizon_needs_no_recursion(self):
+        # N = 2 leaves one schedule; the search must not recurse w deep
+        cfg = ScenarioConfig(N=2, p_e=0.3, w=2000, y=1, x1=1, x2=0)
+        res = opt(cfg)
+        assert res.schedule.n1 == (1,) * cfg.w
+        assert res.score == exact_dvp_chain(cfg, res.schedule).dvp
+
+    def test_blocks_cover_the_product_in_order(self):
+        for k, w in ((1, 5), (3, 4), (7, 5), (70, 2)):
+            values = np.arange(2, 2 + k)
+            grid = np.vstack([block.copy() for block in _product_blocks(values, w)])
+            assert grid.tolist() == [list(t) for t in itertools.product(values.tolist(), repeat=w)]
 
 
 class TestFiftyFifty:
