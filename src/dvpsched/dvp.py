@@ -121,15 +121,6 @@ def union_terms(config: ScenarioConfig) -> UnionTerms:
     return UnionTerms(c, A, m)
 
 
-def bound_terms(config: ScenarioConfig, schedule) -> list[tuple[float, int]]:
-    """(trial count, threshold) per union term: the all-horizon second-link
-    term, then one term per last-clearing frame u = 1..w combining the
-    first link's frames before u with the second link's frames from u on."""
-    c, A, m = union_terms(config)
-    trials = c + A @ _as_n2(config, schedule)
-    return list(zip(trials.tolist(), m.tolist()))
-
-
 def _term_cdf(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """The CDF table every union term's tail is read from, covering every
     trial count up to w * N, and each term's column in it: its threshold,
@@ -183,13 +174,6 @@ def _log_sum_exp(e: np.ndarray) -> tuple[float, np.ndarray]:
     return top + math.log(total), p / total
 
 
-def log_wtb(config: ScenarioConfig, n2, s: float) -> tuple[float, np.ndarray]:
-    """log wtb at a fixed s, computed in log space so that it stays finite
-    where the bound's value under- or overflows, with each union term's
-    share of the bound (its softmax weight)."""
-    return _log_sum_exp(_log_terms(config, n2, s))
-
-
 def wtb(config: ScenarioConfig, schedule, s: float | ChernoffParam) -> float:
     """Exponential-moment (transient) bound on DVP at a fixed exponent s.
 
@@ -207,7 +191,8 @@ def wtb(config: ScenarioConfig, schedule, s: float | ChernoffParam) -> float:
 
 
 def _log_wtb_in_s(T: np.ndarray, m: np.ndarray, p_e: float, s: float):
-    """log wtb and its first two derivatives in s, for fixed trial counts.
+    """log wtb and its first two derivatives in s, for fixed trial counts,
+    with the union terms' softmax weights.
 
     With r = (1 - p_e) e^{-s} / alpha, each exponent e_j = T_j log alpha + s m_j
     has e_j' = m_j - r T_j and e_j'' = r (1 - r) T_j >= 0, so the
@@ -221,7 +206,131 @@ def _log_wtb_in_s(T: np.ndarray, m: np.ndarray, p_e: float, s: float):
     g1 = float(p @ slope)
     g2 = (r * p_e / alpha if p_e > 0.0 else 0.0) * float(p @ T)
     g2 += float(p @ (slope - g1) ** 2)
-    return g, g1, g2
+    return g, g1, g2, p
+
+
+def _newton_in_bracket(
+    f, lo: float, hi: float, s: float, point, tol: float, lo_seen=True, hi_seen=True
+):
+    """Safeguarded Newton on the increasing derivative g' of log wtb over
+    [lo, hi], from s, where f gave point = (g, g', g'', weights). A step
+    that would leave the shrinking bracket bisects it instead, except past
+    an end not yet evaluated (lo_seen or hi_seen False): that end is
+    evaluated next, so that an optimum beyond it ends exactly there. Stops
+    when a step or the bracket is below tol, or when a step toward an end
+    not yet evaluated leaves log wtb unchanged; returns the last s and its
+    point."""
+    g1, g2 = point[1], point[2]
+    for _ in range(_S_MAX_STEPS):
+        if g1 < 0.0:
+            lo, lo_seen = s, True
+        elif g1 > 0.0:
+            hi, hi_seen = s, True
+        else:
+            break
+        # with no curvature, step as far as the bracket lets
+        nxt = s - g1 / g2 if g2 > 0.0 else -math.copysign(math.inf, g1)
+        unseen = nxt <= lo and not lo_seen or nxt >= hi and not hi_seen
+        if unseen:
+            nxt = lo if nxt <= lo else hi
+        elif not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if nxt == s or not unseen and abs(nxt - s) <= tol:
+            break
+        # toward an end not yet evaluated, the optimum may lie at infinity
+        # on a tail flat to rounding, where Newton steps do not shrink
+        toward_unseen = not hi_seen if g1 < 0.0 else not lo_seen
+        g = point[0]
+        s = nxt
+        point = f(s)
+        g1, g2 = point[1], point[2]
+        if toward_unseen and point[0] == g:
+            break
+    return s, point
+
+
+class ExponentMin(NamedTuple):
+    """The exponent s minimizing log wtb for fixed trial counts, log wtb
+    there, the union terms' softmax weights there, and how many exponents
+    the search evaluated."""
+
+    s: float
+    log_wtb: float
+    weights: np.ndarray
+    evals: int
+
+    @property
+    def value(self) -> float:
+        """The bound itself, inf where it overflows."""
+        return _exp_or_inf(self.log_wtb)
+
+
+def min_log_wtb(
+    T: np.ndarray,
+    m: np.ndarray,
+    p_e: float,
+    s0: float | None = None,
+    *,
+    s_lo: float = 1e-6,
+    s_hi: float = 50.0,
+    tol: float = 1e-9,
+    max_doublings: int = 6,
+) -> ExponentMin:
+    """Minimize log wtb over the exponent for trial counts T and thresholds
+    m (see union_terms), over [s_lo, s_hi * 2**max_doublings].
+
+    log wtb is a log-sum-exp of exponents convex in s (see _log_wtb_in_s),
+    so its derivative is increasing and the minimizer is its root; an
+    optimum outside the range sits at the nearer end. Both entries end in
+    the same safeguarded Newton loop (_newton_in_bracket).
+
+    Cold (s0 None): the bracket [s_lo, s_hi] has its upper end doubled
+    while the bound still falls there (alpha saturates at p_e for large s,
+    so a handful of doublings always suffices), and Newton starts from
+    that end. Warm (s0 given, as the previous optimum of a nearby T): a
+    probe one and a half Newton steps from s0 either passes the root and
+    closes a bracket with s0, where Newton starts, or is where Newton
+    starts; a range end is evaluated only if a step would cross it."""
+    evals = 0
+
+    def f(s: float):
+        nonlocal evals
+        evals += 1
+        return _log_wtb_in_s(T, m, p_e, s)
+
+    cap = s_hi * 2.0**max_doublings
+    if s0 is not None:
+        s = min(max(s0, s_lo), cap)
+        point = f(s)
+        lo, hi, lo_seen, hi_seen = s_lo, cap, False, False
+        g1, g2 = point[1], point[2]
+        if g1 != 0.0:
+            # probe one and a half Newton steps on, past where Newton puts
+            # the root, so that the probe and s usually bracket it
+            step = -g1 / g2 if g2 > 0.0 else -math.copysign(math.inf, g1)
+            probe = min(max(s + 1.5 * step, s_lo), cap)
+            probe_point = f(probe)
+            if (probe_point[1] > 0.0) == (g1 > 0.0) or probe_point[1] == 0.0:
+                s, point = probe, probe_point  # not past the root: go on from there
+            elif g1 < 0.0:
+                hi, hi_seen = probe, True
+            else:
+                lo, lo_seen = probe, True
+        s, point = _newton_in_bracket(f, lo, hi, s, point, tol, lo_seen, hi_seen)
+    else:
+        s, point = s_lo, f(s_lo)
+        if point[1] < 0.0:
+            lo, hi = s, s_hi
+            point = f(hi)
+            for _ in range(max_doublings):
+                if point[1] >= 0.0:
+                    break
+                hi *= 2.0
+                point = f(hi)
+            s = hi
+            if point[1] > 0.0:  # the minimizer lies inside the bracket
+                s, point = _newton_in_bracket(f, lo, hi, s, point, tol)
+    return ExponentMin(s, point[0], point[3], evals)
 
 
 def wtb_min_s(
@@ -233,45 +342,14 @@ def wtb_min_s(
     tol: float = 1e-9,
     max_doublings: int = 6,
 ) -> tuple[ChernoffParam, float]:
-    """Minimize the exponential-moment bound over the exponent.
-
-    log wtb is a log-sum-exp of exponents convex in s (see _log_wtb_in_s),
-    so its derivative is increasing and the minimizer is its root. The
-    bracket [s_lo, s_hi] has its upper end doubled while the bound still
-    falls there (alpha saturates at p_e for large s, so a handful of
-    doublings always suffices); an optimum outside it sits at the nearer
-    end. Inside, safeguarded Newton steps on the derivative, with a
-    bisection whenever a step would leave the shrinking bracket, stop when
-    a step or the bracket is below tol."""
+    """Minimize the exponential-moment bound over the exponent by
+    min_log_wtb's cold search: the exponent and the bound there."""
     c, A, m = union_terms(config)
-    T = c + A @ _as_n2(config, schedule)
-    f = lambda s: _log_wtb_in_s(T, m, config.p_e, s)
-    s, (g, g1, g2) = s_lo, f(s_lo)
-    if g1 < 0.0:
-        lo, hi = s, s_hi
-        g, g1, g2 = f(hi)
-        for _ in range(max_doublings):
-            if g1 >= 0.0:
-                break
-            hi *= 2.0
-            g, g1, g2 = f(hi)
-        s = hi
-        if g1 > 0.0:  # the minimizer lies inside the bracket
-            for _ in range(_S_MAX_STEPS):
-                if g1 < 0.0:
-                    lo = s
-                elif g1 > 0.0:
-                    hi = s
-                else:
-                    break
-                nxt = s - g1 / g2 if g2 > 0.0 else math.nan
-                if not lo < nxt < hi:  # outside, or no curvature: bisect
-                    nxt = 0.5 * (lo + hi)
-                if abs(nxt - s) <= tol:
-                    break
-                s = nxt
-                g, g1, g2 = f(s)
-    return ChernoffParam(s), _exp_or_inf(g)
+    found = min_log_wtb(
+        c + A @ _as_n2(config, schedule), m, config.p_e,
+        s_lo=s_lo, s_hi=s_hi, tol=tol, max_doublings=max_doublings,
+    )
+    return ChernoffParam(found.s), found.value
 
 
 def wtb_gradient(config: ScenarioConfig, n2: Sequence[float], s: float) -> list[float]:

@@ -16,7 +16,7 @@ from .dvp import (
     _term_cdf,
     dvpub,
     exact_dvp_chain,
-    log_wtb,
+    min_log_wtb,
     union_terms,
     wtb_min_s,
 )
@@ -46,13 +46,18 @@ class RelaxedSchedule:
     """Real-valued link-2 allocation in the box [1, N-1]^w, with the bound
     exponent and value at the joint optimum, the number of Newton
     iterations taken and why the solver stopped (one of STOP_REASONS; the
-    defaults describe an allocation given rather than solved for)."""
+    defaults describe an allocation given rather than solved for). pg_norm
+    is the projected gradient's norm at n2 (nan when not solved for) and
+    s_evals the exponents the solve's exponent searches evaluated; neither
+    takes part in equality."""
 
     n2: tuple[float, ...]
     s: ChernoffParam
     objective: float
     iterations: int = 0
     stop_reason: str = "converged"
+    pg_norm: float = field(default=math.nan, compare=False)
+    s_evals: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -69,14 +74,6 @@ class SemiStaticResult:
     nodes: int = field(default=0, compare=False)
 
 
-def _log_bound(config: ScenarioConfig, x: np.ndarray):
-    """phi(x) = min_s log wtb(x, s), with the minimizing exponent, the
-    bound's value, and the union terms' softmax weights at that exponent."""
-    s_param, value = wtb_min_s(config, x)
-    phi, weights = log_wtb(config, x, s_param.s)
-    return phi, s_param, value, weights
-
-
 def solve_relaxed(config: ScenarioConfig) -> RelaxedSchedule:
     """Minimize the transient bound over the relaxed box [1, N-1]^w.
 
@@ -89,26 +86,32 @@ def solve_relaxed(config: ScenarioConfig) -> RelaxedSchedule:
     (Li, Fukushima, Qi and Yamashita, 2004), is the Newton matrix on the
     coordinates not held at a face of the box. Steps are projected back
     into the box and backtracked (halving) until phi meets an Armijo
-    condition. The solver stops when the projected gradient of log wtb is
-    below _PG_TOL, which does not depend on how small the bound is, or the
-    bound is exactly 0 (as at p_e = 0), when no halving decreases phi, or
-    after _MAX_ITERS iterations.
+    condition. Each trial's exponent search starts warm from the last
+    accepted s* (min_log_wtb), which the trials lie close to; the even
+    split's search starts cold. The solver stops when the projected
+    gradient of log wtb is below _PG_TOL, which does not depend on how
+    small the bound is, or the bound is exactly 0 (as at p_e = 0), when no
+    halving decreases phi, or after _MAX_ITERS iterations.
     """
     if config.N < 2:
         raise ValueError(f"relaxed box [1, N-1] is empty for N={config.N}")
     lo, hi = 1.0, float(config.N - 1)
-    A = union_terms(config).A
+    c, A, m = union_terms(config)
     x = np.clip(np.full(config.w, config.N / 2.0), lo, hi)
-    phi, s_param, value, p = _log_bound(config, x)
-    stop_reason = "max-iters"
+    best = min_log_wtb(c + A @ x, m, config.p_e)
+    s_evals = best.evals
     iterations = 0
-    while iterations < _MAX_ITERS:
-        log_alpha = s_param.log_alpha(config.p_e)
+    while True:
+        log_alpha = ChernoffParam(best.s).log_alpha(config.p_e)
+        p = best.weights
         pA = p @ A
         grad = log_alpha * pA
-        pg_norm = np.linalg.norm(x - np.clip(x - grad, lo, hi))
-        if pg_norm <= _PG_TOL or value == 0.0:  # a zero bound cannot fall further
+        pg_norm = float(np.linalg.norm(x - np.clip(x - grad, lo, hi)))
+        if pg_norm <= _PG_TOL or best.value == 0.0:  # a zero bound cannot fall further
             stop_reason = "converged"
+            break
+        if iterations == _MAX_ITERS:
+            stop_reason = "max-iters"
             break
         iterations += 1
         held = ((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0))
@@ -132,10 +135,10 @@ def solve_relaxed(config: ScenarioConfig) -> RelaxedSchedule:
             cand = np.clip(x + t * step, lo, hi)
             decrease = grad @ (cand - x)
             if decrease < 0.0:
-                result = _log_bound(config, cand)
-                if result[0] <= phi + _ARMIJO_C * decrease:
-                    x = cand
-                    phi, s_param, value, p = result
+                trial = min_log_wtb(c + A @ cand, m, config.p_e, best.s)
+                s_evals += trial.evals
+                if trial.log_wtb <= best.log_wtb + _ARMIJO_C * decrease:
+                    x, best = cand, trial
                     break
             t *= 0.5
         else:
@@ -143,10 +146,12 @@ def solve_relaxed(config: ScenarioConfig) -> RelaxedSchedule:
             break
     return RelaxedSchedule(
         n2=tuple(x.tolist()),
-        s=s_param,
-        objective=value,
+        s=ChernoffParam(best.s),
+        objective=best.value,
         iterations=iterations,
         stop_reason=stop_reason,
+        pg_norm=pg_norm,
+        s_evals=s_evals,
     )
 
 

@@ -45,6 +45,14 @@ S_GOLDEN = {
     ("e-dvpub",): ("n1=5,5,2,1,1,1", "dvpub=0.00773503112"),
     ("opt", "--full-domain"): ("n1=4,5,6,0,0,0", "dvp=0.005474184279"),
 }
+# solve at M = --N 10 --pe 0.4 --w 10 --y 5 --x1 5 --x2 5, recorded with the
+# cold exponent search the relaxed solver ran before it started warm
+M_ARGS = ("--N", "10", "--pe", "0.4", "--w", "10", "--y", "5", "--x1", "5", "--x2", "5")
+M_GOLDEN = {
+    "wtb-r": ("n1=9,9,9,7,5,1,1,1,1,1", "wtb=1.965229811e-06"),
+    "wtb-w": ("n1=9,9,9,7,5,1,1,1,1,1", "wtb=1.965229811e-06"),
+    "wtb-d": ("n1=9,9,9,7,6,1,1,1,1,1", "dvpub=3.117399634e-07"),
+}
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -54,6 +62,12 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", *S_ARGS, "--method", *method)
         assert (code, err) == (0, "")
         assert tuple(out.splitlines()) == S_GOLDEN[method]
+
+    @pytest.mark.parametrize("method", sorted(M_GOLDEN))
+    def test_relaxed_golden_at_m(self, capsys, method):
+        code, out, err = run_cli(capsys, "solve", *M_ARGS, "--method", method)
+        assert (code, err) == (0, "")
+        assert tuple(out.splitlines()) == M_GOLDEN[method]
 
     @pytest.mark.parametrize("method", ["wtb-w", "e-dvpub", "fifty", "mdp"])
     def test_full_domain_refused_for_other_methods(self, capsys, method):

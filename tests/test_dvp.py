@@ -20,10 +20,17 @@ from dvpsched import (
     wtb,
     wtb_min_s,
 )
-from dvpsched.dvp import bound_terms
+from dvpsched.dvp import _log_wtb_in_s, min_log_wtb, union_terms
 
 HAND_CFG = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
 HAND_SCHED = Schedule(n1=(1, 1), N=2)
+
+
+def term_counts(cfg, sched):
+    """(trial count, threshold) of each union term."""
+    c, A, m = union_terms(cfg)
+    return zip((c + A @ np.array(sched.n2, dtype=float)).tolist(), m.tolist())
+
 
 # frozen from exact_dvp_enum: (y=2, x1=1, x2=1, N=3, w=3, p_e=0.33, n1=(2,1,1))
 GOLDEN_ENUM = 0.8593914907565057
@@ -205,7 +212,7 @@ class TestDvpub:
             q = 1.0 - cfg.p_e
             tails = [
                 binomial_cdf(int(trials), q, min(threshold, int(trials)))
-                for trials, threshold in bound_terms(cfg, sched)
+                for trials, threshold in term_counts(cfg, sched)
             ]
             res = dvpub(cfg, sched)
             assert res.detail == tuple(tails)
@@ -244,7 +251,7 @@ class TestWtb:
             s = float(rng.uniform(0.05, 4.0))
             alpha = ChernoffParam(s).alpha(cfg.p_e)
             ub = dvpub(cfg, sched).detail
-            for (trials, threshold), tail in zip(bound_terms(cfg, sched), ub):
+            for (trials, threshold), tail in zip(term_counts(cfg, sched), ub):
                 assert alpha**trials * math.exp(s * threshold) >= tail - 1e-12
 
     def test_accepts_real_valued_allocations(self):
@@ -319,6 +326,153 @@ class TestWtbMinS:
             _, fm = wtb_min_s(cfg, list((na + nb) / 2))
             assert fm <= (fa + fb) / 2 + 1e-9
             checked += 1
+
+
+def cold_search_before_warm_start(T, m, p_e, s_lo=1e-6, s_hi=50.0, tol=1e-9, max_doublings=6):
+    """The exponent search as wtb_min_s ran it before it shared its Newton
+    loop with the warm entry, kept as the reference it must equal."""
+    f = lambda s: _log_wtb_in_s(T, m, p_e, s)[:3]
+    s, (g, g1, g2) = s_lo, f(s_lo)
+    if g1 < 0.0:
+        lo, hi = s, s_hi
+        g, g1, g2 = f(hi)
+        for _ in range(max_doublings):
+            if g1 >= 0.0:
+                break
+            hi *= 2.0
+            g, g1, g2 = f(hi)
+        s = hi
+        if g1 > 0.0:
+            for _ in range(100):
+                if g1 < 0.0:
+                    lo = s
+                elif g1 > 0.0:
+                    hi = s
+                else:
+                    break
+                nxt = s - g1 / g2 if g2 > 0.0 else math.nan
+                if not lo < nxt < hi:
+                    nxt = 0.5 * (lo + hi)
+                if abs(nxt - s) <= tol:
+                    break
+                s = nxt
+                g, g1, g2 = f(s)
+    return s, g
+
+
+def bisected_root(T, m, p_e, lo=1e-6, hi=50.0 * 2**6):
+    """The root of log wtb's derivative in s over [lo, hi] (an end where it
+    has none), by bisection down to adjacent doubles."""
+    slope = lambda s: _log_wtb_in_s(T, m, p_e, s)[1]
+    if slope(lo) >= 0.0:
+        return lo
+    if slope(hi) <= 0.0:
+        return hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def random_terms(rng):
+    k = int(rng.integers(1, 12))
+    T = rng.uniform(0.0, 40.0, size=k)
+    m = rng.integers(0, 20, size=k).astype(float)
+    p_e = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 0.9))
+    return T, m, p_e
+
+
+class TestExponentSearch:
+    """min_log_wtb's cold entry (wtb_min_s) and its warm entry (the relaxed
+    solver's, from the last optimum) share one Newton loop."""
+
+    TOL = 1e-9
+    S_MAX = 50.0 * 2**6  # the upper end of both searches' range
+
+    def test_cold_entry_unchanged(self):
+        rng = np.random.default_rng(21)
+        for _ in range(400):
+            T, m, p_e = random_terms(rng)
+            s, g = cold_search_before_warm_start(T, m, p_e)
+            found = min_log_wtb(T, m, p_e)
+            assert (found.s, found.log_wtb) == (s, g)
+
+    def test_wtb_min_s_is_the_cold_entry(self):
+        rng = np.random.default_rng(22)
+        for _ in range(100):
+            cfg, sched = random_instance(rng, max_N=6, max_w=6, max_load=9)
+            c, A, m = union_terms(cfg)
+            s, g = cold_search_before_warm_start(c + A @ np.array(sched.n2, float), m, cfg.p_e)
+            s_param, value = wtb_min_s(cfg, sched)
+            assert (s_param.s, value) == (s, math.exp(g))
+
+    def assert_warm_agrees(self, T, m, p_e, starts):
+        """The warm entry from each start against the cold entry; returns
+        the cold result and the warm ones."""
+        cold = min_log_wtb(T, m, p_e)
+        # each search stops once a Newton step or half its bracket is below
+        # tol, so each lies within 2 tol of the root; where the optimum
+        # lies at infinity, on a tail that log wtb reaches to rounding
+        # before the range ends, any s on that tail minimizes it
+        root = bisected_root(T, m, p_e)
+        at_root = _log_wtb_in_s(T, m, p_e, root)[0]
+        rounding = 4 * np.finfo(float).eps * max(1.0, abs(at_root))
+        warms = [min_log_wtb(T, m, p_e, s0) for s0 in starts]
+        for found in [cold, *warms]:
+            on_tail = root == self.S_MAX and abs(found.log_wtb - at_root) <= rounding
+            if not on_tail:
+                assert abs(found.s - root) <= 2 * self.TOL
+        for warm in warms:
+            assert warm.log_wtb == pytest.approx(cold.log_wtb, rel=1e-12)
+            np.testing.assert_allclose(warm.weights, cold.weights, rtol=1e-6, atol=1e-12)
+        return cold, warms
+
+    def test_warm_entry_agrees_from_either_side(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            T, m, p_e = random_terms(rng)
+            s_star = min_log_wtb(T, m, p_e).s
+            factors = (1e-3, 0.5, 0.999, 1.0, 1.001, 2.0, 1e3)
+            self.assert_warm_agrees(T, m, p_e, [s_star * f for f in factors])
+
+    def test_lossless_terms(self):
+        # p_e = 0: log alpha = -s, every exponent is linear in s
+        T, m = np.array([4.0, 6.5, 9.0]), np.array([3.0, 7.0, 2.0])
+        self.assert_warm_agrees(T, m, 0.0, [1e-6, 0.01, 1.0, 40.0, 3200.0])
+
+    def test_optimum_on_the_vacuous_plateau(self):
+        # thresholds above every trial count: the bound only rises with s
+        T, m = np.array([2.0, 3.0]), np.array([5.0, 5.0])
+        cold, warms = self.assert_warm_agrees(T, m, 0.3, [1e-6, 1.001e-6, 0.3, 7.0, 3200.0])
+        assert {cold.s, *(warm.s for warm in warms)} == {1e-6}
+
+    def test_optimum_past_the_last_doubling(self):
+        # lossless, thresholds below every trial count: the bound falls
+        # for every s, so both searches end at the range's upper end
+        T, m = np.array([9.7, 8.5]), np.array([8.0, 3.0])
+        cold, warms = self.assert_warm_agrees(T, m, 0.0, [1e-5, 1.0, 799.0, 3199.0, 3200.0])
+        assert {cold.s, *(warm.s for warm in warms)} == {self.S_MAX}
+
+    def test_flat_tail_stops_where_the_bound_stops_falling(self):
+        # a single term with threshold 0: log wtb falls toward its limit
+        # for every s, by less than rounding past s of about 40, and Newton
+        # steps there stay about 1 long instead of shrinking
+        T, m = np.array([17.1357501]), np.array([0.0])
+        cold, warms = self.assert_warm_agrees(T, m, 0.37, [30.0, 400.0, 3199.0])
+        assert max(warm.evals for warm in warms) <= 12
+
+    def test_warm_start_near_the_optimum_is_cheap(self):
+        rng = np.random.default_rng(24)
+        cold_evals = warm_evals = 0
+        for _ in range(200):
+            T, m, p_e = random_terms(rng)
+            cold = min_log_wtb(T, m, p_e)
+            cold_evals += cold.evals
+            warm_evals += min_log_wtb(T, m, p_e, cold.s * 1.01).evals
+        assert warm_evals <= cold_evals / 2
 
 
 class TestEvalResult:

@@ -149,6 +149,88 @@ class TestSolverScaleFree:
         assert relaxed.stop_reason == "converged"
         assert relaxed.iterations <= 1
 
+    def test_lossless_vacuous_bound_converges(self):
+        # the cold exponent search at every trial ran all 200 iterations
+        # here and stopped at 2.9594531; started warm, the solve converges
+        relaxed = solve_relaxed(ScenarioConfig(N=3, p_e=0.0, w=4, y=6, x1=0, x2=1))
+        assert relaxed.stop_reason == "converged"
+        assert relaxed.objective <= 2.9594531
+
+
+# sweeps/semistatic-deadlines.sweep, then low-loss scenarios where the bound
+# at the even split is below 1e-7
+SEMISTATIC_GRID = [
+    ScenarioConfig(N=4, p_e=0.2, w=w, y=1, x1=x1, x2=x2)
+    for x1 in (1, 2, 3) for x2 in (1, 2, 3) for w in (2, 3, 4, 5, 6)
+] + [
+    ScenarioConfig(N=N, p_e=p_e, w=w, y=1, x1=1, x2=1)
+    for N, w, p_e in [
+        (4, 5, 0.02), (4, 5, 0.05), (4, 6, 0.02), (4, 6, 0.05),
+        (5, 4, 0.02), (5, 5, 0.02), (5, 5, 0.05),
+        (5, 6, 0.02), (5, 6, 0.05), (5, 6, 0.1),
+        (6, 4, 0.02), (6, 4, 0.05),
+        (6, 5, 0.02), (6, 5, 0.05), (6, 5, 0.1),
+    ]
+]
+
+
+# n1 of wtb-r, wtb-w and wtb-d on the low-loss scenarios (N, w, p_e) above,
+# recorded with the cold exponent search at every trial; several relaxed
+# optima there are not unique, so these pin the solver's path as well
+LOW_LOSS_ROUNDINGS = {
+    (4, 5, 0.02): ("33211", "33211", "33211"),
+    (4, 5, 0.05): ("33211", "33211", "33211"),
+    (4, 6, 0.02): ("333111", "333111", "333111"),
+    (4, 6, 0.05): ("333111", "333111", "333111"),
+    (5, 4, 0.02): ("4411", "4411", "4411"),
+    (5, 5, 0.02): ("44211", "44211", "44211"),
+    (5, 5, 0.05): ("44211", "44211", "44211"),
+    (5, 6, 0.02): ("443111", "444111", "444111"),
+    (5, 6, 0.05): ("444111", "444111", "444111"),
+    (5, 6, 0.1): ("443111", "443111", "444111"),
+    (6, 4, 0.02): ("5511", "5511", "5511"),
+    (6, 4, 0.05): ("5511", "5511", "5511"),
+    (6, 5, 0.02): ("55311", "55311", "55311"),
+    (6, 5, 0.05): ("55311", "55311", "55311"),
+    (6, 5, 0.1): ("55211", "55211", "55311"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(LOW_LOSS_ROUNDINGS))
+def test_low_loss_roundings_golden(key):
+    N, w, p_e = key
+    cfg = ScenarioConfig(N=N, p_e=p_e, w=w, y=1, x1=1, x2=1)
+    relaxed = solve_relaxed(cfg)
+    results = (
+        round_nearest(cfg, relaxed),
+        neighbor_search(cfg, relaxed, "wtb"),
+        neighbor_search(cfg, relaxed, "dvpub"),
+    )
+    assert tuple("".join(map(str, r.schedule.n1)) for r in results) == LOW_LOSS_ROUNDINGS[key]
+
+
+class TestSolveStatistics:
+    def test_warm_exponent_search_halves_the_work(self):
+        # the cold search at every trial evaluated 37 378 exponents over
+        # these 60 solves
+        assert sum(solve_relaxed(cfg).s_evals for cfg in SEMISTATIC_GRID) <= 37_378 // 2
+
+    def test_projected_gradient_norm_recorded(self):
+        cfg = ScenarioConfig(N=6, p_e=0.4, w=6, y=1, x1=3, x2=3)
+        relaxed = solve_relaxed(cfg)
+        assert relaxed.stop_reason == "converged"
+        x = np.array(relaxed.n2)
+        grad = np.array(wtb_gradient(cfg, relaxed.n2, relaxed.s.s)) / relaxed.objective
+        projected = np.linalg.norm(x - np.clip(x - grad, 1.0, cfg.N - 1.0))
+        assert relaxed.pg_norm <= 1e-9
+        assert relaxed.pg_norm == pytest.approx(projected, abs=1e-12)
+        assert relaxed.s_evals > relaxed.iterations
+
+    def test_statistics_stay_out_of_equality(self):
+        relaxed = solve_relaxed(ScenarioConfig(N=4, p_e=0.2, w=3, y=1, x1=1, x2=1))
+        assert relaxed == dataclasses.replace(relaxed, pg_norm=1.0, s_evals=0)
+        assert np.isnan(fake_relaxed(GOLDEN_CFG, (2.0,) * 4).pg_norm)
+
 
 class TestRoundNearest:
     def test_nearest_integer(self):
