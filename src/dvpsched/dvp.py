@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -40,18 +40,26 @@ from .mdp import TransitionKernel, checked_kernel, policy_actions
 
 ENUM_CAP_DEFAULT = 10_000_000
 
+S_LO = 1e-6  # lower end of every exponent search
 _S_MAX_STEPS = 100  # Newton-or-bisection steps of the exponent search
+# a search given `above` rejects once its lower bound on log wtb exceeds
+# above by this share of 1 + |above|, far more than the bound's rounding
+_REJECT_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
 class EvalResult:
     """A DVP value with its provenance. Bound methods may exceed 1 and are
-    reported unclamped; `clamped` is the usable probability."""
+    reported unclamped; `clamped` is the usable probability. The chain
+    evaluator also records its probability-mass residual |1 - sum(rho)| at
+    the horizon and its state count; neither takes part in equality."""
 
     dvp: float
     method: str
     detail: tuple[float, ...] | None = None
     mean_departures: float | None = None
+    mass_residual: float = field(default=math.nan, compare=False)
+    states: int = field(default=0, compare=False)
 
     @property
     def clamped(self) -> float:
@@ -265,17 +273,50 @@ class ExponentMin(NamedTuple):
         return _exp_or_inf(self.log_wtb)
 
 
+class Rejected(NamedTuple):
+    """min_log_wtb's result once its evaluated points prove that log wtb
+    exceeds `above` over the whole exponent range: the lower bound they
+    gave, and how many exponents the search evaluated."""
+
+    bound: float
+    evals: int
+
+
+class _Proven(Exception):
+    """Ends an exponent search whose lower bound has passed `above`."""
+
+
+def _tangent_bound(neg, pos, s_lo: float, s_hi: float) -> float:
+    """A lower bound on a convex g over [s_lo, s_hi] from its tangents at
+    neg = (s, g, g') with g' < 0 and pos = (s, g, g') with g' >= 0, either
+    None if there is none: where the two cross, or the one tangent's value
+    at the end of the range it falls toward. The smaller of the two
+    tangents' values at the computed crossing is taken, so that rounding in
+    the crossing can only lower the bound."""
+    if pos is None:
+        s, g, g1 = neg
+        return g + g1 * (s_hi - s)
+    if neg is None:
+        s, g, g1 = pos
+        return g + g1 * (s_lo - s)
+    (sa, ga, da), (sb, gb, db) = neg, pos
+    gap = sb - sa
+    dx = (gb - ga - db * gap) / (da - db)
+    return min(ga + da * dx, gb + db * (dx - gap))
+
+
 def min_log_wtb(
     T: np.ndarray,
     m: np.ndarray,
     p_e: float,
     s0: float | None = None,
     *,
-    s_lo: float = 1e-6,
+    above: float | None = None,
+    s_lo: float = S_LO,
     s_hi: float = 50.0,
     tol: float = 1e-9,
     max_doublings: int = 6,
-) -> ExponentMin:
+) -> ExponentMin | Rejected:
     """Minimize log wtb over the exponent for trial counts T and thresholds
     m (see union_terms), over [s_lo, s_hi * 2**max_doublings].
 
@@ -290,46 +331,70 @@ def min_log_wtb(
     that end. Warm (s0 given, as the previous optimum of a nearby T): a
     probe one and a half Newton steps from s0 either passes the root and
     closes a bracket with s0, where Newton starts, or is where Newton
-    starts; a range end is evaluated only if a step would cross it."""
+    starts; a range end is evaluated only if a step would cross it.
+
+    With `above` given, the search stops early and returns Rejected once
+    the tangents at its evaluated points (_tangent_bound over the
+    right-most point of falling and the left-most point of rising log wtb)
+    put the minimum above `above` by more than _REJECT_MARGIN * (1 +
+    |above|); the full search would then have ended above `above` too.
+    Otherwise it evaluates the same exponents and returns the same result
+    as without `above`."""
     evals = 0
+    cap = s_hi * 2.0**max_doublings
+    neg = pos = None
+    if above is not None:
+        limit = above + _REJECT_MARGIN * (1.0 + abs(above))
 
     def f(s: float):
-        nonlocal evals
+        nonlocal evals, neg, pos
         evals += 1
-        return _log_wtb_in_s(T, m, p_e, s)
+        point = _log_wtb_in_s(T, m, p_e, s)
+        if above is not None:
+            if point[1] < 0.0:
+                if neg is None or s > neg[0]:
+                    neg = (s, point[0], point[1])
+            elif pos is None or s < pos[0]:
+                pos = (s, point[0], point[1])
+            bound = _tangent_bound(neg, pos, s_lo, cap)
+            if bound > limit:
+                raise _Proven(bound)
+        return point
 
-    cap = s_hi * 2.0**max_doublings
-    if s0 is not None:
-        s = min(max(s0, s_lo), cap)
-        point = f(s)
-        lo, hi, lo_seen, hi_seen = s_lo, cap, False, False
-        g1, g2 = point[1], point[2]
-        if g1 != 0.0:
-            # probe one and a half Newton steps on, past where Newton puts
-            # the root, so that the probe and s usually bracket it
-            step = -g1 / g2 if g2 > 0.0 else -math.copysign(math.inf, g1)
-            probe = min(max(s + 1.5 * step, s_lo), cap)
-            probe_point = f(probe)
-            if (probe_point[1] > 0.0) == (g1 > 0.0) or probe_point[1] == 0.0:
-                s, point = probe, probe_point  # not past the root: go on from there
-            elif g1 < 0.0:
-                hi, hi_seen = probe, True
-            else:
-                lo, lo_seen = probe, True
-        s, point = _newton_in_bracket(f, lo, hi, s, point, tol, lo_seen, hi_seen)
-    else:
-        s, point = s_lo, f(s_lo)
-        if point[1] < 0.0:
-            lo, hi = s, s_hi
-            point = f(hi)
-            for _ in range(max_doublings):
-                if point[1] >= 0.0:
-                    break
-                hi *= 2.0
+    try:
+        if s0 is not None:
+            s = min(max(s0, s_lo), cap)
+            point = f(s)
+            lo, hi, lo_seen, hi_seen = s_lo, cap, False, False
+            g1, g2 = point[1], point[2]
+            if g1 != 0.0:
+                # probe one and a half Newton steps on, past where Newton
+                # puts the root, so that the probe and s usually bracket it
+                step = -g1 / g2 if g2 > 0.0 else -math.copysign(math.inf, g1)
+                probe = min(max(s + 1.5 * step, s_lo), cap)
+                probe_point = f(probe)
+                if (probe_point[1] > 0.0) == (g1 > 0.0) or probe_point[1] == 0.0:
+                    s, point = probe, probe_point  # not past the root: go on from there
+                elif g1 < 0.0:
+                    hi, hi_seen = probe, True
+                else:
+                    lo, lo_seen = probe, True
+            s, point = _newton_in_bracket(f, lo, hi, s, point, tol, lo_seen, hi_seen)
+        else:
+            s, point = s_lo, f(s_lo)
+            if point[1] < 0.0:
+                lo, hi = s, s_hi
                 point = f(hi)
-            s = hi
-            if point[1] > 0.0:  # the minimizer lies inside the bracket
-                s, point = _newton_in_bracket(f, lo, hi, s, point, tol)
+                for _ in range(max_doublings):
+                    if point[1] >= 0.0:
+                        break
+                    hi *= 2.0
+                    point = f(hi)
+                s = hi
+                if point[1] > 0.0:  # the minimizer lies inside the bracket
+                    s, point = _newton_in_bracket(f, lo, hi, s, point, tol)
+    except _Proven as proven:
+        return Rejected(proven.args[0], evals)
     return ExponentMin(s, point[0], point[3], evals)
 
 
@@ -337,7 +402,7 @@ def wtb_min_s(
     config: ScenarioConfig,
     schedule,
     *,
-    s_lo: float = 1e-6,
+    s_lo: float = S_LO,
     s_hi: float = 50.0,
     tol: float = 1e-9,
     max_doublings: int = 6,
@@ -434,4 +499,6 @@ def exact_dvp_chain(
         dvp=dvp,
         method="exact-chain",
         mean_departures=config.total_load - float(rho @ left),
+        mass_residual=abs(1.0 - float(rho.sum())),
+        states=kernel.n_states,
     )

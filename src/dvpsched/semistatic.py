@@ -12,7 +12,10 @@ from typing import Callable
 import numpy as np
 
 from .dvp import (
+    S_LO,
     ChernoffParam,
+    Rejected,
+    _log_alpha,
     _term_cdf,
     dvpub,
     exact_dvp_chain,
@@ -47,9 +50,12 @@ class RelaxedSchedule:
     exponent and value at the joint optimum, the number of Newton
     iterations taken and why the solver stopped (one of STOP_REASONS; the
     defaults describe an allocation given rather than solved for). pg_norm
-    is the projected gradient's norm at n2 (nan when not solved for) and
-    s_evals the exponents the solve's exponent searches evaluated; neither
-    takes part in equality."""
+    is the projected gradient's norm at n2 (nan when not solved for),
+    s_evals the exponents the solve's exponent searches evaluated, trials
+    the line-search trials (one exponent search each), rejected_early the
+    trials whose search stopped once it proved the Armijo test fails, and
+    s_at_lo whether s ended at the exponent range's lower end S_LO, the
+    plateau where the bound is vacuous; none takes part in equality."""
 
     n2: tuple[float, ...]
     s: ChernoffParam
@@ -58,6 +64,9 @@ class RelaxedSchedule:
     stop_reason: str = "converged"
     pg_norm: float = field(default=math.nan, compare=False)
     s_evals: int = field(default=0, compare=False)
+    trials: int = field(default=0, compare=False)
+    rejected_early: int = field(default=0, compare=False)
+    s_at_lo: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -87,7 +96,8 @@ def solve_relaxed(config: ScenarioConfig) -> RelaxedSchedule:
     coordinates not held at a face of the box. Steps are projected back
     into the box and backtracked (halving) until phi meets an Armijo
     condition. Each trial's exponent search starts warm from the last
-    accepted s* (min_log_wtb), which the trials lie close to; the even
+    accepted s* (min_log_wtb), which the trials lie close to, and stops as
+    soon as it proves that phi lies above the Armijo threshold; the even
     split's search starts cold. The solver stops when the projected
     gradient of log wtb is below _PG_TOL, which does not depend on how
     small the bound is, or the bound is exactly 0 (as at p_e = 0), when no
@@ -100,9 +110,9 @@ def solve_relaxed(config: ScenarioConfig) -> RelaxedSchedule:
     x = np.clip(np.full(config.w, config.N / 2.0), lo, hi)
     best = min_log_wtb(c + A @ x, m, config.p_e)
     s_evals = best.evals
-    iterations = 0
+    iterations = trials = rejected_early = 0
     while True:
-        log_alpha = ChernoffParam(best.s).log_alpha(config.p_e)
+        log_alpha = _log_alpha(config.p_e, best.s)
         p = best.weights
         pA = p @ A
         grad = log_alpha * pA
@@ -121,7 +131,7 @@ def solve_relaxed(config: ScenarioConfig) -> RelaxedSchedule:
         hess = log_alpha**2 * (Af.T @ (p[:, None] * Af))
         # the damping keeps steps finite along the flat directions of a
         # non-unique optimum (as at L) and vanishes as the iterates converge
-        hess[np.diag_indices_from(hess)] += _DAMPING * pg_norm
+        hess.flat[:: len(hess) + 1] += _DAMPING * pg_norm
         try:
             step[free] = -np.linalg.solve(hess, grad[free])
         except np.linalg.LinAlgError:
@@ -135,9 +145,13 @@ def solve_relaxed(config: ScenarioConfig) -> RelaxedSchedule:
             cand = np.clip(x + t * step, lo, hi)
             decrease = grad @ (cand - x)
             if decrease < 0.0:
-                trial = min_log_wtb(c + A @ cand, m, config.p_e, best.s)
+                threshold = best.log_wtb + _ARMIJO_C * decrease
+                trial = min_log_wtb(c + A @ cand, m, config.p_e, best.s, above=threshold)
                 s_evals += trial.evals
-                if trial.log_wtb <= best.log_wtb + _ARMIJO_C * decrease:
+                trials += 1
+                if isinstance(trial, Rejected):
+                    rejected_early += 1
+                elif trial.log_wtb <= threshold:
                     x, best = cand, trial
                     break
             t *= 0.5
@@ -152,11 +166,24 @@ def solve_relaxed(config: ScenarioConfig) -> RelaxedSchedule:
         stop_reason=stop_reason,
         pg_norm=pg_norm,
         s_evals=s_evals,
+        trials=trials,
+        rejected_early=rejected_early,
+        s_at_lo=best.s == S_LO,
     )
 
 
 def _schedule_from_n2(config: ScenarioConfig, n2: tuple[int, ...]) -> Schedule:
     return Schedule(n1=tuple(config.N - v for v in n2), N=config.N)
+
+
+def _wtb_below(config: ScenarioConfig, n2: tuple[int, ...], best: float) -> float:
+    """wtb_min_s's bound for the link-2 vector n2, or inf once its exponent
+    search proves that bound is above best (a finite positive incumbent):
+    the schedule could not win a strict < against best either way."""
+    c, A, m = union_terms(config)
+    above = math.log(best) if 0.0 < best < math.inf else None
+    found = min_log_wtb(c + A @ np.array(n2, dtype=float), m, config.p_e, above=above)
+    return math.inf if isinstance(found, Rejected) else found.value
 
 
 def round_nearest(config: ScenarioConfig, relaxed: RelaxedSchedule) -> SemiStaticResult:
@@ -175,7 +202,9 @@ def neighbor_search(
 ) -> SemiStaticResult:
     """Score every floor/ceil combination around the relaxed allocation
     (clamped into {1..N-1}, duplicates collapsed) and keep the best; ties go
-    to the lexicographically smallest link-2 vector."""
+    to the lexicographically smallest link-2 vector. Under wtb, a
+    combination's exponent search stops once it proves the combination
+    cannot beat the best so far (_wtb_below)."""
     if criterion not in ("dvpub", "wtb"):
         raise ValueError(f"criterion must be dvpub or wtb, got {criterion!r}")
     if config.w > NEIGHBOR_W_CAP:
@@ -192,11 +221,10 @@ def neighbor_search(
     best_n2 = None
     best_score = math.inf
     for n2 in itertools.product(*choices):
-        schedule = _schedule_from_n2(config, n2)
         if criterion == "dvpub":
-            score = dvpub(config, schedule).dvp
+            score = dvpub(config, _schedule_from_n2(config, n2)).dvp
         else:
-            _, score = wtb_min_s(config, schedule)
+            score = _wtb_below(config, n2, best_score)
         if score < best_score:
             best_score = score
             best_n2 = n2
@@ -332,8 +360,10 @@ def exhaustive(
     The exact criterion is searched by branch-and-bound (_least_exact_dvp)
     on the kernel make_kernel(config) returns once the domain and the cap
     are checked; dvpub scores the whole domain in vectorised blocks
-    (_least_dvpub); wtb scores one schedule at a time. Each returns the
-    schedule and score that scoring every schedule in turn would."""
+    (_least_dvpub); wtb scores one schedule at a time, each exponent search
+    stopping once it proves the schedule cannot beat the best so far
+    (_wtb_below). Each returns the schedule and score that scoring every
+    schedule in turn would."""
     if criterion not in ("dvpub", "wtb", "exact"):
         raise ValueError(f"criterion must be dvpub, wtb or exact, got {criterion!r}")
     if full_domain and criterion != "exact":
@@ -359,7 +389,7 @@ def exhaustive(
         best_n2 = None
         best_score = math.inf
         for n2 in itertools.product(values.tolist(), repeat=config.w):
-            _, score = wtb_min_s(config, _schedule_from_n2(config, n2))
+            score = _wtb_below(config, n2, best_score)
             if score < best_score:
                 best_score = score
                 best_n2 = n2

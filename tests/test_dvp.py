@@ -1,4 +1,5 @@
 """Exact DVP evaluators and the two analytic upper bounds."""
+import dataclasses
 import itertools
 import math
 
@@ -20,7 +21,7 @@ from dvpsched import (
     wtb,
     wtb_min_s,
 )
-from dvpsched.dvp import _log_wtb_in_s, min_log_wtb, union_terms
+from dvpsched.dvp import S_LO, Rejected, _log_wtb_in_s, min_log_wtb, union_terms
 
 HAND_CFG = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
 HAND_SCHED = Schedule(n1=(1, 1), N=2)
@@ -475,6 +476,91 @@ class TestExponentSearch:
         assert warm_evals <= cold_evals / 2
 
 
+class TestRejectionBound:
+    """min_log_wtb(..., above=a) stops once the tangents at its points put
+    log wtb above a over the whole range; otherwise it is the search
+    without `above`, bit for bit."""
+
+    def check(self, T, m, p_e, s0, above):
+        """Returns whether the search rejected."""
+        full = min_log_wtb(T, m, p_e, s0)
+        found = min_log_wtb(T, m, p_e, s0, above=above)
+        if isinstance(found, Rejected):
+            assert full.log_wtb > above
+            assert found.bound > above
+            # the bound lies below the minimum, up to its rounding
+            assert found.bound <= full.log_wtb + 1e-12 * (1.0 + abs(full.log_wtb))
+            assert found.evals <= full.evals
+            return True
+        assert (found.s, found.log_wtb, found.evals) == (full.s, full.log_wtb, full.evals)
+        assert np.array_equal(found.weights, full.weights)
+        return False
+
+    def offsets(self, g):
+        """Thresholds from far below log wtb's minimum g to above it, with
+        several within min_log_wtb's margin of 1e-9 (1 + |g|)."""
+        scale = 1.0 + abs(g)
+        rel = (-1.0, -1e-3, -1e-6, -2e-9, -1e-9, -5e-10, -1e-12, 0.0, 1e-12, 1e-6, 1.0)
+        return [g + r * scale for r in rel]
+
+    def check_case(self, T, m, p_e, starts):
+        rejected = 0
+        for s0 in starts:
+            g = min_log_wtb(T, m, p_e, s0).log_wtb
+            for above in self.offsets(g):
+                rejected += self.check(T, m, p_e, s0, above)
+        return rejected
+
+    def test_random_terms(self):
+        rng = np.random.default_rng(31)
+        rejected = total = 0
+        for _ in range(300):
+            T, m, p_e = random_terms(rng)
+            s0 = None if rng.random() < 0.3 else float(np.exp(rng.uniform(-14.0, 8.0)))
+            g = min_log_wtb(T, m, p_e, s0).log_wtb
+            for above in [*self.offsets(g), g + float(rng.normal()) * (1.0 + abs(g))]:
+                rejected += self.check(T, m, p_e, s0, above)
+                total += 1
+        # far enough below the minimum, the bound settles the search
+        assert rejected >= total // 4
+
+    def test_far_below_is_rejected_early(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            T, m, p_e = random_terms(rng)
+            full = min_log_wtb(T, m, p_e, 1.0)
+            found = min_log_wtb(T, m, p_e, 1.0, above=full.log_wtb - 1.0 - abs(full.log_wtb))
+            assert isinstance(found, Rejected)
+            assert found.evals <= min(full.evals, 4)
+
+    def test_lossless_terms(self):
+        T, m = np.array([4.0, 6.5, 9.0]), np.array([3.0, 7.0, 2.0])
+        assert self.check_case(T, m, 0.0, [None, 1e-6, 0.01, 1.0, 40.0, 3200.0]) > 0
+
+    def test_optimum_on_the_vacuous_plateau(self):
+        T, m = np.array([2.0, 3.0]), np.array([5.0, 5.0])
+        assert min_log_wtb(T, m, 0.3).s == S_LO
+        assert self.check_case(T, m, 0.3, [None, 1e-6, 0.3, 7.0, 3200.0]) > 0
+
+    def test_optimum_past_the_last_doubling(self):
+        T, m = np.array([9.7, 8.5]), np.array([8.0, 3.0])
+        assert min_log_wtb(T, m, 0.0).s == TestExponentSearch.S_MAX
+        assert self.check_case(T, m, 0.0, [None, 1e-5, 1.0, 799.0, 3200.0]) > 0
+
+    def test_flat_tail(self):
+        # log wtb falls toward its limit for every s, flat to rounding
+        # past s of about 40
+        T, m = np.array([17.14]), np.array([0.0])
+        assert self.check_case(T, m, 0.37, [None, 0.8, 30.0, 400.0, 3199.0]) > 0
+
+    def test_no_incumbent_never_rejects(self):
+        rng = np.random.default_rng(33)
+        for _ in range(50):
+            T, m, p_e = random_terms(rng)
+            assert not self.check(T, m, p_e, None, math.inf)
+            assert not self.check(T, m, p_e, 2.0, math.inf)
+
+
 class TestEvalResult:
     def test_clamped_companion(self):
         res = dvpub(HAND_CFG, HAND_SCHED)
@@ -487,3 +573,17 @@ class TestEvalResult:
             cfg, sched = random_instance(rng)
             res = exact_dvp_chain(cfg, sched)
             assert 0.0 <= res.dvp <= 1.0 + 1e-12
+
+    def test_chain_records_mass_residual_and_states(self):
+        rng = np.random.default_rng(34)
+        for _ in range(20):
+            cfg, sched = random_instance(rng)
+            kern = TransitionKernel(cfg)
+            res = exact_dvp_chain(cfg, sched, kernel=kern)
+            assert 0.0 <= res.mass_residual <= 1e-12
+            assert res.states == kern.n_states
+        assert math.isnan(dvpub(HAND_CFG, HAND_SCHED).mass_residual)
+
+    def test_chain_statistics_stay_out_of_equality(self):
+        res = exact_dvp_chain(HAND_CFG, HAND_SCHED)
+        assert res == dataclasses.replace(res, mass_residual=1.0, states=0)

@@ -1,6 +1,7 @@
 """Semi-static schedule computation: relaxed solve, roundings, exhaustive."""
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from dvpsched import (
     wtb_r,
     wtb_w,
 )
-from dvpsched.dvp import wtb_gradient
+from dvpsched.dvp import S_LO, ChernoffParam, min_log_wtb, union_terms, wtb_gradient
 from dvpsched.semistatic import STOP_REASONS, _product_blocks
 
 # frozen via the exact chain at (y=1, x1=1, x2=1, N=4, w=4, p_e=0.2)
@@ -211,9 +212,15 @@ def test_low_loss_roundings_golden(key):
 
 class TestSolveStatistics:
     def test_warm_exponent_search_halves_the_work(self):
-        # the cold search at every trial evaluated 37 378 exponents over
-        # these 60 solves
-        assert sum(solve_relaxed(cfg).s_evals for cfg in SEMISTATIC_GRID) <= 37_378 // 2
+        # over these 60 solves, the cold search at every trial evaluated
+        # 37 378 exponents, and the warm search that ran every rejected
+        # trial to tol 15 812
+        solves = [solve_relaxed(cfg) for cfg in SEMISTATIC_GRID]
+        assert sum(r.s_evals for r in solves) <= 10_000
+        assert sum(r.rejected_early for r in solves) > 0
+        for r in solves:
+            assert r.rejected_early <= r.trials <= r.s_evals
+            assert r.trials >= r.iterations
 
     def test_projected_gradient_norm_recorded(self):
         cfg = ScenarioConfig(N=6, p_e=0.4, w=6, y=1, x1=3, x2=3)
@@ -228,8 +235,120 @@ class TestSolveStatistics:
 
     def test_statistics_stay_out_of_equality(self):
         relaxed = solve_relaxed(ScenarioConfig(N=4, p_e=0.2, w=3, y=1, x1=1, x2=1))
-        assert relaxed == dataclasses.replace(relaxed, pg_norm=1.0, s_evals=0)
+        changed = dataclasses.replace(
+            relaxed, pg_norm=1.0, s_evals=0, trials=0, rejected_early=0, s_at_lo=True
+        )
+        assert relaxed == changed
         assert np.isnan(fake_relaxed(GOLDEN_CFG, (2.0,) * 4).pg_norm)
+
+    def test_exponent_at_the_vacuous_plateau_recorded(self):
+        # a load far above every trial count: the bound only rises with s
+        vacuous = solve_relaxed(ScenarioConfig(N=3, p_e=0.3, w=2, y=5, x1=2, x2=2))
+        assert vacuous.s.s == S_LO and vacuous.s_at_lo
+        assert vacuous.objective >= 1.0
+        informative = solve_relaxed(ScenarioConfig(N=6, p_e=0.4, w=6, y=1, x1=3, x2=3))
+        assert informative.objective < 1.0 and not informative.s_at_lo
+
+
+def solve_relaxed_before_rejection(config):
+    """solve_relaxed as it ran before its line-search trials stopped early:
+    every trial's exponent search ran to tol. Kept as the reference the
+    solver must equal."""
+    lo, hi = 1.0, float(config.N - 1)
+    c, A, m = union_terms(config)
+    x = np.clip(np.full(config.w, config.N / 2.0), lo, hi)
+    best = min_log_wtb(c + A @ x, m, config.p_e)
+    iterations = 0
+    while True:
+        log_alpha = ChernoffParam(best.s).log_alpha(config.p_e)
+        p = best.weights
+        pA = p @ A
+        grad = log_alpha * pA
+        pg_norm = float(np.linalg.norm(x - np.clip(x - grad, lo, hi)))
+        if pg_norm <= 1e-9 or best.value == 0.0:
+            stop_reason = "converged"
+            break
+        if iterations == 200:
+            stop_reason = "max-iters"
+            break
+        iterations += 1
+        held = ((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0))
+        free = ~held
+        step = -grad
+        Af = A[:, free] - pA[free]
+        hess = log_alpha**2 * (Af.T @ (p[:, None] * Af))
+        hess[np.diag_indices_from(hess)] += 0.1 * pg_norm
+        try:
+            step[free] = -np.linalg.solve(hess, grad[free])
+        except np.linalg.LinAlgError:
+            pass
+        if grad @ step >= 0.0:
+            step = -grad
+        t = min(1.0, (hi - lo) / np.abs(step).max())
+        for _ in range(60):
+            cand = np.clip(x + t * step, lo, hi)
+            decrease = grad @ (cand - x)
+            if decrease < 0.0:
+                trial = min_log_wtb(c + A @ cand, m, config.p_e, best.s)
+                if trial.log_wtb <= best.log_wtb + 1e-4 * decrease:
+                    x, best = cand, trial
+                    break
+            t *= 0.5
+        else:
+            stop_reason = "line-search-stalled"
+            break
+    return RelaxedSchedule(
+        n2=tuple(x.tolist()),
+        s=ChernoffParam(best.s),
+        objective=best.value,
+        iterations=iterations,
+        stop_reason=stop_reason,
+    )
+
+
+def neighbors_scanned(config, relaxed):
+    """wtb-w as it scored every floor/ceil combination with wtb_min_s."""
+    choices = [
+        sorted({min(max(f(v), 1), config.N - 1) for f in (math.floor, math.ceil)})
+        for v in relaxed.n2
+    ]
+    best_n2, best = None, math.inf
+    for n2 in itertools.product(*choices):
+        score = wtb_min_s(config, Schedule(n1=tuple(config.N - v for v in n2), N=config.N))[1]
+        if score < best:
+            best_n2, best = n2, score
+    return best_n2, best
+
+
+class TestEarlyRejectionChangesNothing:
+    """Trials that stop once their exponent search proves the Armijo test
+    fails leave every solve, and wtb-w, as they were, ==, not approx."""
+
+    def check(self, cfg):
+        relaxed = solve_relaxed(cfg)
+        reference = solve_relaxed_before_rejection(cfg)
+        assert relaxed == reference
+        if cfg.w <= 10:
+            res = neighbor_search(cfg, relaxed, "wtb")
+            assert (res.schedule.n2, res.score) == neighbors_scanned(cfg, relaxed)
+
+    def test_semistatic_scenarios(self):
+        for cfg in SEMISTATIC_GRID:
+            self.check(cfg)
+
+    def test_random_configs(self):
+        rng = np.random.default_rng(909)
+        for _ in range(200):
+            self.check(
+                ScenarioConfig(
+                    N=int(rng.integers(2, 9)),
+                    p_e=0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 0.6)),
+                    w=int(rng.integers(1, 8)),
+                    y=int(rng.integers(1, 6)),
+                    x1=int(rng.integers(0, 6)),
+                    x2=int(rng.integers(0, 6)),
+                )
+            )
 
 
 class TestRoundNearest:
@@ -392,6 +511,17 @@ def scan_dvpub(cfg):
     return best_n2, best
 
 
+def scan_wtb(cfg):
+    """The full scan e-wtb made before its exponent searches stopped
+    early: every schedule's wtb_min_s in product order."""
+    best_n2, best = None, float("inf")
+    for n2 in itertools.product(range(1, cfg.N), repeat=cfg.w):
+        score = wtb_min_s(cfg, Schedule(n1=tuple(cfg.N - v for v in n2), N=cfg.N))[1]
+        if score < best:
+            best_n2, best = n2, score
+    return best_n2, best
+
+
 def random_configs(count, seed, max_schedules):
     rng = np.random.default_rng(seed)
     configs = []
@@ -421,8 +551,9 @@ LOW_LOSS = [
 
 
 class TestSearchesAgreeWithFullScan:
-    """opt's branch-and-bound and e-dvpub's vectorised pass return the
-    schedule and score of a full scan, ==, not approx."""
+    """opt's branch-and-bound, e-dvpub's vectorised pass and e-wtb's early
+    stopping exponent searches return the schedule and score of a full
+    scan, ==, not approx."""
 
     def check(self, cfg, full_domain=False):
         res = opt(cfg, full_domain=full_domain)
@@ -439,6 +570,11 @@ class TestSearchesAgreeWithFullScan:
     def test_low_loss_scenarios(self):
         for cfg in LOW_LOSS:
             self.check(cfg)
+
+    def test_e_wtb_on_criterion_06_grid(self):
+        for cfg in CRITERION_06_GRID:
+            res = e_wtb(cfg)
+            assert (res.schedule.n2, res.score) == scan_wtb(cfg)
 
     def test_random_configs(self):
         for i, cfg in enumerate(random_configs(200, 808, 3000)):
