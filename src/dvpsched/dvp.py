@@ -485,20 +485,20 @@ def exact_dvp_chain(
     what is left."""
     act = policy_actions(policy, config)
     kernel = checked_kernel(config, kernel)
-    rho = np.zeros(kernel.n_states)
-    rho[kernel.index(config.first_hop_load, config.x2)] = 1.0
+    states = kernel.states
+    rho = np.zeros(len(states))
+    rho[states.start] = 1.0
     for epoch in range(config.w):
         live = np.flatnonzero(rho)
-        acts = act(epoch, kernel.q1[live], kernel.q2[live])
+        acts = act(epoch, states.q1[live], states.q2[live])
         rho = rho[live] @ kernel.P[acts, live]
-    left = kernel.q1 + kernel.q2
     # sum the non-empty states directly: 1 - P(empty) would cancel away
     # every DVP below the kernel rows' rounding drift (~1e-14)
-    dvp = min(float(rho[left > 0].sum()), 1.0)
+    dvp = min(float(rho[states.nonempty].sum()), 1.0)
     return EvalResult(
         dvp=dvp,
         method="exact-chain",
-        mean_departures=config.total_load - float(rho @ left),
+        mean_departures=config.total_load - float(rho @ (states.q1 + states.q2)),
         mass_residual=abs(1.0 - float(rho.sum())),
-        states=kernel.n_states,
+        states=len(states),
     )

@@ -29,6 +29,7 @@ from .model import (
     QueueState,
     ScenarioConfig,
     Schedule,
+    backlog_states,
     binomial_pmf,
     binomial_pmf_table,
     step_queues,
@@ -38,26 +39,6 @@ BASELINE_KINDS = ("mw", "wfq", "bp", "fifty")
 
 # dense kernel budget: (N + 1) transition matrices over the state space
 KERNEL_ENTRY_CAP = 50_000_000
-
-
-def build_state_space(config: ScenarioConfig) -> list[QueueState]:
-    """Full backlog rectangle {0..y+x1} x {0..y+x1+x2}, row-major.
-
-    The first queue never grows, and relays can push the second queue up to
-    the total initial load, so the rectangle covers every reachable state.
-    """
-    return [
-        QueueState(q1, q2)
-        for q1 in range(config.q1_max + 1)
-        for q2 in range(config.q2_max + 1)
-    ]
-
-
-def state_index(config: ScenarioConfig, q1: int, q2: int) -> int:
-    """Row-major index of a state in build_state_space's ordering."""
-    if not (0 <= q1 <= config.q1_max and 0 <= q2 <= config.q2_max):
-        raise ValueError(f"state ({q1},{q2}) outside the backlog rectangle")
-    return q1 * (config.q2_max + 1) + q2
 
 
 def transition_probs(
@@ -177,23 +158,14 @@ def kernel_key(config: ScenarioConfig) -> tuple:
 
 
 class TransitionKernel:
-    """Dense per-action transition matrices.
-
-    The matrices cover the smallest superset of the backlog rectangle that
-    the dynamics cannot leave, {q1 <= q1_max, q1 + q2 <= q1_max + q2_max}:
-    corner states of the rectangle with q1 + q2 above the initial load are
-    unreachable in their own scenario but can relay beyond q2_max, and
-    keeping their rows exact keeps every rectangle row exact.
-
-    States are numbered row-major: q1[i], q2[i] are state i's backlogs and
-    lookup[q1, q2] its index (-1 outside the domain). pmf is the binomial
-    table of one frame's service (model.binomial_pmf_table)."""
+    """Dense per-action transition matrices P[a, i, j], the chance of moving
+    from state i to state j of model.backlog_states in one frame under action
+    a. pmf is the binomial table of one frame's service (binomial_pmf_table)."""
 
     def __init__(self, config: ScenarioConfig):
         self.key = kernel_key(config)
-        total = config.q1_max + config.q2_max
         n_actions = config.N + 1
-        n_states = (config.q1_max + 1) * (total + 1) - config.q1_max * (config.q1_max + 1) // 2
+        n_states = (config.q1_max + 1) * (2 * config.q2_max + 2 - config.q1_max) // 2
         entries = n_actions * n_states * n_states
         if entries > KERNEL_ENTRY_CAP:
             raise CapExceededError(
@@ -203,15 +175,10 @@ class TransitionKernel:
                 entries,
                 KERNEL_ENTRY_CAP,
             )
-        grid = np.add.outer(np.arange(config.q1_max + 1), np.arange(total + 1))
-        self.q1, self.q2 = np.nonzero(grid <= total)
-        self.n_states = len(self.q1)
-        assert self.n_states == n_states
-        self.lookup = np.full(grid.shape, -1, dtype=np.int64)
-        self.lookup[self.q1, self.q2] = np.arange(n_states)
+        self.states = states = backlog_states(config)
         self.pmf = binomial_pmf_table(config.N, 1.0 - config.p_e)
-        q1 = self.q1[:, None, None]
-        q2 = self.q2[:, None, None]
+        q1 = states.q1[:, None, None]
+        q2 = states.q2[:, None, None]
         row_start = (np.arange(n_states) * n_states)[:, None, None]
         P = np.zeros((n_actions, n_states, n_states))
         for a in range(n_actions):
@@ -222,7 +189,7 @@ class TransitionKernel:
             # transition_probs bit for bit
             d1 = np.minimum(q1, np.arange(a + 1)[:, None])
             d2 = np.minimum(q2, np.arange(n2 + 1))
-            nxt = self.lookup[q1 - d1, q2 - d2 + d1]
+            nxt = states.lookup[q1 - d1, q2 - d2 + d1]
             prob = np.outer(self.pmf[a, : a + 1], self.pmf[n2, : n2 + 1])
             np.add.at(
                 P[a].reshape(-1),
@@ -231,22 +198,16 @@ class TransitionKernel:
             )
         self.P = P
 
-    def index(self, q1: int, q2: int) -> int:
-        rows, cols = self.lookup.shape
-        if 0 <= q1 < rows and 0 <= q2 < cols and self.lookup[q1, q2] >= 0:
-            return int(self.lookup[q1, q2])
-        raise ValueError(f"state ({q1},{q2}) outside the kernel's domain")
-
     def rewards(self) -> np.ndarray:
         """Stage rewards R[a, i] = reward(config, state i, a), each summed
         over r in reward()'s order, so bit for bit equal to it."""
         N = len(self.pmf) - 1
-        R = np.empty((N + 1, self.n_states))
+        R = np.empty((N + 1, len(self.states)))
         for a in range(N + 1):
             n2 = N - a
-            acc = np.zeros(self.n_states)
+            acc = np.zeros(len(self.states))
             for r in range(n2 + 1):
-                acc = acc + np.minimum(self.q2, r) * self.pmf[n2, r]
+                acc = acc + np.minimum(self.states.q2, r) * self.pmf[n2, r]
             R[a] = acc
         return R
 
@@ -278,12 +239,13 @@ def reward(config: ScenarioConfig, state: QueueState, n1: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PolicyTable:
-    """Per-epoch action and value tables over the backlog rectangle.
+    """Per-epoch action and value tables over model.backlog_states.
 
     actions[k, i] is the slot count for link 1 at epoch k in state i;
     values[k, i] the expected departures collectable from epoch k on. The
     terminal row values[w] is zero. Parsed tables may be partial, in which
-    case missing lookups raise PolicyLookupError.
+    case missing lookups raise PolicyLookupError. A state outside the
+    domain raises ValueError.
     """
 
     config: ScenarioConfig
@@ -293,7 +255,7 @@ class PolicyTable:
     def action(self, epoch: int, q1: int, q2: int) -> int:
         if not 0 <= epoch < self.config.w:
             raise ValueError(f"epoch {epoch} outside 0..{self.config.w - 1}")
-        a = int(self.actions[epoch, state_index(self.config, q1, q2)])
+        a = int(self.actions[epoch, backlog_states(self.config).index(q1, q2)])
         if a < 0:
             raise PolicyLookupError(
                 f"no action stored for epoch={epoch} state=({q1},{q2})"
@@ -301,25 +263,23 @@ class PolicyTable:
         return a
 
     def value(self, epoch: int, q1: int, q2: int) -> float:
-        return float(self.values[epoch, state_index(self.config, q1, q2)])
+        return float(self.values[epoch, backlog_states(self.config).index(q1, q2)])
 
     def to_text(self) -> str:
         """Line format: one config header, then `epoch q1 q2 action value`
-        rows with values rendered to 12 significant digits."""
+        rows with values rendered to 12 significant digits, one per stored
+        entry of each epoch, states in the domain's order."""
         c = self.config
-        states = build_state_space(c)
+        states = backlog_states(c)
         buf = io.StringIO()
         buf.write(
             f"# policy-table N={c.N} pe={c.p_e:.12g} w={c.w} y={c.y} x1={c.x1} x2={c.x2}\n"
         )
         for k in range(c.w):
-            for i, state in enumerate(states):
+            for i, (q1, q2) in enumerate(zip(states.q1.tolist(), states.q2.tolist())):
                 a = int(self.actions[k, i])
-                if a < 0:
-                    continue
-                buf.write(
-                    f"{k} {state.q1} {state.q2} {a} {self.values[k, i]:.12g}\n"
-                )
+                if a >= 0:
+                    buf.write(f"{k} {q1} {q2} {a} {self.values[k, i]:.12g}\n")
         return buf.getvalue()
 
     @classmethod
@@ -342,9 +302,9 @@ class PolicyTable:
             )
         except KeyError as exc:
             raise ValueError(f"line 1: header missing field {exc}") from exc
-        n_states = (config.q1_max + 1) * (config.q2_max + 1)
-        actions = np.full((config.w, n_states), -1, dtype=np.int64)
-        values = np.zeros((config.w + 1, n_states))
+        states = backlog_states(config)
+        actions = np.full((config.w, len(states)), -1, dtype=np.int64)
+        values = np.zeros((config.w + 1, len(states)))
         for lineno, line in enumerate(lines[1:], start=2):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -355,14 +315,14 @@ class PolicyTable:
             try:
                 k, q1, q2, a = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
                 v = float(parts[4])
+                i = states.index(q1, q2)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
             if not 0 <= k < config.w:
                 raise ValueError(f"line {lineno}: epoch {k} outside 0..{config.w - 1}")
             if not 0 <= a <= config.N:
                 raise ValueError(f"line {lineno}: action {a} outside 0..{config.N}")
-            actions[k, state_index(config, q1, q2)] = a
-            values[k, state_index(config, q1, q2)] = v
+            actions[k, i], values[k, i] = a, v
         return cls(config=config, actions=actions, values=values)
 
 
@@ -372,21 +332,15 @@ def value_iteration(config: ScenarioConfig, kernel: TransitionKernel | None = No
     continuation, ties broken toward the smallest n1. One sweep costs
     (N + 1) * |states| kernel rows, repeated for each of the w epochs."""
     kernel = checked_kernel(config, kernel)
-    S = kernel.n_states
+    S = len(kernel.states)
     R = kernel.rewards()  # (A, S)
     actions = np.zeros((config.w, S), dtype=np.int64)
     values = np.zeros((config.w + 1, S))
     for k in range(config.w - 1, -1, -1):
         q_sa = R + kernel.P @ values[k + 1]  # (A, S)
-        best = np.argmax(q_sa, axis=0)  # first (= smallest) maximizing action
-        actions[k] = best
-        values[k] = q_sa[best, np.arange(S)]
-    # publish on the rectangle the table contract uses, row-major as in
-    # build_state_space
-    cols = kernel.lookup[:, : config.q2_max + 1].ravel()
-    return PolicyTable(
-        config=config, actions=actions[:, cols], values=values[:, cols]
-    )
+        actions[k] = np.argmax(q_sa, axis=0)  # first (= smallest) maximizing action
+        values[k] = q_sa.max(axis=0)
+    return PolicyTable(config=config, actions=actions, values=values)
 
 
 def baseline_actions(kind: str, q1: np.ndarray, q2: np.ndarray, N: int) -> np.ndarray:
@@ -431,9 +385,15 @@ def policy_actions(policy, config: ScenarioConfig):
     BASELINE_KINDS, or a callable (epoch, q1, q2) -> n1 on ints. The
     callable is asked once per distinct state, and an action that is not
     an integer in 0..N raises ValueError naming the epoch and state. The
-    states must lie in the backlog rectangle, as every reachable state does.
+    states must lie in model.backlog_states, as every reachable state does.
+    A table's or a baseline's actions are laid out on its lookup grid, so
+    that each frame's are one gather.
     """
-    width = config.q2_max + 1
+    states = backlog_states(config)
+
+    def on_grid(acts: np.ndarray) -> np.ndarray:
+        return np.where(states.lookup >= 0, acts[..., states.lookup], -1)
+
     if isinstance(policy, Schedule):
         if len(policy) != config.w:
             raise ValueError(
@@ -446,9 +406,10 @@ def policy_actions(policy, config: ScenarioConfig):
     if isinstance(policy, PolicyTable):
         if policy.config != config:
             raise ValueError("policy table was built for a different scenario")
+        grid = on_grid(policy.actions)
 
         def table(epoch, q1, q2):
-            acts = policy.actions[epoch, q1 * width + q2]
+            acts = grid[epoch, q1, q2]
             if np.any(acts < 0):
                 bad = int(np.argmax(acts < 0))
                 raise PolicyLookupError(
@@ -461,17 +422,16 @@ def policy_actions(policy, config: ScenarioConfig):
     if isinstance(policy, str):
         if policy not in BASELINE_KINDS:
             raise ValueError(f"unknown policy name {policy!r}")
-        # the rules ignore the epoch: evaluate them once over the rectangle
-        cells = np.arange((config.q1_max + 1) * width)
-        grid = baseline_actions(policy, cells // width, cells % width, config.N)
-        return lambda epoch, q1, q2: grid[q1 * width + q2]
+        # the rules ignore the epoch: evaluate them once over the domain
+        grid = on_grid(baseline_actions(policy, states.q1, states.q2, config.N))
+        return lambda epoch, q1, q2: grid[q1, q2]
     if not callable(policy):
         raise TypeError(f"cannot interpret {type(policy).__name__} as a policy")
 
     def rule(epoch, q1, q2):
-        states, inverse = np.unique(q1 * width + q2, return_inverse=True)
+        index, inverse = np.unique(states.lookup[q1, q2], return_inverse=True)
         acts = []
-        for s1, s2 in (divmod(i, width) for i in states.tolist()):
+        for s1, s2 in zip(states.q1[index].tolist(), states.q2[index].tolist()):
             a = policy(epoch, s1, s2)
             # a float such as 2.0 is refused, not truncated to an action
             if not isinstance(a, numbers.Integral) or not 0 <= a <= config.N:

@@ -111,6 +111,47 @@ class QueueState(NamedTuple):
     q2: int
 
 
+@dataclass(frozen=True, eq=False)
+class BacklogStates:
+    """The state domain: the joint backlogs reachable from the start state
+    (y + x1, x2). Neither queue 1 nor the total backlog ever grows, so it is
+    the triangle {q1 <= q1_max, q1 + q2 <= q2_max}, numbered row-major:
+    q1[i], q2[i] are state i's backlogs, lookup[q1, q2] its index (-1
+    outside the domain), start the start state's index, and nonempty marks
+    the states with a packet left."""
+
+    q1: np.ndarray
+    q2: np.ndarray
+    lookup: np.ndarray
+    start: int
+    nonempty: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.q1)
+
+    def index(self, q1: int, q2: int) -> int:
+        rows, cols = self.lookup.shape
+        if 0 <= q1 < rows and 0 <= q2 < cols and self.lookup[q1, q2] >= 0:
+            return int(self.lookup[q1, q2])
+        raise ValueError(f"state ({q1},{q2}) outside the backlog triangle "
+                         f"q1 <= {rows - 1}, q1 + q2 <= {cols - 1}")
+
+
+@functools.lru_cache(maxsize=64)
+def backlog_states(config: ScenarioConfig) -> BacklogStates:
+    """The state domain of config, which depends only on q1_max and q2_max.
+    Cached, so its arrays are read-only."""
+    q1_max, q2_max = config.q1_max, config.q2_max
+    grid = np.add.outer(np.arange(q1_max + 1), np.arange(q2_max + 1))
+    q1, q2 = np.nonzero(grid <= q2_max)
+    lookup = np.full(grid.shape, -1, dtype=np.int64)
+    lookup[q1, q2] = np.arange(len(q1))
+    nonempty = q1 + q2 > 0
+    for arr in (q1, q2, lookup, nonempty):
+        arr.flags.writeable = False
+    return BacklogStates(q1, q2, lookup, int(lookup[config.first_hop_load, config.x2]), nonempty)
+
+
 def binomial_pmf(n: int, p: float, r: int) -> float:
     """P{Binomial(n, p) = r}, computed in log space for stability at the
     cumulative trial counts (up to a few hundred) this toolkit produces."""

@@ -294,7 +294,7 @@ def _least_exact_dvp(
     _BNB_MARGIN, so the first minimum wins, as in a full scan."""
     w = config.w
     acts = config.N - values
-    nonempty = kernel.q1 + kernel.q2 > 0
+    nonempty = kernel.states.nonempty
     violation = nonempty.astype(float)
     Q = [None] * w
     for k in range(w - 1, -1, -1):
@@ -311,8 +311,8 @@ def _least_exact_dvp(
     def dvp(rho: np.ndarray) -> float:
         return min(float(rho[nonempty].sum()), 1.0)
 
-    start = np.zeros(kernel.n_states)
-    start[kernel.index(config.first_hop_load, config.x2)] = 1.0
+    start = np.zeros(len(nonempty))
+    start[kernel.states.start] = 1.0
     rho = start
     for k in range(w):
         rho = advance(rho, acts[int(np.argmin(Q[k] @ rho))])

@@ -246,6 +246,18 @@ class TestEval:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("state", ["9 9", "-1 0", "1 1"])
+    def test_policy_file_state_outside_domain_reports_line(self, capsys, tmp_path, state):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# policy-table N=2 pe=0.5 w=1 y=1 x1=0 x2=0\n0 {state} 1 0.5\n")
+        code, _, err = run_cli(
+            capsys,
+            "eval", "--N", "2", "--pe", "0.5", "--w", "1", "--y", "1",
+            "--x1", "0", "--x2", "0", "--policy-file", str(path),
+        )
+        assert code == 2
+        assert "line 2: state" in err and "outside the backlog triangle" in err
+
     def test_exact_refuses_oversized_instance(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -437,7 +449,7 @@ class TestSweepRun:
         rows = [SweepRow.from_csv(ln) for ln in buf.getvalue().splitlines()[1:]]
         # recorded before kernels were shared; opt meets its own cap first
         kernel_cap = (
-            "dense kernel needs 231609861 entries (21 actions x 3321^2 states); "
+            "dense kernel needs 59340981 entries (21 actions x 1681^2 states); "
             "cap is 50000000"
         )
         assert {r.policy: r.error for r in rows} == {

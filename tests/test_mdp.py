@@ -12,7 +12,6 @@ from dvpsched import (
     Schedule,
     SimSpec,
     TransitionKernel,
-    build_state_space,
     exact_dvp_chain,
     opt,
     reward,
@@ -22,6 +21,7 @@ from dvpsched import (
     value_iteration,
 )
 from dvpsched.mdp import baseline_actions
+from dvpsched.model import backlog_states
 
 
 def random_config(rng, max_N=4):
@@ -35,21 +35,62 @@ def random_config(rng, max_N=4):
     )
 
 
+def domain(cfg):
+    """The states of backlog_states(cfg), in index order."""
+    states = backlog_states(cfg)
+    return [QueueState(*st) for st in zip(states.q1.tolist(), states.q2.tolist())]
+
+
+def rectangle(cfg):
+    """Every backlog pair up to the queues' maxima, the reachable ones and
+    the corner beyond them: the oracles are defined there too."""
+    return [
+        QueueState(q1, q2)
+        for q1 in range(cfg.q1_max + 1)
+        for q2 in range(cfg.q2_max + 1)
+    ]
+
+
 class TestStateSpace:
     @pytest.mark.parametrize(
-        "y,x1,x2,size", [(1, 0, 0, 4), (1, 1, 1, 12), (2, 2, 3, 40)]
+        "y,x1,x2,size", [(1, 0, 0, 3), (1, 1, 1, 9), (2, 2, 3, 30)]
     )
-    def test_rectangle_size(self, y, x1, x2, size):
+    def test_triangle_size(self, y, x1, x2, size):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=y, x1=x1, x2=x2)
-        space = build_state_space(cfg)
-        assert len(space) == size == (y + x1 + 1) * (y + x1 + x2 + 1)
+        space = domain(cfg)
+        q1_max = y + x1
+        assert len(space) == size == (q1_max + 1) * (q1_max + x2 + 1) - q1_max * (q1_max + 1) // 2
         assert len(set(space)) == size
 
     def test_bounds(self):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=1, x2=2)
-        for st in build_state_space(cfg):
+        for st in domain(cfg):
             assert 0 <= st.q1 <= cfg.q1_max
-            assert 0 <= st.q2 <= cfg.q2_max
+            assert 0 <= st.q2 and st.q1 + st.q2 <= cfg.q2_max
+
+    def test_index_lookup_start_and_nonempty_agree(self):
+        cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=2, x1=1, x2=2)
+        states = backlog_states(cfg)
+        for i, st in enumerate(domain(cfg)):
+            assert states.index(*st) == states.lookup[st] == i
+            assert states.nonempty[i] == (st != (0, 0))
+        assert states.start == states.index(cfg.first_hop_load, cfg.x2)
+        assert (states.lookup >= 0).sum() == len(states)
+
+    def test_domain_is_the_reachable_set(self):
+        # a search from the start state over transition_probs' moves of
+        # positive probability, on criterion 05's grid
+        for cfg in kernel_grid(pes=(0.35, 0.7)):
+            start = QueueState(cfg.first_hop_load, cfg.x2)
+            seen, todo = {start}, [start]
+            while todo:
+                st = todo.pop()
+                for a in range(cfg.N + 1):
+                    for nxt, p in transition_probs(cfg, st, a).items():
+                        if p > 0 and nxt not in seen:
+                            seen.add(nxt)
+                            todo.append(nxt)
+            assert seen == set(domain(cfg)), cfg
 
 
 class TestTransitionProbs:
@@ -87,7 +128,7 @@ class TestTransitionProbs:
         rng = np.random.default_rng(21)
         for _ in range(15):
             cfg = random_config(rng)
-            for st in build_state_space(cfg):
+            for st in rectangle(cfg):
                 for a in range(cfg.N + 1):
                     probs = transition_probs(cfg, st, a)
                     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
@@ -100,7 +141,7 @@ class TestTransitionProbs:
         rng = np.random.default_rng(22)
         for _ in range(12):
             cfg = random_config(rng)
-            for st in build_state_space(cfg):
+            for st in rectangle(cfg):
                 for a in range(cfg.N + 1):
                     ref = transition_probs(cfg, st, a)
                     case = transition_probs_casewise(cfg, st, a)
@@ -109,22 +150,22 @@ class TestTransitionProbs:
                         assert case[k] == pytest.approx(ref[k], abs=1e-12)
 
 
-def kernel_grid():
-    """Criterion 05's grid (test_acceptance), plus a lossless and a dead
-    channel."""
+def kernel_grid(pes=(0.35, 0.7, 0.0, 1.0)):
+    """Criterion 05's grid (test_acceptance), by default plus a lossless and
+    a dead channel."""
     for (y, x1) in ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0)):
         for x2 in (0, 1, 2, 3):
             for N in (1, 2, 3, 4, 5, 6):
-                for pe in (0.35, 0.7, 0.0, 1.0):
+                for pe in pes:
                     yield ScenarioConfig(N=N, p_e=pe, w=2, y=y, x1=x1, x2=x2)
 
 
 def oracle_row(kern, cfg, state, a):
     """A kernel row assembled from transition_probs as the loop-built kernel
     did: each probability added to a zero entry."""
-    row = np.zeros(kern.n_states)
+    row = np.zeros(len(kern.states))
     for nxt, p in transition_probs(cfg, state, a).items():
-        row[kern.index(nxt.q1, nxt.q2)] += p
+        row[kern.states.index(*nxt)] += p
     return row
 
 
@@ -132,14 +173,11 @@ class TestKernel:
     def test_dense_rows_match_sparse_dict(self):
         cfg = ScenarioConfig(N=3, p_e=0.3, w=2, y=1, x1=1, x2=1)
         kern = TransitionKernel(cfg)
-        for st in build_state_space(cfg):
-            i = kern.index(st.q1, st.q2)
+        states = domain(cfg)
+        for i, st in enumerate(states):
             for a in range(cfg.N + 1):
                 ref = transition_probs(cfg, st, a)
-                support = {
-                    QueueState(int(kern.q1[j]), int(kern.q2[j]))
-                    for j in np.flatnonzero(kern.P[a, i])
-                }
+                support = {states[j] for j in np.flatnonzero(kern.P[a, i])}
                 assert support == {k for k, v in ref.items() if v > 0}
                 assert np.array_equal(kern.P[a, i], oracle_row(kern, cfg, st, a))
 
@@ -150,8 +188,7 @@ class TestKernel:
         for cfg in kernel_grid():
             kern = TransitionKernel(cfg)
             R = kern.rewards()
-            for i, st in enumerate(zip(kern.q1.tolist(), kern.q2.tolist())):
-                st = QueueState(*st)
+            for i, st in enumerate(domain(cfg)):
                 for a in range(cfg.N + 1):
                     assert np.array_equal(kern.P[a, i], oracle_row(kern, cfg, st, a))
                     assert R[a, i] == reward(cfg, st, a)
@@ -163,14 +200,17 @@ class TestKernel:
         assert np.allclose(sums, 1.0, atol=1e-12)
 
     def test_index_domain(self):
-        # q1 <= q1_max = 2 and q1 + q2 <= q1_max + q2_max = 6, row-major
+        # q1 <= q1_max = 2 and q1 + q2 <= q2_max = 4, row-major
         cfg = ScenarioConfig(N=2, p_e=0.4, w=3, y=1, x1=1, x2=2)
         kern = TransitionKernel(cfg)
-        assert kern.n_states == 7 + 6 + 5
-        assert kern.index(0, 6) == 6 and kern.index(1, 0) == 7 and kern.index(2, 4) == 17
-        for q1, q2 in ((-1, 0), (0, -1), (3, 0), (0, 7), (1, 6), (2, 5)):
-            with pytest.raises(ValueError, match="outside the kernel's domain"):
-                kern.index(q1, q2)
+        states = kern.states
+        assert kern.P.shape == (cfg.N + 1, 12, 12)
+        assert len(states) == 5 + 4 + 3
+        assert states.index(0, 4) == 4 and states.index(1, 0) == 5 and states.index(2, 2) == 11
+        assert states.start == 11
+        for q1, q2 in ((-1, 0), (0, -1), (3, 0), (0, 5), (1, 4), (2, 3)):
+            with pytest.raises(ValueError, match="outside the backlog triangle"):
+                states.index(q1, q2)
 
 
 class TestKernelScenarioGuard:
@@ -256,7 +296,7 @@ class TestValueIteration:
     def test_dead_channel(self):
         cfg = ScenarioConfig(N=2, p_e=1.0, w=3, y=1, x1=1, x2=1)
         table = value_iteration(cfg)
-        for st in build_state_space(cfg):
+        for st in domain(cfg):
             assert table.value(0, st.q1, st.q2) == 0.0
 
     def test_matches_policy_enumeration(self):
@@ -269,7 +309,7 @@ class TestValueIteration:
     def test_value_monotone_in_remaining_frames(self):
         cfg = ScenarioConfig(N=3, p_e=0.4, w=4, y=2, x1=1, x2=1)
         table = value_iteration(cfg)
-        for st in build_state_space(cfg):
+        for st in domain(cfg):
             for k in range(cfg.w):
                 assert table.value(k, st.q1, st.q2) >= table.value(
                     min(k + 1, cfg.w - 1), st.q1, st.q2
@@ -278,7 +318,7 @@ class TestValueIteration:
     def test_value_bounded_by_backlog(self):
         cfg = ScenarioConfig(N=4, p_e=0.3, w=5, y=2, x1=2, x2=1)
         table = value_iteration(cfg)
-        for st in build_state_space(cfg):
+        for st in domain(cfg):
             for k in range(cfg.w):
                 assert table.value(k, st.q1, st.q2) <= st.q1 + st.q2 + 1e-12
 
@@ -313,7 +353,7 @@ class TestPolicyTable:
         cfg = ScenarioConfig(N=2, p_e=0.5, w=1, y=1, x1=0, x2=0)
         lines = value_iteration(cfg).to_text().splitlines()
         assert lines[0].startswith("# policy-table N=2 pe=0.5 w=1")
-        assert len(lines) == 1 + 4  # header + one epoch over 4 states
+        assert len(lines) == 1 + 3  # header + one epoch over the 3 states
         for line in lines[1:]:
             parts = line.split()
             assert len(parts) == 5
@@ -331,8 +371,27 @@ class TestPolicyTable:
     def test_parse_error_carries_line_number(self):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=1, y=1, x1=0, x2=0)
         text = value_iteration(cfg).to_text() + "0 0 0 nonsense\n"
-        with pytest.raises(ValueError, match="line 6"):
+        with pytest.raises(ValueError, match="line 5"):
             PolicyTable.from_text(text)
+
+    # beyond both maxima, a negative backlog (which a numpy index would wrap
+    # to a real state), and the unreachable corner row that tables written
+    # over the backlog rectangle carried
+    @pytest.mark.parametrize("state", ["9 9", "-1 0", "1 1"])
+    def test_state_outside_domain_carries_line_number(self, state):
+        text = f"# policy-table N=2 pe=0.5 w=1 y=1 x1=0 x2=0\n0 {state} 1 0.5\n"
+        with pytest.raises(
+            ValueError, match=rf"line 2: state \({state.replace(' ', ',')}\) outside the backlog triangle"
+        ):
+            PolicyTable.from_text(text)
+
+    def test_lookup_outside_domain_refused(self):
+        table = value_iteration(ScenarioConfig(N=2, p_e=0.5, w=1, y=1, x1=0, x2=0))
+        for q1, q2 in ((1, 1), (-1, 0), (0, 2)):
+            with pytest.raises(ValueError, match="outside the backlog triangle"):
+                table.action(0, q1, q2)
+            with pytest.raises(ValueError, match="outside the backlog triangle"):
+                table.value(0, q1, q2)
 
     def test_header_required(self):
         with pytest.raises(ValueError, match="line 1"):
