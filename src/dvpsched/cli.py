@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 from . import semistatic
 from .dvp import exact_dvp_chain
 from .mdp import BASELINE_KINDS, PolicyTable, TransitionKernel, kernel_key, value_iteration
-from .model import CapExceededError, ScenarioConfig, Schedule
+from .model import CapExceededError, PolicyLookupError, ScenarioConfig, Schedule
 from .sim import SimSpec, simulate
 
 
@@ -159,7 +159,8 @@ def cmd_eval(args) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:
+    except (ValueError, PolicyLookupError) as exc:
+        # a policy file missing a state that the run reaches is malformed
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK

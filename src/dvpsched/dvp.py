@@ -490,7 +490,7 @@ def exact_dvp_chain(
     rho[states.start] = 1.0
     for epoch in range(config.w):
         live = np.flatnonzero(rho)
-        acts = act(epoch, states.q1[live], states.q2[live])
+        acts = act(epoch, live)
         rho = rho[live] @ kernel.P[acts, live]
     # sum the non-empty states directly: 1 - P(empty) would cancel away
     # every DVP below the kernel rows' rounding drift (~1e-14)

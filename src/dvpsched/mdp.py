@@ -32,6 +32,7 @@ from .model import (
     backlog_states,
     binomial_pmf,
     binomial_pmf_table,
+    next_states,
     step_queues,
 )
 
@@ -177,8 +178,7 @@ class TransitionKernel:
             )
         self.states = states = backlog_states(config)
         self.pmf = binomial_pmf_table(config.N, 1.0 - config.p_e)
-        q1 = states.q1[:, None, None]
-        q2 = states.q2[:, None, None]
+        successors = next_states(config)
         row_start = (np.arange(n_states) * n_states)[:, None, None]
         P = np.zeros((n_actions, n_states, n_states))
         for a in range(n_actions):
@@ -187,9 +187,7 @@ class TransitionKernel:
             # contributions arrive in transition_probs' s1-major, s2-minor
             # order, and add.at sums them one by one, so every entry equals
             # transition_probs bit for bit
-            d1 = np.minimum(q1, np.arange(a + 1)[:, None])
-            d2 = np.minimum(q2, np.arange(n2 + 1))
-            nxt = states.lookup[q1 - d1, q2 - d2 + d1]
+            nxt = successors[:, : a + 1, : n2 + 1]
             prob = np.outer(self.pmf[a, : a + 1], self.pmf[n2, : n2 + 1])
             np.add.at(
                 P[a].reshape(-1),
@@ -378,22 +376,20 @@ def baseline_actions(kind: str, q1: np.ndarray, q2: np.ndarray, N: int) -> np.nd
 
 def policy_actions(policy, config: ScenarioConfig):
     """Check a policy against the scenario once and return its vectorised
-    form actions(epoch, q1, q2) -> n1 over equal-length state arrays.
+    form actions(epoch, idx) -> n1, over an array of state indices into
+    model.backlog_states(config).
 
     A policy is a Schedule, a PolicyTable (a missing entry raises
     PolicyLookupError naming the epoch and state), a baseline name from
-    BASELINE_KINDS, or a callable (epoch, q1, q2) -> n1 on ints. The
-    callable is asked once per distinct state, and an action that is not
-    an integer in 0..N raises ValueError naming the epoch and state. The
-    states must lie in model.backlog_states, as every reachable state does.
-    A table's or a baseline's actions are laid out on its lookup grid, so
-    that each frame's are one gather.
+    BASELINE_KINDS, or a callable (epoch, q1, q2) -> n1 on ints. A
+    schedule's or a baseline's actions are laid out over the domain once,
+    so that each frame's, like a table's, are one gather
+    actions[epoch][idx]. The callable is asked once per distinct state,
+    and an action that is not an integer in 0..N raises ValueError naming
+    the epoch and state.
     """
     states = backlog_states(config)
-
-    def on_grid(acts: np.ndarray) -> np.ndarray:
-        return np.where(states.lookup >= 0, acts[..., states.lookup], -1)
-
+    shape = (config.w, len(states))
     if isinstance(policy, Schedule):
         if len(policy) != config.w:
             raise ValueError(
@@ -401,45 +397,46 @@ def policy_actions(policy, config: ScenarioConfig):
             )
         if policy.N != config.N:
             raise ValueError(f"schedule N={policy.N} differs from config N={config.N}")
-        n1 = policy.n1
-        return lambda epoch, q1, q2: np.full(q1.shape, n1[epoch], dtype=np.int64)
-    if isinstance(policy, PolicyTable):
+        actions = np.broadcast_to(np.array(policy.n1, dtype=np.int64)[:, None], shape)
+    elif isinstance(policy, PolicyTable):
         if policy.config != config:
             raise ValueError("policy table was built for a different scenario")
-        grid = on_grid(policy.actions)
-
-        def table(epoch, q1, q2):
-            acts = grid[epoch, q1, q2]
-            if np.any(acts < 0):
-                bad = int(np.argmax(acts < 0))
-                raise PolicyLookupError(
-                    f"no action stored for epoch={epoch} "
-                    f"state=({int(q1[bad])},{int(q2[bad])})"
-                )
-            return acts
-
-        return table
-    if isinstance(policy, str):
+        actions = policy.actions  # -1 marks an entry a partial table lacks
+    elif isinstance(policy, str):
         if policy not in BASELINE_KINDS:
             raise ValueError(f"unknown policy name {policy!r}")
-        # the rules ignore the epoch: evaluate them once over the domain
-        grid = on_grid(baseline_actions(policy, states.q1, states.q2, config.N))
-        return lambda epoch, q1, q2: grid[q1, q2]
-    if not callable(policy):
+        # the rules ignore the epoch
+        actions = np.broadcast_to(
+            baseline_actions(policy, states.q1, states.q2, config.N), shape
+        )
+    elif callable(policy):
+
+        def rule(epoch, idx):
+            index, inverse = np.unique(idx, return_inverse=True)
+            acts = []
+            for s1, s2 in zip(states.q1[index].tolist(), states.q2[index].tolist()):
+                a = policy(epoch, s1, s2)
+                # a float such as 2.0 is refused, not truncated to an action
+                if not isinstance(a, numbers.Integral) or not 0 <= a <= config.N:
+                    raise ValueError(
+                        f"policy returned n1={a} outside the integers 0..{config.N} "
+                        f"at epoch={epoch} state=({s1},{s2})"
+                    )
+                acts.append(a)
+            return np.array(acts, dtype=np.int64)[inverse]
+
+        return rule
+    else:
         raise TypeError(f"cannot interpret {type(policy).__name__} as a policy")
 
-    def rule(epoch, q1, q2):
-        index, inverse = np.unique(states.lookup[q1, q2], return_inverse=True)
-        acts = []
-        for s1, s2 in zip(states.q1[index].tolist(), states.q2[index].tolist()):
-            a = policy(epoch, s1, s2)
-            # a float such as 2.0 is refused, not truncated to an action
-            if not isinstance(a, numbers.Integral) or not 0 <= a <= config.N:
-                raise ValueError(
-                    f"policy returned n1={a} outside the integers 0..{config.N} "
-                    f"at epoch={epoch} state=({s1},{s2})"
-                )
-            acts.append(a)
-        return np.array(acts, dtype=np.int64)[inverse]
+    def table(epoch, idx):
+        acts = actions[epoch][idx]
+        missing = np.flatnonzero(acts < 0)
+        if missing.size:
+            i = idx[missing[0]]
+            raise PolicyLookupError(
+                f"no action stored for epoch={epoch} state=({states.q1[i]},{states.q2[i]})"
+            )
+        return acts
 
-    return rule
+    return table

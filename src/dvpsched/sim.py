@@ -4,11 +4,15 @@ Each replication owns a fixed range of counter blocks of a Philox generator
 keyed by the seed (one block budget per replication, sized by the horizon),
 so the random inputs of replication r never depend on chunking or worker
 scheduling: identical (config, spec) give bit-identical results. Binomial
-service draws use one uniform per link per frame, inverted through the
-binomial distribution function: a guide table (indexed search, Chen & Asau
-1974) resolves most draws from the uniform's bucket, and the few that fall
-in a bucket holding a threshold are counted exactly against the whole row,
-so the draws, and the stream, are the same as with full counting.
+service draws use one raw 64-bit Philox word per link per frame, inverted
+through the binomial distribution function at the uniform
+(word >> 11) * 2**-53 that Generator.random makes of it. A guide table
+(indexed search, Chen & Asau 1974) resolves most draws from the word's top
+GUIDE_BITS bits, the uniform's bucket; only the few in a bucket holding a
+threshold form the uniform and are counted exactly against the whole row,
+so the draws, and the stream, are the same as with full counting. Each
+replication's backlog is one index into model.backlog_states, which a
+frame moves with one gather from model.next_states.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mdp import policy_actions
-from .model import ScenarioConfig, binomial_cdf_table
+from .model import ScenarioConfig, backlog_states, binomial_cdf_table, next_states
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 DEFAULT_CHUNK = 1 << 14
@@ -96,14 +100,16 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _draw(u: np.ndarray, acts: np.ndarray, cdf: np.ndarray, guide: np.ndarray):
-    """#{cdf[acts[i]] <= u[i]} for each i, and how many draws needed the
-    exact count. u * 2**GUIDE_BITS is an exact scaling, so each draw lands
-    in its true bucket."""
-    s = guide[(acts << GUIDE_BITS) + (u * (1 << GUIDE_BITS)).astype(np.intp)]
+def _draw(buckets, words, acts, cdf, guide):
+    """#{cdf[acts[i]] <= u[i]} for each i, where u[i] = (words[i] >> 11)
+    * 2**-53 is the uniform Generator.random makes of the raw Philox word
+    and buckets[i] = words[i] >> (64 - GUIDE_BITS) is its guide bucket;
+    and how many draws needed the exact count, the only ones that form u."""
+    s = guide[(acts << GUIDE_BITS) + buckets]
     exact = np.flatnonzero(s < 0)
     if exact.size:
-        s[exact] = (u[exact, None] >= cdf[acts[exact]]).sum(axis=1)
+        u = (words[exact] >> 11) * 2.0**-53
+        s[exact] = (u[:, None] >= cdf[acts[exact]]).sum(axis=1)
     return s, exact.size
 
 
@@ -123,8 +129,10 @@ def simulate(
     start = time.perf_counter()
     act = policy_actions(spec.policy, config)
     w, N = config.w, config.N
-    q = 1.0 - config.p_e
-    cdf = _inversion_table(N, q)
+    states = backlog_states(config)
+    backlog = states.q1 + states.q2
+    nxt = next_states(config).ravel()
+    cdf = _inversion_table(N, 1.0 - config.p_e)
     guide = _guide_table(cdf)
     words_per_rep = 2 * w
     blocks_per_rep = -(-words_per_rep // 4)  # Philox yields 4 words per block
@@ -136,23 +144,20 @@ def simulate(
     done = 0
     while done < spec.replications:
         n = min(chunk_size, spec.replications - done)
-        gen = np.random.Generator(
-            np.random.Philox(key=spec.seed, counter=done * blocks_per_rep)
-        )
-        u = gen.random((n, row))[:, :words_per_rep]
-        q1 = np.full(n, config.first_hop_load, dtype=np.int64)
-        q2 = np.full(n, config.x2, dtype=np.int64)
+        philox = np.random.Philox(key=spec.seed, counter=done * blocks_per_rep)
+        words = philox.random_raw(n * row).reshape(n, row)[:, :words_per_rep]
+        # each bucket is below 2**GUIDE_BITS, so 16 bits hold it
+        buckets = np.empty(words.shape, dtype=np.uint16)
+        np.right_shift(words, 64 - GUIDE_BITS, out=buckets, casting="unsafe")
+        idx = np.full(n, states.start)
         for k in range(w):
-            acts = act(k, q1, q2)
-            s1, f1 = _draw(u[:, k], acts, cdf, guide)
-            s2, f2 = _draw(u[:, w + k], N - acts, cdf, guide)
+            acts = act(k, idx)
+            s1, f1 = _draw(buckets[:, k], words[:, k], acts, cdf, guide)
+            s2, f2 = _draw(buckets[:, w + k], words[:, w + k], N - acts, cdf, guide)
             fallbacks += f1 + f2
-            d1 = np.minimum(q1, s1)
-            q1 = q1 - d1
-            q2 = np.maximum(q2 - s2, 0) + d1
-        left = q1 + q2
-        violations += int((left > 0).sum())
-        departed += int((config.total_load - left).sum())
+            idx = nxt[(idx * (N + 1) + s1) * (N + 1) + s2]
+        violations += int(np.count_nonzero(states.nonempty[idx]))
+        departed += n * config.total_load - int(backlog[idx].sum())
         done += n
 
     n_total = spec.replications

@@ -258,6 +258,22 @@ class TestEval:
         assert code == 2
         assert "line 2: state" in err and "outside the backlog triangle" in err
 
+    @pytest.mark.parametrize("evaluator", ["exact", "monte-carlo"])
+    def test_partial_policy_file_names_missing_state(self, capsys, tmp_path, evaluator):
+        config = ("--N", "2", "--pe", "0.5", "--w", "2", "--y", "1", "--x1", "0", "--x2", "0")
+        path = tmp_path / "table.txt"
+        run_cli(capsys, "solve", *config, "--method", "mdp", "--out", str(path))
+        # drop every epoch-1 row with q1 == 1 (reachable when frame 0 fails)
+        kept = [ln for ln in path.read_text().splitlines() if not ln.startswith("1 1")]
+        path.write_text("\n".join(kept) + "\n")
+        code, out, err = run_cli(
+            capsys, "eval", *config, "--policy-file", str(path),
+            "--evaluator", evaluator, "--reps", "1000",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: no action stored for epoch=1 state=(1,0)\n"
+
     def test_exact_refuses_oversized_instance(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -20,8 +20,16 @@ from dvpsched import (
     transition_probs_casewise,
     value_iteration,
 )
-from dvpsched.mdp import baseline_actions
+from dvpsched.mdp import BASELINE_KINDS, baseline_actions, policy_actions
 from dvpsched.model import backlog_states
+
+
+def criterion_05_grid():
+    """The configs of acceptance criterion 05: loads y + x1 <= 3, x2 <= 3,
+    N <= 6, two loss rates."""
+    for y, x1 in ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (3, 0)):
+        for x2, N, pe in itertools.product(range(4), range(1, 7), (0.35, 0.7)):
+            yield ScenarioConfig(N=N, p_e=pe, w=2, y=y, x1=x1, x2=x2)
 
 
 def random_config(rng, max_N=4):
@@ -514,3 +522,46 @@ class TestResolvePolicy:
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
         rule = lambda epoch, q1, q2: np.int64(1)
         assert exact_dvp_chain(cfg, rule) == exact_dvp_chain(cfg, Schedule(n1=(1, 1), N=2))
+
+
+class TestPolicyActions:
+    """policy_actions reads every policy kind over state indices."""
+
+    def test_index_gathers_match_the_rules_and_tables(self):
+        for cfg in criterion_05_grid():
+            states = backlog_states(cfg)
+            # every state, in order and then reversed and repeated
+            every = np.arange(len(states))
+            idx = np.concatenate([every, every[::-1], every])
+            table = value_iteration(cfg)
+            schedule = Schedule(n1=(cfg.N, 0), N=cfg.N)
+            for k in range(cfg.w):
+                for kind in BASELINE_KINDS:
+                    want = baseline_actions(kind, states.q1[idx], states.q2[idx], cfg.N)
+                    assert np.array_equal(policy_actions(kind, cfg)(k, idx), want), (cfg, kind)
+                got = policy_actions(table, cfg)(k, idx)
+                assert np.array_equal(got, table.actions[k, idx]), cfg
+                got = policy_actions(schedule, cfg)(k, idx)
+                assert np.array_equal(got, np.full(idx.shape, schedule.n1[k])), cfg
+
+    def test_callable_asked_once_per_distinct_state_and_frame(self):
+        cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
+        calls = []
+
+        def rule(epoch, q1, q2):
+            calls.append((epoch, q1, q2))
+            return 3 if q1 >= q2 else 0
+
+        act = policy_actions(rule, cfg)
+        states = backlog_states(cfg)
+        idx = np.array([4, 0, 4, 2, 0, 4])
+        assert np.array_equal(act(1, idx), baseline_actions("mw", states.q1[idx], states.q2[idx], 3))
+        assert sorted(calls) == sorted((1, states.q1[i], states.q2[i]) for i in (0, 2, 4))
+        # one chunk: each state a frame reaches is asked about once
+        calls.clear()
+        assert simulate(cfg, SimSpec(5000, 2, rule)) == simulate(cfg, SimSpec(5000, 2, "mw"))
+        assert len(calls) == len(set(calls))
+        assert {epoch for epoch, _, _ in calls} == set(range(cfg.w))
+        calls.clear()
+        assert exact_dvp_chain(cfg, rule) == exact_dvp_chain(cfg, "mw")
+        assert len(calls) == len(set(calls))

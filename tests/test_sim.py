@@ -126,6 +126,25 @@ GOLDEN_BENCH_SCALE = {
     ),
 }
 M_SIZE = (10, 0.5, 8, 5, 5, 5)
+# the exact_fallbacks of each GOLDEN_BENCH_SCALE run, recorded with the
+# draws read from Generator.random; equality leaves the field out
+GOLDEN_BENCH_FALLBACKS = {
+    ((6, 0.4, 6, 1, 3, 3), "mdp"): 1758,
+    ((6, 0.4, 6, 1, 3, 3), "mw"): 1756,
+    ((6, 0.4, 6, 1, 3, 3), "wfq"): 1758,
+    ((6, 0.4, 6, 1, 3, 3), "bp"): 1793,
+    ((6, 0.4, 6, 1, 3, 3), "fifty"): 1699,
+    ((6, 0.3, 4, 1, 2, 2), "mdp"): 1199,
+    ((6, 0.3, 4, 1, 2, 2), "mw"): 1220,
+    ((6, 0.3, 4, 1, 2, 2), "wfq"): 1196,
+    ((6, 0.3, 4, 1, 2, 2), "bp"): 1125,
+    ((6, 0.3, 4, 1, 2, 2), "fifty"): 1209,
+    ((10, 0.5, 8, 5, 5, 5), "mdp"): 3193,
+    ((10, 0.5, 8, 5, 5, 5), "mw"): 3101,
+    ((10, 0.5, 8, 5, 5, 5), "wfq"): 3503,
+    ((10, 0.5, 8, 5, 5, 5), "bp"): 3169,
+    ((10, 0.5, 8, 5, 5, 5), "fifty"): 3241,
+}
 
 
 class TestSimulate:
@@ -167,6 +186,23 @@ class TestSimulate:
         policy = value_iteration(cfg) if name == "mdp" else name
         res = simulate(cfg, SimSpec(50_000, 1, policy))
         assert res == GOLDEN_BENCH_SCALE[cell]
+
+    @pytest.mark.parametrize("cell", sorted(GOLDEN_BENCH_FALLBACKS), ids=str)
+    def test_exact_fallbacks_at_bench_scale(self, cell):
+        scenario, name = cell
+        cfg = ScenarioConfig(*scenario)
+        policy = value_iteration(cfg) if name == "mdp" else name
+        res = simulate(cfg, SimSpec(50_000, 1, policy))
+        assert res.exact_fallbacks == GOLDEN_BENCH_FALLBACKS[cell]
+
+    def test_chunking_does_not_change_the_padded_stream(self):
+        # 2w = 10 words per replication fill 3 Philox blocks of 4, so each
+        # replication's row ends in 2 unused words
+        cfg = ScenarioConfig(N=5, p_e=0.35, w=5, y=2, x1=1, x2=2)
+        spec = SimSpec(2000, 5, value_iteration(cfg))
+        results = [simulate(cfg, spec, chunk_size=c) for c in (1, 3, DEFAULT_CHUNK)]
+        assert results[0] == results[1] == results[2]
+        assert len({r.exact_fallbacks for r in results}) == 1
 
     def test_chunking_does_not_change_the_bench_scale_stream(self):
         cfg = ScenarioConfig(*M_SIZE)
@@ -332,9 +368,38 @@ class TestInversionSampling:
                 # lies strictly inside it
                 inside = (cdf[a] > edges[:, None]) & (cdf[a] < edges[:, None] + 1 / buckets)
                 assert np.array_equal(table[a] < 0, inside.any(axis=1)), (N, a)
-                drawn, fallbacks = _draw(u, np.full(u.shape, a), cdf, guide)
-                assert np.array_equal(drawn, exact), (N, a)
-                assert fallbacks == (~resolved).sum()
+                # the same points as raw Philox words: the 53-bit values on
+                # either side of each, with the 11 low bits, which the
+                # uniform drops, clear and set
+                m = np.ceil(points * 2.0**53).astype(np.int64)
+                m = np.clip(np.concatenate([m - 1, m, m + 1]), 0, 2**53 - 1).astype(np.uint64)
+                words = np.concatenate([m << 11, (m << 11) | 0x7FF])
+                bucket = (words >> (64 - GUIDE_BITS)).astype(np.uint16)
+                drawn, fallbacks = _draw(bucket, words, np.full(words.shape, a), cdf, guide)
+                u = (words >> 11) * 2.0**-53
+                assert np.array_equal(drawn, (u[:, None] >= cdf[a]).sum(axis=1)), (N, a)
+                assert fallbacks == (table[a, bucket] < 0).sum()
+
+    @pytest.mark.parametrize(
+        "key, counter", [(0, 0), (1, 0), (11, 3), (7, 2**40 + 5), (2**64 - 1, 2**255)]
+    )
+    def test_raw_words_are_generator_uniforms(self, key, counter):
+        # simulate forms the uniform from the raw word only where its bucket
+        # holds a threshold, so the two must agree bit for bit
+        words = np.random.Philox(key=key, counter=counter).random_raw(4099)
+        u = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(4099)
+        assert np.array_equal(((words >> 11) * 2.0**-53).view(np.uint64), u.view(np.uint64))
+        assert np.array_equal(words >> (64 - GUIDE_BITS), np.floor(u * (1 << GUIDE_BITS)))
+
+    def test_edge_words_land_in_their_bucket(self):
+        edges = [b << (64 - GUIDE_BITS) for b in range(1 << GUIDE_BITS)] + [2**64]
+        words = {0, 2**64 - 1} | {e + d for e in edges for d in (-1, 0, 1)}
+        words = np.array(sorted(v for v in words if 0 <= v < 2**64), dtype=np.uint64)
+        u = (words >> 11) * 2.0**-53
+        exact = [(int(v) >> 11) / 2**53 for v in words]
+        assert np.array_equal(u, np.array(exact))
+        assert u.max() < 1.0
+        assert np.array_equal(words >> (64 - GUIDE_BITS), np.floor(u * (1 << GUIDE_BITS)))
 
     def test_support_and_mean(self):
         # drawn service stays within the slot count and matches the
