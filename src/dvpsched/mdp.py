@@ -178,7 +178,7 @@ class TransitionKernel:
             )
         self.states = states = backlog_states(config)
         self.pmf = binomial_pmf_table(config.N, 1.0 - config.p_e)
-        successors = next_states(config)
+        relayed, kept = next_states(config)
         row_start = (np.arange(n_states) * n_states)[:, None, None]
         P = np.zeros((n_actions, n_states, n_states))
         for a in range(n_actions):
@@ -187,7 +187,7 @@ class TransitionKernel:
             # contributions arrive in transition_probs' s1-major, s2-minor
             # order, and add.at sums them one by one, so every entry equals
             # transition_probs bit for bit
-            nxt = successors[:, : a + 1, : n2 + 1]
+            nxt = relayed[:, : a + 1, None] + kept[:, None, : n2 + 1]
             prob = np.outer(self.pmf[a, : a + 1], self.pmf[n2, : n2 + 1])
             np.add.at(
                 P[a].reshape(-1),

@@ -152,20 +152,19 @@ def backlog_states(config: ScenarioConfig) -> BacklogStates:
     return BacklogStates(q1, q2, lookup, int(lookup[config.first_hop_load, config.x2]), nonempty)
 
 
-def next_states(config: ScenarioConfig) -> np.ndarray:
-    """nxt[i, s1, s2], for service s1, s2 in 0..N: the index in
-    backlog_states(config) of the state that state i moves to when the
-    frame grants s1 services to link 1 and s2 to link 2, as step_queues
-    moves it."""
+def next_states(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(relayed, kept), each S x (N + 1): under service s1, s2 in 0..N,
+    state i of backlog_states(config) moves to relayed[i, s1] + kept[i, s2],
+    as step_queues moves it. States are numbered row-major, so (a, b) is b
+    past (a, 0): relayed[i, s1] indexes (q1 - d1, d1), kept[i, s2] is
+    q2 - d2. Two parts keep memory linear in S; their sum would not."""
     states = backlog_states(config)
-    q1 = states.q1[:, None]
-    q2 = states.q2[:, None]
     service = np.arange(config.N + 1)
-    d1 = np.minimum(q1, service)
-    # states are numbered row-major, so (a, b) is b past (a, 0); summing
-    # the two queues' parts makes no temporary of the table's size
-    row = states.lookup[q1 - d1, 0] + d1
-    return row[:, :, None] + (q2 - np.minimum(q2, service))[:, None, :]
+    d1 = np.minimum(states.q1[:, None], service)
+    relayed = states.lookup[states.q1[:, None] - d1, 0]
+    relayed += d1
+    kept = states.q2[:, None] - service
+    return relayed, np.maximum(kept, 0, out=kept)
 
 
 def binomial_pmf(n: int, p: float, r: int) -> float:

@@ -12,7 +12,7 @@ GUIDE_BITS bits, the uniform's bucket; only the few in a bucket holding a
 threshold form the uniform and are counted exactly against the whole row,
 so the draws, and the stream, are the same as with full counting. Each
 replication's backlog is one index into model.backlog_states, which a
-frame moves with one gather from model.next_states.
+frame moves by adding two gathers from model.next_states' parts.
 """
 from __future__ import annotations
 
@@ -131,7 +131,7 @@ def simulate(
     w, N = config.w, config.N
     states = backlog_states(config)
     backlog = states.q1 + states.q2
-    nxt = next_states(config).ravel()
+    relayed, kept = (part.ravel() for part in next_states(config))
     cdf = _inversion_table(N, 1.0 - config.p_e)
     guide = _guide_table(cdf)
     words_per_rep = 2 * w
@@ -155,7 +155,8 @@ def simulate(
             s1, f1 = _draw(buckets[:, k], words[:, k], acts, cdf, guide)
             s2, f2 = _draw(buckets[:, w + k], words[:, w + k], N - acts, cdf, guide)
             fallbacks += f1 + f2
-            idx = nxt[(idx * (N + 1) + s1) * (N + 1) + s2]
+            idx *= N + 1
+            idx = relayed[idx + s1] + kept[idx + s2]
         violations += int(np.count_nonzero(states.nonempty[idx]))
         departed += n * config.total_load - int(backlog[idx].sum())
         done += n

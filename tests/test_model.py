@@ -179,13 +179,14 @@ class TestNextStates:
     )
     def test_every_entry_is_step_queues(self, cfg):
         states = backlog_states(cfg)
-        nxt = next_states(cfg)
-        assert nxt.shape == (len(states), cfg.N + 1, cfg.N + 1)
+        relayed, kept = next_states(cfg)
+        assert relayed.shape == kept.shape == (len(states), cfg.N + 1)
         for i, state in enumerate(zip(states.q1.tolist(), states.q2.tolist())):
             for s1 in range(cfg.N + 1):
                 for s2 in range(cfg.N + 1):
                     moved, _ = step_queues(QueueState(*state), s1, s2)
-                    assert nxt[i, s1, s2] == states.index(*moved), (state, s1, s2)
+                    nxt = relayed[i, s1] + kept[i, s2]
+                    assert nxt == states.index(*moved), (state, s1, s2)
 
 
 class TestConfigAndSchedule:
