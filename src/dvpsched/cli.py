@@ -18,7 +18,7 @@ from . import semistatic
 from .dvp import exact_dvp_chain
 from .mdp import BASELINE_KINDS, PolicyTable, TransitionKernel, kernel_key, value_iteration
 from .model import CapExceededError, PolicyLookupError, ScenarioConfig, Schedule
-from .sim import SimSpec, simulate
+from .sim import SimSpec, check_counts, simulate, simulate_policies
 
 
 class Sources(NamedTuple):
@@ -183,6 +183,9 @@ class SweepSpec:
     seed: int = 0
 
 
+SCALAR_KEYS = ("evaluator", "reps", "seed")
+
+
 def parse_sweep_file(text: str) -> SweepSpec:
     """Flat key = value syntax, commas separate list entries, # comments."""
     values: dict[str, list[str]] = {}
@@ -199,6 +202,8 @@ def parse_sweep_file(text: str) -> SweepSpec:
             raise ValueError(f"line {lineno}: no values for {key!r}")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        if key in SCALAR_KEYS and len(items) > 1:
+            raise ValueError(f"line {lineno}: {key} takes one value")
         values[key] = items
 
     known = {"x1", "x2", "w", "N", "pe", "y", "policies", "evaluator", "reps", "seed"}
@@ -217,6 +222,9 @@ def parse_sweep_file(text: str) -> SweepSpec:
     evaluator = values.get("evaluator", ["exact"])[0]
     if evaluator not in ("exact", "monte-carlo"):
         raise ValueError(f"evaluator must be exact or monte-carlo, got {evaluator!r}")
+    reps = int(values.get("reps", ["1000000"])[0])
+    seed = int(values.get("seed", ["0"])[0])
+    check_counts(reps, seed)
     return SweepSpec(
         x1=[int(v) for v in values["x1"]],
         x2=[int(v) for v in values["x2"]],
@@ -226,25 +234,39 @@ def parse_sweep_file(text: str) -> SweepSpec:
         y=[int(v) for v in values["y"]],
         policies=policies,
         evaluator=evaluator,
-        reps=int(values.get("reps", ["1000000"])[0]),
-        seed=int(values.get("seed", ["0"])[0]),
+        reps=reps,
+        seed=seed,
     )
 
 
-def _sweep_cell(config: ScenarioConfig, policy_name: str, spec: SweepSpec, sources: Sources):
-    """Evaluate one (config, policy) cell; returns (dvp, ci_low, ci_high)."""
-    method = METHODS[policy_name]
+def _cell_policy(config: ScenarioConfig, policy_name: str, sources: Sources):
+    """The schedule, table or baseline name that one sweep cell evaluates."""
     if policy_name == "fifty":
         # the cell evaluates the schedule itself; fifty_fifty would score it too
-        policy = semistatic.even_split(config)
-    else:
-        policy = method.solve(config, sources)
-        if method.score:
-            policy = policy.schedule
-    if spec.evaluator == "exact":
-        return exact_dvp_chain(config, policy, kernel=sources.kernel(config)).dvp, None, None
-    sim = simulate(config, SimSpec(spec.reps, spec.seed, policy))
-    return sim.dvp_hat, sim.ci_low, sim.ci_high
+        return semistatic.even_split(config)
+    method = METHODS[policy_name]
+    policy = method.solve(config, sources)
+    return policy.schedule if method.score else policy
+
+
+def _simulate_rows(config: ScenarioConfig, jobs: list, spec: SweepSpec) -> None:
+    """Fill in one scenario's Monte Carlo rows, given as (row, policy)
+    pairs, from one joint run over its policies. Each row's ms gains an
+    equal share of the run, and a run that raises ValueError gives every
+    row its error."""
+    start = time.perf_counter()
+    try:
+        sims = simulate_policies(config, [policy for _, policy in jobs], spec.reps, spec.seed)
+        error = ""
+    except ValueError as exc:
+        sims, error = [None] * len(jobs), str(exc)
+    share = (time.perf_counter() - start) * 1e3 / len(jobs)
+    for (row, _), sim in zip(jobs, sims):
+        row.ms += share
+        if sim is None:
+            row.error = error
+        else:
+            row.dvp, row.ci_low, row.ci_high = sim.dvp_hat, sim.ci_low, sim.ci_high
 
 
 def _last_kernel() -> Callable:
@@ -327,22 +349,29 @@ def run_sweep(spec: SweepSpec, out) -> int:
         _last_kernel() if spec.evaluator == "exact" else TransitionKernel,
     )
     for x1, x2, w, N, pe, y in cells:
+        rows = []
+        jobs = []  # Monte Carlo rows, simulated together once all are solved
         for policy_name in sorted(spec.policies):
             start = time.perf_counter()
-            dvp = lo = hi = None
-            error = ""
-            try:
-                config = ScenarioConfig(N=N, p_e=pe, w=w, y=y, x1=x1, x2=x2)
-                dvp, lo, hi = _sweep_cell(config, policy_name, spec, sources)
-            except (ValueError, CapExceededError) as exc:
-                error = str(exc)
-                failures += 1
             row = SweepRow(
                 x1=x1, x2=x2, w=w, N=N, pe=pe, y=y, policy=policy_name,
-                dvp=dvp, ci_low=lo, ci_high=hi,
-                ms=(time.perf_counter() - start) * 1e3, error=error,
+                dvp=None, ci_low=None, ci_high=None, ms=0.0,
             )
-            out.write(row.to_csv() + "\n")
+            try:
+                config = ScenarioConfig(N=N, p_e=pe, w=w, y=y, x1=x1, x2=x2)
+                policy = _cell_policy(config, policy_name, sources)
+                if spec.evaluator == "exact":
+                    row.dvp = exact_dvp_chain(config, policy, kernel=sources.kernel(config)).dvp
+                else:
+                    jobs.append((row, policy))
+            except (ValueError, CapExceededError) as exc:
+                row.error = str(exc)
+            row.ms = (time.perf_counter() - start) * 1e3
+            rows.append(row)
+        if jobs:
+            _simulate_rows(config, jobs, spec)
+        failures += sum(1 for row in rows if row.error)
+        out.writelines(row.to_csv() + "\n" for row in rows)
     return EXIT_CELL_FAILURES if failures else EXIT_OK
 
 

@@ -13,6 +13,8 @@ threshold form the uniform and are counted exactly against the whole row,
 so the draws, and the stream, are the same as with full counting. Each
 replication's backlog is one index into model.backlog_states, which a
 frame moves by adding two gathers from model.next_states' parts.
+simulate_policies runs several policies of one scenario over the same
+words (common random numbers), drawing each chunk once for all of them.
 """
 from __future__ import annotations
 
@@ -41,21 +43,27 @@ class SimSpec:
     policy: object
 
     def __post_init__(self):
-        for name in ("replications", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        check_counts(self.replications, self.seed)
+
+
+def check_counts(replications, seed) -> None:
+    """Raise TypeError unless both are integers (not bools), ValueError
+    unless replications >= 1 and the seed fits in 64 bits."""
+    for name, value in (("replications", replications), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
 
 
 @dataclass(frozen=True)
 class SimResult:
-    """The estimate and its Wilson interval. wall_s (the run's wall time)
-    and exact_fallbacks (the draws the guide table left to exact counting)
-    say how it was obtained and take no part in equality."""
+    """The estimate and its Wilson interval. wall_s (the wall time of the
+    call that produced the result, so the results of one simulate_policies
+    call share it) and exact_fallbacks (the draws the guide table left to
+    exact counting) say how it was obtained and take no part in equality."""
 
     dvp_hat: float
     ci_low: float
@@ -118,16 +126,40 @@ def simulate(
 ) -> SimResult:
     """Estimate DVP and expected departures for a policy; Wilson 95% CI.
 
-    The policy is checked against the scenario before any draw and then
+    The one-policy call of simulate_policies, which says how the policy is
+    asked for actions. The result does not depend on chunk_size. A run is
+    a violation iff any packet is still queued after the final frame.
+    """
+    return simulate_policies(
+        config, [spec.policy], spec.replications, spec.seed, chunk_size
+    )[0]
+
+
+def simulate_policies(
+    config: ScenarioConfig,
+    policies,
+    replications: int,
+    seed: int,
+    chunk_size: int = DEFAULT_CHUNK,
+) -> list[SimResult]:
+    """simulate(config, SimSpec(replications, seed, policy), chunk_size)
+    for each policy, in order, over one stream: each chunk's Philox words
+    and guide buckets are made once and every policy's frames run over
+    them in turn (common random numbers). A policy's result, its
+    exact_fallbacks included, depends on neither the other policies, nor
+    their order, nor chunk_size; the results share the call's wall_s.
+
+    Every policy is checked against the scenario before any draw and then
     asked for the actions of a whole chunk of replications per frame, so
     a callable is called once per distinct state in each chunk and frame.
-    The result does not depend on chunk_size. A run is a violation iff any
-    packet is still queued after the final frame.
     """
+    check_counts(replications, seed)
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     start = time.perf_counter()
-    act = policy_actions(spec.policy, config)
+    actions = [policy_actions(policy, config) for policy in policies]
+    if not actions:
+        return []
     w, N = config.w, config.N
     states = backlog_states(config)
     backlog = states.q1 + states.q2
@@ -138,37 +170,41 @@ def simulate(
     blocks_per_rep = -(-words_per_rep // 4)  # Philox yields 4 words per block
     row = 4 * blocks_per_rep
 
-    violations = 0
-    departed = 0
-    fallbacks = 0
+    violations = [0] * len(actions)
+    departed = [0] * len(actions)
+    fallbacks = [0] * len(actions)
     done = 0
-    while done < spec.replications:
-        n = min(chunk_size, spec.replications - done)
-        philox = np.random.Philox(key=spec.seed, counter=done * blocks_per_rep)
+    while done < replications:
+        n = min(chunk_size, replications - done)
+        philox = np.random.Philox(key=seed, counter=done * blocks_per_rep)
         words = philox.random_raw(n * row).reshape(n, row)[:, :words_per_rep]
         # each bucket is below 2**GUIDE_BITS, so 16 bits hold it
         buckets = np.empty(words.shape, dtype=np.uint16)
         np.right_shift(words, 64 - GUIDE_BITS, out=buckets, casting="unsafe")
-        idx = np.full(n, states.start)
-        for k in range(w):
-            acts = act(k, idx)
-            s1, f1 = _draw(buckets[:, k], words[:, k], acts, cdf, guide)
-            s2, f2 = _draw(buckets[:, w + k], words[:, w + k], N - acts, cdf, guide)
-            fallbacks += f1 + f2
-            idx *= N + 1
-            idx = relayed[idx + s1] + kept[idx + s2]
-        violations += int(np.count_nonzero(states.nonempty[idx]))
-        departed += n * config.total_load - int(backlog[idx].sum())
+        for i, act in enumerate(actions):
+            idx = np.full(n, states.start)
+            for k in range(w):
+                acts = act(k, idx)
+                s1, f1 = _draw(buckets[:, k], words[:, k], acts, cdf, guide)
+                s2, f2 = _draw(buckets[:, w + k], words[:, w + k], N - acts, cdf, guide)
+                fallbacks[i] += f1 + f2
+                idx *= N + 1
+                idx = relayed[idx + s1] + kept[idx + s2]
+            violations[i] += int(np.count_nonzero(states.nonempty[idx]))
+            departed[i] += n * config.total_load - int(backlog[idx].sum())
         done += n
 
-    n_total = spec.replications
-    lo, hi = wilson_interval(violations, n_total)
-    return SimResult(
-        dvp_hat=violations / n_total,
-        ci_low=lo,
-        ci_high=hi,
-        mean_departures=departed / n_total,
-        replications=n_total,
-        wall_s=time.perf_counter() - start,
-        exact_fallbacks=fallbacks,
-    )
+    wall_s = time.perf_counter() - start
+    results = []
+    for v, d, f in zip(violations, departed, fallbacks):
+        lo, hi = wilson_interval(v, replications)
+        results.append(SimResult(
+            dvp_hat=v / replications,
+            ci_low=lo,
+            ci_high=hi,
+            mean_departures=d / replications,
+            replications=replications,
+            wall_s=wall_s,
+            exact_fallbacks=f,
+        ))
+    return results

@@ -8,8 +8,10 @@ import pytest
 from dvpsched import (
     PolicyTable,
     ScenarioConfig,
+    SimSpec,
     TransitionKernel,
     exact_dvp_chain,
+    simulate,
     value_iteration,
 )
 from dvpsched import cli
@@ -325,6 +327,40 @@ class TestSweepParsing:
         with pytest.raises(ValueError, match="rr"):
             parse_sweep_file(SWEEP_TEXT.replace("mw", "rr"))
 
+    @pytest.mark.parametrize(
+        "line", ["evaluator = monte-carlo, exact", "reps = 1000, 5", "seed = 3, 4"]
+    )
+    def test_scalar_key_takes_one_value(self, capsys, tmp_path, line):
+        # the scalar takes the place of SWEEP_TEXT's evaluator line, line 10
+        text = SWEEP_TEXT.replace("evaluator = exact", line)
+        key = line.split(" ")[0]
+        with pytest.raises(ValueError, match=f"^line 10: {key} takes one value$"):
+            parse_sweep_file(text)
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text(text)
+        code, out, err = run_cli(capsys, "sweep", str(sweep))
+        assert (code, out) == (2, "")
+        assert f"{key} takes one value" in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("seed = -1", "seed must fit in 64 bits"),
+            (f"seed = {2**64}", "seed must fit in 64 bits"),
+            ("reps = 0", "replications must be >= 1, got 0"),
+        ],
+    )
+    def test_malformed_monte_carlo_settings_rejected(self, capsys, tmp_path, line, message):
+        # SimSpec's own messages, once for the sweep, not once per cell
+        text = SWEEP_TEXT.replace("evaluator = exact", "evaluator = monte-carlo\n" + line)
+        with pytest.raises(ValueError, match=message):
+            parse_sweep_file(text)
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text(text)
+        code, out, err = run_cli(capsys, "sweep", str(sweep))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
 
 class TestSweepRun:
     def test_semistatic_sweep_file_golden(self):
@@ -394,6 +430,63 @@ class TestSweepRun:
         row = buf.getvalue().splitlines()[1].split(",")
         assert float(row[8]) <= float(row[7]) <= float(row[9])
 
+    def test_dynamic_sweep_file_monte_carlo_golden(self):
+        # sweeps/dynamic-deadlines.sweep under Monte Carlo, recorded while
+        # each cell drew its own stream; ms column dropped
+        text = (SWEEPS / "dynamic-deadlines.sweep").read_text().replace(
+            "evaluator = exact", "evaluator = monte-carlo\nreps = 20000\nseed = 5"
+        )
+        buf = io.StringIO()
+        assert run_sweep(parse_sweep_file(text), buf) == 0
+        got = [line.rsplit(",", 1)[0] for line in buf.getvalue().splitlines()]
+        assert got == (GOLDEN / "dynamic-deadlines-mc.csv").read_text().splitlines()
+
+    def test_monte_carlo_cell_over_cap_leaves_the_others_alone(self):
+        # opt's search of 11^6 schedules exceeds its cap; mw still runs
+        spec = parse_sweep_file(
+            "x1=1\nx2=1\nw=6\nN=12\npe=0.2\ny=1\npolicies=opt, mw\n"
+            "evaluator=monte-carlo\nreps=3000\nseed=8\n"
+        )
+        buf = io.StringIO()
+        assert run_sweep(spec, buf) == 4
+        rows = {r.policy: r for r in map(SweepRow.from_csv, buf.getvalue().splitlines()[1:])}
+        assert sorted(rows) == ["mw", "opt"]
+        assert rows["opt"].error.startswith("exhaustive search over 1771561 schedules")
+        assert rows["opt"].dvp is None
+        cfg = ScenarioConfig(N=12, p_e=0.2, w=6, y=1, x1=1, x2=1)
+        solo = simulate(cfg, SimSpec(3000, 8, "mw"))
+        assert rows["mw"].error == ""
+        assert [fmt_prob(v) for v in (rows["mw"].dvp, rows["mw"].ci_low, rows["mw"].ci_high)] == [
+            fmt_prob(v) for v in (solo.dvp_hat, solo.ci_low, solo.ci_high)
+        ]
+
+    def test_duplicated_policy_names_give_identical_rows(self):
+        spec = parse_sweep_file(
+            "x1=1\nx2=2\nw=3\nN=3\npe=0.4\ny=1\npolicies=mw, mdp, mw\n"
+            "evaluator=monte-carlo\nreps=4000\nseed=2\n"
+        )
+        buf = io.StringIO()
+        assert run_sweep(spec, buf) == 0
+        rows = [ln.split(",") for ln in buf.getvalue().splitlines()[1:]]
+        assert [r[6] for r in rows] == ["mdp", "mw", "mw"]
+        assert rows[1][:10] == rows[2][:10]
+
+    def test_joint_run_error_fills_every_monte_carlo_row(self, monkeypatch):
+        def fails(config, policies, replications, seed):
+            raise ValueError("no run")
+
+        monkeypatch.setattr(cli, "simulate_policies", fails)
+        spec = parse_sweep_file(
+            "x1=1\nx2=1\nw=3\nN=3\npe=0.4\ny=1\npolicies=mw, fifty\n"
+            "evaluator=monte-carlo\nreps=1000\nseed=2\n"
+        )
+        buf = io.StringIO()
+        assert run_sweep(spec, buf) == 4
+        rows = [SweepRow.from_csv(ln) for ln in buf.getvalue().splitlines()[1:]]
+        assert [(r.policy, r.dvp, r.error) for r in rows] == [
+            ("fifty", None, "no run"), ("mw", None, "no run")
+        ]
+
     def test_failing_cell_flagged_and_exit_four(self):
         spec = parse_sweep_file(
             "x1=0\nx2=0\nw=8\nN=12\npe=0.2\ny=1\npolicies=e-dvpub, fifty\n"
@@ -437,15 +530,17 @@ class TestSweepRun:
             init(kernel, config)
             kernels.append(weakref.ref(kernel))
 
-        simulate = cli.simulate
+        simulate_policies = cli.simulate_policies
+        runs = []
 
-        def checked(config, spec):
+        def checked(config, policies, replications, seed):
             # every kernel died with the value_iteration call that needed it
             assert all(ref() is None for ref in kernels)
-            return simulate(config, spec)
+            runs.append(len(policies))
+            return simulate_policies(config, policies, replications, seed)
 
         monkeypatch.setattr(TransitionKernel, "__init__", tracked)
-        monkeypatch.setattr(cli, "simulate", checked)
+        monkeypatch.setattr(cli, "simulate_policies", checked)
         spec = parse_sweep_file(
             "x1=1\nx2=1, 2\nw=3\nN=3\npe=0.4\ny=1\npolicies=mdp, mw, fifty\n"
             "evaluator=monte-carlo\nreps=2000\nseed=4\n"
@@ -453,6 +548,7 @@ class TestSweepRun:
         buf = io.StringIO()
         assert run_sweep(spec, buf) == 0
         assert len(kernels) == 2  # one per mdp cell
+        assert runs == [3, 3]  # one joint run per scenario
         assert len(buf.getvalue().splitlines()) == 1 + 6
 
     def test_sweep_over_kernel_cap_writes_one_error_row_per_cell(self):

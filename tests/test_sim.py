@@ -19,6 +19,7 @@ from dvpsched import (
     binomial_cdf,
     exact_dvp_chain,
     simulate,
+    simulate_policies,
     value_iteration,
     wilson_interval,
 )
@@ -314,6 +315,102 @@ class TestSimulate:
         # every threshold is 0 or 1, so no bucket holds one strictly inside
         cfg = ScenarioConfig(N=4, p_e=0.0, w=3, y=1, x1=1, x2=1)
         assert simulate(cfg, SimSpec(5000, 2, "mw")).exact_fallbacks == 0
+
+
+def bench_policies(cfg):
+    """The benchmark's five dynamic policies by name; "mdp" is
+    value_iteration's table."""
+    return {
+        "mdp": value_iteration(cfg), "mw": "mw", "wfq": "wfq", "bp": "bp", "fifty": "fifty"
+    }
+
+
+def assert_same_runs(got, want):
+    """Equal results with equal exact_fallbacks, which equality leaves out."""
+    assert got == want
+    assert [r.exact_fallbacks for r in got] == [r.exact_fallbacks for r in want]
+
+
+PADDED_CFG = ScenarioConfig(N=5, p_e=0.35, w=5, y=2, x1=1, x2=2)
+
+
+class TestSimulatePolicies:
+    @pytest.mark.parametrize(
+        "scenario", sorted({sc for sc, _ in GOLDEN_BENCH_SCALE}), ids=str
+    )
+    def test_joint_run_gives_each_golden_stream(self, scenario):
+        cfg = ScenarioConfig(*scenario)
+        policies = bench_policies(cfg)
+        results = simulate_policies(cfg, list(policies.values()), 50_000, 1)
+        for name, res in zip(policies, results):
+            assert res == GOLDEN_BENCH_SCALE[(scenario, name)], name
+            assert res.exact_fallbacks == GOLDEN_BENCH_FALLBACKS[(scenario, name)], name
+        # one call, one wall time
+        assert len({r.wall_s for r in results}) == 1 and results[0].wall_s > 0.0
+
+    def test_results_do_not_depend_on_the_other_policies(self):
+        cfg = ScenarioConfig(*M_SIZE)
+        policies = list(bench_policies(cfg).values())
+        solo = [simulate(cfg, SimSpec(20_000, 3, p)) for p in policies]
+        assert_same_runs(simulate_policies(cfg, policies, 20_000, 3), solo)
+        assert_same_runs(simulate_policies(cfg, policies[::-1], 20_000, 3), solo[::-1])
+        for subset in ([1], [4, 0], [0, 2, 3]):
+            got = simulate_policies(cfg, [policies[i] for i in subset], 20_000, 3)
+            assert_same_runs(got, [solo[i] for i in subset])
+        got = simulate_policies(cfg, [policies[2], policies[0], policies[2]], 20_000, 3)
+        assert_same_runs(got, [solo[2], solo[0], solo[2]])
+
+    def test_chunking_does_not_change_a_joint_run(self):
+        # 2w = 10 words per replication fill 3 Philox blocks of 4
+        N = PADDED_CFG.N
+        policies = [
+            Schedule(n1=(3, 2, 2, 1, 4), N=N),
+            lambda epoch, q1, q2: min(N, q1 + epoch % 2),
+            value_iteration(PADDED_CFG),
+            "bp",
+        ]
+        solo = [simulate(PADDED_CFG, SimSpec(600, 5, p)) for p in policies]
+        for chunk in (1, 3, DEFAULT_CHUNK):
+            got = simulate_policies(PADDED_CFG, policies, 600, 5, chunk_size=chunk)
+            assert_same_runs(got, solo)
+
+    def test_partial_table_raises_named_state(self):
+        cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
+        text = value_iteration(cfg).to_text()
+        kept = [ln for ln in text.splitlines() if not ln.startswith("1 1")]
+        table = PolicyTable.from_text("\n".join(kept))
+        with pytest.raises(PolicyLookupError, match=r"epoch=1 state=\(1,\d\)"):
+            simulate_policies(cfg, ["mw", table, "bp"], 1000, 3)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ("round-robin", ValueError),
+            (Schedule(n1=(1, 1, 1), N=2), ValueError),
+            (Schedule(n1=(1, 1), N=3), ValueError),
+            (3.14, TypeError),
+        ],
+    )
+    def test_invalid_policy_raises_before_any_draw(self, monkeypatch, bad, error):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking every policy")
+
+        monkeypatch.setattr(np.random, "Philox", no_draws)
+        with pytest.raises(error):
+            simulate_policies(HAND_CFG, [HAND_SCHED, "mw", bad], 1000, 1)
+
+    def test_counts_checked_as_for_a_spec(self):
+        with pytest.raises(ValueError, match="replications must be >= 1"):
+            simulate_policies(HAND_CFG, [HAND_SCHED], 0, 1)
+        with pytest.raises(ValueError, match="seed must fit in 64 bits"):
+            simulate_policies(HAND_CFG, [HAND_SCHED], 10, -1)
+        with pytest.raises(TypeError, match="must be an integer"):
+            simulate_policies(HAND_CFG, [HAND_SCHED], 10.0, 1)
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            simulate_policies(HAND_CFG, [HAND_SCHED], 10, 1, chunk_size=0)
+
+    def test_no_policies_no_results(self):
+        assert simulate_policies(HAND_CFG, [], 1000, 1) == []
 
 
 class TestWilson:
