@@ -17,7 +17,13 @@ from typing import Callable, NamedTuple
 from . import semistatic
 from .dvp import exact_dvp_chain
 from .mdp import BASELINE_KINDS, PolicyTable, TransitionKernel, kernel_key, value_iteration
-from .model import CapExceededError, PolicyLookupError, ScenarioConfig, Schedule
+from .model import (
+    CapExceededError,
+    PolicyLookupError,
+    ScenarioConfig,
+    Schedule,
+    check_scenario_field,
+)
 from .sim import SimSpec, check_counts, simulate, simulate_policies
 
 
@@ -187,8 +193,11 @@ SCALAR_KEYS = ("evaluator", "reps", "seed")
 
 
 def parse_sweep_file(text: str) -> SweepSpec:
-    """Flat key = value syntax, commas separate list entries, # comments."""
+    """Flat key = value syntax, commas separate list entries, # comments.
+    A value that is not of its key's type, or that no scenario allows,
+    raises ValueError naming its line."""
     values: dict[str, list[str]] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -205,6 +214,7 @@ def parse_sweep_file(text: str) -> SweepSpec:
         if key in SCALAR_KEYS and len(items) > 1:
             raise ValueError(f"line {lineno}: {key} takes one value")
         values[key] = items
+        lines[key] = lineno
 
     known = {"x1", "x2", "w", "N", "pe", "y", "policies", "evaluator", "reps", "seed"}
     unknown = set(values) - known
@@ -215,6 +225,24 @@ def parse_sweep_file(text: str) -> SweepSpec:
     if missing:
         raise ValueError(f"missing keys: {', '.join(sorted(missing))}")
 
+    def parsed(key: str, kind=int, field: str | None = None) -> list:
+        """The key's values as kind, each checked as ScenarioConfig checks
+        its field, if one is named."""
+        out = []
+        for item in values[key]:
+            try:
+                value = kind(item)
+            except ValueError:
+                noun = "an integer" if kind is int else "a number"
+                raise ValueError(f"line {lines[key]}: {key} must be {noun}, got {item!r}") from None
+            if field is not None:
+                try:
+                    check_scenario_field(field, value)
+                except ValueError as exc:
+                    raise ValueError(f"line {lines[key]}: {exc}") from None
+            out.append(value)
+        return out
+
     policies = values["policies"]
     for p in policies:
         if p not in METHODS:
@@ -222,16 +250,16 @@ def parse_sweep_file(text: str) -> SweepSpec:
     evaluator = values.get("evaluator", ["exact"])[0]
     if evaluator not in ("exact", "monte-carlo"):
         raise ValueError(f"evaluator must be exact or monte-carlo, got {evaluator!r}")
-    reps = int(values.get("reps", ["1000000"])[0])
-    seed = int(values.get("seed", ["0"])[0])
+    reps = parsed("reps")[0] if "reps" in values else 1_000_000
+    seed = parsed("seed")[0] if "seed" in values else 0
     check_counts(reps, seed)
     return SweepSpec(
-        x1=[int(v) for v in values["x1"]],
-        x2=[int(v) for v in values["x2"]],
-        w=[int(v) for v in values["w"]],
-        N=[int(v) for v in values["N"]],
-        pe=[float(v) for v in values["pe"]],
-        y=[int(v) for v in values["y"]],
+        x1=parsed("x1", field="x1"),
+        x2=parsed("x2", field="x2"),
+        w=parsed("w", field="w"),
+        N=parsed("N", field="N"),
+        pe=parsed("pe", float, field="p_e"),
+        y=parsed("y", field="y"),
         policies=policies,
         evaluator=evaluator,
         reps=reps,

@@ -20,6 +20,7 @@ from __future__ import annotations
 import io
 import numbers
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -374,22 +375,41 @@ def baseline_actions(kind: str, q1: np.ndarray, q2: np.ndarray, N: int) -> np.nd
     raise ValueError(f"unknown baseline {kind!r}")
 
 
-def policy_actions(policy, config: ScenarioConfig):
-    """Check a policy against the scenario once and return its vectorised
-    form actions(epoch, idx) -> n1, over an array of state indices into
-    model.backlog_states(config).
+@dataclass(frozen=True, eq=False)
+class PolicyActions:
+    """A policy checked against a scenario and read over state indices into
+    model.backlog_states(config): actions(epoch, idx) -> n1 of the states
+    idx at that epoch.
+
+    Where the actions are known without asking, rows lays them out over the
+    domain: at epoch k state i takes shift[k] + rows[k % len(rows)][i]. A
+    schedule is its per-epoch actions over one zero row, a baseline one row
+    shared by every epoch, and a table one row per epoch. rows is None for
+    a callable, which is asked once per distinct state in idx, and for a
+    table that lacks entries, which raises PolicyLookupError naming the
+    epoch and state whose action it lacks."""
+
+    shift: np.ndarray
+    rows: np.ndarray | None
+    ask: Callable[[int, np.ndarray], np.ndarray]
+
+    def __call__(self, epoch: int, idx: np.ndarray) -> np.ndarray:
+        return self.ask(epoch, idx)
+
+
+def policy_actions(policy, config: ScenarioConfig) -> PolicyActions:
+    """Check a policy against the scenario once and return its
+    PolicyActions, the one view of it that both evaluators read.
 
     A policy is a Schedule, a PolicyTable (a missing entry raises
     PolicyLookupError naming the epoch and state), a baseline name from
-    BASELINE_KINDS, or a callable (epoch, q1, q2) -> n1 on ints. A
-    schedule's or a baseline's actions are laid out over the domain once,
-    so that each frame's, like a table's, are one gather
-    actions[epoch][idx]. The callable is asked once per distinct state,
-    and an action that is not an integer in 0..N raises ValueError naming
-    the epoch and state.
+    BASELINE_KINDS, or a callable (epoch, q1, q2) -> n1 on ints. Every form
+    but a callable is laid out over the domain once. The callable is asked
+    once per distinct state, and an action that is not an integer in 0..N
+    raises ValueError naming the epoch and state.
     """
     states = backlog_states(config)
-    shape = (config.w, len(states))
+    shift = np.zeros(config.w, dtype=np.int64)
     if isinstance(policy, Schedule):
         if len(policy) != config.w:
             raise ValueError(
@@ -397,18 +417,31 @@ def policy_actions(policy, config: ScenarioConfig):
             )
         if policy.N != config.N:
             raise ValueError(f"schedule N={policy.N} differs from config N={config.N}")
-        actions = np.broadcast_to(np.array(policy.n1, dtype=np.int64)[:, None], shape)
+        shift = np.array(policy.n1, dtype=np.int64)
+        rows = np.zeros((1, len(states)), dtype=np.int64)
     elif isinstance(policy, PolicyTable):
         if policy.config != config:
             raise ValueError("policy table was built for a different scenario")
-        actions = policy.actions  # -1 marks an entry a partial table lacks
+        rows = policy.actions  # -1 marks an entry a partial table lacks
+        if (rows < 0).any():
+
+            def partial(epoch, idx):
+                acts = rows[epoch][idx]
+                missing = np.flatnonzero(acts < 0)
+                if missing.size:
+                    i = idx[missing[0]]
+                    raise PolicyLookupError(
+                        f"no action stored for epoch={epoch} "
+                        f"state=({states.q1[i]},{states.q2[i]})"
+                    )
+                return acts
+
+            return PolicyActions(shift, None, partial)
     elif isinstance(policy, str):
         if policy not in BASELINE_KINDS:
             raise ValueError(f"unknown policy name {policy!r}")
         # the rules ignore the epoch
-        actions = np.broadcast_to(
-            baseline_actions(policy, states.q1, states.q2, config.N), shape
-        )
+        rows = baseline_actions(policy, states.q1, states.q2, config.N)[None, :]
     elif callable(policy):
 
         def rule(epoch, idx):
@@ -425,18 +458,11 @@ def policy_actions(policy, config: ScenarioConfig):
                 acts.append(a)
             return np.array(acts, dtype=np.int64)[inverse]
 
-        return rule
+        return PolicyActions(shift, None, rule)
     else:
         raise TypeError(f"cannot interpret {type(policy).__name__} as a policy")
 
-    def table(epoch, idx):
-        acts = actions[epoch][idx]
-        missing = np.flatnonzero(acts < 0)
-        if missing.size:
-            i = idx[missing[0]]
-            raise PolicyLookupError(
-                f"no action stored for epoch={epoch} state=({states.q1[i]},{states.q2[i]})"
-            )
-        return acts
+    def laid_out(epoch, idx):
+        return shift[epoch] + rows[epoch % len(rows)][idx]
 
-    return table
+    return PolicyActions(shift, rows, laid_out)

@@ -31,6 +31,20 @@ class PolicyLookupError(LookupError):
     """A policy table has no action for a state it is asked about."""
 
 
+# the least value of each integer field of ScenarioConfig
+SCENARIO_MINIMA = {"N": 1, "w": 1, "y": 1, "x1": 0, "x2": 0}
+
+
+def check_scenario_field(name: str, value) -> None:
+    """Raise ValueError unless value is allowed for ScenarioConfig's field
+    name: p_e in [0, 1], the others at least SCENARIO_MINIMA[name]."""
+    if name == "p_e":
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"p_e must be in [0, 1], got {value}")
+    elif value < SCENARIO_MINIMA[name]:
+        raise ValueError(f"{name} must be >= {SCENARIO_MINIMA[name]}, got {value}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One problem instance.
@@ -48,16 +62,8 @@ class ScenarioConfig:
     x2: int
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        if self.w < 1:
-            raise ValueError(f"w must be >= 1, got {self.w}")
-        if self.y < 1:
-            raise ValueError(f"y must be >= 1, got {self.y}")
-        if self.x1 < 0 or self.x2 < 0:
-            raise ValueError(f"backlogs must be >= 0, got x1={self.x1}, x2={self.x2}")
-        if not 0.0 <= self.p_e <= 1.0:
-            raise ValueError(f"p_e must be in [0, 1], got {self.p_e}")
+        for name in ("N", "w", "y", "x1", "x2", "p_e"):
+            check_scenario_field(name, getattr(self, name))
 
     @property
     def total_load(self) -> int:

@@ -6,15 +6,21 @@ so the random inputs of replication r never depend on chunking or worker
 scheduling: identical (config, spec) give bit-identical results. Binomial
 service draws use one raw 64-bit Philox word per link per frame, inverted
 through the binomial distribution function at the uniform
-(word >> 11) * 2**-53 that Generator.random makes of it. A guide table
-(indexed search, Chen & Asau 1974) resolves most draws from the word's top
-GUIDE_BITS bits, the uniform's bucket; only the few in a bucket holding a
-threshold form the uniform and are counted exactly against the whole row,
+(word >> 11) * 2**-53 that Generator.random makes of it.
+
+A draw is read as its cell: [0, 1) is cut at every threshold of the
+inversion table and at both edges of each bucket of a guide table (indexed
+search, Chen & Asau 1974, on the word's top GUIDE_BITS bits) that holds a
+threshold strictly inside it, so a cell fixes every row's service count.
+Each chunk maps its words to cells once for all policies, by the bucket;
+only the few words in a cut bucket form the uniform and search the cuts,
 so the draws, and the stream, are the same as with full counting. Each
 replication's backlog is one index into model.backlog_states, which a
-frame moves by adding two gathers from model.next_states' parts.
-simulate_policies runs several policies of one scenario over the same
-words (common random numbers), drawing each chunk once for all of them.
+frame moves by two lookups in one table of index changes per link,
+action, queue backlog and cell (Moves), keyed by the policy's layout over
+the domain (mdp.PolicyActions). simulate_policies runs several policies of
+one scenario over the same words (common random numbers), drawing each
+chunk once for all of them.
 """
 from __future__ import annotations
 
@@ -25,11 +31,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mdp import policy_actions
-from .model import ScenarioConfig, backlog_states, binomial_cdf_table, next_states
+from .model import ScenarioConfig, backlog_states, binomial_cdf_table
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 DEFAULT_CHUNK = 1 << 14
+WORD_BLOCK = 1 << 10  # replications whose words are made and mapped to cells at once
 GUIDE_BITS = 10  # 1 024 buckets; fewer than 1% of them hold a threshold for N <= 20
+# a Moves entry carries EXACT for a draw the guide table leaves to exact
+# counting; it sits above every state index and sums over 2w draws safely
+EXACT_BIT = 40
+EXACT = 1 << EXACT_BIT
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,8 +73,10 @@ def check_counts(replications, seed) -> None:
 class SimResult:
     """The estimate and its Wilson interval. wall_s (the wall time of the
     call that produced the result, so the results of one simulate_policies
-    call share it) and exact_fallbacks (the draws the guide table left to
-    exact counting) say how it was obtained and take no part in equality."""
+    call share it) and exact_fallbacks (the policy's draws whose guide
+    bucket holds a threshold of their row strictly inside it, the ones a
+    guide table leaves to exact counting) say how it was obtained and take
+    no part in equality."""
 
     dvp_hat: float
     ci_low: float
@@ -108,17 +121,93 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
     return np.concatenate(rows)
 
 
-def _draw(buckets, words, acts, cdf, guide):
-    """#{cdf[acts[i]] <= u[i]} for each i, where u[i] = (words[i] >> 11)
-    * 2**-53 is the uniform Generator.random makes of the raw Philox word
-    and buckets[i] = words[i] >> (64 - GUIDE_BITS) is its guide bucket;
-    and how many draws needed the exact count, the only ones that form u."""
-    s = guide[(acts << GUIDE_BITS) + buckets]
-    exact = np.flatnonzero(s < 0)
-    if exact.size:
-        u = (words[exact] >> 11) * 2.0**-53
-        s[exact] = (u[:, None] >= cdf[acts[exact]]).sum(axis=1)
-    return s, exact.size
+@dataclass(frozen=True, eq=False)
+class Cells:
+    """[0, 1) cut at every threshold of an inversion table and at both
+    edges of each guide bucket that holds a threshold strictly inside it.
+    Cell c is [cuts[c], cuts[c + 1]); in it, row a's draw counts[a, c] =
+    #{cdf[a] <= u} and whether the guide table leaves it to exact counting,
+    exact[a, c], are the same for every u. bucket_cell[b] is the cell of
+    every u in guide bucket b, or -1 where cuts lie inside the bucket."""
+
+    cuts: np.ndarray
+    bucket_cell: np.ndarray
+    counts: np.ndarray
+    exact: np.ndarray
+
+    @classmethod
+    def of(cls, cdf: np.ndarray) -> "Cells":
+        buckets = 1 << GUIDE_BITS
+        guide = _guide_table(cdf).reshape(len(cdf), buckets)
+        split = np.flatnonzero((guide < 0).any(axis=0))
+        cuts = np.unique(np.concatenate([[0.0], cdf.ravel(), split / buckets, (split + 1) / buckets]))
+        cuts = cuts[cuts < 1.0]
+        bucket_cell = np.searchsorted(cuts, np.arange(buckets) / buckets, side="right") - 1
+        bucket_cell[split] = -1
+        counts = np.stack([np.searchsorted(row, cuts, side="right") for row in cdf])
+        # a cell lies inside one bucket, or spans buckets no threshold splits
+        exact = guide[:, (cuts * buckets).astype(np.intp)] < 0
+        return cls(cuts, bucket_cell, counts, exact)
+
+    def of_words(self, words: np.ndarray) -> np.ndarray:
+        """The cells of raw Philox words, transposed: out[j, r] is the cell
+        of the uniform (words[r, j] >> 11) * 2**-53. Only the words in a
+        cut bucket form the uniform, the one Generator.random makes, and
+        search the cuts for it."""
+        out = np.empty(words.shape[::-1], dtype=np.int64)
+        np.right_shift(words.T, 64 - GUIDE_BITS, out=out, casting="unsafe")
+        self.bucket_cell.take(out, out=out, mode="clip")
+        flat = out.reshape(-1)
+        inside = np.flatnonzero(flat < 0)
+        if inside.size:
+            j, r = np.divmod(inside, out.shape[1])
+            u = (words[r, j] >> 11) * 2.0**-53
+            # in ascending order the search runs without backtracking
+            order = np.argsort(u)
+            flat[inside[order]] = np.searchsorted(self.cuts, u[order], side="right") - 1
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class Moves:
+    """One frame's move of a state index, as two lookups in one table.
+    Under action a and cells c1, c2 (the draws of links 1 and 2), state i
+    of model.backlog_states moves to i + table[key1[i] + a * step1 + c1] +
+    table[key2[i] + a * step2 + c2], less EXACT for each draw the guide
+    table leaves to exact counting. The first lookup is link 1's change
+    R(q1 - d1) + d1 - R(q1), with R(q) the index of (q, 0) and d1 =
+    min(q1, s1); the second is -min(q2, s2), the same for every q2 >= N,
+    with s2 drawn for N - a slots."""
+
+    table: np.ndarray
+    key1: np.ndarray
+    key2: np.ndarray
+    step1: int
+    step2: int
+
+    @classmethod
+    def of(cls, config: ScenarioConfig, cells: Cells) -> "Moves":
+        states = backlog_states(config)
+        N, C = config.N, len(cells.cuts)
+        row_start = states.lookup[:, 0]
+        step1, step2 = len(row_start) * C, (N + 1) * C
+        table = np.empty((N + 1) * (step1 + step2), dtype=np.int64)
+        link1 = table[: (N + 1) * step1].reshape(N + 1, len(row_start), C)
+        link2 = table[(N + 1) * step1 :].reshape(N + 1, N + 1, C)
+        q1 = np.arange(len(row_start))[:, None]
+        for a in range(N + 1):
+            d1 = np.minimum(q1, cells.counts[a])
+            link1[a] = row_start[q1 - d1] + d1 - row_start[q1]
+            link1[a] += cells.exact[a] * EXACT
+        np.minimum(np.arange(N + 1)[:, None], cells.counts[::-1, None, :], out=link2)
+        np.subtract(cells.exact[::-1, None, :] * EXACT, link2, out=link2)
+        return cls(
+            table=table,
+            key1=states.q1 * C,
+            key2=link1.size + np.minimum(states.q2, N) * C,
+            step1=step1,
+            step2=step2,
+        )
 
 
 def simulate(
@@ -149,9 +238,10 @@ def simulate_policies(
     exact_fallbacks included, depends on neither the other policies, nor
     their order, nor chunk_size; the results share the call's wall_s.
 
-    Every policy is checked against the scenario before any draw and then
-    asked for the actions of a whole chunk of replications per frame, so
-    a callable is called once per distinct state in each chunk and frame.
+    Every policy is checked against the scenario before any draw. A
+    callable, or a table that lacks entries, is then asked for the actions
+    of a whole chunk of replications per frame, so a callable is called
+    once per distinct state in each chunk and frame.
     """
     check_counts(replications, seed)
     if chunk_size < 1:
@@ -160,12 +250,18 @@ def simulate_policies(
     actions = [policy_actions(policy, config) for policy in policies]
     if not actions:
         return []
-    w, N = config.w, config.N
+    w = config.w
     states = backlog_states(config)
     backlog = states.q1 + states.q2
-    relayed, kept = (part.ravel() for part in next_states(config))
-    cdf = _inversion_table(N, 1.0 - config.p_e)
-    guide = _guide_table(cdf)
+    cells = Cells.of(_inversion_table(config.N, 1.0 - config.p_e))
+    moves = Moves.of(config, cells)
+    # per policy, each link's keys over the domain, one row or one per
+    # epoch; a policy without a layout adds its actions per frame
+    keys = []
+    for act in actions:
+        rows = 0 if act.rows is None else act.rows
+        keys.append((np.atleast_2d(rows * moves.step1 + moves.key1),
+                     np.atleast_2d(rows * moves.step2 + moves.key2)))
     words_per_rep = 2 * w
     blocks_per_rep = -(-words_per_rep // 4)  # Philox yields 4 words per block
     row = 4 * blocks_per_rep
@@ -177,19 +273,34 @@ def simulate_policies(
     while done < replications:
         n = min(chunk_size, replications - done)
         philox = np.random.Philox(key=seed, counter=done * blocks_per_rep)
-        words = philox.random_raw(n * row).reshape(n, row)[:, :words_per_rep]
-        # each bucket is below 2**GUIDE_BITS, so 16 bits hold it
-        buckets = np.empty(words.shape, dtype=np.uint16)
-        np.right_shift(words, 64 - GUIDE_BITS, out=buckets, casting="unsafe")
+        # cell[k] and cell[w + k] are the draws of frame k; the words are
+        # made and transposed a cache-sized block of replications at a time
+        cell = np.empty((words_per_rep, n), dtype=np.int64)
+        for lo in range(0, n, WORD_BLOCK):
+            words = philox.random_raw(min(WORD_BLOCK, n - lo) * row).reshape(-1, row)
+            cell[:, lo : lo + len(words)] = cells.of_words(words[:, :words_per_rep])
+        idx, buf1, buf2 = (np.empty(n, dtype=np.int64) for _ in range(3))
         for i, act in enumerate(actions):
-            idx = np.full(n, states.start)
+            # the index, plus EXACT for each draw so far left to exact counting
+            marked = np.full(n, states.start, dtype=np.int64)
             for k in range(w):
-                acts = act(k, idx)
-                s1, f1 = _draw(buckets[:, k], words[:, k], acts, cdf, guide)
-                s2, f2 = _draw(buckets[:, w + k], words[:, w + k], N - acts, cdf, guide)
-                fallbacks[i] += f1 + f2
-                idx *= N + 1
-                idx = relayed[idx + s1] + kept[idx + s2]
+                np.bitwise_and(marked, EXACT - 1, out=idx)
+                # every key is in range by construction, so no bounds check
+                key1 = keys[i][0][k % len(keys[i][0])].take(idx, out=buf1, mode="clip")
+                key2 = keys[i][1][k % len(keys[i][1])].take(idx, out=buf2, mode="clip")
+                if act.rows is None:
+                    a = act(k, idx)
+                    key1 += a * moves.step1
+                    key2 += a * moves.step2
+                    shift = 0
+                else:
+                    shift = act.shift[k]
+                key1 += cell[k]
+                marked += moves.table[shift * moves.step1 :].take(key1, out=key1, mode="clip")
+                key2 += cell[w + k]
+                marked += moves.table[shift * moves.step2 :].take(key2, out=key2, mode="clip")
+            fallbacks[i] += int((marked >> EXACT_BIT).sum())
+            np.bitwise_and(marked, EXACT - 1, out=idx)
             violations[i] += int(np.count_nonzero(states.nonempty[idx]))
             departed[i] += n * config.total_load - int(backlog[idx].sum())
         done += n

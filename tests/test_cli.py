@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, file formats, exit codes."""
 import io
+import re
 import weakref
 from pathlib import Path
 
@@ -362,6 +363,53 @@ class TestSweepParsing:
         assert err == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("N = 4", "N = 0", "line 6: N must be >= 1, got 0"),
+            ("pe = 0.2", "pe = 1.5", "line 7: p_e must be in [0, 1], got 1.5"),
+            ("pe = 0.2", "pe = 0.2, -0.1", "line 7: p_e must be in [0, 1], got -0.1"),
+            ("x2 = 1", "x2 = -1", "line 4: x2 must be >= 0, got -1"),
+            ("x1 = 1, 2", "x1 = 1, -2", "line 3: x1 must be >= 0, got -2"),
+            ("w = 2, 3", "w = 2, 0", "line 5: w must be >= 1, got 0"),
+            ("y = 1", "y = 0", "line 8: y must be >= 1, got 0"),
+        ],
+    )
+    def test_scenario_values_checked_when_parsed(self, capsys, tmp_path, old, new, message):
+        # ScenarioConfig's own rules, once for the sweep, not once per cell
+        text = SWEEP_TEXT.replace(old, new)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_sweep_file(text)
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text(text)
+        code, out, err = run_cli(capsys, "sweep", str(sweep))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("x1 = 1, 2", "x1 = 1, a", "line 3: x1 must be an integer, got 'a'"),
+            ("x2 = 1", "x2 = 1.0", "line 4: x2 must be an integer, got '1.0'"),
+            ("w = 2, 3", "w = 2, 3.5", "line 5: w must be an integer, got '3.5'"),
+            ("N = 4", "N = four", "line 6: N must be an integer, got 'four'"),
+            ("y = 1", "y = 1e3", "line 8: y must be an integer, got '1e3'"),
+            ("pe = 0.2", "pe = 0.2, low", "line 7: pe must be a number, got 'low'"),
+            ("evaluator = exact", "evaluator = monte-carlo\nreps = 1.5",
+             "line 11: reps must be an integer, got '1.5'"),
+            ("evaluator = exact", "evaluator = monte-carlo\nseed = x",
+             "line 11: seed must be an integer, got 'x'"),
+        ],
+    )
+    def test_conversion_errors_name_line_and_key(self, capsys, tmp_path, old, new, message):
+        text = SWEEP_TEXT.replace(old, new)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_sweep_file(text)
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text(text)
+        code, out, err = run_cli(capsys, "sweep", str(sweep))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestSweepRun:
     def test_semistatic_sweep_file_golden(self):
         # sweeps/semistatic-deadlines.sweep, recorded before opt used
@@ -440,6 +488,18 @@ class TestSweepRun:
         assert run_sweep(parse_sweep_file(text), buf) == 0
         got = [line.rsplit(",", 1)[0] for line in buf.getvalue().splitlines()]
         assert got == (GOLDEN / "dynamic-deadlines-mc.csv").read_text().splitlines()
+
+    def test_semistatic_sweep_file_monte_carlo_golden(self):
+        # sweeps/semistatic-deadlines.sweep under Monte Carlo, recorded
+        # while each frame's draws were counted per policy; ms column
+        # dropped. Its schedules take the per-epoch path of the sampler.
+        text = (SWEEPS / "semistatic-deadlines.sweep").read_text().replace(
+            "evaluator = exact", "evaluator = monte-carlo\nreps = 20000\nseed = 5"
+        )
+        buf = io.StringIO()
+        assert run_sweep(parse_sweep_file(text), buf) == 0
+        got = [line.rsplit(",", 1)[0] for line in buf.getvalue().splitlines()]
+        assert got == (GOLDEN / "semistatic-deadlines-mc.csv").read_text().splitlines()
 
     def test_monte_carlo_cell_over_cap_leaves_the_others_alone(self):
         # opt's search of 11^6 schedules exceeds its cap; mw still runs

@@ -544,6 +544,23 @@ class TestPolicyActions:
                 got = policy_actions(schedule, cfg)(k, idx)
                 assert np.array_equal(got, np.full(idx.shape, schedule.n1[k])), cfg
 
+    def test_layout_of_each_form(self):
+        # what the sampler keys its moves by: a schedule never lays out a
+        # w x S array, a baseline one row, a table its own rows
+        cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
+        S = len(backlog_states(cfg))
+        schedule = policy_actions(Schedule(n1=(2, 0, 3), N=3), cfg)
+        assert schedule.shift.tolist() == [2, 0, 3]
+        assert schedule.rows.shape == (1, S) and not schedule.rows.any()
+        baseline = policy_actions("mw", cfg)
+        assert baseline.shift.tolist() == [0, 0, 0] and baseline.rows.shape == (1, S)
+        table = value_iteration(cfg)
+        assert policy_actions(table, cfg).rows is table.actions
+        assert policy_actions(lambda epoch, q1, q2: 1, cfg).rows is None
+        text = table.to_text()
+        partial = PolicyTable.from_text("\n".join(text.splitlines()[:-1]))
+        assert policy_actions(partial, cfg).rows is None
+
     def test_callable_asked_once_per_distinct_state_and_frame(self):
         cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
         calls = []

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,17 @@ from dvpsched import (
     value_iteration,
     wilson_interval,
 )
-from dvpsched.sim import DEFAULT_CHUNK, GUIDE_BITS, _draw, _guide_table, _inversion_table
+from dvpsched.model import QueueState, backlog_states, step_queues
+from dvpsched.semistatic import even_split
+from dvpsched.sim import (
+    DEFAULT_CHUNK,
+    EXACT,
+    GUIDE_BITS,
+    Cells,
+    Moves,
+    _guide_table,
+    _inversion_table,
+)
 
 HAND_CFG = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
 HAND_SCHED = Schedule(n1=(1, 1), N=2)
@@ -317,6 +328,22 @@ class TestSimulate:
         assert simulate(cfg, SimSpec(5000, 2, "mw")).exact_fallbacks == 0
 
 
+    @pytest.mark.parametrize("policy, bound_mb", [("mw", 57.0), ("even split", 44.2)])
+    def test_memory_stays_below_the_next_state_parts(self, policy, bound_mb):
+        # 361 201 states; the bounds are the traced peaks of the sampler
+        # that moved states through next_states' two S x (N + 1) parts
+        cfg = ScenarioConfig(4, 0.4, 5, 300, 300, 300)
+        if policy == "even split":
+            policy = even_split(cfg)
+        backlog_states.cache_clear()  # count the domain's arrays too
+        tracemalloc.start()
+        try:
+            simulate(cfg, SimSpec(20_000, 1, policy))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6
+
 def bench_policies(cfg):
     """The benchmark's five dynamic policies by name; "mdp" is
     value_iteration's table."""
@@ -449,6 +476,7 @@ class TestInversionSampling:
             cdf = _inversion_table(N, 1.0 - p_e)
             guide = _guide_table(cdf)
             table = guide.reshape(N + 1, buckets)
+            cells = Cells.of(cdf)
             # few buckets hold a threshold, so the exact count stays rare
             assert (table < 0).mean() <= 0.009
             for a in range(N + 1):
@@ -471,11 +499,52 @@ class TestInversionSampling:
                 m = np.ceil(points * 2.0**53).astype(np.int64)
                 m = np.clip(np.concatenate([m - 1, m, m + 1]), 0, 2**53 - 1).astype(np.uint64)
                 words = np.concatenate([m << 11, (m << 11) | 0x7FF])
-                bucket = (words >> (64 - GUIDE_BITS)).astype(np.uint16)
-                drawn, fallbacks = _draw(bucket, words, np.full(words.shape, a), cdf, guide)
+                cell = cells.of_words(words[:, None])[0]
                 u = (words >> 11) * 2.0**-53
-                assert np.array_equal(drawn, (u[:, None] >= cdf[a]).sum(axis=1)), (N, a)
-                assert fallbacks == (table[a, bucket] < 0).sum()
+                assert np.all(cells.cuts[cell] <= u), (N, a)
+                assert np.all(u < np.append(cells.cuts, 1.0)[cell + 1]), (N, a)
+                assert np.array_equal(cells.counts[a, cell], (u[:, None] >= cdf[a]).sum(axis=1)), (N, a)
+                bucket = words >> (64 - GUIDE_BITS)
+                assert np.array_equal(cells.exact[a, cell], table[a, bucket] < 0), (N, a)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            (3, 0.4, 3, 1, 1, 1),
+            (2, 0.3, 3, 4, 2, 5),  # both queues above N
+            (1, 0.5, 2, 2, 1, 3),
+            (5, 0.0, 2, 3, 3, 3),
+            (4, 1.0, 2, 2, 2, 2),
+            (6, 0.77, 2, 1, 4, 2),
+        ],
+        ids=str,
+    )
+    def test_moves_reproduce_step_queues(self, scenario):
+        # for every state, action and pair of cells the two lookups give
+        # step_queues' next state under the cells' service counts, plus
+        # EXACT for each draw the guide table leaves to exact counting
+        cfg = ScenarioConfig(*scenario)
+        N = cfg.N
+        states = backlog_states(cfg)
+        cells = Cells.of(_inversion_table(N, 1.0 - cfg.p_e))
+        moves = Moves.of(cfg, cells)
+        want = np.empty((len(states), N + 1, N + 1), dtype=np.int64)
+        for i, (q1, q2) in enumerate(zip(states.q1.tolist(), states.q2.tolist())):
+            for s1 in range(N + 1):
+                for s2 in range(N + 1):
+                    after, _ = step_queues(QueueState(q1, q2), s1, s2)
+                    want[i, s1, s2] = states.index(*after)
+        i = np.arange(len(states))[:, None, None]
+        c1 = np.arange(len(cells.cuts))[None, :, None]
+        c2 = np.arange(len(cells.cuts))[None, None, :]
+        for a in range(N + 1):
+            got = (
+                i
+                + moves.table[moves.key1[i] + a * moves.step1 + c1]
+                + moves.table[moves.key2[i] + a * moves.step2 + c2]
+            )
+            marks = cells.exact[a][c1].astype(np.int64) + cells.exact[N - a][c2]
+            assert np.array_equal(got, want[i, cells.counts[a][c1], cells.counts[N - a][c2]] + marks * EXACT), a
 
     @pytest.mark.parametrize(
         "key, counter", [(0, 0), (1, 0), (11, 3), (7, 2**40 + 5), (2**64 - 1, 2**255)]
