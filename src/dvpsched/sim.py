@@ -270,19 +270,25 @@ def simulate_policies(
     departed = [0] * len(actions)
     fallbacks = [0] * len(actions)
     done = 0
+    # one chunk's buffers, allocated once and reused by every chunk (the
+    # last through its first n columns): fresh ones per chunk let the
+    # process heap grow by a chunk's cells on some calls and not others,
+    # so that peak memory differed between otherwise identical runs
+    width = min(chunk_size, replications)
+    buffers = [np.empty((words_per_rep, width), dtype=np.int64)]
+    buffers += [np.empty(width, dtype=np.int64) for _ in range(4)]
     while done < replications:
         n = min(chunk_size, replications - done)
         philox = np.random.Philox(key=seed, counter=done * blocks_per_rep)
+        cell, idx, buf1, buf2, marked = (b[..., :n] for b in buffers)
         # cell[k] and cell[w + k] are the draws of frame k; the words are
         # made and transposed a cache-sized block of replications at a time
-        cell = np.empty((words_per_rep, n), dtype=np.int64)
         for lo in range(0, n, WORD_BLOCK):
             words = philox.random_raw(min(WORD_BLOCK, n - lo) * row).reshape(-1, row)
             cell[:, lo : lo + len(words)] = cells.of_words(words[:, :words_per_rep])
-        idx, buf1, buf2 = (np.empty(n, dtype=np.int64) for _ in range(3))
         for i, act in enumerate(actions):
             # the index, plus EXACT for each draw so far left to exact counting
-            marked = np.full(n, states.start, dtype=np.int64)
+            marked.fill(states.start)
             for k in range(w):
                 np.bitwise_and(marked, EXACT - 1, out=idx)
                 # every key is in range by construction, so no bounds check
