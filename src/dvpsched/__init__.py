@@ -1,35 +1,21 @@
 """Deadline-violation analysis and slot scheduling for a two-hop lossy
 wireless path: exact evaluators, analytic bounds, semi-static and dynamic
-(MDP) schedulers, comparison baselines, and a Monte Carlo estimator."""
+(MDP) schedulers, comparison baselines, and a Monte Carlo estimator.
 
-from .dvp import (
-    ChernoffParam,
-    EvalResult,
-    dvpub,
-    exact_dvp_chain,
-    exact_dvp_enum,
-    wtb,
-    wtb_min_s,
-)
-from .mdp import (
-    PolicyTable,
-    TransitionKernel,
-    reward,
-    transition_probs,
-    transition_probs_casewise,
-    value_iteration,
-)
+The scalar oracles the tests check these against live in dvpsched.oracles;
+of them only exact_dvp_enum is exported here."""
+
+from .dvp import EvalResult, dvpub, exact_dvp_chain, wtb_min_s
+from .mdp import PolicyTable, TransitionKernel, value_iteration
 from .model import (
     CapExceededError,
     PolicyLookupError,
-    QueueState,
     ScenarioConfig,
     Schedule,
-    binomial_cdf,
     binomial_pmf,
     binomial_pmf_table,
-    step_queues,
 )
+from .oracles import exact_dvp_enum
 from .semistatic import (
     RelaxedSchedule,
     SemiStaticResult,
@@ -41,19 +27,15 @@ from .semistatic import (
     opt,
     round_nearest,
     solve_relaxed,
-    wtb_d,
-    wtb_r,
     wtb_w,
 )
 from .sim import SimResult, SimSpec, simulate, simulate_policies, wilson_interval
 
 __all__ = [
     "CapExceededError",
-    "ChernoffParam",
     "EvalResult",
     "PolicyLookupError",
     "PolicyTable",
-    "QueueState",
     "RelaxedSchedule",
     "ScenarioConfig",
     "Schedule",
@@ -61,7 +43,6 @@ __all__ = [
     "SimResult",
     "SimSpec",
     "TransitionKernel",
-    "binomial_cdf",
     "binomial_pmf",
     "binomial_pmf_table",
     "dvpub",
@@ -73,19 +54,12 @@ __all__ = [
     "fifty_fifty",
     "neighbor_search",
     "opt",
-    "reward",
     "round_nearest",
     "simulate",
     "simulate_policies",
     "solve_relaxed",
-    "step_queues",
-    "transition_probs",
-    "transition_probs_casewise",
     "value_iteration",
     "wilson_interval",
-    "wtb",
-    "wtb_d",
     "wtb_min_s",
-    "wtb_r",
     "wtb_w",
 ]

@@ -95,9 +95,13 @@ def _config_from(args) -> ScenarioConfig:
 
 
 def cmd_solve(args) -> int:
-    if args.full_domain and args.method != "opt":
-        print("error: --full-domain applies to --method opt", file=sys.stderr)
-        return EXIT_USAGE
+    # options that only one method reads
+    for given, flag, only in (
+        (args.full_domain, "--full-domain", "opt"), (args.out, "--out", "mdp")
+    ):
+        if given and args.method != only:
+            print(f"error: {flag} applies to --method {only}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         config = _config_from(args)
     except ValueError as exc:

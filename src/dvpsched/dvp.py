@@ -20,27 +20,23 @@ whose real-relaxation is used by the schedule optimizer.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import (
-    CapExceededError,
-    QueueState,
-    ScenarioConfig,
-    Schedule,
-    binomial_cdf_table,
-    binomial_pmf,
-    step_queues,
-)
+from .model import ScenarioConfig, Schedule, binomial_cdf_table, check_schedule
 from .mdp import TransitionKernel, checked_kernel, policy_actions
 
-ENUM_CAP_DEFAULT = 10_000_000
-
-S_LO = 1e-6  # lower end of every exponent search
+# the exponent search's range is [S_LO, _S_HI * 2**_MAX_DOUBLINGS]: a cold
+# search brackets [S_LO, _S_HI] and doubles its upper end while the bound
+# still falls there
+S_LO = 1e-6
+_S_HI = 50.0
+_MAX_DOUBLINGS = 6
+_S_CAP = _S_HI * 2.0**_MAX_DOUBLINGS
+_S_TOL = 1e-9  # the exponent search stops on a step or bracket below this
 _S_MAX_STEPS = 100  # Newton-or-bisection steps of the exponent search
 # a search given `above` rejects once its lower bound on log wtb exceeds
 # above by this share of 1 + |above|, far more than the bound's rounding
@@ -66,35 +62,11 @@ class EvalResult:
         return min(self.dvp, 1.0)
 
 
-@dataclass(frozen=True)
-class ChernoffParam:
-    """Positive exponent for the exponential-moment bound."""
-
-    s: float
-
-    def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError(f"s must be > 0, got {self.s}")
-
-    def alpha(self, p_e: float) -> float:
-        """E[e^{-s B}] for a single Bernoulli(1 - p_e) slot."""
-        return (1.0 - p_e) * math.exp(-self.s) + p_e
-
-    def log_alpha(self, p_e: float) -> float:
-        """log(alpha), accurate where alpha is near 1."""
-        return _log_alpha(p_e, self.s)
-
-
 def _as_n2(config: ScenarioConfig, schedule) -> np.ndarray:
     """Accept a Schedule or a raw per-frame link-2 allocation vector (real
     values allowed, for the relaxed optimizer)."""
     if isinstance(schedule, Schedule):
-        if len(schedule) != config.w:
-            raise ValueError(
-                f"schedule has {len(schedule)} frames, deadline needs {config.w}"
-            )
-        if schedule.N != config.N:
-            raise ValueError(f"schedule N={schedule.N} != config N={config.N}")
+        check_schedule(config, schedule)
         return np.array(schedule.n2, dtype=float)
     n2 = np.array([float(v) for v in schedule])
     if len(n2) != config.w:
@@ -167,35 +139,12 @@ def _exp_or_inf(exponent: float) -> float:
     return math.exp(exponent) if exponent < 709.0 else math.inf
 
 
-def _log_terms(config: ScenarioConfig, n2, s: float) -> np.ndarray:
-    """Exponent of each union term's bound at a fixed s:
-    T_j log(alpha(s)) + s m_j, so that wtb = sum(exp(_log_terms))."""
-    c, A, m = union_terms(config)
-    return (c + A @ _as_n2(config, n2)) * _log_alpha(config.p_e, s) + s * m
-
-
 def _log_sum_exp(e: np.ndarray) -> tuple[float, np.ndarray]:
     """log(sum(exp(e))) and the softmax weights exp(e) / sum(exp(e))."""
     top = e.max()
     p = np.exp(e - top)
     total = p.sum()
     return top + math.log(total), p / total
-
-
-def wtb(config: ScenarioConfig, schedule, s: float | ChernoffParam) -> float:
-    """Exponential-moment (transient) bound on DVP at a fixed exponent s.
-
-    Each union term P{S <= m} with S ~ Binomial(T, 1 - p_e) is bounded by
-    alpha^T e^{s m} with alpha = (1 - p_e) e^{-s} + p_e, so real-valued
-    trial counts are accepted; the allocation may be any vector in the
-    relaxed box."""
-    s_val = s.s if isinstance(s, ChernoffParam) else float(s)
-    if not s_val > 0:
-        raise ValueError(f"s must be > 0, got {s_val}")
-    e = _log_terms(config, schedule, s_val)
-    if e.max() >= 709.0:
-        return math.inf
-    return float(np.exp(e).sum())
 
 
 def _log_wtb_in_s(T: np.ndarray, m: np.ndarray, p_e: float, s: float):
@@ -217,15 +166,13 @@ def _log_wtb_in_s(T: np.ndarray, m: np.ndarray, p_e: float, s: float):
     return g, g1, g2, p
 
 
-def _newton_in_bracket(
-    f, lo: float, hi: float, s: float, point, tol: float, lo_seen=True, hi_seen=True
-):
+def _newton_in_bracket(f, lo: float, hi: float, s: float, point, lo_seen=True, hi_seen=True):
     """Safeguarded Newton on the increasing derivative g' of log wtb over
     [lo, hi], from s, where f gave point = (g, g', g'', weights). A step
     that would leave the shrinking bracket bisects it instead, except past
     an end not yet evaluated (lo_seen or hi_seen False): that end is
     evaluated next, so that an optimum beyond it ends exactly there. Stops
-    when a step or the bracket is below tol, or when a step toward an end
+    when a step or the bracket is below _S_TOL, or when a step toward an end
     not yet evaluated leaves log wtb unchanged; returns the last s and its
     point."""
     g1, g2 = point[1], point[2]
@@ -243,7 +190,7 @@ def _newton_in_bracket(
             nxt = lo if nxt <= lo else hi
         elif not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
-        if nxt == s or not unseen and abs(nxt - s) <= tol:
+        if nxt == s or not unseen and abs(nxt - s) <= _S_TOL:
             break
         # toward an end not yet evaluated, the optimum may lie at infinity
         # on a tail flat to rounding, where Newton steps do not shrink
@@ -286,8 +233,8 @@ class _Proven(Exception):
     """Ends an exponent search whose lower bound has passed `above`."""
 
 
-def _tangent_bound(neg, pos, s_lo: float, s_hi: float) -> float:
-    """A lower bound on a convex g over [s_lo, s_hi] from its tangents at
+def _tangent_bound(neg, pos) -> float:
+    """A lower bound on a convex g over [S_LO, _S_CAP] from its tangents at
     neg = (s, g, g') with g' < 0 and pos = (s, g, g') with g' >= 0, either
     None if there is none: where the two cross, or the one tangent's value
     at the end of the range it falls toward. The smaller of the two
@@ -295,10 +242,10 @@ def _tangent_bound(neg, pos, s_lo: float, s_hi: float) -> float:
     the crossing can only lower the bound."""
     if pos is None:
         s, g, g1 = neg
-        return g + g1 * (s_hi - s)
+        return g + g1 * (_S_CAP - s)
     if neg is None:
         s, g, g1 = pos
-        return g + g1 * (s_lo - s)
+        return g + g1 * (S_LO - s)
     (sa, ga, da), (sb, gb, db) = neg, pos
     gap = sb - sa
     dx = (gb - ga - db * gap) / (da - db)
@@ -312,20 +259,16 @@ def min_log_wtb(
     s0: float | None = None,
     *,
     above: float | None = None,
-    s_lo: float = S_LO,
-    s_hi: float = 50.0,
-    tol: float = 1e-9,
-    max_doublings: int = 6,
 ) -> ExponentMin | Rejected:
     """Minimize log wtb over the exponent for trial counts T and thresholds
-    m (see union_terms), over [s_lo, s_hi * 2**max_doublings].
+    m (see union_terms), over [S_LO, _S_CAP].
 
     log wtb is a log-sum-exp of exponents convex in s (see _log_wtb_in_s),
     so its derivative is increasing and the minimizer is its root; an
     optimum outside the range sits at the nearer end. Both entries end in
     the same safeguarded Newton loop (_newton_in_bracket).
 
-    Cold (s0 None): the bracket [s_lo, s_hi] has its upper end doubled
+    Cold (s0 None): the bracket [S_LO, _S_HI] has its upper end doubled
     while the bound still falls there (alpha saturates at p_e for large s,
     so a handful of doublings always suffices), and Newton starts from
     that end. Warm (s0 given, as the previous optimum of a nearby T): a
@@ -341,7 +284,6 @@ def min_log_wtb(
     Otherwise it evaluates the same exponents and returns the same result
     as without `above`."""
     evals = 0
-    cap = s_hi * 2.0**max_doublings
     neg = pos = None
     if above is not None:
         limit = above + _REJECT_MARGIN * (1.0 + abs(above))
@@ -356,22 +298,22 @@ def min_log_wtb(
                     neg = (s, point[0], point[1])
             elif pos is None or s < pos[0]:
                 pos = (s, point[0], point[1])
-            bound = _tangent_bound(neg, pos, s_lo, cap)
+            bound = _tangent_bound(neg, pos)
             if bound > limit:
                 raise _Proven(bound)
         return point
 
     try:
         if s0 is not None:
-            s = min(max(s0, s_lo), cap)
+            s = min(max(s0, S_LO), _S_CAP)
             point = f(s)
-            lo, hi, lo_seen, hi_seen = s_lo, cap, False, False
+            lo, hi, lo_seen, hi_seen = S_LO, _S_CAP, False, False
             g1, g2 = point[1], point[2]
             if g1 != 0.0:
                 # probe one and a half Newton steps on, past where Newton
                 # puts the root, so that the probe and s usually bracket it
                 step = -g1 / g2 if g2 > 0.0 else -math.copysign(math.inf, g1)
-                probe = min(max(s + 1.5 * step, s_lo), cap)
+                probe = min(max(s + 1.5 * step, S_LO), _S_CAP)
                 probe_point = f(probe)
                 if (probe_point[1] > 0.0) == (g1 > 0.0) or probe_point[1] == 0.0:
                     s, point = probe, probe_point  # not past the root: go on from there
@@ -379,97 +321,32 @@ def min_log_wtb(
                     hi, hi_seen = probe, True
                 else:
                     lo, lo_seen = probe, True
-            s, point = _newton_in_bracket(f, lo, hi, s, point, tol, lo_seen, hi_seen)
+            s, point = _newton_in_bracket(f, lo, hi, s, point, lo_seen, hi_seen)
         else:
-            s, point = s_lo, f(s_lo)
+            s, point = S_LO, f(S_LO)
             if point[1] < 0.0:
-                lo, hi = s, s_hi
+                lo, hi = s, _S_HI
                 point = f(hi)
-                for _ in range(max_doublings):
+                for _ in range(_MAX_DOUBLINGS):
                     if point[1] >= 0.0:
                         break
                     hi *= 2.0
                     point = f(hi)
                 s = hi
                 if point[1] > 0.0:  # the minimizer lies inside the bracket
-                    s, point = _newton_in_bracket(f, lo, hi, s, point, tol)
+                    s, point = _newton_in_bracket(f, lo, hi, s, point)
     except _Proven as proven:
         return Rejected(proven.args[0], evals)
     return ExponentMin(s, point[0], point[3], evals)
 
 
-def wtb_min_s(
-    config: ScenarioConfig,
-    schedule,
-    *,
-    s_lo: float = S_LO,
-    s_hi: float = 50.0,
-    tol: float = 1e-9,
-    max_doublings: int = 6,
-) -> tuple[ChernoffParam, float]:
+def wtb_min_s(config: ScenarioConfig, schedule) -> tuple[float, float]:
     """Minimize the exponential-moment bound over the exponent by
-    min_log_wtb's cold search: the exponent and the bound there."""
+    min_log_wtb's cold search: the exponent and the bound there. The
+    bound at a fixed exponent is oracles.wtb."""
     c, A, m = union_terms(config)
-    found = min_log_wtb(
-        c + A @ _as_n2(config, schedule), m, config.p_e,
-        s_lo=s_lo, s_hi=s_hi, tol=tol, max_doublings=max_doublings,
-    )
-    return ChernoffParam(found.s), found.value
-
-
-def wtb_gradient(config: ScenarioConfig, n2: Sequence[float], s: float) -> list[float]:
-    """Partial derivatives of the fixed-s bound w.r.t. each link-2
-    allocation: term value times log(alpha) times the term's row of A
-    (+1 where the frame lies in the term's link-2 window, -1 where it lies
-    in its link-1 window, since n1 = N - n2)."""
-    e = _log_terms(config, n2, s)
-    with np.errstate(over="ignore"):
-        values = np.exp(e)
-    return (_log_alpha(config.p_e, s) * (values @ union_terms(config).A)).tolist()
-
-
-def exact_dvp_enum(
-    config: ScenarioConfig, schedule: Schedule, cap: int = ENUM_CAP_DEFAULT
-) -> EvalResult:
-    """Exact DVP by brute-force enumeration of every joint per-frame service
-    outcome, weighted by its binomial probability. Independent of the
-    chain evaluator; serves as the oracle for everything else."""
-    n1 = schedule.n1
-    n2 = schedule.n2
-    if len(schedule) != config.w or schedule.N != config.N:
-        raise ValueError("schedule does not match the scenario")
-    outcomes = 1
-    for k in range(config.w):
-        outcomes *= (n1[k] + 1) * (n2[k] + 1)
-    if outcomes > cap:
-        raise CapExceededError(
-            f"enumeration needs {outcomes} outcomes, cap is {cap}", outcomes, cap
-        )
-    q = 1.0 - config.p_e
-    frame_draws = []
-    for k in range(config.w):
-        frame_draws.append(
-            [
-                (s1, s2, binomial_pmf(n1[k], q, s1) * binomial_pmf(n2[k], q, s2))
-                for s1 in range(n1[k] + 1)
-                for s2 in range(n2[k] + 1)
-            ]
-        )
-    violation = 0.0
-    departed_weighted = 0.0
-    start = QueueState(config.first_hop_load, config.x2)
-    for path in itertools.product(*frame_draws):
-        prob = 1.0
-        state = start
-        for s1, s2, p in path:
-            prob *= p
-            state, _ = step_queues(state, s1, s2)
-        if state.q1 + state.q2 > 0:
-            violation += prob
-        departed_weighted += prob * (config.total_load - state.q1 - state.q2)
-    return EvalResult(
-        dvp=violation, method="exact-enum", mean_departures=departed_weighted
-    )
+    found = min_log_wtb(c + A @ _as_n2(config, schedule), m, config.p_e)
+    return found.s, found.value
 
 
 def exact_dvp_chain(

@@ -27,130 +27,18 @@ import numpy as np
 from .model import (
     CapExceededError,
     PolicyLookupError,
-    QueueState,
     ScenarioConfig,
     Schedule,
     backlog_states,
-    binomial_pmf,
     binomial_pmf_table,
+    check_schedule,
     next_states,
-    step_queues,
 )
 
 BASELINE_KINDS = ("mw", "wfq", "bp", "fifty")
 
 # dense kernel budget: (N + 1) transition matrices over the state space
 KERNEL_ENTRY_CAP = 50_000_000
-
-
-def transition_probs(
-    config: ScenarioConfig, state: QueueState, n1: int
-) -> dict[QueueState, float]:
-    """One-frame transition distribution, by marginalizing the queue update
-    over the two independent binomial service draws, summed in s1-major,
-    s2-minor order. It is the oracle the kernel's rows are tested against
-    bit for bit; see transition_probs_casewise for the closed-form
-    counterpart kept as a cross-check."""
-    if not 0 <= n1 <= config.N:
-        raise ValueError(f"action n1={n1} outside 0..{config.N}")
-    n2 = config.N - n1
-    q = 1.0 - config.p_e
-    out: dict[QueueState, float] = {}
-    for s1 in range(n1 + 1):
-        p1 = binomial_pmf(n1, q, s1)
-        for s2 in range(n2 + 1):
-            p = p1 * binomial_pmf(n2, q, s2)
-            nxt, _ = step_queues(state, s1, s2)
-            out[nxt] = out.get(nxt, 0.0) + p
-    return out
-
-
-def _pmf_at_least(n: int, q: float, r: int) -> float:
-    """P{Binomial(n, q) >= r}; zero when r exceeds the trial count."""
-    if r <= 0:
-        return 1.0
-    if r > n:
-        return 0.0
-    return sum(binomial_pmf(n, q, j) for j in range(r, n + 1))
-
-
-def _pmf_eq(n: int, q: float, r: int) -> float:
-    if r < 0 or r > n:
-        return 0.0
-    return binomial_pmf(n, q, r)
-
-
-def transition_probs_casewise(
-    config: ScenarioConfig, state: QueueState, n1: int
-) -> dict[QueueState, float]:
-    """One-frame transition distribution assembled case by case from the
-    target state, distinguishing whether each queue is partially drained,
-    fully drained, or left untouched, with the proviso that an empty queue
-    contributes no service term.
-
-    For a target (l1p, l2p) from (l1, l2) with both queues non-empty:
-      - infeasible if l1p > l1 or l1p + l2p > l1 + l2;
-      - l1p > 0 pins s1 = l1 - l1p exactly; l1p = 0 needs s1 >= l1;
-      - the second queue must shed l2 - l2p + (l1 - l1p) packets, which
-        requires s2 equal to that count when it is below l2 and s2 >= l2
-        when the queue drains completely.
-    """
-    if not 0 <= n1 <= config.N:
-        raise ValueError(f"action n1={n1} outside 0..{config.N}")
-    l1, l2 = state
-    n2 = config.N - n1
-    q = 1.0 - config.p_e
-    out: dict[QueueState, float] = {}
-
-    def put(l1p: int, l2p: int, prob: float) -> None:
-        if prob > 0.0:
-            out[QueueState(l1p, l2p)] = out.get(QueueState(l1p, l2p), 0.0) + prob
-
-    if l1 == 0 and l2 == 0:
-        return {QueueState(0, 0): 1.0}
-
-    if l1 == 0:
-        # only the second queue receives service
-        for l2p in range(l2 + 1):
-            if l2p > 0:
-                put(0, l2p, _pmf_eq(n2, q, l2 - l2p))
-            else:
-                put(0, 0, _pmf_at_least(n2, q, l2))
-        return out
-
-    if l2 == 0:
-        # only the first queue receives service; relays land in queue 2
-        for l1p in range(l1 + 1):
-            if l1p > 0:
-                put(l1p, l1 - l1p, _pmf_eq(n1, q, l1 - l1p))
-            else:
-                put(0, l1, _pmf_at_least(n1, q, l1))
-        return out
-
-    for l1p in range(l1 + 1):
-        for l2p in range(l1 + l2 - l1p + 1):
-            # relayed packets keep the second queue at >= l1 - l1p
-            drained2 = l2 - l2p + (l1 - l1p)
-            if drained2 > l2:
-                continue
-            if l1p > 0 and l2p > 0:
-                p1 = _pmf_eq(n1, q, l1 - l1p)
-                p2 = _pmf_eq(n2, q, drained2) if drained2 < l2 else _pmf_at_least(n2, q, l2)
-                put(l1p, l2p, p1 * p2)
-            elif l1p == 0 and l2p > 0:
-                p1 = _pmf_at_least(n1, q, l1)
-                p2 = _pmf_eq(n2, q, drained2) if drained2 < l2 else _pmf_at_least(n2, q, l2)
-                put(l1p, l2p, p1 * p2)
-            elif l1p > 0 and l2p == 0:
-                # queue 1 partially served with queue 2 emptied needs the
-                # frame's relays to vanish, i.e. s1 = 0 and l1p = l1
-                if l1p == l1:
-                    put(l1, 0, _pmf_eq(n1, q, 0) * _pmf_at_least(n2, q, l2))
-            else:
-                # l1p = 0 and l2p = 0 is unreachable: the l1 relayed packets
-                # arrive after queue 2 was served
-                continue
-    return out
 
 
 def kernel_key(config: ScenarioConfig) -> tuple:
@@ -185,9 +73,9 @@ class TransitionKernel:
         for a in range(n_actions):
             n2 = config.N - a
             # outcome (i, s1, s2) along axes 0, 1, 2: flattened, each entry's
-            # contributions arrive in transition_probs' s1-major, s2-minor
-            # order, and add.at sums them one by one, so every entry equals
-            # transition_probs bit for bit
+            # contributions arrive in oracles.transition_probs' s1-major,
+            # s2-minor order, and add.at sums them one by one, so every
+            # entry equals it bit for bit
             nxt = relayed[:, : a + 1, None] + kept[:, None, : n2 + 1]
             prob = np.outer(self.pmf[a, : a + 1], self.pmf[n2, : n2 + 1])
             np.add.at(
@@ -198,8 +86,8 @@ class TransitionKernel:
         self.P = P
 
     def rewards(self) -> np.ndarray:
-        """Stage rewards R[a, i] = reward(config, state i, a), each summed
-        over r in reward()'s order, so bit for bit equal to it."""
+        """Stage rewards R[a, i] = oracles.reward(config, state i, a), each
+        summed over r in its order, so bit for bit equal to it."""
         N = len(self.pmf) - 1
         R = np.empty((N + 1, len(self.states)))
         for a in range(N + 1):
@@ -225,15 +113,6 @@ def checked_kernel(
             f"scenario needs {kernel_key(config)}"
         )
     return kernel
-
-
-def reward(config: ScenarioConfig, state: QueueState, n1: int) -> float:
-    """Expected departures from the system in one frame: E[min(q2, s2)]."""
-    if not 0 <= n1 <= config.N:
-        raise ValueError(f"action n1={n1} outside 0..{config.N}")
-    n2 = config.N - n1
-    q = 1.0 - config.p_e
-    return sum(min(state.q2, r) * binomial_pmf(n2, q, r) for r in range(n2 + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,12 +146,17 @@ class PolicyTable:
     def to_text(self) -> str:
         """Line format: one config header, then `epoch q1 q2 action value`
         rows with values rendered to 12 significant digits, one per stored
-        entry of each epoch, states in the domain's order."""
+        entry of each epoch, states in the domain's order. The header gives
+        p_e to 12 significant digits too, or in full where those would not
+        read back as p_e."""
         c = self.config
         states = backlog_states(c)
+        pe = f"{c.p_e:.12g}"
+        if float(pe) != c.p_e:
+            pe = repr(float(c.p_e))
         buf = io.StringIO()
         buf.write(
-            f"# policy-table N={c.N} pe={c.p_e:.12g} w={c.w} y={c.y} x1={c.x1} x2={c.x2}\n"
+            f"# policy-table N={c.N} pe={pe} w={c.w} y={c.y} x1={c.x1} x2={c.x2}\n"
         )
         for k in range(c.w):
             for i, (q1, q2) in enumerate(zip(states.q1.tolist(), states.q2.tolist())):
@@ -411,12 +295,7 @@ def policy_actions(policy, config: ScenarioConfig) -> PolicyActions:
     states = backlog_states(config)
     shift = np.zeros(config.w, dtype=np.int64)
     if isinstance(policy, Schedule):
-        if len(policy) != config.w:
-            raise ValueError(
-                f"schedule has {len(policy)} frames, deadline needs {config.w}"
-            )
-        if policy.N != config.N:
-            raise ValueError(f"schedule N={policy.N} differs from config N={config.N}")
+        check_schedule(config, policy)
         shift = np.array(policy.n1, dtype=np.int64)
         rows = np.zeros((1, len(states)), dtype=np.int64)
     elif isinstance(policy, PolicyTable):

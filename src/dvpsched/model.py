@@ -1,5 +1,5 @@
 """Core model of the two-hop relay path: scenario parameters, slot schedules,
-queue states, binomial per-frame service, and the one-frame queue update.
+the backlog-state domain, binomial per-frame service, and the frame update.
 
 Time is slotted and grouped into frames of N slots. Each frame's slots are
 split between the two links (n1 + n2 = N). A slot carries one transmission
@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -110,11 +109,12 @@ class Schedule:
         return len(self.n1)
 
 
-class QueueState(NamedTuple):
-    """Joint backlog pair at a frame boundary."""
-
-    q1: int
-    q2: int
+def check_schedule(config: ScenarioConfig, schedule: Schedule) -> None:
+    """Raise ValueError unless schedule has config's w frames of N slots."""
+    if len(schedule) != config.w:
+        raise ValueError(f"schedule has {len(schedule)} frames, deadline needs {config.w}")
+    if schedule.N != config.N:
+        raise ValueError(f"schedule N={schedule.N} differs from config N={config.N}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,9 +161,9 @@ def backlog_states(config: ScenarioConfig) -> BacklogStates:
 def next_states(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """(relayed, kept), each S x (N + 1): under service s1, s2 in 0..N,
     state i of backlog_states(config) moves to relayed[i, s1] + kept[i, s2],
-    as step_queues moves it. States are numbered row-major, so (a, b) is b
-    past (a, 0): relayed[i, s1] indexes (q1 - d1, d1), kept[i, s2] is
-    q2 - d2. Two parts keep memory linear in S; their sum would not."""
+    as oracles.step_queues moves it. States are numbered row-major, so
+    (a, b) is b past (a, 0): relayed[i, s1] indexes (q1 - d1, d1), kept[i,
+    s2] is q2 - d2. Two parts keep memory linear in S; their sum would not."""
     states = backlog_states(config)
     service = np.arange(config.N + 1)
     d1 = np.minimum(states.q1[:, None], service)
@@ -209,43 +209,14 @@ def binomial_pmf_table(N: int, p: float) -> np.ndarray:
     return table
 
 
-def binomial_cdf(n: int, p: float, r: int) -> float:
-    """P{Binomial(n, p) <= r}."""
-    n = int(n)
-    r = int(r)
-    if r < 0 or r > n:
-        raise ValueError(f"r={r} outside 0..{n}")
-    if r == n:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {p}")
-        return 1.0
-    total = 0.0
-    for j in range(r + 1):
-        total += binomial_pmf(n, p, j)
-    return min(total, 1.0)
-
-
 @functools.lru_cache(maxsize=64)
 def binomial_cdf_table(n_max: int, p: float) -> np.ndarray:
-    """cdf[n, r] = binomial_cdf(n, p, r) for 0 <= r < n <= n_max, and 1 for
-    r >= n. Each row is the running sum of binomial_pmf_table's row, added
-    in binomial_cdf's order and capped at 1 as it is, so every entry equals
-    binomial_cdf bit for bit. Cached, so the array is read-only."""
+    """cdf[n, r] = P{Binomial(n, p) <= r} for 0 <= r < n <= n_max, and 1
+    for r >= n. Each row is the running sum of binomial_pmf_table's row,
+    added in oracles.binomial_cdf's order and capped at 1 as it is, so every
+    entry equals it bit for bit. Cached, so the array is read-only."""
     cdf = np.minimum(np.cumsum(binomial_pmf_table(n_max, p), axis=1), 1.0)
     cdf[np.arange(n_max + 1) >= np.arange(n_max + 1)[:, None]] = 1.0
     cdf.flags.writeable = False
     return cdf
-
-
-def step_queues(state: QueueState, s1: int, s2: int) -> tuple[QueueState, int]:
-    """Apply one frame of granted service. Packets relayed from the first
-    queue this frame are appended to the second queue after it was served,
-    so they only become servable next frame. Returns the next state and the
-    number of packets that left the system (d2)."""
-    if s1 < 0 or s2 < 0:
-        raise ValueError(f"service must be >= 0, got s1={s1}, s2={s2}")
-    q1, q2 = state
-    d1 = min(q1, s1)
-    d2 = min(q2, s2)
-    return QueueState(q1 - d1, q2 - d2 + d1), d2
 

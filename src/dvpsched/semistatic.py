@@ -13,7 +13,6 @@ import numpy as np
 
 from .dvp import (
     S_LO,
-    ChernoffParam,
     Rejected,
     _log_alpha,
     _term_cdf,
@@ -26,7 +25,7 @@ from .dvp import (
 from .mdp import TransitionKernel, checked_kernel
 from .model import CapExceededError, ScenarioConfig, Schedule
 
-EXHAUSTIVE_CAP_DEFAULT = 1_000_000
+EXHAUSTIVE_CAP = 1_000_000
 NEIGHBOR_W_CAP = 24
 
 # branch-and-bound prunes a child whose bound exceeds the incumbent by more
@@ -58,7 +57,7 @@ class RelaxedSchedule:
     plateau where the bound is vacuous; none takes part in equality."""
 
     n2: tuple[float, ...]
-    s: ChernoffParam
+    s: float
     objective: float
     iterations: int = 0
     stop_reason: str = "converged"
@@ -160,7 +159,7 @@ def solve_relaxed(config: ScenarioConfig) -> RelaxedSchedule:
             break
     return RelaxedSchedule(
         n2=tuple(x.tolist()),
-        s=ChernoffParam(best.s),
+        s=best.s,
         objective=best.value,
         iterations=iterations,
         stop_reason=stop_reason,
@@ -347,7 +346,6 @@ def _least_exact_dvp(
 def exhaustive(
     config: ScenarioConfig,
     criterion: str,
-    cap: int = EXHAUSTIVE_CAP_DEFAULT,
     full_domain: bool = False,
     make_kernel: Callable[[ScenarioConfig], TransitionKernel] = TransitionKernel,
 ) -> SemiStaticResult:
@@ -355,7 +353,7 @@ def exhaustive(
     {1..N-1}^w (optionally {0..N}^w for the exact criterion), the first in
     itertools.product order of n2 where several tie; the default domain
     matches the bound methods so rankings stay comparable. A domain of more
-    than cap schedules raises CapExceededError.
+    than EXHAUSTIVE_CAP schedules raises CapExceededError.
 
     The exact criterion is searched by branch-and-bound (_least_exact_dvp)
     on the kernel make_kernel(config) returns once the domain and the cap
@@ -375,9 +373,11 @@ def exhaustive(
             raise ValueError(f"domain {{1..N-1}} is empty for N={config.N}")
         values = np.arange(1, config.N)
     count = len(values) ** config.w
-    if count > cap:
+    if count > EXHAUSTIVE_CAP:
         raise CapExceededError(
-            f"exhaustive search over {count} schedules exceeds cap {cap}", count, cap
+            f"exhaustive search over {count} schedules exceeds cap {EXHAUSTIVE_CAP}",
+            count,
+            EXHAUSTIVE_CAP,
         )
     nodes = count
     if criterion == "exact":
@@ -415,32 +415,21 @@ def fifty_fifty(config: ScenarioConfig) -> SemiStaticResult:
     return SemiStaticResult(schedule=schedule, method="fifty-fifty", score=score)
 
 
-def wtb_r(config: ScenarioConfig) -> SemiStaticResult:
-    return round_nearest(config, solve_relaxed(config))
-
-
 def wtb_w(config: ScenarioConfig) -> SemiStaticResult:
     return neighbor_search(config, solve_relaxed(config), "wtb")
 
 
-def wtb_d(config: ScenarioConfig) -> SemiStaticResult:
-    return neighbor_search(config, solve_relaxed(config), "dvpub")
+def e_wtb(config: ScenarioConfig) -> SemiStaticResult:
+    return exhaustive(config, "wtb")
 
 
-def e_wtb(config: ScenarioConfig, cap: int = EXHAUSTIVE_CAP_DEFAULT) -> SemiStaticResult:
-    return exhaustive(config, "wtb", cap=cap)
-
-
-def e_dvpub(config: ScenarioConfig, cap: int = EXHAUSTIVE_CAP_DEFAULT) -> SemiStaticResult:
-    return exhaustive(config, "dvpub", cap=cap)
+def e_dvpub(config: ScenarioConfig) -> SemiStaticResult:
+    return exhaustive(config, "dvpub")
 
 
 def opt(
     config: ScenarioConfig,
-    cap: int = EXHAUSTIVE_CAP_DEFAULT,
     full_domain: bool = False,
     make_kernel: Callable[[ScenarioConfig], TransitionKernel] = TransitionKernel,
 ) -> SemiStaticResult:
-    return exhaustive(
-        config, "exact", cap=cap, full_domain=full_domain, make_kernel=make_kernel
-    )
+    return exhaustive(config, "exact", full_domain=full_domain, make_kernel=make_kernel)

@@ -87,9 +87,10 @@ class SimResult:
     exact_fallbacks: int = field(default=0, compare=False)
 
 
-def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval; stays sane for counts of 0 or n."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score interval at WILSON_Z; stays sane for counts of 0 or n."""
     p_hat = successes / n
+    z = WILSON_Z
     z2 = z * z
     denom = 1.0 + z2 / n
     center = (p_hat + z2 / (2.0 * n)) / denom
@@ -104,7 +105,7 @@ def wilson_interval(successes: int, n: int, z: float = WILSON_Z) -> tuple[float,
 def _inversion_table(N: int, q: float) -> np.ndarray:
     """cdf[a, r] = P{Binomial(a, q) <= r} for r < a, and 1 beyond, so that
     counting thresholds <= u inverts the distribution: the first max(N, 1)
-    columns of model.binomial_cdf_table, binomial_cdf's sums term for term."""
+    columns of model.binomial_cdf_table, oracles.binomial_cdf term for term."""
     return binomial_cdf_table(N, q)[:, : max(N, 1)]
 
 

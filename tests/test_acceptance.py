@@ -22,16 +22,14 @@ from dvpsched import (
     dvpub,
     e_dvpub,
     exact_dvp_chain,
-    exact_dvp_enum,
     fifty_fifty,
     opt,
     simulate,
-    transition_probs,
-    transition_probs_casewise,
     value_iteration,
     wtb_min_s,
     wtb_w,
 )
+from dvpsched.oracles import exact_dvp_enum, transition_probs, transition_probs_casewise
 
 SWEEP_PES = (0.2, 0.33, 0.4, 0.5)
 

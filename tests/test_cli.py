@@ -82,6 +82,18 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert err == "error: --full-domain applies to --method opt\n"
 
+    @pytest.mark.parametrize("method", ["wtb-w", "e-dvpub", "opt", "fifty"])
+    def test_out_refused_for_other_methods(self, capsys, tmp_path, method):
+        path = tmp_path / "table.txt"
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--N", "6", "--pe", "0.4", "--w", "6", "--y", "1",
+            "--x1", "3", "--x2", "3", "--method", method, "--out", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --out applies to --method mdp\n"
+        assert not path.exists()
+
     @pytest.mark.parametrize("method", sorted(SOLVE_GOLDEN))
     def test_semistatic_golden(self, capsys, method):
         code, out, err = run_cli(
@@ -237,6 +249,19 @@ class TestEval:
         cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
         want = exact_dvp_chain(cfg, PolicyTable.from_text(path.read_text())).dvp
         assert float(out.splitlines()[0].removeprefix("dvp=")) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("pe", [0.1234567890123, 0.1 + 0.2])
+    def test_policy_table_reads_back_at_a_long_pe(self, capsys, tmp_path, pe):
+        # 12 significant digits would name another scenario than pe
+        scenario = ["--N", "3", "--pe", repr(pe), "--w", "3", "--y", "1", "--x1", "1", "--x2", "1"]
+        path = tmp_path / "table.txt"
+        code, _, err = run_cli(capsys, "solve", *scenario, "--method", "mdp", "--out", str(path))
+        assert (code, err) == (0, "")
+        code, out, err = run_cli(capsys, "eval", *scenario, "--policy-file", str(path))
+        assert (code, err) == (0, "")
+        cfg = ScenarioConfig(N=3, p_e=pe, w=3, y=1, x1=1, x2=1)
+        want = exact_dvp_chain(cfg, value_iteration(cfg)).dvp
+        assert out.splitlines()[0] == f"dvp={fmt_prob(want)}"
 
     def test_malformed_policy_file_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -419,6 +444,15 @@ class TestSweepRun:
         assert run_sweep(spec, buf) == 0
         got = [line.rsplit(",", 1)[0] for line in buf.getvalue().splitlines()]
         assert got == (GOLDEN / "semistatic-deadlines.csv").read_text().splitlines()
+
+    def test_dynamic_sweep_file_golden(self):
+        # sweeps/dynamic-deadlines.sweep, recorded before the test-only
+        # oracles left the production modules; ms column dropped
+        spec = parse_sweep_file((SWEEPS / "dynamic-deadlines.sweep").read_text())
+        buf = io.StringIO()
+        assert run_sweep(spec, buf) == 0
+        got = [line.rsplit(",", 1)[0] for line in buf.getvalue().splitlines()]
+        assert got == (GOLDEN / "dynamic-deadlines.csv").read_text().splitlines()
 
     def test_header_rows_and_sorting(self):
         spec = parse_sweep_file(SWEEP_TEXT)

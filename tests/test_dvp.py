@@ -8,20 +8,17 @@ import pytest
 
 from dvpsched import (
     CapExceededError,
-    ChernoffParam,
     ScenarioConfig,
     Schedule,
     TransitionKernel,
-    binomial_cdf,
     binomial_pmf,
     dvpub,
     exact_dvp_chain,
-    exact_dvp_enum,
     value_iteration,
-    wtb,
     wtb_min_s,
 )
 from dvpsched.dvp import S_LO, Rejected, _log_wtb_in_s, min_log_wtb, union_terms
+from dvpsched.oracles import binomial_cdf, exact_dvp_enum, wtb
 
 HAND_CFG = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
 HAND_SCHED = Schedule(n1=(1, 1), N=2)
@@ -250,7 +247,7 @@ class TestWtb:
         for _ in range(25):
             cfg, sched = random_instance(rng)
             s = float(rng.uniform(0.05, 4.0))
-            alpha = ChernoffParam(s).alpha(cfg.p_e)
+            alpha = (1.0 - cfg.p_e) * math.exp(-s) + cfg.p_e
             ub = dvpub(cfg, sched).detail
             for (trials, threshold), tail in zip(term_counts(cfg, sched), ub):
                 assert alpha**trials * math.exp(s * threshold) >= tail - 1e-12
@@ -263,7 +260,7 @@ class TestWtb:
         with pytest.raises(ValueError):
             wtb(HAND_CFG, HAND_SCHED, 0.0)
         with pytest.raises(ValueError):
-            ChernoffParam(-1.0)
+            wtb(HAND_CFG, HAND_SCHED, -1.0)
 
     def test_convex_in_s(self):
         # each term is log-convex in s, so the sum is convex in s
@@ -286,7 +283,7 @@ class TestWtbMinS:
         for _ in range(10):
             cfg, sched = random_instance(rng)
             s_star, v_star = wtb_min_s(cfg, sched)
-            assert s_star.s > 0
+            assert s_star > 0
             for s in rng.uniform(1e-5, 60.0, size=20):
                 assert v_star <= wtb(cfg, sched, float(s)) + 1e-9
 
@@ -407,8 +404,7 @@ class TestExponentSearch:
             cfg, sched = random_instance(rng, max_N=6, max_w=6, max_load=9)
             c, A, m = union_terms(cfg)
             s, g = cold_search_before_warm_start(c + A @ np.array(sched.n2, float), m, cfg.p_e)
-            s_param, value = wtb_min_s(cfg, sched)
-            assert (s_param.s, value) == (s, math.exp(g))
+            assert wtb_min_s(cfg, sched) == (s, math.exp(g))
 
     def assert_warm_agrees(self, T, m, p_e, starts):
         """The warm entry from each start against the cold entry; returns

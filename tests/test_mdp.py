@@ -7,21 +7,18 @@ import pytest
 from dvpsched import (
     PolicyLookupError,
     PolicyTable,
-    QueueState,
     ScenarioConfig,
     Schedule,
     SimSpec,
     TransitionKernel,
     exact_dvp_chain,
     opt,
-    reward,
     simulate,
-    transition_probs,
-    transition_probs_casewise,
     value_iteration,
 )
 from dvpsched.mdp import BASELINE_KINDS, baseline_actions, policy_actions
 from dvpsched.model import backlog_states
+from dvpsched.oracles import QueueState, reward, transition_probs, transition_probs_casewise
 
 
 def criterion_05_grid():
@@ -356,6 +353,21 @@ class TestPolicyTable:
         assert parsed.config == cfg
         assert np.array_equal(parsed.actions, table.actions)
         assert np.allclose(parsed.values[: cfg.w], table.values[: cfg.w], rtol=1e-11)
+
+    @pytest.mark.parametrize(
+        "p_e, header",
+        [
+            (0.4, "pe=0.4"),
+            (0.1234567890123, "pe=0.1234567890123"),
+            (0.1 + 0.2, "pe=0.30000000000000004"),
+        ],
+    )
+    def test_header_pe_reads_back(self, p_e, header):
+        # 12 significant digits where they read back as p_e, else in full
+        cfg = ScenarioConfig(N=3, p_e=p_e, w=2, y=1, x1=1, x2=1)
+        text = value_iteration(cfg).to_text()
+        assert text.splitlines()[0].split()[3] == header
+        assert PolicyTable.from_text(text).config == cfg
 
     def test_text_format(self):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=1, y=1, x1=0, x2=0)

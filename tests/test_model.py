@@ -6,16 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvpsched import (
-    QueueState,
-    ScenarioConfig,
-    Schedule,
-    binomial_cdf,
-    binomial_pmf,
-    binomial_pmf_table,
-    step_queues,
-)
+from dvpsched import ScenarioConfig, Schedule, binomial_pmf, binomial_pmf_table
 from dvpsched.model import backlog_states, binomial_cdf_table, next_states
+from dvpsched.oracles import QueueState, binomial_cdf, step_queues
 
 
 def exact_binomial_cdf(n: int, p: Fraction, r: int) -> Fraction:

@@ -22,12 +22,11 @@ from dvpsched import (
     opt,
     round_nearest,
     solve_relaxed,
-    wtb,
     wtb_min_s,
-    wtb_r,
     wtb_w,
 )
-from dvpsched.dvp import S_LO, ChernoffParam, min_log_wtb, union_terms, wtb_gradient
+from dvpsched.dvp import S_LO, _log_alpha, min_log_wtb, union_terms
+from dvpsched.oracles import wtb, wtb_gradient
 from dvpsched.semistatic import STOP_REASONS, _product_blocks
 
 # frozen via the exact chain at (y=1, x1=1, x2=1, N=4, w=4, p_e=0.2)
@@ -49,7 +48,7 @@ def first_order_certificate(cfg, relaxed, tol=1e-6):
     lo, hi = 1.0, float(cfg.N - 1)
     if lo == hi:
         return True
-    grad = wtb_gradient(cfg, relaxed.n2, relaxed.s.s)
+    grad = wtb_gradient(cfg, relaxed.n2, relaxed.s)
     for xi, gi in zip(relaxed.n2, grad):
         at_lo = xi <= lo + 1e-9
         at_hi = xi >= hi - 1e-9
@@ -139,7 +138,7 @@ class TestSolverScaleFree:
         relaxed = solve_relaxed(cfg)
         x = np.array(relaxed.n2)
         # the envelope gradient of log wtb is the fixed-s gradient over wtb
-        grad = np.array(wtb_gradient(cfg, relaxed.n2, relaxed.s.s)) / relaxed.objective
+        grad = np.array(wtb_gradient(cfg, relaxed.n2, relaxed.s)) / relaxed.objective
         projected = x - np.clip(x - grad, 1.0, cfg.N - 1.0)
         assert np.linalg.norm(projected) <= 1e-7
 
@@ -227,7 +226,7 @@ class TestSolveStatistics:
         relaxed = solve_relaxed(cfg)
         assert relaxed.stop_reason == "converged"
         x = np.array(relaxed.n2)
-        grad = np.array(wtb_gradient(cfg, relaxed.n2, relaxed.s.s)) / relaxed.objective
+        grad = np.array(wtb_gradient(cfg, relaxed.n2, relaxed.s)) / relaxed.objective
         projected = np.linalg.norm(x - np.clip(x - grad, 1.0, cfg.N - 1.0))
         assert relaxed.pg_norm <= 1e-9
         assert relaxed.pg_norm == pytest.approx(projected, abs=1e-12)
@@ -244,7 +243,7 @@ class TestSolveStatistics:
     def test_exponent_at_the_vacuous_plateau_recorded(self):
         # a load far above every trial count: the bound only rises with s
         vacuous = solve_relaxed(ScenarioConfig(N=3, p_e=0.3, w=2, y=5, x1=2, x2=2))
-        assert vacuous.s.s == S_LO and vacuous.s_at_lo
+        assert vacuous.s == S_LO and vacuous.s_at_lo
         assert vacuous.objective >= 1.0
         informative = solve_relaxed(ScenarioConfig(N=6, p_e=0.4, w=6, y=1, x1=3, x2=3))
         assert informative.objective < 1.0 and not informative.s_at_lo
@@ -260,7 +259,7 @@ def solve_relaxed_before_rejection(config):
     best = min_log_wtb(c + A @ x, m, config.p_e)
     iterations = 0
     while True:
-        log_alpha = ChernoffParam(best.s).log_alpha(config.p_e)
+        log_alpha = _log_alpha(config.p_e, best.s)
         p = best.weights
         pA = p @ A
         grad = log_alpha * pA
@@ -299,7 +298,7 @@ def solve_relaxed_before_rejection(config):
             break
     return RelaxedSchedule(
         n2=tuple(x.tolist()),
-        s=ChernoffParam(best.s),
+        s=best.s,
         objective=best.value,
         iterations=iterations,
         stop_reason=stop_reason,
@@ -631,7 +630,8 @@ class TestFiftyFifty:
 
 class TestConvenienceWrappers:
     def test_wtb_r_runs(self):
-        res = wtb_r(ScenarioConfig(N=4, p_e=0.2, w=3, y=1, x1=1, x2=1))
+        cfg = ScenarioConfig(N=4, p_e=0.2, w=3, y=1, x1=1, x2=1)
+        res = round_nearest(cfg, solve_relaxed(cfg))
         assert res.method == "wtb-r"
         assert all(1 <= v <= 3 for v in res.schedule.n2)
         assert res.relaxed is not None

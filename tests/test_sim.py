@@ -17,14 +17,14 @@ from dvpsched import (
     Schedule,
     SimResult,
     SimSpec,
-    binomial_cdf,
     exact_dvp_chain,
     simulate,
     simulate_policies,
     value_iteration,
     wilson_interval,
 )
-from dvpsched.model import QueueState, backlog_states, step_queues
+from dvpsched.model import backlog_states
+from dvpsched.oracles import QueueState, binomial_cdf, step_queues
 from dvpsched.semistatic import even_split
 from dvpsched.sim import (
     DEFAULT_CHUNK,
