@@ -138,6 +138,24 @@ GOLDEN_BENCH_SCALE = {
     ),
 }
 M_SIZE = (10, 0.5, 8, 5, 5, 5)
+# simulate(N20_CFG, SimSpec(20_000, 3, policy)), recorded before the draw
+# cells lost their guide-bucket edges; at N = 20 the most draws fall in a
+# bucket that holds a threshold
+N20_CFG = ScenarioConfig(20, 0.4, 4, 10, 5, 5)
+GOLDEN_N20 = {
+    "mw": SimResult(
+        dvp_hat=0.5133, ci_low=0.5063710434421456, ci_high=0.520223848398762,
+        mean_departures=18.7805, replications=20000,
+    ),
+    "even split": SimResult(
+        dvp_hat=0.26465, ci_low=0.2585817472299695, ci_high=0.27080864414163897,
+        mean_departures=19.46695, replications=20000,
+    ),
+    "mdp": SimResult(
+        dvp_hat=0.00355, ci_low=0.0028156394428322743, ci_high=0.004475033157274009,
+        mean_departures=19.99445, replications=20000,
+    ),
+}
 # the exact_fallbacks of each GOLDEN_BENCH_SCALE run, recorded with the
 # draws read from Generator.random; equality leaves the field out
 GOLDEN_BENCH_FALLBACKS = {
@@ -198,6 +216,13 @@ class TestSimulate:
         policy = value_iteration(cfg) if name == "mdp" else name
         res = simulate(cfg, SimSpec(50_000, 1, policy))
         assert res == GOLDEN_BENCH_SCALE[cell]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_N20))
+    def test_golden_stream_at_n20(self, name):
+        policy = {
+            "mw": "mw", "even split": even_split(N20_CFG), "mdp": value_iteration(N20_CFG)
+        }[name]
+        assert simulate(N20_CFG, SimSpec(20_000, 3, policy)) == GOLDEN_N20[name]
 
     @pytest.mark.parametrize("cell", sorted(GOLDEN_BENCH_FALLBACKS), ids=str)
     def test_exact_fallbacks_at_bench_scale(self, cell):
