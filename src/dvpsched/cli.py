@@ -118,11 +118,15 @@ def cmd_solve(args) -> int:
         return EXIT_INFEASIBLE
     if not method.score:
         text = result.to_text()
-        if args.out:
+        if not args.out:
+            sys.stdout.write(text)
+            return EXIT_OK
+        try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        else:
-            sys.stdout.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         return EXIT_OK
     print("n1=" + ",".join(str(v) for v in result.schedule.n1))
     print(f"{method.score}={fmt_prob(result.score)}")
@@ -414,10 +418,15 @@ def cmd_sweep(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            return run_sweep(spec, fh)
-    return run_sweep(spec, sys.stdout)
+    if not args.out:
+        return run_sweep(spec, sys.stdout)
+    try:
+        fh = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    with fh:
+        return run_sweep(spec, fh)
 
 
 def build_parser() -> argparse.ArgumentParser:

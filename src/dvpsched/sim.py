@@ -9,12 +9,11 @@ through the binomial distribution function at the uniform
 (word >> 11) * 2**-53 that Generator.random makes of it.
 
 A draw is read as its cell: [0, 1) is cut at every threshold of the
-inversion table and at both edges of each bucket of a guide table (indexed
-search, Chen & Asau 1974, on the word's top GUIDE_BITS bits) that holds a
-threshold strictly inside it, so a cell fixes every row's service count.
-Each chunk maps its words to cells once for all policies, by the bucket;
-only the few words in a cut bucket form the uniform and search the cuts,
-so the draws, and the stream, are the same as with full counting. Each
+inversion table, so a cell fixes every row's service count. Each chunk
+maps its words to cells once for all policies, by a guide table (indexed
+search, Chen & Asau 1974) on the word's top GUIDE_BITS bits; only the few
+words in a bucket that a threshold cuts form the uniform and search the
+cuts, so the draws, and the stream, are the same as with full counting. Each
 replication's backlog is one index into model.backlog_states, which a
 frame moves by two lookups in one table of index changes per link,
 action, queue backlog and cell (Moves), keyed by the policy's layout over
@@ -37,10 +36,6 @@ WILSON_Z = 1.959963984540054  # two-sided 95%
 DEFAULT_CHUNK = 1 << 14
 WORD_BLOCK = 1 << 10  # replications whose words are made and mapped to cells at once
 GUIDE_BITS = 10  # 1 024 buckets; fewer than 1% of them hold a threshold for N <= 20
-# a Moves entry carries EXACT for a draw the guide table leaves to exact
-# counting; it sits above every state index and sums over 2w draws safely
-EXACT_BIT = 40
-EXACT = 1 << EXACT_BIT
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,12 +66,9 @@ def check_counts(replications, seed) -> None:
 
 @dataclass(frozen=True)
 class SimResult:
-    """The estimate and its Wilson interval. wall_s (the wall time of the
-    call that produced the result, so the results of one simulate_policies
-    call share it) and exact_fallbacks (the policy's draws whose guide
-    bucket holds a threshold of their row strictly inside it, the ones a
-    guide table leaves to exact counting) say how it was obtained and take
-    no part in equality."""
+    """The estimate and its Wilson interval. wall_s, the wall time of the
+    call that produced the result (so the results of one simulate_policies
+    call share it), takes no part in equality."""
 
     dvp_hat: float
     ci_low: float
@@ -84,7 +76,6 @@ class SimResult:
     mean_departures: float
     replications: int
     wall_s: float = field(default=0.0, compare=False)
-    exact_fallbacks: int = field(default=0, compare=False)
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -109,46 +100,30 @@ def _inversion_table(N: int, q: float) -> np.ndarray:
     return binomial_cdf_table(N, q)[:, : max(N, 1)]
 
 
-def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """Flat g[a * 2**GUIDE_BITS + b] = #{cdf[a] <= u}, the same for every u
-    in bucket [b, b + 1) / 2**GUIDE_BITS, or -1 where a threshold lies
-    strictly inside the bucket and the count depends on u."""
-    edges = np.arange((1 << GUIDE_BITS) + 1) / (1 << GUIDE_BITS)
-    rows = []
-    for thresholds in cdf:
-        at_low = np.searchsorted(thresholds, edges[:-1], side="right")
-        below_high = np.searchsorted(thresholds, edges[1:], side="left")
-        rows.append(np.where(at_low == below_high, at_low, -1))
-    return np.concatenate(rows)
-
-
 @dataclass(frozen=True, eq=False)
 class Cells:
-    """[0, 1) cut at every threshold of an inversion table and at both
-    edges of each guide bucket that holds a threshold strictly inside it.
-    Cell c is [cuts[c], cuts[c + 1]); in it, row a's draw counts[a, c] =
-    #{cdf[a] <= u} and whether the guide table leaves it to exact counting,
-    exact[a, c], are the same for every u. bucket_cell[b] is the cell of
-    every u in guide bucket b, or -1 where cuts lie inside the bucket."""
+    """[0, 1) cut at 0 and at every threshold of an inversion table below
+    1. Cell c is [cuts[c], cuts[c + 1]); in it, row a's draw counts[a, c] =
+    #{cdf[a] <= u} is the same for every u. bucket_cell[b] is the cell of
+    every u in guide bucket [b, b + 1) / 2**GUIDE_BITS, or -1 where a cut
+    lies strictly inside the bucket."""
 
     cuts: np.ndarray
     bucket_cell: np.ndarray
     counts: np.ndarray
-    exact: np.ndarray
 
     @classmethod
     def of(cls, cdf: np.ndarray) -> "Cells":
         buckets = 1 << GUIDE_BITS
-        guide = _guide_table(cdf).reshape(len(cdf), buckets)
-        split = np.flatnonzero((guide < 0).any(axis=0))
-        cuts = np.unique(np.concatenate([[0.0], cdf.ravel(), split / buckets, (split + 1) / buckets]))
+        cuts = np.unique(np.append(cdf, 0.0))
         cuts = cuts[cuts < 1.0]
         bucket_cell = np.searchsorted(cuts, np.arange(buckets) / buckets, side="right") - 1
-        bucket_cell[split] = -1
+        # cut * buckets is exact, so a cut lies strictly inside the bucket
+        # of its integer part unless it is an integer, a bucket's edge
+        scaled = cuts * buckets
+        bucket_cell[scaled[scaled != np.floor(scaled)].astype(np.intp)] = -1
         counts = np.stack([np.searchsorted(row, cuts, side="right") for row in cdf])
-        # a cell lies inside one bucket, or spans buckets no threshold splits
-        exact = guide[:, (cuts * buckets).astype(np.intp)] < 0
-        return cls(cuts, bucket_cell, counts, exact)
+        return cls(cuts, bucket_cell, counts)
 
     def of_words(self, words: np.ndarray) -> np.ndarray:
         """The cells of raw Philox words, transposed: out[j, r] is the cell
@@ -174,8 +149,7 @@ class Moves:
     """One frame's move of a state index, as two lookups in one table.
     Under action a and cells c1, c2 (the draws of links 1 and 2), state i
     of model.backlog_states moves to i + table[key1[i] + a * step1 + c1] +
-    table[key2[i] + a * step2 + c2], less EXACT for each draw the guide
-    table leaves to exact counting. The first lookup is link 1's change
+    table[key2[i] + a * step2 + c2]. The first lookup is link 1's change
     R(q1 - d1) + d1 - R(q1), with R(q) the index of (q, 0) and d1 =
     min(q1, s1); the second is -min(q2, s2), the same for every q2 >= N,
     with s2 drawn for N - a slots."""
@@ -199,9 +173,8 @@ class Moves:
         for a in range(N + 1):
             d1 = np.minimum(q1, cells.counts[a])
             link1[a] = row_start[q1 - d1] + d1 - row_start[q1]
-            link1[a] += cells.exact[a] * EXACT
         np.minimum(np.arange(N + 1)[:, None], cells.counts[::-1, None, :], out=link2)
-        np.subtract(cells.exact[::-1, None, :] * EXACT, link2, out=link2)
+        np.negative(link2, out=link2)
         return cls(
             table=table,
             key1=states.q1 * C,
@@ -234,10 +207,10 @@ def simulate_policies(
 ) -> list[SimResult]:
     """simulate(config, SimSpec(replications, seed, policy), chunk_size)
     for each policy, in order, over one stream: each chunk's Philox words
-    and guide buckets are made once and every policy's frames run over
-    them in turn (common random numbers). A policy's result, its
-    exact_fallbacks included, depends on neither the other policies, nor
-    their order, nor chunk_size; the results share the call's wall_s.
+    and draw cells are made once and every policy's frames run over them
+    in turn (common random numbers). A policy's result depends on neither
+    the other policies, nor their order, nor chunk_size; the results share
+    the call's wall_s.
 
     Every policy is checked against the scenario before any draw. A
     callable, or a table that lacks entries, is then asked for the actions
@@ -269,7 +242,6 @@ def simulate_policies(
 
     violations = [0] * len(actions)
     departed = [0] * len(actions)
-    fallbacks = [0] * len(actions)
     done = 0
     # one chunk's buffers, allocated once and reused by every chunk (the
     # last through its first n columns): fresh ones per chunk let the
@@ -277,21 +249,19 @@ def simulate_policies(
     # so that peak memory differed between otherwise identical runs
     width = min(chunk_size, replications)
     buffers = [np.empty((words_per_rep, width), dtype=np.int64)]
-    buffers += [np.empty(width, dtype=np.int64) for _ in range(4)]
+    buffers += [np.empty(width, dtype=np.int64) for _ in range(3)]
     while done < replications:
         n = min(chunk_size, replications - done)
         philox = np.random.Philox(key=seed, counter=done * blocks_per_rep)
-        cell, idx, buf1, buf2, marked = (b[..., :n] for b in buffers)
+        cell, idx, buf1, buf2 = (b[..., :n] for b in buffers)
         # cell[k] and cell[w + k] are the draws of frame k; the words are
         # made and transposed a cache-sized block of replications at a time
         for lo in range(0, n, WORD_BLOCK):
             words = philox.random_raw(min(WORD_BLOCK, n - lo) * row).reshape(-1, row)
             cell[:, lo : lo + len(words)] = cells.of_words(words[:, :words_per_rep])
         for i, act in enumerate(actions):
-            # the index, plus EXACT for each draw so far left to exact counting
-            marked.fill(states.start)
+            idx.fill(states.start)
             for k in range(w):
-                np.bitwise_and(marked, EXACT - 1, out=idx)
                 # every key is in range by construction, so no bounds check
                 key1 = keys[i][0][k % len(keys[i][0])].take(idx, out=buf1, mode="clip")
                 key2 = keys[i][1][k % len(keys[i][1])].take(idx, out=buf2, mode="clip")
@@ -303,18 +273,16 @@ def simulate_policies(
                 else:
                     shift = act.shift[k]
                 key1 += cell[k]
-                marked += moves.table[shift * moves.step1 :].take(key1, out=key1, mode="clip")
+                idx += moves.table[shift * moves.step1 :].take(key1, out=key1, mode="clip")
                 key2 += cell[w + k]
-                marked += moves.table[shift * moves.step2 :].take(key2, out=key2, mode="clip")
-            fallbacks[i] += int((marked >> EXACT_BIT).sum())
-            np.bitwise_and(marked, EXACT - 1, out=idx)
+                idx += moves.table[shift * moves.step2 :].take(key2, out=key2, mode="clip")
             violations[i] += int(np.count_nonzero(states.nonempty[idx]))
             departed[i] += n * config.total_load - int(backlog[idx].sum())
         done += n
 
     wall_s = time.perf_counter() - start
     results = []
-    for v, d, f in zip(violations, departed, fallbacks):
+    for v, d in zip(violations, departed):
         lo, hi = wilson_interval(v, replications)
         results.append(SimResult(
             dvp_hat=v / replications,
@@ -323,6 +291,5 @@ def simulate_policies(
             mean_departures=d / replications,
             replications=replications,
             wall_s=wall_s,
-            exact_fallbacks=f,
         ))
     return results

@@ -137,6 +137,15 @@ class TestSolve:
         table = PolicyTable.from_text(out_path.read_text())
         assert table.config == ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--N", "2", "--pe", "0.5", "--w", "2", "--y", "1",
+            "--x1", "0", "--x2", "0", "--method", "mdp", "--out", str(tmp_path / "nodir" / "f"),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_invalid_config_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -433,6 +442,14 @@ class TestSweepParsing:
         sweep.write_text(text)
         code, out, err = run_cli(capsys, "sweep", str(sweep))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "sweep", str(SWEEPS / "semistatic-deadlines.sweep"),
+            "--out", str(tmp_path / "nodir" / "f"),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestSweepRun:

@@ -28,11 +28,9 @@ from dvpsched.oracles import QueueState, binomial_cdf, step_queues
 from dvpsched.semistatic import even_split
 from dvpsched.sim import (
     DEFAULT_CHUNK,
-    EXACT,
     GUIDE_BITS,
     Cells,
     Moves,
-    _guide_table,
     _inversion_table,
 )
 
@@ -156,25 +154,6 @@ GOLDEN_N20 = {
         mean_departures=19.99445, replications=20000,
     ),
 }
-# the exact_fallbacks of each GOLDEN_BENCH_SCALE run, recorded with the
-# draws read from Generator.random; equality leaves the field out
-GOLDEN_BENCH_FALLBACKS = {
-    ((6, 0.4, 6, 1, 3, 3), "mdp"): 1758,
-    ((6, 0.4, 6, 1, 3, 3), "mw"): 1756,
-    ((6, 0.4, 6, 1, 3, 3), "wfq"): 1758,
-    ((6, 0.4, 6, 1, 3, 3), "bp"): 1793,
-    ((6, 0.4, 6, 1, 3, 3), "fifty"): 1699,
-    ((6, 0.3, 4, 1, 2, 2), "mdp"): 1199,
-    ((6, 0.3, 4, 1, 2, 2), "mw"): 1220,
-    ((6, 0.3, 4, 1, 2, 2), "wfq"): 1196,
-    ((6, 0.3, 4, 1, 2, 2), "bp"): 1125,
-    ((6, 0.3, 4, 1, 2, 2), "fifty"): 1209,
-    ((10, 0.5, 8, 5, 5, 5), "mdp"): 3193,
-    ((10, 0.5, 8, 5, 5, 5), "mw"): 3101,
-    ((10, 0.5, 8, 5, 5, 5), "wfq"): 3503,
-    ((10, 0.5, 8, 5, 5, 5), "bp"): 3169,
-    ((10, 0.5, 8, 5, 5, 5), "fifty"): 3241,
-}
 
 
 class TestSimulate:
@@ -224,14 +203,6 @@ class TestSimulate:
         }[name]
         assert simulate(N20_CFG, SimSpec(20_000, 3, policy)) == GOLDEN_N20[name]
 
-    @pytest.mark.parametrize("cell", sorted(GOLDEN_BENCH_FALLBACKS), ids=str)
-    def test_exact_fallbacks_at_bench_scale(self, cell):
-        scenario, name = cell
-        cfg = ScenarioConfig(*scenario)
-        policy = value_iteration(cfg) if name == "mdp" else name
-        res = simulate(cfg, SimSpec(50_000, 1, policy))
-        assert res.exact_fallbacks == GOLDEN_BENCH_FALLBACKS[cell]
-
     def test_chunking_does_not_change_the_padded_stream(self):
         # 2w = 10 words per replication fill 3 Philox blocks of 4, so each
         # replication's row ends in 2 unused words
@@ -239,7 +210,6 @@ class TestSimulate:
         spec = SimSpec(2000, 5, value_iteration(cfg))
         results = [simulate(cfg, spec, chunk_size=c) for c in (1, 3, DEFAULT_CHUNK)]
         assert results[0] == results[1] == results[2]
-        assert len({r.exact_fallbacks for r in results}) == 1
 
     def test_chunking_does_not_change_the_bench_scale_stream(self):
         cfg = ScenarioConfig(*M_SIZE)
@@ -342,15 +312,8 @@ class TestSimulate:
     def test_run_statistics_stay_out_of_equality(self):
         res = simulate(GOLDEN_CFG, SimSpec(20_000, 11, "mw"))
         assert res.wall_s > 0.0
-        # 2 draws per frame and replication, a few of them counted exactly
-        assert 0 < res.exact_fallbacks < 0.05 * 2 * GOLDEN_CFG.w * 20_000
-        assert res == dataclasses.replace(res, wall_s=0.0, exact_fallbacks=0)
+        assert res == dataclasses.replace(res, wall_s=0.0)
         assert res == GOLDEN_STREAMS["mw"]
-
-    def test_lossless_draws_need_no_exact_count(self):
-        # every threshold is 0 or 1, so no bucket holds one strictly inside
-        cfg = ScenarioConfig(N=4, p_e=0.0, w=3, y=1, x1=1, x2=1)
-        assert simulate(cfg, SimSpec(5000, 2, "mw")).exact_fallbacks == 0
 
 
     @pytest.mark.parametrize("policy, bound_mb", [("mw", 57.0), ("even split", 44.2)])
@@ -377,12 +340,6 @@ def bench_policies(cfg):
     }
 
 
-def assert_same_runs(got, want):
-    """Equal results with equal exact_fallbacks, which equality leaves out."""
-    assert got == want
-    assert [r.exact_fallbacks for r in got] == [r.exact_fallbacks for r in want]
-
-
 PADDED_CFG = ScenarioConfig(N=5, p_e=0.35, w=5, y=2, x1=1, x2=2)
 
 
@@ -396,7 +353,6 @@ class TestSimulatePolicies:
         results = simulate_policies(cfg, list(policies.values()), 50_000, 1)
         for name, res in zip(policies, results):
             assert res == GOLDEN_BENCH_SCALE[(scenario, name)], name
-            assert res.exact_fallbacks == GOLDEN_BENCH_FALLBACKS[(scenario, name)], name
         # one call, one wall time
         assert len({r.wall_s for r in results}) == 1 and results[0].wall_s > 0.0
 
@@ -404,13 +360,13 @@ class TestSimulatePolicies:
         cfg = ScenarioConfig(*M_SIZE)
         policies = list(bench_policies(cfg).values())
         solo = [simulate(cfg, SimSpec(20_000, 3, p)) for p in policies]
-        assert_same_runs(simulate_policies(cfg, policies, 20_000, 3), solo)
-        assert_same_runs(simulate_policies(cfg, policies[::-1], 20_000, 3), solo[::-1])
+        assert simulate_policies(cfg, policies, 20_000, 3) == solo
+        assert simulate_policies(cfg, policies[::-1], 20_000, 3) == solo[::-1]
         for subset in ([1], [4, 0], [0, 2, 3]):
             got = simulate_policies(cfg, [policies[i] for i in subset], 20_000, 3)
-            assert_same_runs(got, [solo[i] for i in subset])
+            assert got == [solo[i] for i in subset]
         got = simulate_policies(cfg, [policies[2], policies[0], policies[2]], 20_000, 3)
-        assert_same_runs(got, [solo[2], solo[0], solo[2]])
+        assert got == [solo[2], solo[0], solo[2]]
 
     def test_chunking_does_not_change_a_joint_run(self):
         # 2w = 10 words per replication fill 3 Philox blocks of 4
@@ -424,7 +380,7 @@ class TestSimulatePolicies:
         solo = [simulate(PADDED_CFG, SimSpec(600, 5, p)) for p in policies]
         for chunk in (1, 3, DEFAULT_CHUNK):
             got = simulate_policies(PADDED_CFG, policies, 600, 5, chunk_size=chunk)
-            assert_same_runs(got, solo)
+            assert got == solo
 
     def test_partial_table_raises_named_state(self):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
@@ -494,33 +450,24 @@ class TestInversionSampling:
                 assert cdf[a, r] == (binomial_cdf(a, q, r) if r < a else 1.0)
 
     @pytest.mark.parametrize("p_e", [0.0, 0.05, 0.4, 0.77, 1.0])
-    def test_guide_table_matches_exact_counting(self, p_e):
+    def test_cells_are_the_thresholds(self, p_e):
+        # the cells are cut exactly at the thresholds, and their guide
+        # table, bucket_cell, leaves a bucket to the search only where a
+        # threshold lies strictly inside it
         buckets = 1 << GUIDE_BITS
         edges = np.arange(buckets) / buckets
         for N in range(21):
             cdf = _inversion_table(N, 1.0 - p_e)
-            guide = _guide_table(cdf)
-            table = guide.reshape(N + 1, buckets)
             cells = Cells.of(cdf)
-            # few buckets hold a threshold, so the exact count stays rare
-            assert (table < 0).mean() <= 0.009
+            thresholds = cdf.ravel()
+            assert cells.cuts.tolist() == sorted({0.0} | set(thresholds[thresholds < 1.0].tolist())), N
+            inside = (thresholds > edges[:, None]) & (thresholds < edges[:, None] + 1 / buckets)
+            assert np.array_equal(cells.bucket_cell < 0, inside.any(axis=1)), N
             for a in range(N + 1):
+                # the thresholds and bucket edges as raw Philox words: the
+                # 53-bit values on either side of each, with the 11 low
+                # bits, which the uniform drops, clear and set
                 points = np.concatenate([cdf[a], edges, [0.0, np.nextafter(1.0, 0.0)]])
-                u = np.concatenate(
-                    [points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)]
-                )
-                u = u[(u >= 0.0) & (u < 1.0)]
-                exact = (u[:, None] >= cdf[a]).sum(axis=1)
-                guided = table[a, (u * buckets).astype(np.intp)]
-                resolved = guided >= 0
-                assert np.array_equal(guided[resolved], exact[resolved]), (N, a)
-                # a bucket is left to exact counting only when a threshold
-                # lies strictly inside it
-                inside = (cdf[a] > edges[:, None]) & (cdf[a] < edges[:, None] + 1 / buckets)
-                assert np.array_equal(table[a] < 0, inside.any(axis=1)), (N, a)
-                # the same points as raw Philox words: the 53-bit values on
-                # either side of each, with the 11 low bits, which the
-                # uniform drops, clear and set
                 m = np.ceil(points * 2.0**53).astype(np.int64)
                 m = np.clip(np.concatenate([m - 1, m, m + 1]), 0, 2**53 - 1).astype(np.uint64)
                 words = np.concatenate([m << 11, (m << 11) | 0x7FF])
@@ -529,8 +476,6 @@ class TestInversionSampling:
                 assert np.all(cells.cuts[cell] <= u), (N, a)
                 assert np.all(u < np.append(cells.cuts, 1.0)[cell + 1]), (N, a)
                 assert np.array_equal(cells.counts[a, cell], (u[:, None] >= cdf[a]).sum(axis=1)), (N, a)
-                bucket = words >> (64 - GUIDE_BITS)
-                assert np.array_equal(cells.exact[a, cell], table[a, bucket] < 0), (N, a)
 
     @pytest.mark.parametrize(
         "scenario",
@@ -546,8 +491,7 @@ class TestInversionSampling:
     )
     def test_moves_reproduce_step_queues(self, scenario):
         # for every state, action and pair of cells the two lookups give
-        # step_queues' next state under the cells' service counts, plus
-        # EXACT for each draw the guide table leaves to exact counting
+        # step_queues' next state under the cells' service counts
         cfg = ScenarioConfig(*scenario)
         N = cfg.N
         states = backlog_states(cfg)
@@ -568,8 +512,7 @@ class TestInversionSampling:
                 + moves.table[moves.key1[i] + a * moves.step1 + c1]
                 + moves.table[moves.key2[i] + a * moves.step2 + c2]
             )
-            marks = cells.exact[a][c1].astype(np.int64) + cells.exact[N - a][c2]
-            assert np.array_equal(got, want[i, cells.counts[a][c1], cells.counts[N - a][c2]] + marks * EXACT), a
+            assert np.array_equal(got, want[i, cells.counts[a][c1], cells.counts[N - a][c2]]), a
 
     @pytest.mark.parametrize(
         "key, counter", [(0, 0), (1, 0), (11, 3), (7, 2**40 + 5), (2**64 - 1, 2**255)]
