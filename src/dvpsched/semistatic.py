@@ -32,6 +32,10 @@ NEIGHBOR_W_CAP = 24
 # than this share: the backward bounds and the forward chain sum the same
 # non-negative terms in different orders
 _BNB_MARGIN = 1e-9
+# opt's leaf replaces the incumbent only when below it by more than this
+# share, so that exact DVPs equal up to rounding tie, and the first such
+# schedule in product order wins whatever order the chain adds in
+_TIE_MARGIN = 1e-13
 _GRID_BLOCK = 1024  # schedules per block of the union-bound search
 
 _ARMIJO_C = 1e-4
@@ -274,9 +278,10 @@ def _least_dvpub(config: ScenarioConfig, values: np.ndarray) -> tuple[tuple[int,
 def _least_exact_dvp(
     config: ScenarioConfig, values: np.ndarray, kernel: TransitionKernel
 ) -> tuple[tuple[int, ...], float, int]:
-    """The first n2 in values^w, in itertools.product order, of least exact
-    DVP, that DVP, and the chain steps taken, by depth-first
-    branch-and-bound.
+    """The n2 in values^w of least exact DVP up to ties, that DVP, and the
+    chain steps taken, by depth-first branch-and-bound. A schedule ties
+    with the incumbent when it is not below it by more than _TIE_MARGIN of
+    it; the first in itertools.product order is kept.
 
     A node at depth k holds its prefix's backlog distribution rho_k, and a
     child advances it one frame with exact_dvp_chain's own gather and
@@ -288,9 +293,10 @@ def _least_exact_dvp(
     open-loop completion is one closed-loop policy. A greedy dive down the
     least bounds gives the first incumbent. The search keeps its own stack,
     so w is not limited by Python's recursion depth. Leaves are visited in
-    product order and replace the best only when strictly below it, and a child is
-    pruned only when its bound exceeds the incumbent by more than
-    _BNB_MARGIN, so the first minimum wins, as in a full scan."""
+    product order and replace the best only when below it by more than
+    _TIE_MARGIN of it, and a child is pruned only when its bound exceeds the
+    incumbent by more than _BNB_MARGIN, so the search returns what a full
+    scan under the same rule would."""
     w = config.w
     acts = config.N - values
     nonempty = kernel.states.nonempty
@@ -338,7 +344,7 @@ def _least_exact_dvp(
             rhos[k], bounds[k] = child, (Q[k] @ child).tolist()
         else:
             score = dvp(child)
-            if score < best:
+            if score < best * (1.0 - _TIE_MARGIN):
                 best, best_path = score, list(path)
     return tuple(values[best_path].tolist()), best, nodes
 
@@ -351,7 +357,8 @@ def exhaustive(
 ) -> SemiStaticResult:
     """The minimizer of the chosen criterion over every allocation in
     {1..N-1}^w (optionally {0..N}^w for the exact criterion), the first in
-    itertools.product order of n2 where several tie; the default domain
+    itertools.product order of n2 where several tie (for the exact
+    criterion, where several lie within _TIE_MARGIN); the default domain
     matches the bound methods so rankings stay comparable. A domain of more
     than EXHAUSTIVE_CAP schedules raises CapExceededError.
 

@@ -429,12 +429,16 @@ class TestExhaustive:
     def test_single_frame_matches_manual_argmin(self):
         cfg = ScenarioConfig(N=4, p_e=0.3, w=1, y=1, x1=0, x2=1)
         res = exhaustive(cfg, "exact")
-        manual = min(
-            (exact_dvp_chain(cfg, Schedule(n1=(cfg.N - v,), N=cfg.N)).dvp, v)
-            for v in range(1, cfg.N)
-        )
-        assert res.schedule.n2 == (manual[1],)
-        assert res.score == pytest.approx(manual[0], abs=1e-12)
+        # every schedule's DVP is 1 up to rounding here (the batch cannot
+        # cross both hops in one frame), so the first one wins: a schedule
+        # replaces the best only when below it by more than 1e-13 of it
+        best_v, best = None, float("inf")
+        for v in range(1, cfg.N):
+            score = exact_dvp_chain(cfg, Schedule(n1=(cfg.N - v,), N=cfg.N)).dvp
+            if score < best * (1.0 - 1e-13):
+                best_v, best = v, score
+        assert res.schedule.n2 == (best_v,) == (1,)
+        assert res.score == pytest.approx(best, abs=1e-12)
 
     def test_opt_dominates_e_dvpub_on_exact_dvp(self):
         cfg = ScenarioConfig(N=4, p_e=0.33, w=3, y=1, x1=1, x2=1)
@@ -487,15 +491,16 @@ class TestExhaustive:
 
 def scan_exact(cfg, full_domain=False):
     """The full scan exhaustive's exact criterion made before it used
-    branch-and-bound: every schedule's exact_dvp_chain in product order,
-    the first strict minimum kept."""
+    branch-and-bound: every schedule's exact_dvp_chain in product order, a
+    schedule kept only when below the best so far by more than opt's tie
+    margin, 1e-13 of it."""
     values = range(0, cfg.N + 1) if full_domain else range(1, cfg.N)
     kern = TransitionKernel(cfg)
     best_n2, best = None, float("inf")
     for n2 in itertools.product(values, repeat=cfg.w):
         sched = Schedule(n1=tuple(cfg.N - v for v in n2), N=cfg.N)
         score = exact_dvp_chain(cfg, sched, kernel=kern).dvp
-        if score < best:
+        if score < best * (1.0 - 1e-13):
             best_n2, best = n2, score
     return best_n2, best
 
