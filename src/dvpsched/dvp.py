@@ -349,33 +349,54 @@ def wtb_min_s(config: ScenarioConfig, schedule) -> tuple[float, float]:
     return found.s, found.value
 
 
+def _violation(kernel: TransitionKernel, rho: np.ndarray) -> float:
+    """The DVP of a grid distribution at the horizon: its mass on the
+    non-empty states, summed directly, since 1 - P(empty) would cancel away
+    every DVP below the operator's rounding drift (~1e-14)."""
+    return min(float(rho.ravel()[kernel.cells][kernel.states.nonempty].sum()), 1.0)
+
+
 def exact_dvp_chain(
     config: ScenarioConfig, policy, kernel: TransitionKernel | None = None
 ) -> EvalResult:
     """Exact DVP by propagating the joint backlog distribution through the
     w frames under the given policy, in any form mdp.policy_actions accepts
     (schedule, policy table, baseline name, or callable); each frame is one
-    gather of the live states' kernel rows under their actions and one
-    vector-matrix product. A given kernel must come from a scenario with the
-    same mdp.kernel_key. The batch met the deadline iff both queues are
-    empty at the horizon, since departures equal the initial load minus
-    what is left."""
+    kernel.forward on the backlog grid. A schedule or the even split moves
+    every state under one action; another policy moves each state under
+    its own, split once from its layout over the states, or, for a
+    callable or a partial table, asked each frame for the states with mass
+    only. A given kernel must come from a scenario with the same
+    mdp.kernel_key. The batch met the deadline iff both queues are empty at
+    the horizon, since departures equal the initial load minus what is
+    left."""
     act = policy_actions(policy, config)
     kernel = checked_kernel(config, kernel)
     states = kernel.states
-    rho = np.zeros(len(states))
-    rho[states.start] = 1.0
+    rows = act.rows
+    # one action for every state, as a schedule or the even split takes
+    same = rows is not None and len(rows) == 1 and (rows[0] == rows[0, 0]).all()
+    if rows is not None and not same:
+        masks = kernel.split(rows)
+    rho = kernel.start()
     for epoch in range(config.w):
-        live = np.flatnonzero(rho)
-        acts = act(epoch, live)
-        rho = rho[live] @ kernel.P[acts, live]
-    # sum the non-empty states directly: 1 - P(empty) would cancel away
-    # every DVP below the kernel rows' rounding drift (~1e-14)
-    dvp = min(float(rho[states.nonempty].sum()), 1.0)
+        if same:
+            a = int(act.shift[epoch] + rows[0, 0])
+        elif rows is None:
+            live = np.flatnonzero(rho.ravel()[kernel.cells])
+            acts = np.zeros(len(states), dtype=np.int64)
+            acts[live] = act(epoch, live)
+            a = kernel.split(acts)
+        elif act.shift[epoch]:
+            a = kernel.split(rows[epoch % len(rows)] + act.shift[epoch])
+        else:
+            a = masks[epoch % len(rows)]
+        rho = kernel.forward(rho, a)
+    mass = rho.ravel()[kernel.cells]
     return EvalResult(
-        dvp=dvp,
+        dvp=_violation(kernel, rho),
         method="exact-chain",
-        mean_departures=config.total_load - float(rho @ (states.q1 + states.q2)),
-        mass_residual=abs(1.0 - float(rho.sum())),
+        mean_departures=config.total_load - float(mass @ (states.q1 + states.q2)),
+        mass_residual=abs(1.0 - float(mass.sum())),
         states=len(states),
     )

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .model import (
     CapExceededError,
@@ -32,13 +33,13 @@ from .model import (
     backlog_states,
     binomial_pmf_table,
     check_schedule,
-    next_states,
 )
 
 BASELINE_KINDS = ("mw", "wfq", "bp", "fifty")
 
-# dense kernel budget: (N + 1) transition matrices over the state space
-KERNEL_ENTRY_CAP = 50_000_000
+# the transition operator's budget: its tables and one step's temporaries,
+# as many bytes as the dense kernel's old cap of 5e7 float64 entries
+KERNEL_BYTE_CAP = 400_000_000
 
 
 def kernel_key(config: ScenarioConfig) -> tuple:
@@ -48,55 +49,125 @@ def kernel_key(config: ScenarioConfig) -> tuple:
 
 
 class TransitionKernel:
-    """Dense per-action transition matrices P[a, i, j], the chance of moving
-    from state i to state j of model.backlog_states in one frame under action
-    a. pmf is the binomial table of one frame's service (binomial_pmf_table)."""
+    """The one-frame transition operator, factored into its two links.
+
+    A distribution over states is held on the backlog grid, an
+    (q1_max + 1) x (q2_max + 1) array that is zero off the triangle of
+    model.backlog_states. In a frame under action a (n1 = a slots to link
+    1), link 1 relays d1 = min(q1, Bin(a)) packets and link 2 leaves
+    r = max(q2 - Bin(N - a), 0), independently, and the next state is
+    (q1 - d1, r + d1). So the operator is two small tables per action:
+    D1[a, q1, d1], the chance of relaying d1, and the link-2 stack
+    P[a, q2, r], the chance of leaving r. pmf is the binomial table of one
+    frame's service (binomial_pmf_table) both are read from.
+
+    forward moves a distribution one frame, backward takes a value on the
+    grid one frame back under every action; each is a batched matmul and a
+    fixed strided view that adds the relay shift (q1, r) -> (q1 - d1,
+    r + d1). cells[i] is state i's cell in the flattened grid."""
 
     def __init__(self, config: ScenarioConfig):
         self.key = kernel_key(config)
-        n_actions = config.N + 1
-        n_states = (config.q1_max + 1) * (2 * config.q2_max + 2 - config.q1_max) // 2
-        entries = n_actions * n_states * n_states
-        if entries > KERNEL_ENTRY_CAP:
+        N = config.N
+        A, R, C = N + 1, config.q1_max + 1, config.q2_max + 1
+        K = min(R, A)  # relay counts 0..min(q1_max, N)
+        # the tables (P twice, D1 twice), the relay buffer, and the two
+        # (A, grid) arrays of one step
+        nbytes = 8 * (2 * A * C * C + 2 * A * R * K + R * K * C + 2 * A * R * C)
+        if nbytes > KERNEL_BYTE_CAP:
             raise CapExceededError(
-                f"dense kernel needs {entries} entries "
-                f"({n_actions} actions x {n_states}^2 states), "
-                f"cap is {KERNEL_ENTRY_CAP}",
-                entries,
-                KERNEL_ENTRY_CAP,
+                f"transition operator needs {nbytes} bytes "
+                f"({A} actions over a {R} x {C} backlog grid), "
+                f"cap is {KERNEL_BYTE_CAP}",
+                nbytes,
+                KERNEL_BYTE_CAP,
             )
         self.states = states = backlog_states(config)
-        self.pmf = binomial_pmf_table(config.N, 1.0 - config.p_e)
-        relayed, kept = next_states(config)
-        row_start = (np.arange(n_states) * n_states)[:, None, None]
-        P = np.zeros((n_actions, n_states, n_states))
-        for a in range(n_actions):
-            n2 = config.N - a
-            # outcome (i, s1, s2) along axes 0, 1, 2: flattened, each entry's
-            # contributions arrive in oracles.transition_probs' s1-major,
-            # s2-minor order, and add.at sums them one by one, so every
-            # entry equals it bit for bit
-            nxt = relayed[:, : a + 1, None] + kept[:, None, : n2 + 1]
-            prob = np.outer(self.pmf[a, : a + 1], self.pmf[n2, : n2 + 1])
-            np.add.at(
-                P[a].reshape(-1),
-                (row_start + nxt).ravel(),
-                np.broadcast_to(prob, nxt.shape).ravel(),
-            )
-        self.P = P
+        self.cells = states.q1 * C + states.q2
+        self.shape = (R, C)
+        self.pmf = pmf = binomial_pmf_table(N, 1.0 - config.p_e)
+        tail = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]  # P{Bin(n) >= j}
+        d1 = np.arange(K)
+        # min(q1, Bin(a)) = d1 < q1 is Bin(a) = d1; = q1 is Bin(a) >= q1
+        self.D1 = np.where(d1 < np.arange(R)[:, None], pmf[:, None, :K], 0.0)
+        self.D1[:, d1, d1] = tail[:, :K]
+        # max(q2 - Bin(n2), 0) = r > 0 is Bin(n2) = q2 - r; = 0 is Bin(n2) >= q2
+        n2 = N - np.arange(A)
+        q2 = np.arange(C)
+        drop = q2[:, None] - q2
+        self.P = np.where((drop >= 0) & (drop <= N), pmf[n2][:, np.clip(drop, 0, N)], 0.0)
+        self.P[:, :, 0] = np.where(q2 <= N, tail[n2][:, np.minimum(q2, N)], 0.0)
+        self._P_T = np.ascontiguousarray(self.P.transpose(0, 2, 1))
+        self._D1_cols = self.D1[..., None]
+        self._D1_by_q1 = np.ascontiguousarray(self.D1.transpose(1, 2, 0))  # (R, K, A)
+        # relay buffer W[q1, d1, r], then zeros: the view out[d1, q1', r']
+        # = W[q1' + d1, d1, r' - d1] reads each entry at its target cell,
+        # and every entry it reads outside W's range is zero there
+        KC = K * C
+        self._relay = np.zeros(R * KC + (K - 1) * (KC + C - 1))
+        self._W = self._relay[: R * KC].reshape(R, K, C)
+        size = self._relay.itemsize
+        self._shifted = as_strided(self._relay, (K, R, C), (size * (KC + C - 1), size * KC, size))
+        # value buffer: zeros, then v; the view g[q1, d1, r] = v[q1 - d1, r + d1]
+        pad = (K - 1) * (C - 1)
+        self._value = np.zeros(pad + R * C)
+        self._v = self._value[pad:]
+        self._gathered = as_strided(
+            self._value, (R, K, C), (size * C, size * (C - 1), size)
+        )[:, ::-1]
+
+    def start(self) -> np.ndarray:
+        """The grid distribution with all its mass on the start state."""
+        rho = np.zeros(self.shape)
+        rho.flat[self.cells[self.states.start]] = 1.0
+        return rho
+
+    def split(self, acts: np.ndarray) -> np.ndarray:
+        """For actions over the states, acts[..., i] for state i: the
+        (..., A, grid) masks that forward takes, True where a state is
+        under that action."""
+        on_grid = np.full(acts.shape[:-1] + (self.shape[0] * self.shape[1],), -1)
+        on_grid[..., self.cells] = acts
+        mask = on_grid[..., None, :] == np.arange(len(self.P))[:, None]
+        return mask.reshape(mask.shape[:-1] + self.shape)
+
+    def forward(self, rho: np.ndarray, a) -> np.ndarray:
+        """The grid distribution one frame after rho: every state under
+        action a, or, for masks a from split, each state under its own.
+        The masks split rho into an (A, grid) stack, which each action's
+        link-2 matrix moves and its relay table weights."""
+        if not isinstance(a, np.ndarray):
+            np.multiply(self._D1_cols[a], (rho @ self.P[a])[:, None], out=self._W)
+        else:
+            moved = np.multiply(a, rho) @ self.P
+            np.matmul(self._D1_by_q1, moved.transpose(1, 0, 2), out=self._W)
+        return self._shifted.sum(axis=0)
+
+    def backward(self, v: np.ndarray) -> np.ndarray:
+        """(A, grid): entry [a, q1, q2] is the expected value of v, a grid
+        array, one frame after state (q1, q2) under action a; off the
+        triangle it is meaningless. It is forward's adjoint:
+        backward(v)[a] . rho equals v . forward(rho, a)."""
+        self._v[:] = v.ravel()
+        relayed = np.matmul(self._D1_by_q1.transpose(0, 2, 1), self._gathered)  # (R, A, C)
+        return relayed.transpose(1, 0, 2) @ self._P_T
+
+    def _link2_rewards(self) -> np.ndarray:
+        """(A, q2_max + 1): the expected departures E[min(q2, Bin(N - a))],
+        summed over the service count r in oracles.reward's order, with
+        exact zeros added past N - a."""
+        N = len(self.pmf) - 1
+        q2 = np.arange(self.shape[1])
+        pmf2 = self.pmf[N - np.arange(N + 1)]
+        R2 = np.zeros((N + 1, len(q2)))
+        for r in range(N + 1):
+            R2 = R2 + np.minimum(q2, r) * pmf2[:, r, None]
+        return R2
 
     def rewards(self) -> np.ndarray:
-        """Stage rewards R[a, i] = oracles.reward(config, state i, a), each
-        summed over r in its order, so bit for bit equal to it."""
-        N = len(self.pmf) - 1
-        R = np.empty((N + 1, len(self.states)))
-        for a in range(N + 1):
-            n2 = N - a
-            acc = np.zeros(len(self.states))
-            for r in range(n2 + 1):
-                acc = acc + np.minimum(self.states.q2, r) * self.pmf[n2, r]
-            R[a] = acc
-        return R
+        """Stage rewards R[a, i] = oracles.reward(config, state i, a), bit
+        for bit: a reward depends on q2 alone (_link2_rewards)."""
+        return self._link2_rewards()[:, self.states.q2]
 
 
 def checked_kernel(
@@ -212,17 +283,19 @@ class PolicyTable:
 def value_iteration(config: ScenarioConfig, kernel: TransitionKernel | None = None) -> PolicyTable:
     """Backward recursion from a zero terminal value; per epoch and state the
     action maximizing immediate expected departures plus expected
-    continuation, ties broken toward the smallest n1. One sweep costs
-    (N + 1) * |states| kernel rows, repeated for each of the w epochs."""
+    continuation, ties broken toward the smallest n1. Each epoch is one
+    kernel.backward over the grid, read on the states."""
     kernel = checked_kernel(config, kernel)
-    S = len(kernel.states)
-    R = kernel.rewards()  # (A, S)
-    actions = np.zeros((config.w, S), dtype=np.int64)
-    values = np.zeros((config.w + 1, S))
+    cells = kernel.cells
+    rewards = kernel._link2_rewards()[:, None, :]  # (A, 1, q2_max + 1)
+    actions = np.zeros((config.w, len(cells)), dtype=np.int64)
+    values = np.zeros((config.w + 1, len(cells)))
+    v = np.zeros(kernel.shape)
     for k in range(config.w - 1, -1, -1):
-        q_sa = R + kernel.P @ values[k + 1]  # (A, S)
+        q_sa = (rewards + kernel.backward(v)).reshape(len(rewards), -1)[:, cells]
         actions[k] = np.argmax(q_sa, axis=0)  # first (= smallest) maximizing action
         values[k] = q_sa.max(axis=0)
+        v.flat[cells] = values[k]
     return PolicyTable(config=config, actions=actions, values=values)
 
 

@@ -16,6 +16,7 @@ from .dvp import (
     Rejected,
     _log_alpha,
     _term_cdf,
+    _violation,
     dvpub,
     exact_dvp_chain,
     min_log_wtb,
@@ -283,50 +284,46 @@ def _least_exact_dvp(
     with the incumbent when it is not below it by more than _TIE_MARGIN of
     it; the first in itertools.product order is kept.
 
-    A node at depth k holds its prefix's backlog distribution rho_k, and a
-    child advances it one frame with exact_dvp_chain's own gather and
-    product, so every leaf's score equals exact_dvp_chain's bit for bit.
-    The bound is the violation-to-go over the search's own actions: with
-    V_w the indicator of a non-empty state, Q_k = P[acts] @ V_{k+1} and
-    V_k = Q_k.min(0), a child's Q_k[j] @ rho_k is the least DVP that
-    action j followed by the best closed-loop play can reach, and an
-    open-loop completion is one closed-loop policy. A greedy dive down the
-    least bounds gives the first incumbent. The search keeps its own stack,
-    so w is not limited by Python's recursion depth. Leaves are visited in
-    product order and replace the best only when below it by more than
-    _TIE_MARGIN of it, and a child is pruned only when its bound exceeds the
-    incumbent by more than _BNB_MARGIN, so the search returns what a full
-    scan under the same rule would."""
+    A node at depth k holds its prefix's backlog distribution rho_k on the
+    grid, and a child advances it one frame with exact_dvp_chain's own
+    kernel.forward, so every leaf's score equals exact_dvp_chain's bit for
+    bit. The bound is the violation-to-go over the search's own actions:
+    with V_w the indicator of a non-empty state, Q_k = backward(V_{k+1})
+    at those actions and V_k = Q_k.min(0), a child's Q_k[j] . rho_k is the
+    least DVP that action j followed by the best closed-loop play can
+    reach, and an open-loop completion is one closed-loop policy. A greedy
+    dive down the least bounds gives the first incumbent. The search keeps
+    its own stack, so w is not limited by Python's recursion depth. Leaves
+    are visited in product order and replace the best only when below it
+    by more than _TIE_MARGIN of it, and a child is pruned only when its
+    bound exceeds the incumbent by more than _BNB_MARGIN, so the search
+    returns what a full scan under the same rule would."""
     w = config.w
     acts = config.N - values
-    nonempty = kernel.states.nonempty
-    violation = nonempty.astype(float)
+    violation = np.zeros(kernel.shape)
+    violation.flat[kernel.cells[kernel.states.nonempty]] = 1.0
     Q = [None] * w
     for k in range(w - 1, -1, -1):
-        Q[k] = (kernel.P @ violation)[acts]
+        Q[k] = kernel.backward(violation)[acts]
         violation = Q[k].min(axis=0)
+    Q = [q.reshape(len(acts), -1) for q in Q]
     nodes = 0
 
     def advance(rho: np.ndarray, a: int) -> np.ndarray:
         nonlocal nodes
         nodes += 1
-        live = np.flatnonzero(rho)
-        return rho[live] @ kernel.P[np.full(live.size, a), live]
+        return kernel.forward(rho, a)
 
-    def dvp(rho: np.ndarray) -> float:
-        return min(float(rho[nonempty].sum()), 1.0)
-
-    start = np.zeros(len(nonempty))
-    start[kernel.states.start] = 1.0
+    start = kernel.start()
     rho = start
     for k in range(w):
-        rho = advance(rho, acts[int(np.argmin(Q[k] @ rho))])
-    dive = dvp(rho)
+        rho = advance(rho, acts[int(np.argmin(Q[k] @ rho.ravel()))])
+    dive = _violation(kernel, rho)
 
     best, best_path = math.inf, None
     path = [-1] * w  # the child last tried at each depth
     rhos = [start] + [None] * (w - 1)
-    bounds = [(Q[0] @ start).tolist()] + [None] * (w - 1)
+    bounds = [(Q[0] @ start.ravel()).tolist()] + [None] * (w - 1)
     k = 0
     while k >= 0:
         limit = min(dive, best) * (1.0 + _BNB_MARGIN)
@@ -341,9 +338,9 @@ def _least_exact_dvp(
         child = advance(rhos[k], acts[j])
         if k + 1 < w:
             k += 1
-            rhos[k], bounds[k] = child, (Q[k] @ child).tolist()
+            rhos[k], bounds[k] = child, (Q[k] @ child.ravel()).tolist()
         else:
-            score = dvp(child)
+            score = _violation(kernel, child)
             if score < best * (1.0 - _TIE_MARGIN):
                 best, best_path = score, list(path)
     return tuple(values[best_path].tolist()), best, nodes

@@ -174,25 +174,21 @@ class TestSolve:
         )
         assert code == 3
 
-    def test_mdp_kernel_cap_exceeded_exits_three(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            "solve", "--N", "20", "--pe", "0.4", "--w", "5", "--y", "20",
-            "--x1", "20", "--x2", "20", "--method", "mdp",
-        )
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ") and "cap" in err
+    # 1 681 states: past the dense kernel's old cap of 5e7 entries
+    BIG = ("--N", "20", "--pe", "0.4", "--w", "5", "--y", "20", "--x1", "20", "--x2", "20")
 
-    def test_fifty_kernel_cap_exceeded_exits_three(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            "solve", "--N", "20", "--pe", "0.4", "--w", "5", "--y", "20",
-            "--x1", "20", "--x2", "20", "--method", "fifty",
-        )
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ") and "cap" in err
+    def test_mdp_past_the_old_kernel_cap_runs(self, capsys):
+        code, out, err = run_cli(capsys, "solve", *self.BIG, "--method", "mdp")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "# policy-table N=20 pe=0.4 w=5 y=20 x1=20 x2=20"
+        assert len(lines) == 1 + 5 * 1681
+
+    def test_fifty_past_the_old_kernel_cap_runs(self, capsys):
+        # link 2 gets 50 slots for 60 packets: the deadline is always missed
+        code, out, err = run_cli(capsys, "solve", *self.BIG, "--method", "fifty")
+        assert (code, err) == (0, "")
+        assert out == "n1=10,10,10,10,10\ndvp=1\n"
 
     def test_full_domain_flag_widens_opt(self, capsys):
         args = ["solve", "--N", "2", "--pe", "0.7", "--w", "2", "--y", "1",
@@ -320,7 +316,10 @@ class TestEval:
             "--x1", "900", "--x2", "900", "--policy", "mw",
         )
         assert code == 3
-        assert "entries" in err
+        assert err == (
+            "error: transition operator needs 1168092600 bytes "
+            "(5 actions over a 1801 x 2701 backlog grid), cap is 400000000\n"
+        )
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(
@@ -665,6 +664,7 @@ class TestSweepRun:
         assert len(buf.getvalue().splitlines()) == 1 + 6
 
     def test_sweep_over_kernel_cap_writes_one_error_row_per_cell(self):
+        # past the dense kernel's old cap: only opt, at its own cap, fails
         spec = parse_sweep_file(
             "x1=20\nx2=20\nw=5\nN=20\npe=0.4\ny=20\n"
             "policies=mdp, bp, mw, wfq, fifty, opt, wtb-w\n"
@@ -672,21 +672,16 @@ class TestSweepRun:
         buf = io.StringIO()
         assert run_sweep(spec, buf) == 4
         rows = [SweepRow.from_csv(ln) for ln in buf.getvalue().splitlines()[1:]]
-        # recorded before kernels were shared; opt meets its own cap first
-        kernel_cap = (
-            "dense kernel needs 59340981 entries (21 actions x 1681^2 states); "
-            "cap is 50000000"
-        )
         assert {r.policy: r.error for r in rows} == {
-            "bp": kernel_cap,
-            "fifty": kernel_cap,
-            "mdp": kernel_cap,
-            "mw": kernel_cap,
+            "bp": "",
+            "fifty": "",
+            "mdp": "",
+            "mw": "",
             "opt": "exhaustive search over 2476099 schedules exceeds cap 1000000",
-            "wfq": kernel_cap,
-            "wtb-w": kernel_cap,
+            "wfq": "",
+            "wtb-w": "",
         }
-        assert all(r.dvp is None for r in rows)
+        assert all((r.dvp is None) == (r.policy == "opt") for r in rows)
 
     def test_cli_sweep_file_to_csv(self, capsys, tmp_path):
         sweep = tmp_path / "sweep.txt"

@@ -1,5 +1,7 @@
 """State space, transition kernel, value iteration, and baseline policies."""
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,54 +167,95 @@ def kernel_grid(pes=(0.35, 0.7, 0.0, 1.0)):
                     yield ScenarioConfig(N=N, p_e=pe, w=2, y=y, x1=x1, x2=x2)
 
 
-def oracle_row(kern, cfg, state, a):
-    """A kernel row assembled from transition_probs as the loop-built kernel
-    did: each probability added to a zero entry."""
-    row = np.zeros(len(kern.states))
-    for nxt, p in transition_probs(cfg, state, a).items():
-        row[kern.states.index(*nxt)] += p
-    return row
+def forward_row(kern, state, a):
+    """The operator's row of state under action a: forward of the unit
+    distribution on state, as {next state: probability} over its grid
+    cells with mass."""
+    rho = np.zeros(kern.shape)
+    rho[state] = 1.0
+    out = kern.forward(rho, a)
+    return {QueueState(int(q1), int(q2)): out[q1, q2] for q1, q2 in zip(*np.nonzero(out))}
+
+
+def random_on_states(kern, rng):
+    """A random grid distribution with mass on every state, none off them."""
+    rho = np.zeros(kern.shape)
+    rho.flat[kern.cells] = rng.random(len(kern.cells))
+    return rho / rho.sum()
 
 
 class TestKernel:
-    def test_dense_rows_match_sparse_dict(self):
+    def test_rows_match_sparse_dict(self):
         cfg = ScenarioConfig(N=3, p_e=0.3, w=2, y=1, x1=1, x2=1)
         kern = TransitionKernel(cfg)
-        states = domain(cfg)
-        for i, st in enumerate(states):
+        for st in domain(cfg):
             for a in range(cfg.N + 1):
                 ref = transition_probs(cfg, st, a)
-                support = {states[j] for j in np.flatnonzero(kern.P[a, i])}
-                assert support == {k for k, v in ref.items() if v > 0}
-                assert np.array_equal(kern.P[a, i], oracle_row(kern, cfg, st, a))
+                row = forward_row(kern, st, a)
+                assert set(row) == {k for k, v in ref.items() if v > 0}
+                for nxt, p in row.items():
+                    assert p == pytest.approx(ref[nxt], abs=1e-12)
 
-    def test_rows_bit_identical_to_oracles(self):
-        # == throughout, not approx: the vectorised build sums each entry's
-        # contributions in transition_probs' order, and the stage rewards in
-        # reward()'s
+    def test_rows_match_oracles(self):
+        # the rows to 1e-12, where the two links' tables add in their own
+        # order; the stage rewards bit for bit, added in reward()'s order
         for cfg in kernel_grid():
             kern = TransitionKernel(cfg)
             R = kern.rewards()
             for i, st in enumerate(domain(cfg)):
                 for a in range(cfg.N + 1):
-                    assert np.array_equal(kern.P[a, i], oracle_row(kern, cfg, st, a))
+                    row = forward_row(kern, st, a)
+                    ref = transition_probs(cfg, st, a)
+                    assert set(row) <= set(ref)
+                    for nxt, p in ref.items():
+                        assert abs(row.get(nxt, 0.0) - p) <= 1e-12, (cfg, st, a, nxt)
+                    assert abs(sum(row.values()) - 1.0) <= 1e-12
                     assert R[a, i] == reward(cfg, st, a)
 
     def test_rows_sum_to_one(self):
         cfg = ScenarioConfig(N=2, p_e=0.4, w=3, y=2, x1=1, x2=2)
         kern = TransitionKernel(cfg)
-        sums = kern.P.sum(axis=2)
-        assert np.allclose(sums, 1.0, atol=1e-12)
+        assert np.allclose(kern.P.sum(axis=2), 1.0, atol=1e-12)
+        assert np.allclose(kern.D1.sum(axis=2), 1.0, atol=1e-12)
+        rho = random_on_states(kern, np.random.default_rng(30))
+        for a in range(cfg.N + 1):
+            assert kern.forward(rho, a).sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_backward_is_the_adjoint_of_forward(self):
+        rng = np.random.default_rng(31)
+        for cfg in (*kernel_grid(pes=(0.35,)), ScenarioConfig(10, 0.4, 10, 5, 5, 5)):
+            kern = TransitionKernel(cfg)
+            rho = random_on_states(kern, rng)
+            v = rng.random(kern.shape)
+            back = kern.backward(v)
+            for a in range(cfg.N + 1):
+                assert abs(np.vdot(back[a], rho) - np.vdot(v, kern.forward(rho, a))) <= 1e-12
+
+    def test_per_cell_actions_add_up_the_single_actions(self):
+        rng = np.random.default_rng(32)
+        for cfg in (ScenarioConfig(4, 0.3, 2, 2, 1, 2), ScenarioConfig(10, 0.4, 10, 5, 5, 5)):
+            kern = TransitionKernel(cfg)
+            rho = random_on_states(kern, rng)
+            acts = rng.integers(0, cfg.N + 1, len(kern.cells))
+            on_grid = np.full(rho.size, -1)
+            on_grid[kern.cells] = acts
+            parts = sum(
+                kern.forward(np.where(on_grid.reshape(rho.shape) == a, rho, 0.0), a)
+                for a in range(cfg.N + 1)
+            )
+            assert np.allclose(kern.forward(rho, kern.split(acts)), parts, rtol=0.0, atol=1e-15)
 
     def test_index_domain(self):
         # q1 <= q1_max = 2 and q1 + q2 <= q2_max = 4, row-major
         cfg = ScenarioConfig(N=2, p_e=0.4, w=3, y=1, x1=1, x2=2)
         kern = TransitionKernel(cfg)
         states = kern.states
-        assert kern.P.shape == (cfg.N + 1, 12, 12)
+        assert kern.P.shape == (cfg.N + 1, 5, 5)
+        assert kern.shape == (3, 5)
         assert len(states) == 5 + 4 + 3
         assert states.index(0, 4) == 4 and states.index(1, 0) == 5 and states.index(2, 2) == 11
         assert states.start == 11
+        assert kern.cells.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12]
         for q1, q2 in ((-1, 0), (0, -1), (3, 0), (0, 5), (1, 4), (2, 3)):
             with pytest.raises(ValueError, match="outside the backlog triangle"):
                 states.index(q1, q2)
@@ -245,6 +288,33 @@ class TestKernelScenarioGuard:
         assert np.array_equal(shared.actions, own.actions)
         assert np.array_equal(shared.values, own.values)
         assert opt(self.CFG, make_kernel=lambda c: kern) == opt(self.CFG)
+
+
+def bench_reference():
+    """bench/reference.py, the benchmark's own DVP evaluator."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPastTheOldKernelCap:
+    # 1 681 states: a dense kernel took 21 x 1681^2 entries, over its cap
+    CFG = ScenarioConfig(N=20, p_e=0.4, w=11, y=20, x1=20, x2=20)
+
+    def test_mw_is_exact_and_the_table_beats_it(self):
+        kern = TransitionKernel(self.CFG)
+        mw = exact_dvp_chain(self.CFG, "mw", kernel=kern)
+        assert f"{mw.dvp:.10g}" == "0.005808452233"
+        reference = bench_reference()
+        ref = reference.Reference(20, 0.4, 11, 20, 20, 20)
+        assert mw.dvp == pytest.approx(ref.evaluate(reference.baseline_action("mw", 20))[0], rel=2e-14)
+        sim = simulate(self.CFG, SimSpec(200_000, 3, "mw"))  # [0.005438, 0.006101]
+        assert sim.ci_low <= mw.dvp <= sim.ci_high
+        table = exact_dvp_chain(self.CFG, value_iteration(self.CFG, kern), kernel=kern)
+        assert table.dvp <= mw.dvp
+        assert table.mean_departures >= mw.mean_departures
 
 
 class TestReward:

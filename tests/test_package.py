@@ -78,6 +78,6 @@ def test_benchmark_names_resolve(path):
 
 def test_benchmark_reads_the_kernel_and_the_table():
     config = dvpsched.ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
-    states = len(dvpsched.mdp.backlog_states(config))
-    assert dvpsched.mdp.TransitionKernel(config).P.shape == (3, states, states)
+    # the tracer reads kernel.P.nbytes: the link-2 stack, (N + 1) x (q2_max + 1)^2
+    assert dvpsched.mdp.TransitionKernel(config).P.shape == (3, 2, 2)
     assert dvpsched.mdp.value_iteration(config).action(0, 1, 0) in range(3)
