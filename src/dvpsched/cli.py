@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -109,21 +110,37 @@ def cmd_solve(args) -> int:
         return EXIT_USAGE
 
     method = METHODS[args.method]
+    out = None
+    if args.out:
+        # opened before the solve, so that an unwritable path costs no solve;
+        # appending leaves a file that is already there as it was until the
+        # table replaces it
+        created = not os.path.exists(args.out)
+        try:
+            out = open(args.out, "a", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         result = method.solve(
             config, Sources(semistatic.solve_relaxed, TransitionKernel, args.full_domain)
         )
     except (CapExceededError, ValueError) as exc:
+        if out is not None:
+            out.close()
+            if created:
+                os.remove(args.out)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     if not method.score:
         text = result.to_text()
-        if not args.out:
+        if out is None:
             sys.stdout.write(text)
             return EXIT_OK
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with out:
+                out.truncate(0)
+                out.write(text)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE

@@ -148,6 +148,40 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_unwritable_out_is_reported_before_the_solve(self, capsys, tmp_path, monkeypatch):
+        def solve(*args):
+            raise AssertionError("value_iteration ran before --out was checked")
+
+        monkeypatch.setattr(cli, "value_iteration", solve)
+        code, out, err = run_cli(
+            capsys,
+            "solve", "--N", "20", "--pe", "0.4", "--w", "5", "--y", "20",
+            "--x1", "20", "--x2", "20", "--method", "mdp", "--out", str(tmp_path / "nodir" / "f"),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "No such file or directory" in err
+
+    def test_refused_solve_leaves_no_out_file(self, capsys, tmp_path):
+        args = ("solve", "--N", "4", "--pe", "0.4", "--w", "3", "--y", "900",
+                "--x1", "900", "--x2", "900", "--method", "mdp", "--out")
+        path = tmp_path / "table.txt"
+        code, out, err = run_cli(capsys, *args, str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: transition operator needs ")
+        assert not path.exists()
+        # a file that was there is left as it was
+        path.write_text("kept\n")
+        assert run_cli(capsys, *args, str(path))[0] == 3
+        assert path.read_text() == "kept\n"
+
+    def test_out_replaces_an_existing_file(self, capsys, tmp_path):
+        args = ("solve", "--N", "2", "--pe", "0.5", "--w", "2", "--y", "1",
+                "--x1", "0", "--x2", "0", "--method", "mdp")
+        path = tmp_path / "table.txt"
+        path.write_text("an older and much longer file\n" * 50)
+        assert run_cli(capsys, *args, "--out", str(path))[0] == 0
+        assert path.read_text() == run_cli(capsys, *args)[1]
+
     def test_invalid_config_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys,
