@@ -349,11 +349,11 @@ def wtb_min_s(config: ScenarioConfig, schedule) -> tuple[float, float]:
     return found.s, found.value
 
 
-def _violation(kernel: TransitionKernel, rho: np.ndarray) -> float:
-    """The DVP of a grid distribution at the horizon: its mass on the
-    non-empty states, summed directly, since 1 - P(empty) would cancel away
-    every DVP below the operator's rounding drift (~1e-14)."""
-    return min(float(rho.ravel()[kernel.cells][kernel.states.nonempty].sum()), 1.0)
+def _violation(kernel: TransitionKernel, mass: np.ndarray) -> float:
+    """The DVP of a distribution at the horizon, given on the states: its
+    mass on the non-empty ones, summed directly, since 1 - P(empty) would
+    cancel away every DVP below the operator's rounding drift (~1e-14)."""
+    return min(float(np.add.reduce(mass[kernel.states.nonempty])), 1.0)
 
 
 def exact_dvp_chain(
@@ -377,24 +377,24 @@ def exact_dvp_chain(
     # one action for every state, as a schedule or the even split takes
     same = rows is not None and len(rows) == 1 and (rows[0] == rows[0, 0]).all()
     if rows is not None and not same:
-        masks = kernel.split(rows)
+        splits = kernel.split(rows)
     rho = kernel.start()
     for epoch in range(config.w):
         if same:
             a = int(act.shift[epoch] + rows[0, 0])
         elif rows is None:
             live = np.flatnonzero(rho.ravel()[kernel.cells])
-            acts = np.zeros(len(states), dtype=np.int64)
-            acts[live] = act(epoch, live)
-            a = kernel.split(acts)
+            acts = np.zeros((1, len(states)), dtype=np.int64)
+            acts[0, live] = act(epoch, live)
+            a = kernel.split(acts)[0]
         elif act.shift[epoch]:
-            a = kernel.split(rows[epoch % len(rows)] + act.shift[epoch])
+            a = kernel.split(rows[epoch % len(rows)][None] + act.shift[epoch])[0]
         else:
-            a = masks[epoch % len(rows)]
+            a = splits[epoch % len(rows)]
         rho = kernel.forward(rho, a)
     mass = rho.ravel()[kernel.cells]
     return EvalResult(
-        dvp=_violation(kernel, rho),
+        dvp=_violation(kernel, mass),
         method="exact-chain",
         mean_departures=config.total_load - float(mass @ (states.q1 + states.q2)),
         mass_residual=abs(1.0 - float(mass.sum())),

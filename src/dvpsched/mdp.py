@@ -1,10 +1,18 @@
-"""Finite-horizon MDP scheduler and the queue-state transition kernel.
+"""Finite-horizon MDP scheduler and the one-frame transition operator.
 
 The state is the joint backlog (q1, q2), the action is the number of slots
 n1 given to the first link, and the per-frame reward is the expected number
 of packets leaving the system. Backward value iteration yields the policy
 maximizing expected total departures over the horizon; the resulting table
 is computed once and looked up per frame.
+
+The two links serve independently within a frame, so the transition
+operator (TransitionKernel) is kept factored, as a structured Markov chain
+is (Plateau, SIGMETRICS 1985; Buchholz, Ciardo, Donatelli and Kemper,
+INFORMS J. Computing 12, 2000): a relay table for link 1 and a matrix stack
+for link 2 per action, acting on distributions and values held on the
+(q1_max + 1) x (q2_max + 1) backlog grid. Its size is capped in bytes
+(KERNEL_BYTE_CAP), not in states.
 
 A bound of the form  DVP <= total_load * E[1 / D(w)]  motivates maximizing
 throughput as a proxy for minimizing DVP, but the expectation is undefined
@@ -20,7 +28,7 @@ from __future__ import annotations
 import io
 import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -46,6 +54,17 @@ def kernel_key(config: ScenarioConfig) -> tuple:
     """What a TransitionKernel depends on: N, p_e and the backlog bounds,
     not the deadline w."""
     return (config.N, config.p_e, config.q1_max, config.q2_max)
+
+
+class ActionSplit(NamedTuple):
+    """States split by action, for TransitionKernel.forward: masks[u] is
+    True at the grid cells of the states under the u-th action used, and
+    P and D1 hold those actions' link-2 matrices, (U, C, C), and relay
+    tables, q1-major, (R, K, U)."""
+
+    masks: np.ndarray
+    P: np.ndarray
+    D1: np.ndarray
 
 
 class TransitionKernel:
@@ -122,26 +141,31 @@ class TransitionKernel:
         rho.flat[self.cells[self.states.start]] = 1.0
         return rho
 
-    def split(self, acts: np.ndarray) -> np.ndarray:
-        """For actions over the states, acts[..., i] for state i: the
-        (..., A, grid) masks that forward takes, True where a state is
-        under that action."""
-        on_grid = np.full(acts.shape[:-1] + (self.shape[0] * self.shape[1],), -1)
-        on_grid[..., self.cells] = acts
-        mask = on_grid[..., None, :] == np.arange(len(self.P))[:, None]
-        return mask.reshape(mask.shape[:-1] + self.shape)
+    def split(self, acts: np.ndarray) -> list[ActionSplit]:
+        """One ActionSplit per row of acts, a (rows, states) array of
+        actions, state i of row k under acts[k, i], for forward to take.
+        They share the tables of the actions that any row uses."""
+        on_grid = np.full((len(acts), self.shape[0] * self.shape[1]), -1)
+        on_grid[:, self.cells] = acts
+        used = np.flatnonzero(np.bincount(acts.ravel(), minlength=len(self.P)))
+        masks = (on_grid[:, None, :] == used[:, None]).reshape(len(acts), len(used), *self.shape)
+        if len(used) == len(self.P):
+            P, D1 = self.P, self._D1_by_q1
+        else:
+            P, D1 = self.P[used], np.ascontiguousarray(self._D1_by_q1[:, :, used])
+        return [ActionSplit(m, P, D1) for m in masks]
 
     def forward(self, rho: np.ndarray, a) -> np.ndarray:
         """The grid distribution one frame after rho: every state under
-        action a, or, for masks a from split, each state under its own.
-        The masks split rho into an (A, grid) stack, which each action's
-        link-2 matrix moves and its relay table weights."""
-        if not isinstance(a, np.ndarray):
-            np.multiply(self._D1_cols[a], (rho @ self.P[a])[:, None], out=self._W)
+        action a, or, for an ActionSplit a from split, each state under its
+        own; the split's masks cut rho into one grid per action, which that
+        action's link-2 matrix moves and its relay table weights."""
+        if isinstance(a, ActionSplit):
+            moved = np.multiply(a.masks, rho) @ a.P
+            np.matmul(a.D1, moved.transpose(1, 0, 2), out=self._W)
         else:
-            moved = np.multiply(a, rho) @ self.P
-            np.matmul(self._D1_by_q1, moved.transpose(1, 0, 2), out=self._W)
-        return self._shifted.sum(axis=0)
+            np.multiply(self._D1_cols[a], (rho @ self.P[a])[:, None], out=self._W)
+        return np.add.reduce(self._shifted, axis=0)
 
     def backward(self, v: np.ndarray) -> np.ndarray:
         """(A, grid): entry [a, q1, q2] is the expected value of v, a grid

@@ -318,7 +318,7 @@ def _least_exact_dvp(
     rho = start
     for k in range(w):
         rho = advance(rho, acts[int(np.argmin(Q[k] @ rho.ravel()))])
-    dive = _violation(kernel, rho)
+    dive = _violation(kernel, rho.ravel()[kernel.cells])
 
     best, best_path = math.inf, None
     path = [-1] * w  # the child last tried at each depth
@@ -340,7 +340,7 @@ def _least_exact_dvp(
             k += 1
             rhos[k], bounds[k] = child, (Q[k] @ child.ravel()).tolist()
         else:
-            score = _violation(kernel, child)
+            score = _violation(kernel, child.ravel()[kernel.cells])
             if score < best * (1.0 - _TIE_MARGIN):
                 best, best_path = score, list(path)
     return tuple(values[best_path].tolist()), best, nodes

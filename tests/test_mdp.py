@@ -243,7 +243,8 @@ class TestKernel:
                 kern.forward(np.where(on_grid.reshape(rho.shape) == a, rho, 0.0), a)
                 for a in range(cfg.N + 1)
             )
-            assert np.allclose(kern.forward(rho, kern.split(acts)), parts, rtol=0.0, atol=1e-15)
+            [split] = kern.split(acts[None])
+            assert np.allclose(kern.forward(rho, split), parts, rtol=0.0, atol=1e-15)
 
     def test_index_domain(self):
         # q1 <= q1_max = 2 and q1 + q2 <= q2_max = 4, row-major
