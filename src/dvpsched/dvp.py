@@ -377,20 +377,20 @@ def exact_dvp_chain(
     # one action for every state, as a schedule or the even split takes
     same = rows is not None and len(rows) == 1 and (rows[0] == rows[0, 0]).all()
     if rows is not None and not same:
+        if act.shift.any():
+            rows = rows[np.arange(config.w) % len(rows)] + act.shift[:, None]
         splits = kernel.split(rows)
     rho = kernel.start()
     for epoch in range(config.w):
         if same:
             a = int(act.shift[epoch] + rows[0, 0])
-        elif rows is None:
+        elif rows is not None:
+            a = splits[epoch % len(splits)]
+        else:
             live = np.flatnonzero(rho.ravel()[kernel.cells])
             acts = np.zeros((1, len(states)), dtype=np.int64)
             acts[0, live] = act(epoch, live)
-            a = kernel.split(acts)[0]
-        elif act.shift[epoch]:
-            a = kernel.split(rows[epoch % len(rows)][None] + act.shift[epoch])[0]
-        else:
-            a = splits[epoch % len(rows)]
+            [a] = kernel.split(acts)
         rho = kernel.forward(rho, a)
     mass = rho.ravel()[kernel.cells]
     return EvalResult(

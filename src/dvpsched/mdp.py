@@ -117,16 +117,15 @@ class TransitionKernel:
         self.P = np.where((drop >= 0) & (drop <= N), pmf[n2][:, np.clip(drop, 0, N)], 0.0)
         self.P[:, :, 0] = np.where(q2 <= N, tail[n2][:, np.minimum(q2, N)], 0.0)
         self._P_T = np.ascontiguousarray(self.P.transpose(0, 2, 1))
-        self._D1_cols = self.D1[..., None]
         self._D1_by_q1 = np.ascontiguousarray(self.D1.transpose(1, 2, 0))  # (R, K, A)
-        # relay buffer W[q1, d1, r], then zeros: the view out[d1, q1', r']
-        # = W[q1' + d1, d1, r' - d1] reads each entry at its target cell,
-        # and every entry it reads outside W's range is zero there
-        KC = K * C
-        self._relay = np.zeros(R * KC + (K - 1) * (KC + C - 1))
-        self._W = self._relay[: R * KC].reshape(R, K, C)
+        # relay buffer W[d1, q1, r], then zeros: row d1 of the view, at the
+        # flattened cell of (q1, r), is W[d1, q1 + d1, r - d1], the entry
+        # that lands there; every entry it reads outside that is zero
+        S = R * C
+        self._relay = np.zeros(K * S + (K - 1) * (C - 1))
+        self._W = self._relay[: K * S].reshape(K, R, C)
         size = self._relay.itemsize
-        self._shifted = as_strided(self._relay, (K, R, C), (size * (KC + C - 1), size * KC, size))
+        self._shifted = as_strided(self._relay, (K, S), (size * (S + C - 1), size))
         # value buffer: zeros, then v; the view g[q1, d1, r] = v[q1 - d1, r + d1]
         pad = (K - 1) * (C - 1)
         self._value = np.zeros(pad + R * C)
@@ -147,12 +146,9 @@ class TransitionKernel:
         They share the tables of the actions that any row uses."""
         on_grid = np.full((len(acts), self.shape[0] * self.shape[1]), -1)
         on_grid[:, self.cells] = acts
-        used = np.flatnonzero(np.bincount(acts.ravel(), minlength=len(self.P)))
+        used = np.bincount(acts.ravel(), minlength=len(self.P)).nonzero()[0]
         masks = (on_grid[:, None, :] == used[:, None]).reshape(len(acts), len(used), *self.shape)
-        if len(used) == len(self.P):
-            P, D1 = self.P, self._D1_by_q1
-        else:
-            P, D1 = self.P[used], np.ascontiguousarray(self._D1_by_q1[:, :, used])
+        P, D1 = self.P.take(used, axis=0), self._D1_by_q1.take(used, axis=2)
         return [ActionSplit(m, P, D1) for m in masks]
 
     def forward(self, rho: np.ndarray, a) -> np.ndarray:
@@ -162,10 +158,10 @@ class TransitionKernel:
         action's link-2 matrix moves and its relay table weights."""
         if isinstance(a, ActionSplit):
             moved = np.multiply(a.masks, rho) @ a.P
-            np.matmul(a.D1, moved.transpose(1, 0, 2), out=self._W)
+            np.matmul(a.D1, moved.transpose(1, 0, 2), out=self._W.transpose(1, 0, 2))
         else:
-            np.multiply(self._D1_cols[a], (rho @ self.P[a])[:, None], out=self._W)
-        return np.add.reduce(self._shifted, axis=0)
+            np.multiply(self.D1[a].T[:, :, None], rho @ self.P[a], out=self._W)
+        return np.add.reduce(self._shifted, axis=0).reshape(self.shape)
 
     def backward(self, v: np.ndarray) -> np.ndarray:
         """(A, grid): entry [a, q1, q2] is the expected value of v, a grid

@@ -185,7 +185,7 @@ def random_on_states(kern, rng):
 
 
 class TestKernel:
-    def test_rows_match_sparse_dict(self):
+    def test_dense_rows_match_sparse_dict(self):
         cfg = ScenarioConfig(N=3, p_e=0.3, w=2, y=1, x1=1, x2=1)
         kern = TransitionKernel(cfg)
         for st in domain(cfg):
@@ -231,12 +231,14 @@ class TestKernel:
             for a in range(cfg.N + 1):
                 assert abs(np.vdot(back[a], rho) - np.vdot(v, kern.forward(rho, a))) <= 1e-12
 
-    def test_per_cell_actions_add_up_the_single_actions(self):
+    @pytest.mark.parametrize("some", [False, True], ids=["every action", "two actions"])
+    def test_split_actions_add_up_the_single_actions(self, some):
         rng = np.random.default_rng(32)
         for cfg in (ScenarioConfig(4, 0.3, 2, 2, 1, 2), ScenarioConfig(10, 0.4, 10, 5, 5, 5)):
             kern = TransitionKernel(cfg)
             rho = random_on_states(kern, rng)
-            acts = rng.integers(0, cfg.N + 1, len(kern.cells))
+            choices = [1, cfg.N] if some else np.arange(cfg.N + 1)
+            acts = rng.choice(choices, len(kern.cells))
             on_grid = np.full(rho.size, -1)
             on_grid[kern.cells] = acts
             parts = sum(
