@@ -198,14 +198,18 @@ def binomial_pmf(n: int, p: float, r: int) -> float:
     return math.exp(log_pmf)
 
 
+@functools.lru_cache(maxsize=64)
 def binomial_pmf_table(N: int, p: float) -> np.ndarray:
     """table[n, r] = binomial_pmf(n, p, r) for 0 <= r <= n <= N, and 0 for
     r > n: every binomial probability of one frame's service, each entry
-    taken from binomial_pmf itself."""
+    taken from binomial_pmf itself. Cached, since every transition kernel
+    of a frame size and loss rate reads the same table, so the array is
+    read-only."""
     table = np.zeros((N + 1, N + 1))
     for n in range(N + 1):
         for r in range(n + 1):
             table[n, r] = binomial_pmf(n, p, r)
+    table.flags.writeable = False
     return table
 
 
