@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 from . import semistatic
 from .dvp import exact_dvp_chain
-from .mdp import BASELINE_KINDS, PolicyTable, TransitionKernel, kernel_key, value_iteration
+from .mdp import BASELINE_KINDS, PolicyTable, value_iteration
 from .model import (
     CapExceededError,
     PolicyLookupError,
@@ -30,12 +30,10 @@ from .sim import SimSpec, check_counts, simulate, simulate_policies
 
 class Sources(NamedTuple):
     """What a method's solve draws on: `relaxed(config)` gives the relaxed
-    schedule the wtb-* methods start from, `kernel(config)` the transition
-    kernel that opt and mdp evaluate with, and `full_domain` widens opt's
+    schedule the wtb-* methods start from, and `full_domain` widens opt's
     search."""
 
     relaxed: Callable
-    kernel: Callable
     full_domain: bool = False
 
 
@@ -60,12 +58,9 @@ METHODS = {
     ),
     "e-wtb": Method(lambda c, src: semistatic.e_wtb(c), "wtb"),
     "e-dvpub": Method(lambda c, src: semistatic.e_dvpub(c), "dvpub"),
-    "opt": Method(
-        lambda c, src: semistatic.opt(c, full_domain=src.full_domain, make_kernel=src.kernel),
-        "dvp",
-    ),
+    "opt": Method(lambda c, src: semistatic.opt(c, full_domain=src.full_domain), "dvp"),
     "fifty": Method(lambda c, src: semistatic.fifty_fifty(c), "dvp"),
-    "mdp": Method(lambda c, src: value_iteration(c, src.kernel(c))),
+    "mdp": Method(lambda c, src: value_iteration(c)),
     "mw": Method(lambda c, src: "mw"),
     "wfq": Method(lambda c, src: "wfq"),
     "bp": Method(lambda c, src: "bp"),
@@ -122,9 +117,7 @@ def cmd_solve(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     try:
-        result = method.solve(
-            config, Sources(semistatic.solve_relaxed, TransitionKernel, args.full_domain)
-        )
+        result = method.solve(config, Sources(semistatic.solve_relaxed, args.full_domain))
     except (CapExceededError, ValueError) as exc:
         if out is not None:
             out.close()
@@ -322,21 +315,6 @@ def _simulate_rows(config: ScenarioConfig, jobs: list, spec: SweepSpec) -> None:
             row.dvp, row.ci_low, row.ci_high = sim.dvp_hat, sim.ci_low, sim.ci_high
 
 
-def _last_kernel() -> Callable:
-    """kernel(config) that keeps only the kernel it built last, and builds
-    anew when the scenario's kernel_key changes."""
-    kernel = None
-
-    def get(config: ScenarioConfig) -> TransitionKernel:
-        nonlocal kernel
-        if kernel is None or kernel.key != kernel_key(config):
-            kernel = None  # free the old kernel before building the next
-            kernel = TransitionKernel(config)
-        return kernel
-
-    return get
-
-
 SWEEP_HEADER = "x1,x2,w,N,pe,y,policy,dvp,ci_low,ci_high,ms"
 
 
@@ -393,14 +371,8 @@ def run_sweep(spec: SweepSpec, out) -> int:
     )
     out.write(SWEEP_HEADER + "\n")
     failures = 0
-    # one relaxed solve per config, shared by its wtb-* rows. Sorted cells
-    # that share a kernel_key are consecutive, so under exact evaluation
-    # one kernel serves all of them; Monte Carlo needs a kernel only
-    # inside value_iteration and drops it there.
-    sources = Sources(
-        functools.cache(semistatic.solve_relaxed),
-        _last_kernel() if spec.evaluator == "exact" else TransitionKernel,
-    )
+    # one relaxed solve per config, shared by its wtb-* rows
+    sources = Sources(functools.cache(semistatic.solve_relaxed))
     for x1, x2, w, N, pe, y in cells:
         rows = []
         jobs = []  # Monte Carlo rows, simulated together once all are solved
@@ -414,7 +386,7 @@ def run_sweep(spec: SweepSpec, out) -> int:
                 config = ScenarioConfig(N=N, p_e=pe, w=w, y=y, x1=x1, x2=x2)
                 policy = _cell_policy(config, policy_name, sources)
                 if spec.evaluator == "exact":
-                    row.dvp = exact_dvp_chain(config, policy, kernel=sources.kernel(config)).dvp
+                    row.dvp = exact_dvp_chain(config, policy).dvp
                 else:
                     jobs.append((row, policy))
             except (ValueError, CapExceededError) as exc:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ScenarioConfig, Schedule, binomial_cdf_table, check_schedule
-from .mdp import TransitionKernel, checked_kernel, policy_actions
+from .mdp import TransitionKernel, policy_actions, transition_kernel
 
 # the exponent search's range is [S_LO, _S_HI * 2**_MAX_DOUBLINGS]: a cold
 # search brackets [S_LO, _S_HI] and doubles its upper end while the bound
@@ -356,22 +356,19 @@ def _violation(kernel: TransitionKernel, mass: np.ndarray) -> float:
     return min(float(np.add.reduce(mass[kernel.states.nonempty])), 1.0)
 
 
-def exact_dvp_chain(
-    config: ScenarioConfig, policy, kernel: TransitionKernel | None = None
-) -> EvalResult:
+def exact_dvp_chain(config: ScenarioConfig, policy) -> EvalResult:
     """Exact DVP by propagating the joint backlog distribution through the
     w frames under the given policy, in any form mdp.policy_actions accepts
     (schedule, policy table, baseline name, or callable); each frame is one
-    kernel.forward on the backlog grid. A schedule or the even split moves
-    every state under one action; another policy moves each state under
-    its own, split once from its layout over the states, or, for a
-    callable or a partial table, asked each frame for the states with mass
-    only. A given kernel must come from a scenario with the same
-    mdp.kernel_key. The batch met the deadline iff both queues are empty at
-    the horizon, since departures equal the initial load minus what is
-    left."""
+    forward step of mdp.transition_kernel(config) on the backlog grid. A
+    schedule or the even split moves every state under one action; another
+    policy moves each state under its own, split once from its layout over
+    the states, or, for a callable or a partial table, asked each frame for
+    the states with mass only. The batch met the deadline iff both queues
+    are empty at the horizon, since departures equal the initial load minus
+    what is left."""
     act = policy_actions(policy, config)
-    kernel = checked_kernel(config, kernel)
+    kernel = transition_kernel(config)
     states = kernel.states
     rows = act.rows
     # one action for every state, as a schedule or the even split takes

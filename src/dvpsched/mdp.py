@@ -12,7 +12,8 @@ is (Plateau, SIGMETRICS 1985; Buchholz, Ciardo, Donatelli and Kemper,
 INFORMS J. Computing 12, 2000): a relay table for link 1 and a matrix stack
 for link 2 per action, acting on distributions and values held on the
 (q1_max + 1) x (q2_max + 1) backlog grid. Its size is capped in bytes
-(KERNEL_BYTE_CAP), not in states.
+(KERNEL_BYTE_CAP), not in states. Every evaluator gets it from
+transition_kernel, which keeps the one built last.
 
 A bound of the form  DVP <= total_load * E[1 / D(w)]  motivates maximizing
 throughput as a proxy for minimizing DVP, but the expectation is undefined
@@ -118,6 +119,8 @@ class TransitionKernel:
         self.P[:, :, 0] = np.where(q2 <= N, tail[n2][:, np.minimum(q2, N)], 0.0)
         self._P_T = np.ascontiguousarray(self.P.transpose(0, 2, 1))
         self._D1_by_q1 = np.ascontiguousarray(self.D1.transpose(1, 2, 0))  # (R, K, A)
+        for table in (self.P, self.D1, self._P_T, self._D1_by_q1):
+            table.flags.writeable = False
         # relay buffer W[d1, q1, r], then zeros: row d1 of the view, at the
         # flattened cell of (q1, r), is W[d1, q1 + d1, r - d1], the entry
         # that lands there; every entry it reads outside that is zero
@@ -190,20 +193,20 @@ class TransitionKernel:
         return self._link2_rewards()[:, self.states.q2]
 
 
-def checked_kernel(
-    config: ScenarioConfig, kernel: TransitionKernel | None = None
-) -> TransitionKernel:
-    """The kernel to evaluate config with: `kernel` when it was built for a
-    scenario of the same kernel_key (any deadline), a new one when None.
-    A kernel of another scenario raises ValueError."""
-    if kernel is None:
-        return TransitionKernel(config)
-    if kernel.key != kernel_key(config):
-        raise ValueError(
-            f"kernel was built for (N, p_e, q1_max, q2_max) = {kernel.key}, "
-            f"scenario needs {kernel_key(config)}"
-        )
-    return kernel
+_last_kernel: TransitionKernel | None = None
+
+
+def transition_kernel(config: ScenarioConfig) -> TransitionKernel:
+    """The TransitionKernel of config's kernel_key (any deadline, any split
+    of q1_max into y and x1). One is cached: the kernel built last, which a
+    scenario of another key drops before its own is built, so that two are
+    never alive at once. Its tables are read-only, but forward and backward
+    write its step buffers, so it serves one thread at a time."""
+    global _last_kernel
+    if _last_kernel is None or _last_kernel.key != kernel_key(config):
+        _last_kernel = None  # freed before the next is built
+        _last_kernel = TransitionKernel(config)
+    return _last_kernel
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,6 +279,8 @@ class PolicyTable:
             )
         except KeyError as exc:
             raise ValueError(f"line 1: header missing field {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"line 1: {exc}") from exc
         states = backlog_states(config)
         actions = np.full((config.w, len(states)), -1, dtype=np.int64)
         values = np.zeros((config.w + 1, len(states)))
@@ -300,12 +305,13 @@ class PolicyTable:
         return cls(config=config, actions=actions, values=values)
 
 
-def value_iteration(config: ScenarioConfig, kernel: TransitionKernel | None = None) -> PolicyTable:
+def value_iteration(config: ScenarioConfig) -> PolicyTable:
     """Backward recursion from a zero terminal value; per epoch and state the
     action maximizing immediate expected departures plus expected
     continuation, ties broken toward the smallest n1. Each epoch is one
-    kernel.backward over the grid, read on the states."""
-    kernel = checked_kernel(config, kernel)
+    backward step of transition_kernel(config) over the grid, read on the
+    states."""
+    kernel = transition_kernel(config)
     cells = kernel.cells
     rewards = kernel._link2_rewards()[:, None, :]  # (A, 1, q2_max + 1)
     actions = np.zeros((config.w, len(cells)), dtype=np.int64)

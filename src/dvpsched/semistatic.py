@@ -7,7 +7,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -23,11 +22,11 @@ from .dvp import (
     union_terms,
     wtb_min_s,
 )
-from .mdp import TransitionKernel, checked_kernel
+from .mdp import TransitionKernel, transition_kernel
 from .model import CapExceededError, ScenarioConfig, Schedule
 
 EXHAUSTIVE_CAP = 1_000_000
-NEIGHBOR_W_CAP = 24
+NEIGHBOR_CAP = 2**24
 
 # branch-and-bound prunes a child whose bound exceeds the incumbent by more
 # than this share: the backward bounds and the forward chain sum the same
@@ -208,20 +207,20 @@ def neighbor_search(
     (clamped into {1..N-1}, duplicates collapsed) and keep the best; ties go
     to the lexicographically smallest link-2 vector. Under wtb, a
     combination's exponent search stops once it proves the combination
-    cannot beat the best so far (_wtb_below)."""
+    cannot beat the best so far (_wtb_below). More than NEIGHBOR_CAP
+    combinations raise CapExceededError."""
     if criterion not in ("dvpub", "wtb"):
         raise ValueError(f"criterion must be dvpub or wtb, got {criterion!r}")
-    if config.w > NEIGHBOR_W_CAP:
-        raise CapExceededError(
-            f"2^{config.w} neighbor combinations exceed the w<= {NEIGHBOR_W_CAP} cap",
-            2**config.w,
-            2**NEIGHBOR_W_CAP,
-        )
     choices = []
     for v in relaxed.n2:
         a = int(min(max(math.floor(v), 1), config.N - 1))
         b = int(min(max(math.ceil(v), 1), config.N - 1))
         choices.append((a,) if a == b else (a, b))
+    count = math.prod(len(c) for c in choices)
+    if count > NEIGHBOR_CAP:
+        raise CapExceededError(
+            f"{count} neighbor combinations exceed cap {NEIGHBOR_CAP}", count, NEIGHBOR_CAP
+        )
     best_n2 = None
     best_score = math.inf
     for n2 in itertools.product(*choices):
@@ -347,10 +346,7 @@ def _least_exact_dvp(
 
 
 def exhaustive(
-    config: ScenarioConfig,
-    criterion: str,
-    full_domain: bool = False,
-    make_kernel: Callable[[ScenarioConfig], TransitionKernel] = TransitionKernel,
+    config: ScenarioConfig, criterion: str, full_domain: bool = False
 ) -> SemiStaticResult:
     """The minimizer of the chosen criterion over every allocation in
     {1..N-1}^w (optionally {0..N}^w for the exact criterion), the first in
@@ -360,8 +356,8 @@ def exhaustive(
     than EXHAUSTIVE_CAP schedules raises CapExceededError.
 
     The exact criterion is searched by branch-and-bound (_least_exact_dvp)
-    on the kernel make_kernel(config) returns once the domain and the cap
-    are checked; dvpub scores the whole domain in vectorised blocks
+    on transition_kernel(config), fetched once the domain and the cap are
+    checked; dvpub scores the whole domain in vectorised blocks
     (_least_dvpub); wtb scores one schedule at a time, each exponent search
     stopping once it proves the schedule cannot beat the best so far
     (_wtb_below). Each returns the schedule and score that scoring every
@@ -385,8 +381,7 @@ def exhaustive(
         )
     nodes = count
     if criterion == "exact":
-        kernel = checked_kernel(config, make_kernel(config))
-        best_n2, best_score, nodes = _least_exact_dvp(config, values, kernel)
+        best_n2, best_score, nodes = _least_exact_dvp(config, values, transition_kernel(config))
     elif criterion == "dvpub":
         best_n2, best_score = _least_dvpub(config, values)
     else:
@@ -431,9 +426,5 @@ def e_dvpub(config: ScenarioConfig) -> SemiStaticResult:
     return exhaustive(config, "dvpub")
 
 
-def opt(
-    config: ScenarioConfig,
-    full_domain: bool = False,
-    make_kernel: Callable[[ScenarioConfig], TransitionKernel] = TransitionKernel,
-) -> SemiStaticResult:
-    return exhaustive(config, "exact", full_domain=full_domain, make_kernel=make_kernel)
+def opt(config: ScenarioConfig, full_domain: bool = False) -> SemiStaticResult:
+    return exhaustive(config, "exact", full_domain=full_domain)

@@ -18,7 +18,6 @@ from dvpsched import (
     ScenarioConfig,
     Schedule,
     SimSpec,
-    TransitionKernel,
     dvpub,
     e_dvpub,
     exact_dvp_chain,
@@ -224,11 +223,10 @@ def test_criterion_06_semistatic_family_trend():
     for w in (3, 4, 5, 6):
         for x in (1, 2):
             cfg = ScenarioConfig(N=4, p_e=0.2, w=w, y=1, x1=x, x2=x)
-            kern = TransitionKernel(cfg)
-            dv_opt = exact_dvp_chain(cfg, opt(cfg).schedule, kernel=kern).dvp
-            dv_edv = exact_dvp_chain(cfg, e_dvpub(cfg).schedule, kernel=kern).dvp
-            dv_ww = exact_dvp_chain(cfg, wtb_w(cfg).schedule, kernel=kern).dvp
-            dv_50 = exact_dvp_chain(cfg, fifty_fifty(cfg).schedule, kernel=kern).dvp
+            dv_opt = exact_dvp_chain(cfg, opt(cfg).schedule).dvp
+            dv_edv = exact_dvp_chain(cfg, e_dvpub(cfg).schedule).dvp
+            dv_ww = exact_dvp_chain(cfg, wtb_w(cfg).schedule).dvp
+            dv_50 = exact_dvp_chain(cfg, fifty_fifty(cfg).schedule).dvp
             cell_ok = (
                 dv_opt <= dv_edv * (1 + 1e-12) + 1e-15
                 and dv_edv <= dv_ww * (1 + 1e-12) + 1e-15
@@ -259,15 +257,14 @@ def test_criterion_07_dynamic_family_trend():
         for w in (3, 4, 5, 6):
             for x in (1, 3):
                 cfg = ScenarioConfig(N=N, p_e=0.4, w=w, y=1, x1=x, x2=x)
-                kern = TransitionKernel(cfg)
-                table = value_iteration(cfg, kern)
-                res_mdp = exact_dvp_chain(cfg, table, kernel=kern)
+                table = value_iteration(cfg)
+                res_mdp = exact_dvp_chain(cfg, table)
                 dv_mdp, dep_mdp = res_mdp.dvp, res_mdp.mean_departures
                 details.append(
                     f"N={N},w={w},x={x}: mdp dvp={dv_mdp:.3e} dep={dep_mdp:.6f}"
                 )
                 for b in ("bp", "mw", "wfq", "fifty"):
-                    res_b = exact_dvp_chain(cfg, b, kernel=kern)
+                    res_b = exact_dvp_chain(cfg, b)
                     dv_b, dep_b = res_b.dvp, res_b.mean_departures
                     more_departures = dep_b > dep_mdp + tol
                     tie_lower_dvp = (
@@ -291,9 +288,8 @@ def test_criterion_08_dynamic_vs_semistatic_gap():
     """At N=6, p_e=0.4, x1=x2=1, w=6 the MDP policy should beat the wtb-w
     schedule by at least 2x (target from the source material: 10x)."""
     cfg = ScenarioConfig(N=6, p_e=0.4, w=6, y=1, x1=1, x2=1)
-    kern = TransitionKernel(cfg)
-    dv_mdp = exact_dvp_chain(cfg, value_iteration(cfg, kern), kernel=kern).dvp
-    dv_ww = exact_dvp_chain(cfg, wtb_w(cfg).schedule, kernel=kern).dvp
+    dv_mdp = exact_dvp_chain(cfg, value_iteration(cfg)).dvp
+    dv_ww = exact_dvp_chain(cfg, wtb_w(cfg).schedule).dvp
     ratio = dv_ww / dv_mdp
     ok = ratio >= 2.0
     _report(
@@ -352,12 +348,9 @@ def test_criterion_10_heuristic_ranking():
         x2 = int(rng.integers(0, 3))
         pe = float(rng.choice(SWEEP_PES))
         cfg = ScenarioConfig(N=N, p_e=pe, w=w, y=y, x1=x1, x2=x2)
-        kern = TransitionKernel(cfg)
-        dv_ww = exact_dvp_chain(cfg, wtb_w(cfg).schedule, kernel=kern).dvp
+        dv_ww = exact_dvp_chain(cfg, wtb_w(cfg).schedule).dvp
         population = [
-            exact_dvp_chain(
-                cfg, Schedule(n1=tuple(N - v for v in n2), N=N), kernel=kern
-            ).dvp
+            exact_dvp_chain(cfg, Schedule(n1=tuple(N - v for v in n2), N=N)).dvp
             for n2 in itertools.product(range(1, N), repeat=w)
         ]
         better = sum(1 for v in population if v < dv_ww - 1e-15)

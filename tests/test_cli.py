@@ -17,8 +17,13 @@ from dvpsched import (
 )
 from dvpsched import cli
 from dvpsched.cli import SWEEP_HEADER, SweepRow, fmt_prob, main, parse_sweep_file, run_sweep
+from dvpsched.mdp import transition_kernel
 
 SWEEPS = Path(__file__).resolve().parent.parent / "sweeps"
+# a scenario of a kernel_key that no sweep here uses: a test that counts
+# kernel builds caches its kernel first, so the tests run before it cannot
+# leave the sweep's first kernel cached
+UNRELATED_KEY = ScenarioConfig(N=2, p_e=0.5, w=1, y=1, x1=0, x2=0)
 
 
 def run_cli(capsys, *argv):
@@ -314,6 +319,18 @@ class TestEval:
         )
         assert code == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize("n", ["abc", "0"])
+    def test_malformed_policy_file_header_reports_line(self, capsys, tmp_path, n):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# policy-table N={n} pe=0.5 w=1 y=1 x1=0 x2=0\n")
+        code, _, err = run_cli(
+            capsys,
+            "eval", "--N", "2", "--pe", "0.5", "--w", "1", "--y", "1",
+            "--x1", "0", "--x2", "0", "--policy-file", str(path),
+        )
+        assert code == 2
+        assert "line 1: " in err
 
     @pytest.mark.parametrize("state", ["9 9", "-1 0", "1 1"])
     def test_policy_file_state_outside_domain_reports_line(self, capsys, tmp_path, state):
@@ -653,6 +670,7 @@ class TestSweepRun:
             built.append(config)
             init(kernel, config)
 
+        transition_kernel(UNRELATED_KEY)
         monkeypatch.setattr(TransitionKernel, "__init__", counted)
         spec = parse_sweep_file((SWEEPS / "dynamic-deadlines.sweep").read_text())
         buf = io.StringIO()
@@ -665,35 +683,37 @@ class TestSweepRun:
         for row in rows:
             cfg = ScenarioConfig(N=row.N, p_e=row.pe, w=row.w, y=row.y, x1=row.x1, x2=row.x2)
             policy = value_iteration(cfg) if row.policy == "mdp" else row.policy
-            # as evaluated on a kernel of the cell's own
+            # as a call outside the sweep evaluates it
             assert fmt_prob(row.dvp) == fmt_prob(exact_dvp_chain(cfg, policy).dvp)
 
     def test_monte_carlo_sweep_keeps_no_kernel(self, monkeypatch):
+        # no kernel is built while another is alive: the cache drops its
+        # kernel before it builds the next
         kernels = []
         init = TransitionKernel.__init__
 
         def tracked(kernel, config):
+            assert all(ref() is None for ref in kernels)
             init(kernel, config)
             kernels.append(weakref.ref(kernel))
 
         simulate_policies = cli.simulate_policies
         runs = []
 
-        def checked(config, policies, replications, seed):
-            # every kernel died with the value_iteration call that needed it
-            assert all(ref() is None for ref in kernels)
+        def counted(config, policies, replications, seed):
             runs.append(len(policies))
             return simulate_policies(config, policies, replications, seed)
 
         monkeypatch.setattr(TransitionKernel, "__init__", tracked)
-        monkeypatch.setattr(cli, "simulate_policies", checked)
+        monkeypatch.setattr(cli, "simulate_policies", counted)
+        transition_kernel(UNRELATED_KEY)
         spec = parse_sweep_file(
             "x1=1\nx2=1, 2\nw=3\nN=3\npe=0.4\ny=1\npolicies=mdp, mw, fifty\n"
             "evaluator=monte-carlo\nreps=2000\nseed=4\n"
         )
         buf = io.StringIO()
         assert run_sweep(spec, buf) == 0
-        assert len(kernels) == 2  # one per mdp cell
+        assert len(kernels) == 1 + 2  # the primed one, then one per mdp cell
         assert runs == [3, 3]  # one joint run per scenario
         assert len(buf.getvalue().splitlines()) == 1 + 6
 

@@ -10,7 +10,6 @@ from dvpsched import (
     CapExceededError,
     ScenarioConfig,
     Schedule,
-    TransitionKernel,
     binomial_pmf,
     dvpub,
     exact_dvp_chain,
@@ -18,6 +17,7 @@ from dvpsched import (
     wtb_min_s,
 )
 from dvpsched.dvp import S_LO, Rejected, _log_wtb_in_s, min_log_wtb, union_terms
+from dvpsched.model import backlog_states
 from dvpsched.oracles import binomial_cdf, exact_dvp_enum, wtb
 
 HAND_CFG = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
@@ -160,8 +160,7 @@ class TestSmallDvps:
     def test_large_instance_mdp_table_is_positive(self):
         # L of the roadmap: 1 - P(empty) read -1.55e-14 here
         cfg = ScenarioConfig(N=16, p_e=0.4, w=12, y=10, x1=10, x2=10)
-        kernel = TransitionKernel(cfg)
-        dvp = exact_dvp_chain(cfg, value_iteration(cfg, kernel), kernel=kernel).dvp
+        dvp = exact_dvp_chain(cfg, value_iteration(cfg)).dvp
         assert 0.0 < dvp < 1e-14
 
     def test_far_below_rounding(self):
@@ -574,10 +573,9 @@ class TestEvalResult:
         rng = np.random.default_rng(34)
         for _ in range(20):
             cfg, sched = random_instance(rng)
-            kern = TransitionKernel(cfg)
-            res = exact_dvp_chain(cfg, sched, kernel=kern)
+            res = exact_dvp_chain(cfg, sched)
             assert 0.0 <= res.mass_residual <= 1e-12
-            assert res.states == len(kern.states)
+            assert res.states == len(backlog_states(cfg))
         assert math.isnan(dvpub(HAND_CFG, HAND_SCHED).mass_residual)
 
     def test_chain_statistics_stay_out_of_equality(self):

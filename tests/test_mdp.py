@@ -18,7 +18,13 @@ from dvpsched import (
     simulate,
     value_iteration,
 )
-from dvpsched.mdp import BASELINE_KINDS, baseline_actions, policy_actions
+from dvpsched.mdp import (
+    BASELINE_KINDS,
+    baseline_actions,
+    kernel_key,
+    policy_actions,
+    transition_kernel,
+)
 from dvpsched.model import backlog_states
 from dvpsched.oracles import QueueState, reward, transition_probs, transition_probs_casewise
 
@@ -265,7 +271,12 @@ class TestKernel:
 
 
 class TestKernelScenarioGuard:
+    """transition_kernel keeps the kernel it built last for scenarios of
+    its kernel_key and builds anew for any other."""
+
     CFG = ScenarioConfig(N=4, p_e=0.4, w=4, y=1, x1=1, x2=1)
+    # the kernel does not depend on w, nor on how q1_max splits into y, x1
+    SAME_KEY = ScenarioConfig(N=4, p_e=0.4, w=1, y=2, x1=0, x2=1)
     OTHERS = {
         "p_e": ScenarioConfig(N=4, p_e=0.2, w=4, y=1, x1=1, x2=1),
         "N": ScenarioConfig(N=5, p_e=0.4, w=4, y=1, x1=1, x2=1),
@@ -275,22 +286,30 @@ class TestKernelScenarioGuard:
 
     @pytest.mark.parametrize("field", sorted(OTHERS))
     def test_other_scenarios_kernel_rejected(self, field):
-        kern = TransitionKernel(self.OTHERS[field])
-        with pytest.raises(ValueError, match="kernel was built for"):
-            exact_dvp_chain(self.CFG, "mw", kernel=kern)
-        with pytest.raises(ValueError, match="kernel was built for"):
-            value_iteration(self.CFG, kern)
-        with pytest.raises(ValueError, match="kernel was built for"):
-            opt(self.CFG, make_kernel=lambda c: kern)
+        other = transition_kernel(self.OTHERS[field])
+        kern = transition_kernel(self.CFG)
+        assert kern is not other
+        assert kern.key == kernel_key(self.CFG) != other.key
 
     def test_other_deadline_accepted(self):
-        # the kernel does not depend on w, nor on how q1_max splits into y, x1
-        kern = TransitionKernel(ScenarioConfig(N=4, p_e=0.4, w=1, y=2, x1=0, x2=1))
-        assert exact_dvp_chain(self.CFG, "mw", kernel=kern) == exact_dvp_chain(self.CFG, "mw")
-        shared, own = value_iteration(self.CFG, kern), value_iteration(self.CFG)
-        assert np.array_equal(shared.actions, own.actions)
-        assert np.array_equal(shared.values, own.values)
-        assert opt(self.CFG, make_kernel=lambda c: kern) == opt(self.CFG)
+        kern = transition_kernel(self.SAME_KEY)
+        assert transition_kernel(self.CFG) is kern
+        for table in (kern.P, kern.D1, kern._P_T, kern._D1_by_q1):
+            assert not table.flags.writeable
+
+    def test_reused_kernel_evaluates_as_a_rebuilt_one(self):
+        def table(cfg):
+            built = value_iteration(cfg)
+            return built.actions.tolist(), built.values.tolist()
+
+        evaluators = (lambda cfg: exact_dvp_chain(cfg, "mw"), table, opt)
+        transition_kernel(self.SAME_KEY)
+        reused = [evaluate(self.CFG) for evaluate in evaluators]  # all on SAME_KEY's kernel
+        rebuilt = []
+        for evaluate in evaluators:
+            transition_kernel(self.OTHERS["N"])  # drops the kernel of CFG's key
+            rebuilt.append(evaluate(self.CFG))
+        assert reused == rebuilt
 
 
 def bench_reference():
@@ -307,15 +326,14 @@ class TestPastTheOldKernelCap:
     CFG = ScenarioConfig(N=20, p_e=0.4, w=11, y=20, x1=20, x2=20)
 
     def test_mw_is_exact_and_the_table_beats_it(self):
-        kern = TransitionKernel(self.CFG)
-        mw = exact_dvp_chain(self.CFG, "mw", kernel=kern)
+        mw = exact_dvp_chain(self.CFG, "mw")
         assert f"{mw.dvp:.10g}" == "0.005808452233"
         reference = bench_reference()
         ref = reference.Reference(20, 0.4, 11, 20, 20, 20)
         assert mw.dvp == pytest.approx(ref.evaluate(reference.baseline_action("mw", 20))[0], rel=2e-14)
         sim = simulate(self.CFG, SimSpec(200_000, 3, "mw"))  # [0.005438, 0.006101]
         assert sim.ci_low <= mw.dvp <= sim.ci_high
-        table = exact_dvp_chain(self.CFG, value_iteration(self.CFG, kern), kernel=kern)
+        table = exact_dvp_chain(self.CFG, value_iteration(self.CFG))
         assert table.dvp <= mw.dvp
         assert table.mean_departures >= mw.mean_departures
 
@@ -410,11 +428,10 @@ class TestValueIteration:
         rng = np.random.default_rng(31)
         for _ in range(6):
             cfg = random_config(rng, max_N=5)
-            kern = TransitionKernel(cfg)
-            table = value_iteration(cfg, kern)
-            mdp_ed = exact_dvp_chain(cfg, table, kernel=kern).mean_departures
+            table = value_iteration(cfg)
+            mdp_ed = exact_dvp_chain(cfg, table).mean_departures
             for b in ("mw", "wfq", "bp", "fifty"):
-                base_ed = exact_dvp_chain(cfg, b, kernel=kern).mean_departures
+                base_ed = exact_dvp_chain(cfg, b).mean_departures
                 assert mdp_ed >= base_ed - 1e-9
 
 
@@ -489,6 +506,12 @@ class TestPolicyTable:
     def test_header_required(self):
         with pytest.raises(ValueError, match="line 1"):
             PolicyTable.from_text("0 0 0 0 0.0\n")
+
+    @pytest.mark.parametrize("n", ["abc", "0"])
+    def test_malformed_header_value_carries_line_number(self, n):
+        text = f"# policy-table N={n} pe=0.5 w=1 y=1 x1=0 x2=0\n"
+        with pytest.raises(ValueError, match="^line 1: "):
+            PolicyTable.from_text(text)
 
 
 def one_action(kind, N, q1, q2):

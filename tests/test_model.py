@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvpsched import ScenarioConfig, Schedule, binomial_pmf, binomial_pmf_table
-from dvpsched.model import backlog_states, binomial_cdf_table, next_states
+from dvpsched.model import binomial_cdf_table
 from dvpsched.oracles import QueueState, binomial_cdf, step_queues
 
 
@@ -158,28 +158,6 @@ class TestStepQueues:
             state, d2 = step_queues(state, s1, s2)
             total_d2 += d2
         assert total_d2 == int(y + x1 + x2) - state.q1 - state.q2
-
-
-class TestNextStates:
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            ScenarioConfig(N=1, p_e=0.5, w=2, y=1, x1=0, x2=0),
-            ScenarioConfig(N=4, p_e=0.4, w=3, y=2, x1=1, x2=3),
-            ScenarioConfig(N=6, p_e=0.4, w=6, y=1, x1=3, x2=3),
-        ],
-        ids=str,
-    )
-    def test_every_entry_is_step_queues(self, cfg):
-        states = backlog_states(cfg)
-        relayed, kept = next_states(cfg)
-        assert relayed.shape == kept.shape == (len(states), cfg.N + 1)
-        for i, state in enumerate(zip(states.q1.tolist(), states.q2.tolist())):
-            for s1 in range(cfg.N + 1):
-                for s2 in range(cfg.N + 1):
-                    moved, _ = step_queues(QueueState(*state), s1, s2)
-                    nxt = relayed[i, s1] + kept[i, s2]
-                    assert nxt == states.index(*moved), (state, s1, s2)
 
 
 class TestConfigAndSchedule:

@@ -1,6 +1,6 @@
-"""Package layout: the production modules never reach the test oracles, the
-public API is one sorted list of names that resolve, and the names the
-benchmark harness uses exist."""
+"""Package layout: the production modules never reach the test oracles and
+build transition kernels in one place, the public API is one sorted list of
+names that resolve, and the names the benchmark harness uses exist."""
 import ast
 from pathlib import Path
 
@@ -47,6 +47,21 @@ def test_production_module_does_not_import_oracles(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     for name in imported_names(tree):
         assert "oracles" not in name.split("."), f"{module}.py imports {name}"
+
+
+def test_only_the_cache_builds_a_kernel():
+    callers = []
+    for module in PRODUCTION:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "TransitionKernel"
+                ):
+                    callers.append(f"{module}.{getattr(stmt, 'name', '<module>')}")
+    assert callers == ["mdp.transition_kernel"]
 
 
 def test_all_is_sorted_unique_and_resolves():

@@ -11,7 +11,6 @@ from dvpsched import (
     RelaxedSchedule,
     ScenarioConfig,
     Schedule,
-    TransitionKernel,
     dvpub,
     e_dvpub,
     e_wtb,
@@ -120,9 +119,8 @@ class TestSolverScaleFree:
 
     def test_wtb_w_reaches_opt_at_low_loss(self):
         cfg = ScenarioConfig(N=6, p_e=0.05, w=4, y=1, x1=1, x2=1)
-        kern = TransitionKernel(cfg)
-        dv_w = exact_dvp_chain(cfg, wtb_w(cfg).schedule, kernel=kern).dvp
-        dv_opt = exact_dvp_chain(cfg, opt(cfg).schedule, kernel=kern).dvp
+        dv_w = exact_dvp_chain(cfg, wtb_w(cfg).schedule).dvp
+        dv_opt = exact_dvp_chain(cfg, opt(cfg).schedule).dvp
         assert dv_w <= 1.01 * dv_opt
 
     def test_large_instance_descends_below_even_split(self):
@@ -395,9 +393,24 @@ class TestNeighborSearch:
 
     def test_width_cap(self):
         cfg = ScenarioConfig(N=4, p_e=0.2, w=25, y=1, x1=0, x2=0)
-        relaxed = fake_relaxed(cfg, (1.5,) * 25)
-        with pytest.raises(CapExceededError):
+        relaxed = RelaxedSchedule(n2=(1.5,) * 25, s=1.0, objective=1.0)
+        with pytest.raises(CapExceededError) as exc:
             neighbor_search(cfg, relaxed, "wtb")
+        assert exc.value.estimate == 2**25
+
+    # past w = 24, where collapsed floor/ceil pairs leave 1 and 2 combinations
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ScenarioConfig(N=2, p_e=0.5, w=25, y=1, x1=0, x2=0),
+            ScenarioConfig(N=3, p_e=0.4, w=26, y=1, x1=1, x2=1),
+        ],
+        ids=str,
+    )
+    def test_wide_deadline_with_few_combinations_solves(self, cfg):
+        relaxed = solve_relaxed(cfg)
+        for criterion in ("wtb", "dvpub"):
+            assert len(neighbor_search(cfg, relaxed, criterion).schedule.n1) == cfg.w
 
     def test_wtb_w_usually_beats_wtb_r(self):
         # refined rounding should win on exact DVP for most instances
@@ -412,14 +425,9 @@ class TestNeighborSearch:
                 x1=int(rng.integers(0, 3)),
                 x2=int(rng.integers(0, 3)),
             )
-            kern = TransitionKernel(cfg)
             relaxed = solve_relaxed(cfg)
-            dv_w = exact_dvp_chain(
-                cfg, neighbor_search(cfg, relaxed, "wtb").schedule, kernel=kern
-            ).dvp
-            dv_r = exact_dvp_chain(
-                cfg, round_nearest(cfg, relaxed).schedule, kernel=kern
-            ).dvp
+            dv_w = exact_dvp_chain(cfg, neighbor_search(cfg, relaxed, "wtb").schedule).dvp
+            dv_r = exact_dvp_chain(cfg, round_nearest(cfg, relaxed).schedule).dvp
             if dv_w <= dv_r + 1e-15:
                 wins += 1
         assert wins >= 60
@@ -442,22 +450,16 @@ class TestExhaustive:
 
     def test_opt_dominates_e_dvpub_on_exact_dvp(self):
         cfg = ScenarioConfig(N=4, p_e=0.33, w=3, y=1, x1=1, x2=1)
-        kern = TransitionKernel(cfg)
-        dv_opt = exact_dvp_chain(cfg, opt(cfg).schedule, kernel=kern).dvp
-        dv_edv = exact_dvp_chain(cfg, e_dvpub(cfg).schedule, kernel=kern).dvp
+        dv_opt = exact_dvp_chain(cfg, opt(cfg).schedule).dvp
+        dv_edv = exact_dvp_chain(cfg, e_dvpub(cfg).schedule).dvp
         assert dv_opt <= dv_edv + 1e-15
 
     def test_golden_values(self):
-        kern = TransitionKernel(GOLDEN_CFG)
-        assert exact_dvp_chain(
-            GOLDEN_CFG, opt(GOLDEN_CFG).schedule, kernel=kern
-        ).dvp == pytest.approx(GOLDEN_OPT_DVP, rel=1e-10)
-        assert exact_dvp_chain(
-            GOLDEN_CFG, e_dvpub(GOLDEN_CFG).schedule, kernel=kern
-        ).dvp == pytest.approx(GOLDEN_EDVPUB_DVP, rel=1e-10)
-        assert exact_dvp_chain(
-            GOLDEN_CFG, wtb_w(GOLDEN_CFG).schedule, kernel=kern
-        ).dvp == pytest.approx(GOLDEN_WTBW_DVP, rel=1e-10)
+        for method, golden in (
+            (opt, GOLDEN_OPT_DVP), (e_dvpub, GOLDEN_EDVPUB_DVP), (wtb_w, GOLDEN_WTBW_DVP)
+        ):
+            dvp = exact_dvp_chain(GOLDEN_CFG, method(GOLDEN_CFG).schedule).dvp
+            assert dvp == pytest.approx(golden, rel=1e-10)
 
     def test_argmin_certificate_by_rescan(self):
         cfg = ScenarioConfig(N=4, p_e=0.4, w=3, y=1, x1=1, x2=0)
@@ -495,11 +497,10 @@ def scan_exact(cfg, full_domain=False):
     schedule kept only when below the best so far by more than opt's tie
     margin, 1e-13 of it."""
     values = range(0, cfg.N + 1) if full_domain else range(1, cfg.N)
-    kern = TransitionKernel(cfg)
     best_n2, best = None, float("inf")
     for n2 in itertools.product(values, repeat=cfg.w):
         sched = Schedule(n1=tuple(cfg.N - v for v in n2), N=cfg.N)
-        score = exact_dvp_chain(cfg, sched, kernel=kern).dvp
+        score = exact_dvp_chain(cfg, sched).dvp
         if score < best * (1.0 - 1e-13):
             best_n2, best = n2, score
     return best_n2, best

@@ -318,8 +318,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("policy, bound_mb", [("mw", 57.0), ("even split", 44.2)])
     def test_memory_stays_below_the_next_state_parts(self, policy, bound_mb):
-        # 361 201 states; the bounds are the traced peaks of the sampler
-        # that moved states through next_states' two S x (N + 1) parts
+        # 361 201 states; the bounds are the traced peaks of an earlier
+        # sampler that moved states through two S x (N + 1) next-state parts
         cfg = ScenarioConfig(4, 0.4, 5, 300, 300, 300)
         if policy == "even split":
             policy = even_split(cfg)
