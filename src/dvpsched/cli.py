@@ -298,13 +298,13 @@ def _cell_policy(config: ScenarioConfig, policy_name: str, sources: Sources):
 def _simulate_rows(config: ScenarioConfig, jobs: list, spec: SweepSpec) -> None:
     """Fill in one scenario's Monte Carlo rows, given as (row, policy)
     pairs, from one joint run over its policies. Each row's ms gains an
-    equal share of the run, and a run that raises ValueError gives every
-    row its error."""
+    equal share of the run, and a run that raises ValueError or
+    CapExceededError gives every row its error."""
     start = time.perf_counter()
     try:
         sims = simulate_policies(config, [policy for _, policy in jobs], spec.reps, spec.seed)
         error = ""
-    except ValueError as exc:
+    except (ValueError, CapExceededError) as exc:
         sims, error = [None] * len(jobs), str(exc)
     share = (time.perf_counter() - start) * 1e3 / len(jobs)
     for (row, _), sim in zip(jobs, sims):

@@ -267,6 +267,10 @@ class PolicyTable:
         fields = {}
         for token in lines[0].removeprefix("# policy-table ").split():
             key, _, val = token.partition("=")
+            if key not in ("N", "pe", "w", "y", "x1", "x2"):
+                raise ValueError(f"line 1: unknown field {key!r}")
+            if key in fields:
+                raise ValueError(f"line 1: repeated field {key!r}")
             fields[key] = val
         try:
             config = ScenarioConfig(

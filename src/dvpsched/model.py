@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +51,9 @@ class ScenarioConfig:
 
     N: slots per frame; p_e: per-slot packet error rate; w: deadline in
     frames; y: size of the time-critical batch arriving at frame 0;
-    x1, x2: initial backlogs of the first and second queue.
+    x1, x2: initial backlogs of the first and second queue. A count that is
+    a bool or not an integer raises TypeError; numpy integers are stored as
+    int.
     """
 
     N: int
@@ -61,6 +64,11 @@ class ScenarioConfig:
     x2: int
 
     def __post_init__(self):
+        for name in SCENARIO_MINIMA:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         for name in ("N", "w", "y", "x1", "x2", "p_e"):
             check_scenario_field(name, getattr(self, name))
 

@@ -1,6 +1,6 @@
 """Semi-static schedules computed once from the initial backlogs: the
-relaxed convex bound minimization, its integer rounding heuristics, and the
-exhaustive reference searches.
+relaxed convex bound minimization, its integer rounding heuristics, the
+union bound's dynamic programme and the exhaustive reference searches.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from .mdp import TransitionKernel, transition_kernel
 from .model import CapExceededError, ScenarioConfig, Schedule
 
 EXHAUSTIVE_CAP = 1_000_000
+DVPUB_BYTE_CAP = 50_000_000
 NEIGHBOR_CAP = 2**24
 
 # branch-and-bound prunes a child whose bound exceeds the incumbent by more
@@ -36,7 +37,6 @@ _BNB_MARGIN = 1e-9
 # share, so that exact DVPs equal up to rounding tie, and the first such
 # schedule in product order wins whatever order the chain adds in
 _TIE_MARGIN = 1e-13
-_GRID_BLOCK = 1024  # schedules per block of the union-bound search
 
 _ARMIJO_C = 1e-4
 _PG_TOL = 1e-9  # projected gradient of log wtb, so independent of the bound's scale
@@ -75,9 +75,9 @@ class RelaxedSchedule:
 @dataclass(frozen=True)
 class SemiStaticResult:
     """An integer schedule, how it was chosen, and the criterion value that
-    selected it. nodes, for the exhaustive searches, is the work done: the
-    chain steps opt's branch-and-bound took, or the schedules e-dvpub and
-    e-wtb scored. It takes no part in equality."""
+    selected it. nodes, for the searches, is the work done: the chain steps
+    opt's branch-and-bound took, the schedules e-wtb scored, or the edges
+    e-dvpub's forward pass scored. It takes no part in equality."""
 
     schedule: Schedule
     method: str
@@ -192,12 +192,9 @@ def _wtb_below(config: ScenarioConfig, n2: tuple[int, ...], best: float) -> floa
 def round_nearest(config: ScenarioConfig, relaxed: RelaxedSchedule) -> SemiStaticResult:
     """Nearest-integer rounding of the relaxed allocation (halves round up),
     clamped back into {1..N-1}."""
-    n2 = tuple(
-        int(min(max(math.floor(v + 0.5), 1), config.N - 1)) for v in relaxed.n2
-    )
+    n2 = tuple(int(min(max(math.floor(v + 0.5), 1), config.N - 1)) for v in relaxed.n2)
     schedule = _schedule_from_n2(config, n2)
-    _, score = wtb_min_s(config, schedule)
-    return SemiStaticResult(schedule=schedule, method="wtb-r", score=score, relaxed=relaxed)
+    return SemiStaticResult(schedule, "wtb-r", wtb_min_s(config, schedule)[1], relaxed)
 
 
 def neighbor_search(
@@ -221,58 +218,84 @@ def neighbor_search(
         raise CapExceededError(
             f"{count} neighbor combinations exceed cap {NEIGHBOR_CAP}", count, NEIGHBOR_CAP
         )
-    best_n2 = None
-    best_score = math.inf
+    best_n2, best_score = None, math.inf
     for n2 in itertools.product(*choices):
         if criterion == "dvpub":
             score = dvpub(config, _schedule_from_n2(config, n2)).dvp
         else:
             score = _wtb_below(config, n2, best_score)
         if score < best_score:
-            best_score = score
-            best_n2 = n2
+            best_n2, best_score = n2, score
     method = "wtb-d" if criterion == "dvpub" else "wtb-w"
-    return SemiStaticResult(
-        schedule=_schedule_from_n2(config, best_n2),
-        method=method,
-        score=best_score,
-        relaxed=relaxed,
-    )
+    return SemiStaticResult(_schedule_from_n2(config, best_n2), method, best_score, relaxed)
 
 
-def _product_blocks(values: np.ndarray, w: int):
-    """values^w in itertools.product order, in blocks of at most
-    _GRID_BLOCK rows (len(values) rows where one value alone exceeds that):
-    np.indices gives the trailing digits once, and each block fills in the
-    leading ones. Every block is the same array, refilled."""
-    k = len(values)
-    t = w
-    while t > 1 and k**t > _GRID_BLOCK:
-        t -= 1
-    grid = np.empty((k**t, w), dtype=values.dtype)
-    grid[:, w - t :] = values[np.indices((k,) * t).reshape(t, -1).T]
-    for head in np.ndindex(*(k,) * (w - t)):
-        grid[:, : w - t] = values[list(head)]
-        yield grid
+def _largest_addend(t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Elementwise, the largest float a >= 0 whose rounded sum a + t is at
+    most u, or -inf where none is, stepped there from a close estimate."""
+    fits = t <= u
+    t, u = np.where(fits, t, 0.0), np.where(fits, u, 0.0)
+    a = u - t + np.spacing(u) / 2
+    while (over := a + t > u).any():
+        a = np.where(over, np.nextafter(a, 0.0), a)
+    while (more := (up := np.nextafter(a, np.inf)) + t <= u).any():
+        a = np.where(more, up, a)
+    return np.where(fits, a, -np.inf)
 
 
-def _least_dvpub(config: ScenarioConfig, values: np.ndarray) -> tuple[tuple[int, ...], float]:
-    """The first n2 in values^w, in itertools.product order, of least
-    dvpub, and that value. Each block adds the union terms' tails, read
-    from dvpub's table, in dvpub's term order, so every sum equals dvpub's
-    bit for bit, and argmin keeps the first minimum as a strict < does."""
-    c, A, _ = union_terms(config)
+def e_dvpub(config: ScenarioConfig) -> SemiStaticResult:
+    """The first n2 in {1..N-1}^w, in itertools.product order, of least
+    dvpub, by dynamic programming; nodes counts the forward pass's edges.
+    Arrays of more than DVPUB_BYTE_CAP bytes raise CapExceededError.
+    Term k (1..w) has N (k-1) + S - P_{k-1} - P_k trials, with P_k the
+    link-2 slots of frames before k and S = P_w; arrays run over R = S - w,
+    Q_k = P_k - k and the step e = n2 - 1. Float addition is monotone, so
+    the least partial sum at each (R, Q_k), added in dvpub's order, leads to
+    the least dvpub bit for bit. The walk takes at each frame the least step
+    whose partial sum can still reach it: the schedule a full scan keeps.
+    A trial count outside 0..w*N scores inf, never a clipped entry."""
+    N, w = config.N, config.w
+    if N < 2:
+        raise ValueError(f"domain {{1..N-1}} is empty for N={N}")
+    v, width = N - 1, w * (N - 2) + 1  # R and every Q_k lie in 0..width-1
+    if (nbytes := 8 * v * width * width) > DVPUB_BYTE_CAP:
+        message = f"e-dvpub's arrays need {nbytes} bytes, cap is {DVPUB_BYTE_CAP}"
+        raise CapExceededError(message, nbytes, DVPUB_BYTE_CAP)
     cdf, cols = _term_cdf(config)
-    best_n2, best = None, math.inf
-    for grid in _product_blocks(values.astype(float), config.w):
-        acc = np.zeros(len(grid))
-        for j in range(len(c)):
-            trials = np.rint(c[j] + grid @ A[j]).astype(np.intp)
-            acc = acc + cdf[trials, cols[j]]
-        i = int(np.argmin(acc))
-        if acc[i] < best:
-            best_n2, best = tuple(int(v) for v in grid[i]), float(acc[i])
-    return best_n2, best
+    # term k+1 has (N-2) k + w - 1 + z trials, z = R - Q_k - Q_{k+1} >= -z_lo
+    z_lo = 2 * width + v - 3
+    trials = (N - 2) * np.arange(w)[:, None] + w - 1 + np.arange(-z_lo, width + v - 1)
+    fits = (trials >= 0) & (trials < len(cdf))
+    tails = np.where(fits, cdf[np.clip(trials, 0, len(cdf) - 1), cols[1:, None]], np.inf)
+    # term k+1 by source, cost[k, e, R, Q_k], and by target, cost_in[k, v-1-e, R, Q_{k+1}]
+    shape, strides = (w, v, width, width), (tails.strides[0], -8, 8, -16)
+    cost = np.ndarray(shape, float, tails, 8 * z_lo, strides)
+    cost_in = np.ndarray(shape, float, tails, 8 * (z_lo + v - 1), strides)
+    first = cdf[w : w + width, cols[0]]
+    # least[R, v-1+Q_k], the least partial sum through term k, shifted by j in window[j]
+    least = np.full((width, width + v - 1), np.inf)
+    least[:, v - 1] = first
+    window = np.ndarray((v, width, width), float, least, 0, (8,) + least.strides)
+    for k in range(w):
+        least[:, v - 1 :] = (window + cost_in[k]).min(axis=0)
+    totals = least.diagonal(v - 1)
+    best = float(totals.min())
+    # caps[k, r, Q_k], the most a partial sum may be and still reach best at total rows[r]
+    rows = np.flatnonzero(totals == best)
+    caps = np.full((w + 1, len(rows), width + v - 1), -np.inf)
+    s = caps.strides
+    ahead = np.ndarray((w + 1, v, len(rows), width), float, caps, 0, (s[0], 8, s[1], 8))
+    caps[w, np.arange(len(rows)), rows] = best
+    for k in range(w - 1, -1, -1):
+        caps[k, :, :width] = _largest_addend(cost[k][:, rows], ahead[k + 1]).max(axis=0)
+    partial, n2, q = first[rows], [], 0
+    for k in range(w):
+        cand = partial + cost[k][:, rows, q]
+        ok = cand <= caps[k + 1, :, q : q + v].T
+        e = int(ok.any(axis=1).argmax())
+        partial, q = np.where(ok[e], cand[e], np.inf), q + e
+        n2.append(1 + e)
+    return SemiStaticResult(_schedule_from_n2(config, n2), "e-dvpub", best, nodes=w * v * width**2)
 
 
 def _least_exact_dvp(
@@ -348,57 +371,37 @@ def _least_exact_dvp(
 def exhaustive(
     config: ScenarioConfig, criterion: str, full_domain: bool = False
 ) -> SemiStaticResult:
-    """The minimizer of the chosen criterion over every allocation in
+    """The minimizer of wtb or the exact DVP over every allocation in
     {1..N-1}^w (optionally {0..N}^w for the exact criterion), the first in
     itertools.product order of n2 where several tie (for the exact
-    criterion, where several lie within _TIE_MARGIN); the default domain
-    matches the bound methods so rankings stay comparable. A domain of more
-    than EXHAUSTIVE_CAP schedules raises CapExceededError.
-
-    The exact criterion is searched by branch-and-bound (_least_exact_dvp)
-    on transition_kernel(config), fetched once the domain and the cap are
-    checked; dvpub scores the whole domain in vectorised blocks
-    (_least_dvpub); wtb scores one schedule at a time, each exponent search
-    stopping once it proves the schedule cannot beat the best so far
-    (_wtb_below). Each returns the schedule and score that scoring every
-    schedule in turn would."""
-    if criterion not in ("dvpub", "wtb", "exact"):
-        raise ValueError(f"criterion must be dvpub, wtb or exact, got {criterion!r}")
+    criterion, where several lie within _TIE_MARGIN). A domain of more than
+    EXHAUSTIVE_CAP schedules raises CapExceededError. The exact criterion
+    is searched by branch-and-bound (_least_exact_dvp) on
+    transition_kernel(config), fetched once the cap is checked; wtb scores
+    one schedule at a time, each exponent search stopping once it proves
+    the schedule cannot beat the best so far (_wtb_below). Both return what
+    scoring every schedule in turn would."""
+    if criterion not in ("wtb", "exact"):
+        raise ValueError(f"criterion must be wtb or exact, got {criterion!r}")
     if full_domain and criterion != "exact":
         raise ValueError("the widened {0..N}^w domain applies to the exact criterion")
-    if full_domain:
-        values = np.arange(0, config.N + 1)
-    else:
-        if config.N < 2:
-            raise ValueError(f"domain {{1..N-1}} is empty for N={config.N}")
-        values = np.arange(1, config.N)
+    if not full_domain and config.N < 2:
+        raise ValueError(f"domain {{1..N-1}} is empty for N={config.N}")
+    values = np.arange(0, config.N + 1) if full_domain else np.arange(1, config.N)
     count = len(values) ** config.w
     if count > EXHAUSTIVE_CAP:
-        raise CapExceededError(
-            f"exhaustive search over {count} schedules exceeds cap {EXHAUSTIVE_CAP}",
-            count,
-            EXHAUSTIVE_CAP,
-        )
-    nodes = count
+        message = f"exhaustive search over {count} schedules exceeds cap {EXHAUSTIVE_CAP}"
+        raise CapExceededError(message, count, EXHAUSTIVE_CAP)
     if criterion == "exact":
         best_n2, best_score, nodes = _least_exact_dvp(config, values, transition_kernel(config))
-    elif criterion == "dvpub":
-        best_n2, best_score = _least_dvpub(config, values)
     else:
-        best_n2 = None
-        best_score = math.inf
+        best_n2, best_score, nodes = None, math.inf, count
         for n2 in itertools.product(values.tolist(), repeat=config.w):
             score = _wtb_below(config, n2, best_score)
             if score < best_score:
-                best_score = score
-                best_n2 = n2
-    method = {"dvpub": "e-dvpub", "wtb": "e-wtb", "exact": "opt"}[criterion]
-    return SemiStaticResult(
-        schedule=_schedule_from_n2(config, best_n2),
-        method=method,
-        score=best_score,
-        nodes=nodes,
-    )
+                best_n2, best_score = n2, score
+    method = "opt" if criterion == "exact" else "e-wtb"
+    return SemiStaticResult(_schedule_from_n2(config, best_n2), method, best_score, nodes=nodes)
 
 
 def even_split(config: ScenarioConfig) -> Schedule:
@@ -420,10 +423,6 @@ def wtb_w(config: ScenarioConfig) -> SemiStaticResult:
 
 def e_wtb(config: ScenarioConfig) -> SemiStaticResult:
     return exhaustive(config, "wtb")
-
-
-def e_dvpub(config: ScenarioConfig) -> SemiStaticResult:
-    return exhaustive(config, "dvpub")
 
 
 def opt(config: ScenarioConfig, full_domain: bool = False) -> SemiStaticResult:

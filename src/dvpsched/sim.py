@@ -30,11 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mdp import policy_actions
-from .model import ScenarioConfig, backlog_states, binomial_cdf_table
+from .model import CapExceededError, ScenarioConfig, backlog_states, binomial_cdf_table
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 DEFAULT_CHUNK = 1 << 14
 WORD_BLOCK = 1 << 10  # replications whose words are made and mapped to cells at once
+MOVES_BYTE_CAP = 100_000_000  # Moves.table: 8 (N+1)(q1_max+N+2) bytes per draw cell
 GUIDE_BITS = 10  # 1 024 buckets; fewer than 1% of them hold a threshold for N <= 20
 
 
@@ -162,10 +163,21 @@ class Moves:
 
     @classmethod
     def of(cls, config: ScenarioConfig, cells: Cells) -> "Moves":
+        """The table for config's scenario and draw cells; one of more than
+        MOVES_BYTE_CAP bytes raises CapExceededError before it is made."""
         states = backlog_states(config)
         N, C = config.N, len(cells.cuts)
         row_start = states.lookup[:, 0]
         step1, step2 = len(row_start) * C, (N + 1) * C
+        nbytes = 8 * (N + 1) * (step1 + step2)
+        if nbytes > MOVES_BYTE_CAP:
+            raise CapExceededError(
+                f"Monte Carlo move table needs {nbytes} bytes "
+                f"({N + 1} actions, {len(row_start)} first-queue backlogs, {C} draw cells), "
+                f"cap is {MOVES_BYTE_CAP}",
+                nbytes,
+                MOVES_BYTE_CAP,
+            )
         table = np.empty((N + 1) * (step1 + step2), dtype=np.int64)
         link1 = table[: (N + 1) * step1].reshape(N + 1, len(row_start), C)
         link2 = table[(N + 1) * step1 :].reshape(N + 1, N + 1, C)

@@ -15,7 +15,7 @@ from dvpsched import (
     simulate,
     value_iteration,
 )
-from dvpsched import cli
+from dvpsched import cli, sim
 from dvpsched.cli import SWEEP_HEADER, SweepRow, fmt_prob, main, parse_sweep_file, run_sweep
 from dvpsched.mdp import transition_kernel
 
@@ -63,6 +63,17 @@ M_GOLDEN = {
     "wtb-w": ("n1=9,9,9,7,5,1,1,1,1,1", "wtb=1.965229811e-06"),
     "wtb-d": ("n1=9,9,9,7,6,1,1,1,1,1", "dvpub=3.117399634e-07"),
 }
+# solve --method e-dvpub past the 1e6 schedules its full scan was capped
+# at: M, L and (N=12, pe=0.2, w=8, y=1, x1=0, x2=0), recorded with its
+# dynamic programme. At L, n1=15,15,15,4,10,6,10,6,1,1,1,1 has the same
+# dvpub to the last bit; the schedule here comes first in product order
+L_ARGS = ("--N", "16", "--pe", "0.4", "--w", "12", "--y", "10", "--x1", "10", "--x2", "10")
+W8_ARGS = ("--N", "12", "--pe", "0.2", "--w", "8", "--y", "1", "--x1", "0", "--x2", "0")
+EDVPUB_GOLDEN = {
+    "M": (M_ARGS, ("n1=9,9,9,9,4,1,1,1,1,1", "dvpub=3.117399634e-07")),
+    "L": (L_ARGS, ("n1=15,15,15,15,15,4,1,1,1,1,1,1", "dvpub=8.811922198e-12")),
+    "w8": (W8_ARGS, ("n1=11,11,11,11,1,1,1,1", "dvpub=3.096225032e-33")),
+}
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -72,6 +83,13 @@ class TestSolve:
         code, out, err = run_cli(capsys, "solve", *S_ARGS, "--method", *method)
         assert (code, err) == (0, "")
         assert tuple(out.splitlines()) == S_GOLDEN[method]
+
+    @pytest.mark.parametrize("instance", sorted(EDVPUB_GOLDEN))
+    def test_e_dvpub_golden_past_the_old_cap(self, capsys, instance):
+        args, golden = EDVPUB_GOLDEN[instance]
+        code, out, err = run_cli(capsys, "solve", *args, "--method", "e-dvpub")
+        assert (code, err) == (0, "")
+        assert tuple(out.splitlines()) == golden
 
     @pytest.mark.parametrize("method", sorted(M_GOLDEN))
     def test_relaxed_golden_at_m(self, capsys, method):
@@ -206,12 +224,9 @@ class TestSolve:
         assert "N=1" in err
 
     def test_cap_exceeded_exits_three(self, capsys):
-        code, _, _ = run_cli(
-            capsys,
-            "solve", "--N", "12", "--pe", "0.2", "--w", "8", "--y", "1",
-            "--x1", "0", "--x2", "0", "--method", "e-dvpub",
-        )
-        assert code == 3
+        code, out, err = run_cli(capsys, "solve", *W8_ARGS, "--method", "e-wtb")
+        assert (code, out) == (3, "")
+        assert err == "error: exhaustive search over 214358881 schedules exceeds cap 1000000\n"
 
     # 1 681 states: past the dense kernel's old cap of 5e7 entries
     BIG = ("--N", "20", "--pe", "0.4", "--w", "5", "--y", "20", "--x1", "20", "--x2", "20")
@@ -332,6 +347,17 @@ class TestEval:
         assert code == 2
         assert "line 1: " in err
 
+    def test_policy_file_header_with_unknown_field_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# policy-table N=2 pe=0.5 w=1 y=1 x1=0 x2=0 bogus=7\n0 0 0 1 0.5\n")
+        code, out, err = run_cli(
+            capsys,
+            "eval", "--N", "2", "--pe", "0.5", "--w", "1", "--y", "1",
+            "--x1", "0", "--x2", "0", "--policy-file", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: unknown field 'bogus'\n"
+
     @pytest.mark.parametrize("state", ["9 9", "-1 0", "1 1"])
     def test_policy_file_state_outside_domain_reports_line(self, capsys, tmp_path, state):
         path = tmp_path / "bad.txt"
@@ -359,6 +385,17 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert err == "error: no action stored for epoch=1 state=(1,0)\n"
+
+    def test_monte_carlo_move_table_over_budget_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(sim, "MOVES_BYTE_CAP", 1000)
+        code, out, err = run_cli(
+            capsys,
+            "eval", "--N", "3", "--pe", "0.4", "--w", "3", "--y", "1", "--x1", "1",
+            "--x2", "1", "--policy", "mw", "--evaluator", "monte-carlo", "--reps", "1000",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: Monte Carlo move table needs ")
+        assert err.endswith(", cap is 1000\n")
 
     def test_exact_refuses_oversized_instance(self, capsys):
         code, _, err = run_cli(
@@ -650,9 +687,24 @@ class TestSweepRun:
             ("fifty", None, "no run"), ("mw", None, "no run")
         ]
 
+    def test_move_table_over_budget_fills_every_monte_carlo_row(self, monkeypatch):
+        monkeypatch.setattr(sim, "MOVES_BYTE_CAP", 1000)
+        spec = parse_sweep_file(
+            "x1=1\nx2=1\nw=3\nN=3\npe=0.4\ny=1\npolicies=mw, fifty, wtb-w\n"
+            "evaluator=monte-carlo\nreps=1000\nseed=2\n"
+        )
+        buf = io.StringIO()
+        assert run_sweep(spec, buf) == 4
+        rows = [SweepRow.from_csv(ln) for ln in buf.getvalue().splitlines()[1:]]
+        assert [r.policy for r in rows] == ["fifty", "mw", "wtb-w"]
+        for row in rows:
+            assert row.dvp is None and row.ci_low is None
+            assert row.error.startswith("Monte Carlo move table needs ")
+            assert row.error.endswith(" cap is 1000")
+
     def test_failing_cell_flagged_and_exit_four(self):
         spec = parse_sweep_file(
-            "x1=0\nx2=0\nw=8\nN=12\npe=0.2\ny=1\npolicies=e-dvpub, fifty\n"
+            "x1=0\nx2=0\nw=8\nN=12\npe=0.2\ny=1\npolicies=opt, fifty\n"
         )
         buf = io.StringIO()
         assert run_sweep(spec, buf) == 4

@@ -507,6 +507,18 @@ class TestPolicyTable:
         with pytest.raises(ValueError, match="line 1"):
             PolicyTable.from_text("0 0 0 0 0.0\n")
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("N=2 pe=0.5 w=1 y=1 x1=0 x2=0 bogus=7", "line 1: unknown field 'bogus'"),
+            ("N=3 pe=0.5 w=1 y=1 x1=0 x2=0 N=2", "line 1: repeated field 'N'"),
+        ],
+    )
+    def test_unknown_or_repeated_header_field_refused(self, header, message):
+        with pytest.raises(ValueError) as exc:
+            PolicyTable.from_text(f"# policy-table {header}\n")
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("n", ["abc", "0"])
     def test_malformed_header_value_carries_line_number(self, n):
         text = f"# policy-table N={n} pe=0.5 w=1 y=1 x1=0 x2=0\n"

@@ -181,6 +181,21 @@ class TestConfigAndSchedule:
         with pytest.raises(ValueError):
             ScenarioConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("N", 2.5), ("w", 2.0), ("N", True), ("y", "1"), ("x1", 0.0), ("x2", False)],
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        kwargs = dict(N=2, p_e=0.2, w=3, y=1, x1=0, x2=0)
+        kwargs[field] = value
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
+            ScenarioConfig(**kwargs)
+
+    def test_numpy_integer_counts_become_ints(self):
+        cfg = ScenarioConfig(N=np.int64(4), p_e=0.2, w=np.int32(3), y=1, x1=np.uint8(1), x2=0)
+        assert cfg == ScenarioConfig(N=4, p_e=0.2, w=3, y=1, x1=1, x2=0)
+        assert all(type(getattr(cfg, f)) is int for f in ("N", "w", "y", "x1", "x2"))
+
     def test_schedule_bounds(self):
         with pytest.raises(ValueError):
             Schedule(n1=(3,), N=2)

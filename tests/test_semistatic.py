@@ -24,9 +24,10 @@ from dvpsched import (
     wtb_min_s,
     wtb_w,
 )
+from dvpsched import semistatic
 from dvpsched.dvp import S_LO, _log_alpha, min_log_wtb, union_terms
 from dvpsched.oracles import wtb, wtb_gradient
-from dvpsched.semistatic import STOP_REASONS, _product_blocks
+from dvpsched.semistatic import STOP_REASONS, _largest_addend
 
 # frozen via the exact chain at (y=1, x1=1, x2=1, N=4, w=4, p_e=0.2)
 GOLDEN_CFG = ScenarioConfig(N=4, p_e=0.2, w=4, y=1, x1=1, x2=1)
@@ -464,7 +465,7 @@ class TestExhaustive:
     def test_argmin_certificate_by_rescan(self):
         cfg = ScenarioConfig(N=4, p_e=0.4, w=3, y=1, x1=1, x2=0)
         best_wtb = exhaustive(cfg, "wtb").score
-        best_ub = exhaustive(cfg, "dvpub").score
+        best_ub = e_dvpub(cfg).score
         rng = np.random.default_rng(4)
         for _ in range(100):
             n2 = tuple(int(v) for v in rng.integers(1, cfg.N, size=cfg.w))
@@ -475,7 +476,7 @@ class TestExhaustive:
     def test_cap_refusal_reports_count(self):
         cfg = ScenarioConfig(N=12, p_e=0.2, w=8, y=1, x1=0, x2=0)
         with pytest.raises(CapExceededError) as exc:
-            exhaustive(cfg, "dvpub")
+            exhaustive(cfg, "wtb")
         assert exc.value.estimate == 11**8
 
     def test_full_domain_flag(self):
@@ -507,7 +508,8 @@ def scan_exact(cfg, full_domain=False):
 
 
 def scan_dvpub(cfg):
-    """The full scan e-dvpub made before it was vectorised."""
+    """The full scan e-dvpub made before it was vectorised and then solved
+    by dynamic programming."""
     best_n2, best = None, float("inf")
     for n2 in itertools.product(range(1, cfg.N), repeat=cfg.w):
         score = dvpub(cfg, Schedule(n1=tuple(cfg.N - v for v in n2), N=cfg.N)).dvp
@@ -556,7 +558,7 @@ LOW_LOSS = [
 
 
 class TestSearchesAgreeWithFullScan:
-    """opt's branch-and-bound, e-dvpub's vectorised pass and e-wtb's early
+    """opt's branch-and-bound, e-dvpub's dynamic programme and e-wtb's early
     stopping exponent searches return the schedule and score of a full
     scan, ==, not approx."""
 
@@ -589,6 +591,61 @@ class TestSearchesAgreeWithFullScan:
                 self.check(cfg, full_domain=True)
 
 
+class TestLeastDvpub:
+    """e-dvpub's dynamic programme past the full scan's reach, its cap and
+    the float step it stands on."""
+
+    def test_past_the_old_cap_score_is_the_schedules_dvpub(self):
+        # 11**8 schedules: the full scan refused this instance
+        cfg = ScenarioConfig(N=12, p_e=0.2, w=8, y=1, x1=0, x2=0)
+        res = e_dvpub(cfg)
+        assert res.schedule.n1 == (11, 11, 11, 11, 1, 1, 1, 1)
+        assert res.score == dvpub(cfg, res.schedule).dvp
+
+    def test_first_of_equal_totals_whose_partial_sums_differ(self):
+        # recorded with the block scan over all 4**11 schedules. The later
+        # schedule has the same dvpub and the least partial sum at every
+        # frame; the first one's partial sums are larger but round to the
+        # same total, so a walk over least partial sums alone misses it
+        cfg = ScenarioConfig(N=5, p_e=0.9, w=11, y=27, x1=1, x2=5)
+        res = e_dvpub(cfg)
+        first = (1, 1, 3, 2, 3, 2, 4, 1, 4, 1, 4)
+        assert (res.schedule.n2, res.score) == (first, 11.999999999999881)
+        later = (1, 1, 4, 1, 3, 2, 3, 2, 4, 1, 4)
+        assert dvpub(cfg, Schedule(n1=tuple(cfg.N - v for v in later), N=cfg.N)).dvp == res.score
+
+    def test_byte_cap_refuses_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(semistatic, "DVPUB_BYTE_CAP", 1000)
+        cfg = ScenarioConfig(N=4, p_e=0.2, w=3, y=1, x1=1, x2=1)
+        with pytest.raises(CapExceededError) as exc:
+            e_dvpub(cfg)
+        # 8 bytes per (step, total, prefix sum): 3 x 7 x 7
+        assert (exc.value.estimate, exc.value.cap) == (8 * 3 * 7 * 7, 1000)
+        assert str(exc.value) == "e-dvpub's arrays need 1176 bytes, cap is 1000"
+
+    def test_empty_domain_and_dvpub_criterion_refused(self):
+        with pytest.raises(ValueError, match="N=1"):
+            e_dvpub(ScenarioConfig(N=1, p_e=0.2, w=2, y=1, x1=0, x2=0))
+        with pytest.raises(ValueError, match="criterion must be wtb or exact"):
+            exhaustive(ScenarioConfig(N=3, p_e=0.2, w=2, y=1, x1=0, x2=0), "dvpub")
+
+    def test_largest_addend_is_the_rounding_edge(self):
+        rng = np.random.default_rng(11)
+        u = rng.random(4000) * 10.0 ** rng.integers(-320, 1, 4000)  # subnormal ones too
+        # t near u, far below it (absorbed), above it, equal, and invalid
+        t = np.concatenate(
+            [u[:1000] * rng.random(1000), u[1000:2000] * 1e-20, u[2000:2500] * 1.5, u[2500:3000]]
+        )
+        t = np.concatenate([t, np.full(1000, np.inf)])
+        a = _largest_addend(t, u)
+        fits = t <= u
+        assert np.array_equal(a == -np.inf, ~fits)
+        assert np.all(a[fits] >= 0.0)
+        assert np.all(a[fits] + t[fits] <= u[fits])
+        assert np.all(np.nextafter(a[fits], np.inf) + t[fits] > u[fits])
+        assert np.all(_largest_addend(np.zeros(3), np.full(3, -np.inf)) == -np.inf)
+
+
 class TestSearchWork:
     def test_branch_and_bound_visits_few_nodes(self):
         cfg = ScenarioConfig(N=6, p_e=0.4, w=6, y=1, x1=3, x2=3)
@@ -596,8 +653,10 @@ class TestSearchWork:
 
     def test_scans_count_every_schedule(self):
         cfg = ScenarioConfig(N=4, p_e=0.2, w=3, y=1, x1=1, x2=1)
-        assert e_dvpub(cfg).nodes == 3**3
         assert e_wtb(cfg).nodes == 3**3
+        # e-dvpub's forward pass: w steps of N - 1 edges into each of the
+        # 7 x 7 (total, prefix sum) pairs, 7 = w (N - 2) + 1
+        assert e_dvpub(cfg).nodes == 3 * 3 * 7 * 7
 
     def test_nodes_stay_out_of_equality(self):
         res = opt(GOLDEN_CFG)
@@ -610,12 +669,6 @@ class TestSearchWork:
         res = opt(cfg)
         assert res.schedule.n1 == (1,) * cfg.w
         assert res.score == exact_dvp_chain(cfg, res.schedule).dvp
-
-    def test_blocks_cover_the_product_in_order(self):
-        for k, w in ((1, 5), (3, 4), (7, 5), (70, 2)):
-            values = np.arange(2, 2 + k)
-            grid = np.vstack([block.copy() for block in _product_blocks(values, w)])
-            assert grid.tolist() == [list(t) for t in itertools.product(values.tolist(), repeat=w)]
 
 
 class TestFiftyFifty:

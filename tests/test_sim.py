@@ -23,7 +23,8 @@ from dvpsched import (
     value_iteration,
     wilson_interval,
 )
-from dvpsched.model import backlog_states
+from dvpsched import sim
+from dvpsched.model import CapExceededError, backlog_states
 from dvpsched.oracles import QueueState, binomial_cdf, step_queues
 from dvpsched.semistatic import even_split
 from dvpsched.sim import (
@@ -419,6 +420,33 @@ class TestSimulatePolicies:
 
     def test_no_policies_no_results(self):
         assert simulate_policies(HAND_CFG, [], 1000, 1) == []
+
+    def test_move_table_over_budget_refused_before_it_is_made(self, monkeypatch):
+        cfg = ScenarioConfig(N=20, p_e=0.4, w=2, y=10, x1=10, x2=10)
+        cells = Cells.of(_inversion_table(cfg.N, 1.0 - cfg.p_e))
+        nbytes = 8 * (cfg.N + 1) * (cfg.q1_max + cfg.N + 2) * len(cells.cuts)
+        assert Moves.of(cfg, cells).table.nbytes == nbytes
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew past the move table's budget")
+
+        monkeypatch.setattr(np.random, "Philox", no_draws)
+        monkeypatch.setattr(sim, "MOVES_BYTE_CAP", nbytes - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError) as exc:
+                simulate_policies(cfg, ["mw"], 1000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (exc.value.estimate, exc.value.cap) == (nbytes, nbytes - 1)
+        assert str(exc.value) == (
+            f"Monte Carlo move table needs {nbytes} bytes (21 actions, 21 first-queue "
+            f"backlogs, {len(cells.cuts)} draw cells), cap is {nbytes - 1}"
+        )
+        assert peak < nbytes / 2
+        monkeypatch.setattr(sim, "MOVES_BYTE_CAP", nbytes)  # at the cap it is made
+        assert Moves.of(cfg, cells).table.nbytes == nbytes
 
 
 class TestWilson:
