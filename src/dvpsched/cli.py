@@ -24,6 +24,7 @@ from .model import (
     ScenarioConfig,
     Schedule,
     check_scenario_field,
+    pe_text,
 )
 from .sim import SimSpec, check_counts, simulate, simulate_policies
 
@@ -72,6 +73,12 @@ EXIT_INFEASIBLE = 3
 EXIT_CELL_FAILURES = 4
 
 
+def _error(message, code: int) -> int:
+    """Print message to stderr as an error and return the exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def fmt_prob(v: float) -> str:
     """10 significant digits; %g switches to scientific below 1e-4."""
     return f"{v:.10g}"
@@ -96,13 +103,11 @@ def cmd_solve(args) -> int:
         (args.full_domain, "--full-domain", "opt"), (args.out, "--out", "mdp")
     ):
         if given and args.method != only:
-            print(f"error: {flag} applies to --method {only}", file=sys.stderr)
-            return EXIT_USAGE
+            return _error(f"{flag} applies to --method {only}", EXIT_USAGE)
     try:
         config = _config_from(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
 
     method = METHODS[args.method]
     out = None
@@ -114,8 +119,7 @@ def cmd_solve(args) -> int:
         try:
             out = open(args.out, "a", encoding="utf-8")
         except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return _error(exc, EXIT_USAGE)
     try:
         result = method.solve(config, Sources(semistatic.solve_relaxed, args.full_domain))
     except (CapExceededError, ValueError) as exc:
@@ -123,8 +127,7 @@ def cmd_solve(args) -> int:
             out.close()
             if created:
                 os.remove(args.out)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _error(exc, EXIT_INFEASIBLE)
     if not method.score:
         text = result.to_text()
         if out is None:
@@ -135,8 +138,7 @@ def cmd_solve(args) -> int:
                 out.truncate(0)
                 out.write(text)
         except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return _error(exc, EXIT_USAGE)
         return EXIT_OK
     print("n1=" + ",".join(str(v) for v in result.schedule.n1))
     print(f"{method.score}={fmt_prob(result.score)}")
@@ -166,8 +168,7 @@ def cmd_eval(args) -> int:
         config = _config_from(args)
         policy = _policy_source(args, config)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
 
     try:
         if args.evaluator == "exact":
@@ -181,12 +182,10 @@ def cmd_eval(args) -> int:
             print(f"ci_high={fmt_prob(sim.ci_high)}")
             print(f"reps={sim.replications}")
     except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _error(exc, EXIT_INFEASIBLE)
     except (ValueError, PolicyLookupError) as exc:
         # a policy file missing a state that the run reaches is malformed
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
     return EXIT_OK
 
 
@@ -234,11 +233,10 @@ def parse_sweep_file(text: str) -> SweepSpec:
         values[key] = items
         lines[key] = lineno
 
-    known = {"x1", "x2", "w", "N", "pe", "y", "policies", "evaluator", "reps", "seed"}
-    unknown = set(values) - known
+    required = {"x1", "x2", "w", "N", "pe", "y", "policies"}
+    unknown = set(values) - required - set(SCALAR_KEYS)
     if unknown:
         raise ValueError(f"unknown keys: {', '.join(sorted(unknown))}")
-    required = {"x1", "x2", "w", "N", "pe", "y", "policies"}
     missing = required - set(values)
     if missing:
         raise ValueError(f"missing keys: {', '.join(sorted(missing))}")
@@ -339,7 +337,7 @@ class SweepRow:
     def to_csv(self) -> str:
         cells = [
             str(self.x1), str(self.x2), str(self.w), str(self.N),
-            f"{self.pe:g}", str(self.y), self.policy,
+            pe_text(self.pe), str(self.y), self.policy,
             "" if self.dvp is None else fmt_prob(self.dvp),
             "" if self.ci_low is None else fmt_prob(self.ci_low),
             "" if self.ci_high is None else fmt_prob(self.ci_high),
@@ -405,15 +403,13 @@ def cmd_sweep(args) -> int:
         with open(args.sweep_file, encoding="utf-8") as fh:
             spec = parse_sweep_file(fh.read())
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
     if not args.out:
         return run_sweep(spec, sys.stdout)
     try:
         fh = open(args.out, "w", encoding="utf-8")
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc, EXIT_USAGE)
     with fh:
         return run_sweep(spec, fh)
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ScenarioConfig, Schedule, binomial_cdf_table, check_schedule
-from .mdp import TransitionKernel, policy_actions, transition_kernel
+from .mdp import policy_actions, transition_kernel
 
 # the exponent search's range is [S_LO, _S_HI * 2**_MAX_DOUBLINGS]: a cold
 # search brackets [S_LO, _S_HI] and doubles its upper end while the bound
@@ -64,7 +64,8 @@ class EvalResult:
 
 def _as_n2(config: ScenarioConfig, schedule) -> np.ndarray:
     """Accept a Schedule or a raw per-frame link-2 allocation vector (real
-    values allowed, for the relaxed optimizer)."""
+    values allowed, for acceptance criterion 03 and the oracles; the relaxed
+    optimizer calls min_log_wtb on its trial counts instead)."""
     if isinstance(schedule, Schedule):
         check_schedule(config, schedule)
         return np.array(schedule.n2, dtype=float)
@@ -349,13 +350,6 @@ def wtb_min_s(config: ScenarioConfig, schedule) -> tuple[float, float]:
     return found.s, found.value
 
 
-def _violation(kernel: TransitionKernel, mass: np.ndarray) -> float:
-    """The DVP of a distribution at the horizon, given on the states: its
-    mass on the non-empty ones, summed directly, since 1 - P(empty) would
-    cancel away every DVP below the operator's rounding drift (~1e-14)."""
-    return min(float(np.add.reduce(mass[kernel.states.nonempty])), 1.0)
-
-
 def exact_dvp_chain(config: ScenarioConfig, policy) -> EvalResult:
     """Exact DVP by propagating the joint backlog distribution through the
     w frames under the given policy, in any form mdp.policy_actions accepts
@@ -374,8 +368,6 @@ def exact_dvp_chain(config: ScenarioConfig, policy) -> EvalResult:
     # one action for every state, as a schedule or the even split takes
     same = rows is not None and len(rows) == 1 and (rows[0] == rows[0, 0]).all()
     if rows is not None and not same:
-        if act.shift.any():
-            rows = rows[np.arange(config.w) % len(rows)] + act.shift[:, None]
         splits = kernel.split(rows)
     rho = kernel.start()
     for epoch in range(config.w):
@@ -391,7 +383,7 @@ def exact_dvp_chain(config: ScenarioConfig, policy) -> EvalResult:
         rho = kernel.forward(rho, a)
     mass = rho.ravel()[kernel.cells]
     return EvalResult(
-        dvp=_violation(kernel, mass),
+        dvp=kernel.violation(rho),
         method="exact-chain",
         mean_departures=config.total_load - float(mass @ (states.q1 + states.q2)),
         mass_residual=abs(1.0 - float(mass.sum())),

@@ -42,6 +42,7 @@ from .model import (
     backlog_states,
     binomial_pmf_table,
     check_schedule,
+    pe_text,
 )
 
 BASELINE_KINDS = ("mw", "wfq", "bp", "fifty")
@@ -175,22 +176,23 @@ class TransitionKernel:
         relayed = np.matmul(self._D1_by_q1.transpose(0, 2, 1), self._gathered)  # (R, A, C)
         return relayed.transpose(1, 0, 2) @ self._P_T
 
-    def _link2_rewards(self) -> np.ndarray:
-        """(A, q2_max + 1): the expected departures E[min(q2, Bin(N - a))],
-        summed over the service count r in oracles.reward's order, with
-        exact zeros added past N - a."""
-        N = len(self.pmf) - 1
-        q2 = np.arange(self.shape[1])
-        pmf2 = self.pmf[N - np.arange(N + 1)]
-        R2 = np.zeros((N + 1, len(q2)))
-        for r in range(N + 1):
-            R2 = R2 + np.minimum(q2, r) * pmf2[:, r, None]
-        return R2
-
     def rewards(self) -> np.ndarray:
-        """Stage rewards R[a, i] = oracles.reward(config, state i, a), bit
-        for bit: a reward depends on q2 alone (_link2_rewards)."""
-        return self._link2_rewards()[:, self.states.q2]
+        """R[a, q2] = E[min(q2, Bin(N - a))], the stage reward at any state
+        with that q2, summed over the service count r in oracles.reward's
+        order, with exact zeros added past N - a, so equal to it bit for bit."""
+        q2 = np.arange(self.shape[1])
+        pmf2 = self.pmf[::-1]  # row a: Bin(N - a)
+        R = np.zeros((len(pmf2), len(q2)))
+        for r in range(len(pmf2)):
+            R = R + np.minimum(q2, r) * pmf2[:, r, None]
+        return R
+
+    def violation(self, rho: np.ndarray) -> float:
+        """The DVP of a grid distribution at the horizon: its mass on the
+        non-empty states, summed directly, since 1 - P(empty) would cancel
+        away every DVP below the operator's rounding drift (~1e-14)."""
+        mass = rho.ravel()[self.cells]
+        return min(float(np.add.reduce(mass[self.states.nonempty])), 1.0)
 
 
 _last_kernel: TransitionKernel | None = None
@@ -245,12 +247,9 @@ class PolicyTable:
         read back as p_e."""
         c = self.config
         states = backlog_states(c)
-        pe = f"{c.p_e:.12g}"
-        if float(pe) != c.p_e:
-            pe = repr(float(c.p_e))
         buf = io.StringIO()
         buf.write(
-            f"# policy-table N={c.N} pe={pe} w={c.w} y={c.y} x1={c.x1} x2={c.x2}\n"
+            f"# policy-table N={c.N} pe={pe_text(c.p_e)} w={c.w} y={c.y} x1={c.x1} x2={c.x2}\n"
         )
         for k in range(c.w):
             for i, (q1, q2) in enumerate(zip(states.q1.tolist(), states.q2.tolist())):
@@ -317,7 +316,7 @@ def value_iteration(config: ScenarioConfig) -> PolicyTable:
     states."""
     kernel = transition_kernel(config)
     cells = kernel.cells
-    rewards = kernel._link2_rewards()[:, None, :]  # (A, 1, q2_max + 1)
+    rewards = kernel.rewards()[:, None, :]  # (A, 1, q2_max + 1)
     actions = np.zeros((config.w, len(cells)), dtype=np.int64)
     values = np.zeros((config.w + 1, len(cells)))
     v = np.zeros(kernel.shape)
@@ -327,6 +326,22 @@ def value_iteration(config: ScenarioConfig) -> PolicyTable:
         values[k] = q_sa.max(axis=0)
         v.flat[cells] = values[k]
     return PolicyTable(config=config, actions=actions, values=values)
+
+
+def violation_to_go(config: ScenarioConfig, acts: np.ndarray) -> list[np.ndarray]:
+    """The violation recursion: V_w indicates the non-empty states,
+    Q_k = backward(V_{k+1})[acts] and V_k = Q_k.min(0). Q[k] @ rho.ravel(),
+    Q_k flattened over the grid, is the least DVP that each action at frame
+    k, then the best closed-loop play over acts, reaches from rho; over
+    every action 0..N, Q[0]'s least entry at the start state is DVP*."""
+    kernel = transition_kernel(config)
+    v = np.zeros(kernel.shape)
+    v.flat[kernel.cells[kernel.states.nonempty]] = 1.0
+    Q = []
+    for _ in range(config.w):
+        Q.insert(0, kernel.backward(v)[acts].reshape(len(acts), -1))
+        v = Q[0].min(axis=0)  # backward reads v on the flattened grid
+    return Q
 
 
 def baseline_actions(kind: str, q1: np.ndarray, q2: np.ndarray, N: int) -> np.ndarray:

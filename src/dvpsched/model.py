@@ -35,14 +35,20 @@ class PolicyLookupError(LookupError):
 SCENARIO_MINIMA = {"N": 1, "w": 1, "y": 1, "x1": 0, "x2": 0}
 
 
-def check_scenario_field(name: str, value) -> None:
-    """Raise ValueError unless value is allowed for ScenarioConfig's field
-    name: p_e in [0, 1], the others at least SCENARIO_MINIMA[name]."""
-    if name == "p_e":
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"p_e must be in [0, 1], got {value}")
-    elif value < SCENARIO_MINIMA[name]:
+def check_scenario_field(name: str, value):
+    """value as ScenarioConfig stores its field name: p_e as a float in
+    [0, 1], the others as ints of at least SCENARIO_MINIMA[name]. A bool, a
+    p_e that is not a real number or a count that is not an integer raises
+    TypeError, a value out of range ValueError."""
+    real = name == "p_e"
+    kind, noun = (numbers.Real, "a real number") if real else (numbers.Integral, "an integer")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{name} must be {noun}, got {value!r}")
+    if real and not 0.0 <= value <= 1.0:
+        raise ValueError(f"p_e must be in [0, 1], got {value}")
+    if not real and value < SCENARIO_MINIMA[name]:
         raise ValueError(f"{name} must be >= {SCENARIO_MINIMA[name]}, got {value}")
+    return float(value) if real else int(value)
 
 
 @dataclass(frozen=True)
@@ -51,9 +57,9 @@ class ScenarioConfig:
 
     N: slots per frame; p_e: per-slot packet error rate; w: deadline in
     frames; y: size of the time-critical batch arriving at frame 0;
-    x1, x2: initial backlogs of the first and second queue. A count that is
-    a bool or not an integer raises TypeError; numpy integers are stored as
-    int.
+    x1, x2: initial backlogs of the first and second queue. Each field is
+    checked and stored by check_scenario_field: the counts as int, p_e as
+    float, numpy numbers included.
     """
 
     N: int
@@ -64,13 +70,8 @@ class ScenarioConfig:
     x2: int
 
     def __post_init__(self):
-        for name in SCENARIO_MINIMA:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        for name in ("N", "w", "y", "x1", "x2", "p_e"):
-            check_scenario_field(name, getattr(self, name))
+        for name in (*SCENARIO_MINIMA, "p_e"):
+            object.__setattr__(self, name, check_scenario_field(name, getattr(self, name)))
 
     @property
     def total_load(self) -> int:
@@ -91,6 +92,13 @@ class ScenarioConfig:
     def q2_max(self) -> int:
         """Largest reachable second-queue backlog."""
         return self.y + self.x1 + self.x2
+
+
+def pe_text(p_e: float) -> str:
+    """p_e as printed in a policy-table header or a sweep row: 12
+    significant digits, or in full where those would not read back as p_e."""
+    text = f"{p_e:.12g}"
+    return text if float(text) == p_e else repr(float(p_e))
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,13 @@ from .dvp import (
     Rejected,
     _log_alpha,
     _term_cdf,
-    _violation,
     dvpub,
     exact_dvp_chain,
     min_log_wtb,
     union_terms,
     wtb_min_s,
 )
-from .mdp import TransitionKernel, transition_kernel
+from .mdp import transition_kernel, violation_to_go
 from .model import CapExceededError, ScenarioConfig, Schedule
 
 EXHAUSTIVE_CAP = 1_000_000
@@ -299,7 +298,7 @@ def e_dvpub(config: ScenarioConfig) -> SemiStaticResult:
 
 
 def _least_exact_dvp(
-    config: ScenarioConfig, values: np.ndarray, kernel: TransitionKernel
+    config: ScenarioConfig, values: np.ndarray
 ) -> tuple[tuple[int, ...], float, int]:
     """The n2 in values^w of least exact DVP up to ties, that DVP, and the
     chain steps taken, by depth-first branch-and-bound. A schedule ties
@@ -307,40 +306,29 @@ def _least_exact_dvp(
     it; the first in itertools.product order is kept.
 
     A node at depth k holds its prefix's backlog distribution rho_k on the
-    grid, and a child advances it one frame with exact_dvp_chain's own
-    kernel.forward, so every leaf's score equals exact_dvp_chain's bit for
-    bit. The bound is the violation-to-go over the search's own actions:
-    with V_w the indicator of a non-empty state, Q_k = backward(V_{k+1})
-    at those actions and V_k = Q_k.min(0), a child's Q_k[j] . rho_k is the
-    least DVP that action j followed by the best closed-loop play can
-    reach, and an open-loop completion is one closed-loop policy. A greedy
-    dive down the least bounds gives the first incumbent. The search keeps
-    its own stack, so w is not limited by Python's recursion depth. Leaves
-    are visited in product order and replace the best only when below it
-    by more than _TIE_MARGIN of it, and a child is pruned only when its
-    bound exceeds the incumbent by more than _BNB_MARGIN, so the search
-    returns what a full scan under the same rule would."""
+    grid. A child advances it one frame, and a leaf is scored, by
+    exact_dvp_chain's own transition_kernel(config).forward and
+    kernel.violation, so every leaf's score equals exact_dvp_chain's bit
+    for bit. The bound is the violation-to-go over the search's own actions
+    (mdp.violation_to_go): a child's Q_k[j] . rho_k is the least DVP that
+    action j followed by the best closed-loop play can reach, and an
+    open-loop completion is one closed-loop policy. A greedy dive down the
+    least bounds gives the first incumbent. The search keeps its own stack,
+    so w is not limited by Python's recursion depth. Leaves are visited in
+    product order and replace the best only when below it by more than
+    _TIE_MARGIN of it, and a child is pruned only when its bound exceeds
+    the incumbent by more than _BNB_MARGIN, so the search returns what a
+    full scan under the same rule would."""
     w = config.w
     acts = config.N - values
-    violation = np.zeros(kernel.shape)
-    violation.flat[kernel.cells[kernel.states.nonempty]] = 1.0
-    Q = [None] * w
-    for k in range(w - 1, -1, -1):
-        Q[k] = kernel.backward(violation)[acts]
-        violation = Q[k].min(axis=0)
-    Q = [q.reshape(len(acts), -1) for q in Q]
-    nodes = 0
-
-    def advance(rho: np.ndarray, a: int) -> np.ndarray:
-        nonlocal nodes
-        nodes += 1
-        return kernel.forward(rho, a)
-
+    kernel = transition_kernel(config)
+    Q = violation_to_go(config, acts)
     start = kernel.start()
     rho = start
     for k in range(w):
-        rho = advance(rho, acts[int(np.argmin(Q[k] @ rho.ravel()))])
-    dive = _violation(kernel, rho.ravel()[kernel.cells])
+        rho = kernel.forward(rho, acts[int(np.argmin(Q[k] @ rho.ravel()))])
+    dive = kernel.violation(rho)
+    nodes = w  # the dive's steps, then one per child
 
     best, best_path = math.inf, None
     path = [-1] * w  # the child last tried at each depth
@@ -357,12 +345,13 @@ def _least_exact_dvp(
             k -= 1
             continue
         path[k] = j
-        child = advance(rhos[k], acts[j])
+        nodes += 1
+        child = kernel.forward(rhos[k], acts[j])
         if k + 1 < w:
             k += 1
             rhos[k], bounds[k] = child, (Q[k] @ child.ravel()).tolist()
         else:
-            score = _violation(kernel, child.ravel()[kernel.cells])
+            score = kernel.violation(child)
             if score < best * (1.0 - _TIE_MARGIN):
                 best, best_path = score, list(path)
     return tuple(values[best_path].tolist()), best, nodes
@@ -376,8 +365,8 @@ def exhaustive(
     itertools.product order of n2 where several tie (for the exact
     criterion, where several lie within _TIE_MARGIN). A domain of more than
     EXHAUSTIVE_CAP schedules raises CapExceededError. The exact criterion
-    is searched by branch-and-bound (_least_exact_dvp) on
-    transition_kernel(config), fetched once the cap is checked; wtb scores
+    is searched by branch-and-bound (_least_exact_dvp), which fetches
+    transition_kernel(config) once the cap is checked; wtb scores
     one schedule at a time, each exponent search stopping once it proves
     the schedule cannot beat the best so far (_wtb_below). Both return what
     scoring every schedule in turn would."""
@@ -393,7 +382,7 @@ def exhaustive(
         message = f"exhaustive search over {count} schedules exceeds cap {EXHAUSTIVE_CAP}"
         raise CapExceededError(message, count, EXHAUSTIVE_CAP)
     if criterion == "exact":
-        best_n2, best_score, nodes = _least_exact_dvp(config, values, transition_kernel(config))
+        best_n2, best_score, nodes = _least_exact_dvp(config, values)
     else:
         best_n2, best_score, nodes = None, math.inf, count
         for n2 in itertools.product(values.tolist(), repeat=config.w):

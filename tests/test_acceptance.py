@@ -165,20 +165,16 @@ def test_criterion_03_bound_convexity():
 def test_criterion_04_throughput_optimality():
     """Value iteration equals brute-force maximization over all dynamic
     policies on every tiny instance."""
-    from test_mdp import brute_force_best_throughput
+    from test_mdp import brute_force_optima, criterion_04_grid
 
     start = time.perf_counter()
     worst = 0.0
     count = 0
-    for (y, x1) in ((1, 0), (1, 1), (2, 0)):
-        for x2 in (0, 1):
-            for w in (1, 2, 3):
-                for pe in (0.3, 0.5, 0.8):
-                    cfg = ScenarioConfig(N=1, p_e=pe, w=w, y=y, x1=x1, x2=x2)
-                    bf = brute_force_best_throughput(cfg)
-                    vi = value_iteration(cfg).value(0, cfg.first_hop_load, cfg.x2)
-                    worst = max(worst, abs(bf - vi))
-                    count += 1
+    for cfg in criterion_04_grid():
+        bf = brute_force_optima(cfg)[0]
+        vi = value_iteration(cfg).value(0, cfg.first_hop_load, cfg.x2)
+        worst = max(worst, abs(bf - vi))
+        count += 1
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 60
     _report(4, ok, f"{count} instances, max |brute force - value iteration|={worst:.2e}, {elapsed:.1f}s")

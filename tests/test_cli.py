@@ -608,6 +608,20 @@ class TestSweepRun:
             assert row.to_csv() == line
             assert row.error == "" and row.dvp is not None
 
+    def test_pe_close_to_another_reads_back(self):
+        # both print as 0.123457 at 6 significant digits
+        spec = parse_sweep_file(
+            "x1=0\nx2=0\nw=1\nN=2\npe=0.1234567,0.1234568\ny=1\npolicies=fifty\n"
+        )
+        buf = io.StringIO()
+        run_sweep(spec, buf)
+        lines = buf.getvalue().splitlines()[1:]
+        assert [line.split(",")[4] for line in lines] == ["0.1234567", "0.1234568"]
+        assert [SweepRow.from_csv(line).pe for line in lines] == [0.1234567, 0.1234568]
+        row = SweepRow.from_csv(lines[0])
+        row.pe = 0.1 + 0.2  # 12 significant digits would read back as 0.3
+        assert SweepRow.from_csv(row.to_csv()).pe == 0.1 + 0.2
+
     def test_monte_carlo_rows_have_intervals(self):
         spec = parse_sweep_file(
             "x1=0\nx2=0\nw=2\nN=2\npe=0.5\ny=1\npolicies=fifty\n"

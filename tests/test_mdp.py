@@ -24,6 +24,7 @@ from dvpsched.mdp import (
     kernel_key,
     policy_actions,
     transition_kernel,
+    violation_to_go,
 )
 from dvpsched.model import backlog_states
 from dvpsched.oracles import QueueState, reward, transition_probs, transition_probs_casewise
@@ -208,7 +209,7 @@ class TestKernel:
         for cfg in kernel_grid():
             kern = TransitionKernel(cfg)
             R = kern.rewards()
-            for i, st in enumerate(domain(cfg)):
+            for st in domain(cfg):
                 for a in range(cfg.N + 1):
                     row = forward_row(kern, st, a)
                     ref = transition_probs(cfg, st, a)
@@ -216,7 +217,7 @@ class TestKernel:
                     for nxt, p in ref.items():
                         assert abs(row.get(nxt, 0.0) - p) <= 1e-12, (cfg, st, a, nxt)
                     assert abs(sum(row.values()) - 1.0) <= 1e-12
-                    assert R[a, i] == reward(cfg, st, a)
+                    assert R[a, st.q2] == reward(cfg, st, a)
 
     def test_rows_sum_to_one(self):
         cfg = ScenarioConfig(N=2, p_e=0.4, w=3, y=2, x1=1, x2=2)
@@ -354,11 +355,23 @@ class TestReward:
         assert reward(cfg, QueueState(0, 1), 0) == pytest.approx(0.75, abs=1e-12)
 
 
-def brute_force_best_throughput(cfg):
-    """Independent oracle for value iteration: enumerate every assignment of
-    actions to reachable (epoch, state) pairs and forward-evaluate expected
-    departures. Unreachable states cannot affect the value, so restricting
-    the enumeration to the union-reachable sets loses nothing."""
+def criterion_04_grid():
+    """The tiny instances of acceptance criterion 04: N = 1, loads
+    y + x1 <= 2, x2 <= 1, w <= 3, three loss rates."""
+    for (y, x1), x2, w, pe in itertools.product(
+        ((1, 0), (1, 1), (2, 0)), (0, 1), (1, 2, 3), (0.3, 0.5, 0.8)
+    ):
+        yield ScenarioConfig(N=1, p_e=pe, w=w, y=y, x1=x1, x2=x2)
+
+
+def brute_force_optima(cfg):
+    """Independent oracle for value iteration and the violation recursion:
+    enumerate every assignment of actions to reachable (epoch, state) pairs,
+    that is every deterministic Markov policy, and forward-evaluate each.
+    Returns the most expected departures and the least DVP (the mass left
+    on the non-empty states) over them. Unreachable states cannot affect
+    either, so restricting the enumeration to the union-reachable sets
+    loses nothing."""
     start = QueueState(cfg.first_hop_load, cfg.x2)
     reach = [{start}]
     for _ in range(cfg.w - 1):
@@ -368,7 +381,7 @@ def brute_force_best_throughput(cfg):
                 nxt.update(transition_probs(cfg, st, a))
         reach.append(nxt)
     slots = [(k, st) for k, states in enumerate(reach) for st in sorted(states)]
-    best = -1.0
+    best, least = -1.0, 2.0
     for assignment in itertools.product(range(cfg.N + 1), repeat=len(slots)):
         act = dict(zip(slots, assignment))
         dist = {start: 1.0}
@@ -380,7 +393,16 @@ def brute_force_best_throughput(cfg):
             dist = nxt
         left = sum(p * (st.q1 + st.q2) for st, p in dist.items())
         best = max(best, cfg.total_load - left)
-    return best
+        least = min(least, sum(p for st, p in dist.items() if st != (0, 0)))
+    return best, least
+
+
+def dvp_star(cfg):
+    """DVP*, the least DVP of any dynamic policy: the least entry of the
+    violation-to-go over every action at the start state."""
+    kern = transition_kernel(cfg)
+    Q = violation_to_go(cfg, np.arange(cfg.N + 1))
+    return float(Q[0][:, kern.cells[kern.states.start]].min())
 
 
 class TestValueIteration:
@@ -398,9 +420,7 @@ class TestValueIteration:
     def test_matches_policy_enumeration(self):
         cfg = ScenarioConfig(N=1, p_e=0.5, w=2, y=1, x1=0, x2=0)
         table = value_iteration(cfg)
-        assert table.value(0, 1, 0) == pytest.approx(
-            brute_force_best_throughput(cfg), abs=1e-12
-        )
+        assert table.value(0, 1, 0) == pytest.approx(brute_force_optima(cfg)[0], abs=1e-12)
 
     def test_value_monotone_in_remaining_frames(self):
         cfg = ScenarioConfig(N=3, p_e=0.4, w=4, y=2, x1=1, x2=1)
@@ -435,7 +455,64 @@ class TestValueIteration:
                 assert mdp_ed >= base_ed - 1e-9
 
 
+class TestViolationToGo:
+    # DVP* at S, M and L (see ROADMAP aim 1), recorded to full precision
+    GOLDEN = {
+        (6, 0.4, 6, 1, 3, 3): 1.7492832068294805e-4,
+        (10, 0.4, 10, 5, 5, 5): 6.761188199280331e-13,
+        (16, 0.4, 12, 10, 10, 10): 8.657827844473288e-22,
+    }
+
+    def test_frames_and_shapes(self):
+        cfg = ScenarioConfig(N=4, p_e=0.3, w=3, y=2, x1=1, x2=1)
+        acts = np.array([3, 1])
+        Q = violation_to_go(cfg, acts)
+        assert len(Q) == cfg.w
+        assert all(q.shape == (2, (cfg.q1_max + 1) * (cfg.q2_max + 1)) for q in Q)
+
+    def test_last_frame_is_one_step_to_the_horizon(self):
+        # Q_{w-1}[j] . rho is the violation one frame after rho under acts[j]
+        cfg = ScenarioConfig(N=4, p_e=0.3, w=3, y=2, x1=1, x2=1)
+        kern = transition_kernel(cfg)
+        rho = random_on_states(kern, np.random.default_rng(33))
+        Q = violation_to_go(cfg, np.arange(cfg.N + 1))
+        for a in range(cfg.N + 1):
+            want = kern.violation(kern.forward(rho, a))
+            assert Q[-1][a] @ rho.ravel() == pytest.approx(want, rel=1e-12)
+
+    def test_equals_brute_force_on_criterion_04_instances(self):
+        # the least DVP over every deterministic Markov policy
+        for cfg in criterion_04_grid():
+            least = brute_force_optima(cfg)[1]
+            assert dvp_star(cfg) == pytest.approx(least, rel=1e-12, abs=0.0), cfg
+
+    def test_at_most_every_policy_on_criterion_07_grid(self):
+        for N, w, x in itertools.product((4, 6), (3, 4, 5, 6), (1, 3)):
+            cfg = ScenarioConfig(N=N, p_e=0.4, w=w, y=1, x1=x, x2=x)
+            star = dvp_star(cfg)
+            policies = [
+                *BASELINE_KINDS,
+                value_iteration(cfg),
+                opt(cfg).schedule,
+                opt(cfg, full_domain=True).schedule,
+            ]
+            for policy in policies:
+                assert star <= exact_dvp_chain(cfg, policy).dvp * (1 + 1e-12), (cfg, policy)
+
+    @pytest.mark.parametrize("scenario", sorted(GOLDEN))
+    def test_golden_at_s_m_l(self, scenario):
+        cfg = ScenarioConfig(*scenario)
+        assert dvp_star(cfg) == pytest.approx(self.GOLDEN[scenario], rel=1e-12, abs=0.0)
+
+
 class TestPolicyTable:
+    def test_text_golden_at_s(self):
+        # solve --method mdp at S, recorded before the violation recursion
+        # moved into mdp.violation_to_go
+        cfg = ScenarioConfig(N=6, p_e=0.4, w=6, y=1, x1=3, x2=3)
+        golden = (Path(__file__).resolve().parent / "golden" / "policy-table-S.txt").read_text()
+        assert value_iteration(cfg).to_text() == golden
+
     def test_round_trip(self):
         cfg = ScenarioConfig(N=3, p_e=0.25, w=3, y=1, x1=1, x2=1)
         table = value_iteration(cfg)

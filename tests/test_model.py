@@ -1,4 +1,5 @@
 """Core model: binomial numerics, queue stepping, scenario and schedule checks."""
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -190,6 +191,18 @@ class TestConfigAndSchedule:
         kwargs[field] = value
         with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value!r}$"):
             ScenarioConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, 0.5j])
+    def test_non_real_pe_rejected(self, value):
+        kwargs = dict(N=2, p_e=value, w=3, y=1, x1=0, x2=0)
+        message = f"^p_e must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(TypeError, match=message):
+            ScenarioConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [np.float64(0.25), np.float32(0.25), 0, np.int64(1)])
+    def test_real_pe_becomes_float(self, value):
+        cfg = ScenarioConfig(N=2, p_e=value, w=3, y=1, x1=0, x2=0)
+        assert type(cfg.p_e) is float and cfg.p_e == float(value)
 
     def test_numpy_integer_counts_become_ints(self):
         cfg = ScenarioConfig(N=np.int64(4), p_e=0.2, w=np.int32(3), y=1, x1=np.uint8(1), x2=0)

@@ -1,6 +1,7 @@
-"""Package layout: the production modules never reach the test oracles and
-build transition kernels in one place, the public API is one sorted list of
-names that resolve, and the names the benchmark harness uses exist."""
+"""Package layout: the production modules never reach the test oracles,
+build transition kernels in one place and take the backward step in two,
+the public API is one sorted list of names that resolve, and the names the
+benchmark harness uses exist."""
 import ast
 from pathlib import Path
 
@@ -62,6 +63,38 @@ def test_only_the_cache_builds_a_kernel():
                 ):
                     callers.append(f"{module}.{getattr(stmt, 'name', '<module>')}")
     assert callers == ["mdp.transition_kernel"]
+
+
+def calls_by_function(attr: str):
+    """module.function (or module.Class.method) of every call of a method
+    named attr in the production modules."""
+    for module in PRODUCTION:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == attr:
+                    yield f"{module}.{node.name}"
+
+
+def test_no_function_takes_a_kernel():
+    # every evaluator gets its kernel from mdp.transition_kernel(config)
+    for module in PRODUCTION:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs:
+                    annotation = ast.unparse(arg.annotation) if arg.annotation else ""
+                    assert arg.arg != "kernel", f"{module}.{node.name}"
+                    assert "TransitionKernel" not in annotation, f"{module}.{node.name}"
+
+
+def test_one_violation_recursion():
+    # the backward step serves value iteration and the violation-to-go only
+    assert sorted(set(calls_by_function("backward"))) == [
+        "mdp.value_iteration", "mdp.violation_to_go"
+    ]
 
 
 def test_all_is_sorted_unique_and_resolves():

@@ -651,6 +651,16 @@ class TestSearchWork:
         cfg = ScenarioConfig(N=6, p_e=0.4, w=6, y=1, x1=3, x2=3)
         assert opt(cfg).nodes < 5**6
 
+    def test_node_counts_as_recorded(self):
+        # recorded before the violation recursion moved into
+        # mdp.violation_to_go: the bound and the dive decide every count
+        S = ScenarioConfig(N=6, p_e=0.4, w=6, y=1, x1=3, x2=3)
+        assert opt(S).nodes == 484
+        assert opt(S, full_domain=True).nodes == 1610
+        # acceptance criterion 06's eight cells
+        cells = itertools.product((3, 4, 5, 6), (1, 2))
+        assert sum(opt(ScenarioConfig(4, 0.2, w, 1, x, x)).nodes for w, x in cells) == 258
+
     def test_scans_count_every_schedule(self):
         cfg = ScenarioConfig(N=4, p_e=0.2, w=3, y=1, x1=1, x2=1)
         assert e_wtb(cfg).nodes == 3**3
