@@ -29,7 +29,7 @@ from .semistatic import (
     solve_relaxed,
     wtb_w,
 )
-from .sim import SimResult, SimSpec, simulate, simulate_policies, wilson_interval
+from .sim import SimResult, simulate_policies, wilson_interval
 
 __all__ = [
     "CapExceededError",
@@ -41,7 +41,6 @@ __all__ = [
     "Schedule",
     "SemiStaticResult",
     "SimResult",
-    "SimSpec",
     "TransitionKernel",
     "binomial_pmf",
     "binomial_pmf_table",
@@ -55,7 +54,6 @@ __all__ = [
     "neighbor_search",
     "opt",
     "round_nearest",
-    "simulate",
     "simulate_policies",
     "solve_relaxed",
     "value_iteration",

@@ -26,7 +26,7 @@ from .model import (
     check_scenario_field,
     pe_text,
 )
-from .sim import SimSpec, check_counts, simulate, simulate_policies
+from .sim import check_counts, simulate_policies
 
 
 class Sources(NamedTuple):
@@ -176,7 +176,7 @@ def cmd_eval(args) -> int:
             print(f"dvp={fmt_prob(result.dvp)}")
             print(f"method={result.method}")
         else:
-            sim = simulate(config, SimSpec(args.reps, args.seed, policy))
+            [sim] = simulate_policies(config, [policy], args.reps, args.seed)
             print(f"dvp={fmt_prob(sim.dvp_hat)}")
             print(f"ci_low={fmt_prob(sim.ci_low)}")
             print(f"ci_high={fmt_prob(sim.ci_high)}")

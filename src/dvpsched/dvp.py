@@ -357,10 +357,10 @@ def exact_dvp_chain(config: ScenarioConfig, policy) -> EvalResult:
     forward step of mdp.transition_kernel(config) on the backlog grid. A
     schedule or the even split moves every state under one action; another
     policy moves each state under its own, split once from its layout over
-    the states, or, for a callable or a partial table, asked each frame for
-    the states with mass only. The batch met the deadline iff both queues
-    are empty at the horizon, since departures equal the initial load minus
-    what is left."""
+    the states (PolicyActions.rows), or, for a callable or a partial table,
+    asked each frame (PolicyActions.ask) for the states with mass only. The
+    batch met the deadline iff both queues are empty at the horizon, since
+    departures equal the initial load minus what is left."""
     act = policy_actions(policy, config)
     kernel = transition_kernel(config)
     states = kernel.states
@@ -378,7 +378,7 @@ def exact_dvp_chain(config: ScenarioConfig, policy) -> EvalResult:
         else:
             live = np.flatnonzero(rho.ravel()[kernel.cells])
             acts = np.zeros((1, len(states)), dtype=np.int64)
-            acts[0, live] = act(epoch, live)
+            acts[0, live] = act.ask(epoch, live)
             [a] = kernel.split(acts)
         rho = kernel.forward(rho, a)
     mass = rho.ravel()[kernel.cells]

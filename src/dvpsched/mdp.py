@@ -27,7 +27,6 @@ policies over the same state space.
 from __future__ import annotations
 
 import io
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -41,7 +40,9 @@ from .model import (
     Schedule,
     backlog_states,
     binomial_pmf_table,
+    check_integer,
     check_schedule,
+    is_integer,
     pe_text,
 )
 
@@ -217,9 +218,9 @@ class PolicyTable:
 
     actions[k, i] is the slot count for link 1 at epoch k in state i;
     values[k, i] the expected departures collectable from epoch k on. The
-    terminal row values[w] is zero. Parsed tables may be partial, in which
-    case missing lookups raise PolicyLookupError. A state outside the
-    domain raises ValueError.
+    terminal row values[w] is zero, so value takes epochs 0..w and action
+    0..w - 1. Parsed tables may be partial: a missing lookup raises
+    PolicyLookupError, an epoch or a state outside the range ValueError.
     """
 
     config: ScenarioConfig
@@ -227,8 +228,7 @@ class PolicyTable:
     values: np.ndarray  # (w + 1, S) float
 
     def action(self, epoch: int, q1: int, q2: int) -> int:
-        if not 0 <= epoch < self.config.w:
-            raise ValueError(f"epoch {epoch} outside 0..{self.config.w - 1}")
+        epoch = self._epoch(epoch, self.config.w - 1)
         a = int(self.actions[epoch, backlog_states(self.config).index(q1, q2)])
         if a < 0:
             raise PolicyLookupError(
@@ -237,7 +237,15 @@ class PolicyTable:
         return a
 
     def value(self, epoch: int, q1: int, q2: int) -> float:
+        epoch = self._epoch(epoch, self.config.w)
         return float(self.values[epoch, backlog_states(self.config).index(q1, q2)])
+
+    @staticmethod
+    def _epoch(epoch, last: int) -> int:
+        """epoch as an int (model.check_integer), ValueError outside 0..last."""
+        if not 0 <= check_integer("epoch", epoch) <= last:
+            raise ValueError(f"epoch {epoch} outside 0..{last}")
+        return int(epoch)
 
     def to_text(self) -> str:
         """Line format: one config header, then `epoch q1 q2 action value`
@@ -298,10 +306,9 @@ class PolicyTable:
                 k, q1, q2, a = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
                 v = float(parts[4])
                 i = states.index(q1, q2)
+                k = cls._epoch(k, config.w - 1)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
-            if not 0 <= k < config.w:
-                raise ValueError(f"line {lineno}: epoch {k} outside 0..{config.w - 1}")
             if not 0 <= a <= config.N:
                 raise ValueError(f"line {lineno}: action {a} outside 0..{config.N}")
             actions[k, i], values[k, i] = a, v
@@ -380,23 +387,20 @@ def baseline_actions(kind: str, q1: np.ndarray, q2: np.ndarray, N: int) -> np.nd
 @dataclass(frozen=True, eq=False)
 class PolicyActions:
     """A policy checked against a scenario and read over state indices into
-    model.backlog_states(config): actions(epoch, idx) -> n1 of the states
-    idx at that epoch.
+    model.backlog_states(config), in one of two ways.
 
     Where the actions are known without asking, rows lays them out over the
     domain: at epoch k state i takes shift[k] + rows[k % len(rows)][i]. A
     schedule is its per-epoch actions over one zero row, a baseline one row
-    shared by every epoch, and a table one row per epoch. rows is None for
-    a callable, which is asked once per distinct state in idx, and for a
-    table that lacks entries, which raises PolicyLookupError naming the
-    epoch and state whose action it lacks."""
+    shared by every epoch, and a table one row per epoch; ask is None.
+    Otherwise rows is None and ask(epoch, idx) gives n1 of the states idx
+    at that epoch: for a callable, which is asked once per distinct state
+    in idx, and for a table that lacks entries, which raises
+    PolicyLookupError naming the epoch and state whose action it lacks."""
 
     shift: np.ndarray
     rows: np.ndarray | None
-    ask: Callable[[int, np.ndarray], np.ndarray]
-
-    def __call__(self, epoch: int, idx: np.ndarray) -> np.ndarray:
-        return self.ask(epoch, idx)
+    ask: Callable[[int, np.ndarray], np.ndarray] | None
 
 
 def policy_actions(policy, config: ScenarioConfig) -> PolicyActions:
@@ -406,9 +410,10 @@ def policy_actions(policy, config: ScenarioConfig) -> PolicyActions:
     A policy is a Schedule, a PolicyTable (a missing entry raises
     PolicyLookupError naming the epoch and state), a baseline name from
     BASELINE_KINDS, or a callable (epoch, q1, q2) -> n1 on ints. Every form
-    but a callable is laid out over the domain once. The callable is asked
-    once per distinct state, and an action that is not an integer in 0..N
-    raises ValueError naming the epoch and state.
+    but a callable or a partial table is laid out over the domain once, as
+    rows with ask None. The callable is asked once per distinct state, and
+    an action that is not an integer in 0..N (model.is_integer) raises
+    ValueError naming the epoch and state.
     """
     states = backlog_states(config)
     shift = np.zeros(config.w, dtype=np.int64)
@@ -425,12 +430,9 @@ def policy_actions(policy, config: ScenarioConfig) -> PolicyActions:
             def partial(epoch, idx):
                 acts = rows[epoch][idx]
                 missing = np.flatnonzero(acts < 0)
-                if missing.size:
+                if missing.size:  # the table's own lookup raises the error
                     i = idx[missing[0]]
-                    raise PolicyLookupError(
-                        f"no action stored for epoch={epoch} "
-                        f"state=({states.q1[i]},{states.q2[i]})"
-                    )
+                    policy.action(epoch, int(states.q1[i]), int(states.q2[i]))
                 return acts
 
             return PolicyActions(shift, None, partial)
@@ -447,7 +449,7 @@ def policy_actions(policy, config: ScenarioConfig) -> PolicyActions:
             for s1, s2 in zip(states.q1[index].tolist(), states.q2[index].tolist()):
                 a = policy(epoch, s1, s2)
                 # a float such as 2.0 is refused, not truncated to an action
-                if not isinstance(a, numbers.Integral) or not 0 <= a <= config.N:
+                if not is_integer(a) or not 0 <= a <= config.N:
                     raise ValueError(
                         f"policy returned n1={a} outside the integers 0..{config.N} "
                         f"at epoch={epoch} state=({s1},{s2})"
@@ -458,8 +460,4 @@ def policy_actions(policy, config: ScenarioConfig) -> PolicyActions:
         return PolicyActions(shift, None, rule)
     else:
         raise TypeError(f"cannot interpret {type(policy).__name__} as a policy")
-
-    def laid_out(epoch, idx):
-        return shift[epoch] + rows[epoch % len(rows)][idx]
-
-    return PolicyActions(shift, rows, laid_out)
+    return PolicyActions(shift, rows, None)

@@ -35,20 +35,32 @@ class PolicyLookupError(LookupError):
 SCENARIO_MINIMA = {"N": 1, "w": 1, "y": 1, "x1": 0, "x2": 0}
 
 
+def is_integer(value) -> bool:
+    """The package's one integer rule: an integer, numpy's included, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_integer(name: str, value, least: int | None = None) -> int:
+    """value as a plain int: TypeError naming name unless is_integer(value),
+    ValueError if it is below least."""
+    if not is_integer(value):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def check_scenario_field(name: str, value):
-    """value as ScenarioConfig stores its field name: p_e as a float in
-    [0, 1], the others as ints of at least SCENARIO_MINIMA[name]. A bool, a
-    p_e that is not a real number or a count that is not an integer raises
-    TypeError, a value out of range ValueError."""
-    real = name == "p_e"
-    kind, noun = (numbers.Real, "a real number") if real else (numbers.Integral, "an integer")
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"{name} must be {noun}, got {value!r}")
-    if real and not 0.0 <= value <= 1.0:
+    """value as ScenarioConfig stores its field name: a count through
+    check_integer, least SCENARIO_MINIMA[name], and p_e as a float in [0, 1]
+    (TypeError unless a real number other than a bool, else ValueError)."""
+    if name != "p_e":
+        return check_integer(name, value, SCENARIO_MINIMA[name])
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"p_e must be a real number, got {value!r}")
+    if not 0.0 <= value <= 1.0:
         raise ValueError(f"p_e must be in [0, 1], got {value}")
-    if not real and value < SCENARIO_MINIMA[name]:
-        raise ValueError(f"{name} must be >= {SCENARIO_MINIMA[name]}, got {value}")
-    return float(value) if real else int(value)
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -104,16 +116,17 @@ def pe_text(p_e: float) -> str:
 @dataclass(frozen=True)
 class Schedule:
     """A per-frame slot split fixed for the whole horizon, stored as the
-    link-1 allocations; link 2 implicitly gets the remaining N - n1 slots."""
+    link-1 allocations; link 2 implicitly gets the remaining N - n1 slots.
+    N and each n1[k] must be integers (check_integer), stored as int."""
 
     n1: tuple[int, ...]
     N: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n1", tuple(int(v) for v in self.n1))
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        for k, v in enumerate(self.n1):
+        object.__setattr__(self, "N", check_integer("N", self.N, 1))
+        n1 = tuple(check_integer(f"n1[{k}]", v) for k, v in enumerate(self.n1))
+        object.__setattr__(self, "n1", n1)
+        for k, v in enumerate(n1):
             if not 0 <= v <= self.N:
                 raise ValueError(f"n1[{k}]={v} outside 0..{self.N}")
 

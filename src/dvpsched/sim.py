@@ -3,7 +3,7 @@
 Each replication owns a fixed range of counter blocks of a Philox generator
 keyed by the seed (one block budget per replication, sized by the horizon),
 so the random inputs of replication r never depend on chunking or worker
-scheduling: identical (config, spec) give bit-identical results. Binomial
+scheduling: identical arguments give bit-identical results. Binomial
 service draws use one raw 64-bit Philox word per link per frame, inverted
 through the binomial distribution function at the uniform
 (word >> 11) * 2**-53 that Generator.random makes of it.
@@ -17,51 +17,38 @@ cuts, so the draws, and the stream, are the same as with full counting. Each
 replication's backlog is one index into model.backlog_states, which a
 frame moves by two lookups in one table of index changes per link,
 action, queue backlog and cell (Moves), keyed by the policy's layout over
-the domain (mdp.PolicyActions). simulate_policies runs several policies of
-one scenario over the same words (common random numbers), drawing each
-chunk once for all of them.
+the domain (mdp.PolicyActions). simulate_policies, the one entry point,
+runs one or several policies of one scenario over the same words (common
+random numbers), drawing each chunk once for all of them.
 """
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mdp import policy_actions
-from .model import CapExceededError, ScenarioConfig, backlog_states, binomial_cdf_table
+from .model import (
+    CapExceededError,
+    ScenarioConfig,
+    backlog_states,
+    binomial_cdf_table,
+    check_integer,
+)
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
-DEFAULT_CHUNK = 1 << 14
+CHUNK = 1 << 14  # replications per chunk; no result depends on it
 WORD_BLOCK = 1 << 10  # replications whose words are made and mapped to cells at once
 MOVES_BYTE_CAP = 100_000_000  # Moves.table: 8 (N+1)(q1_max+N+2) bytes per draw cell
 GUIDE_BITS = 10  # 1 024 buckets; fewer than 1% of them hold a threshold for N <= 20
 
 
-@dataclass(frozen=True, eq=False)
-class SimSpec:
-    """Replication count, stream seed, and the policy to simulate: a
-    schedule, policy table, baseline name or callable, as for
-    exact_dvp_chain (see mdp.policy_actions)."""
-
-    replications: int
-    seed: int
-    policy: object
-
-    def __post_init__(self):
-        check_counts(self.replications, self.seed)
-
-
 def check_counts(replications, seed) -> None:
-    """Raise TypeError unless both are integers (not bools), ValueError
-    unless replications >= 1 and the seed fits in 64 bits."""
-    for name, value in (("replications", replications), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    if not 0 <= seed < 2**64:
+    """Raise TypeError unless both are integers (model.check_integer),
+    ValueError unless replications >= 1 and the seed fits in 64 bits."""
+    check_integer("replications", replications, 1)
+    if not 0 <= check_integer("seed", seed) < 2**64:
         raise ValueError("seed must fit in 64 bits")
 
 
@@ -196,42 +183,24 @@ class Moves:
         )
 
 
-def simulate(
-    config: ScenarioConfig, spec: SimSpec, chunk_size: int = DEFAULT_CHUNK
-) -> SimResult:
-    """Estimate DVP and expected departures for a policy; Wilson 95% CI.
-
-    The one-policy call of simulate_policies, which says how the policy is
-    asked for actions. The result does not depend on chunk_size. A run is
-    a violation iff any packet is still queued after the final frame.
-    """
-    return simulate_policies(
-        config, [spec.policy], spec.replications, spec.seed, chunk_size
-    )[0]
-
-
 def simulate_policies(
-    config: ScenarioConfig,
-    policies,
-    replications: int,
-    seed: int,
-    chunk_size: int = DEFAULT_CHUNK,
+    config: ScenarioConfig, policies, replications: int, seed: int
 ) -> list[SimResult]:
-    """simulate(config, SimSpec(replications, seed, policy), chunk_size)
-    for each policy, in order, over one stream: each chunk's Philox words
-    and draw cells are made once and every policy's frames run over them
-    in turn (common random numbers). A policy's result depends on neither
-    the other policies, nor their order, nor chunk_size; the results share
-    the call's wall_s.
+    """Estimate DVP and expected departures, with Wilson 95% CIs, of each
+    policy in order (a schedule, policy table, baseline name or callable,
+    as mdp.policy_actions reads them); a run is a violation iff any packet
+    is still queued after the final frame. The policies share one stream:
+    each chunk's Philox words and draw cells are made once and every
+    policy's frames run over them in turn (common random numbers), so a
+    policy's result depends on neither the other policies, nor their
+    order, nor CHUNK. The results share the call's wall_s.
 
-    Every policy is checked against the scenario before any draw. A
-    callable, or a table that lacks entries, is then asked for the actions
-    of a whole chunk of replications per frame, so a callable is called
+    The counts (check_counts) and every policy are checked before any
+    draw. A callable, or a table that lacks entries, is asked for the
+    actions of a chunk of replications per frame, so a callable is called
     once per distinct state in each chunk and frame.
     """
     check_counts(replications, seed)
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     start = time.perf_counter()
     actions = [policy_actions(policy, config) for policy in policies]
     if not actions:
@@ -259,11 +228,11 @@ def simulate_policies(
     # last through its first n columns): fresh ones per chunk let the
     # process heap grow by a chunk's cells on some calls and not others,
     # so that peak memory differed between otherwise identical runs
-    width = min(chunk_size, replications)
+    width = min(CHUNK, replications)
     buffers = [np.empty((words_per_rep, width), dtype=np.int64)]
     buffers += [np.empty(width, dtype=np.int64) for _ in range(3)]
     while done < replications:
-        n = min(chunk_size, replications - done)
+        n = min(CHUNK, replications - done)
         philox = np.random.Philox(key=seed, counter=done * blocks_per_rep)
         cell, idx, buf1, buf2 = (b[..., :n] for b in buffers)
         # cell[k] and cell[w + k] are the draws of frame k; the words are
@@ -278,7 +247,7 @@ def simulate_policies(
                 key1 = keys[i][0][k % len(keys[i][0])].take(idx, out=buf1, mode="clip")
                 key2 = keys[i][1][k % len(keys[i][1])].take(idx, out=buf2, mode="clip")
                 if act.rows is None:
-                    a = act(k, idx)
+                    a = act.ask(k, idx)
                     key1 += a * moves.step1
                     key2 += a * moves.step2
                     shift = 0

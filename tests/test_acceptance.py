@@ -17,13 +17,12 @@ import pytest
 from dvpsched import (
     ScenarioConfig,
     Schedule,
-    SimSpec,
     dvpub,
     e_dvpub,
     exact_dvp_chain,
     fifty_fifty,
     opt,
-    simulate,
+    simulate_policies,
     value_iteration,
     wtb_min_s,
     wtb_w,
@@ -84,7 +83,7 @@ def test_criterion_02_hand_oracle():
     sched = Schedule(n1=(1, 1), N=2)
     e = exact_dvp_enum(cfg, sched).dvp
     c = exact_dvp_chain(cfg, sched).dvp
-    res = simulate(cfg, SimSpec(1_000_000, 424242, sched))
+    [res] = simulate_policies(cfg, [sched], 1_000_000, 424242)
     ok = (
         abs(e - 0.75) <= 1e-12
         and abs(c - 0.75) <= 1e-12

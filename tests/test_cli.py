@@ -9,10 +9,9 @@ import pytest
 from dvpsched import (
     PolicyTable,
     ScenarioConfig,
-    SimSpec,
     TransitionKernel,
     exact_dvp_chain,
-    simulate,
+    simulate_policies,
     value_iteration,
 )
 from dvpsched import cli, sim
@@ -475,7 +474,7 @@ class TestSweepParsing:
         ],
     )
     def test_malformed_monte_carlo_settings_rejected(self, capsys, tmp_path, line, message):
-        # SimSpec's own messages, once for the sweep, not once per cell
+        # sim.check_counts' own messages, once for the sweep, not once per cell
         text = SWEEP_TEXT.replace("evaluator = exact", "evaluator = monte-carlo\n" + line)
         with pytest.raises(ValueError, match=message):
             parse_sweep_file(text)
@@ -668,7 +667,7 @@ class TestSweepRun:
         assert rows["opt"].error.startswith("exhaustive search over 1771561 schedules")
         assert rows["opt"].dvp is None
         cfg = ScenarioConfig(N=12, p_e=0.2, w=6, y=1, x1=1, x2=1)
-        solo = simulate(cfg, SimSpec(3000, 8, "mw"))
+        [solo] = simulate_policies(cfg, ["mw"], 3000, 8)
         assert rows["mw"].error == ""
         assert [fmt_prob(v) for v in (rows["mw"].dvp, rows["mw"].ci_low, rows["mw"].ci_high)] == [
             fmt_prob(v) for v in (solo.dvp_hat, solo.ci_low, solo.ci_high)

@@ -11,11 +11,10 @@ from dvpsched import (
     PolicyTable,
     ScenarioConfig,
     Schedule,
-    SimSpec,
     TransitionKernel,
     exact_dvp_chain,
     opt,
-    simulate,
+    simulate_policies,
     value_iteration,
 )
 from dvpsched.mdp import (
@@ -332,7 +331,7 @@ class TestPastTheOldKernelCap:
         reference = bench_reference()
         ref = reference.Reference(20, 0.4, 11, 20, 20, 20)
         assert mw.dvp == pytest.approx(ref.evaluate(reference.baseline_action("mw", 20))[0], rel=2e-14)
-        sim = simulate(self.CFG, SimSpec(200_000, 3, "mw"))  # [0.005438, 0.006101]
+        [sim] = simulate_policies(self.CFG, ["mw"], 200_000, 3)  # [0.005438, 0.006101]
         assert sim.ci_low <= mw.dvp <= sim.ci_high
         table = exact_dvp_chain(self.CFG, value_iteration(self.CFG))
         assert table.dvp <= mw.dvp
@@ -572,6 +571,23 @@ class TestPolicyTable:
         ):
             PolicyTable.from_text(text)
 
+    def test_epoch_outside_the_table_refused(self):
+        cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
+        table = value_iteration(cfg)
+        # value reads the terminal row w, which is zero; action stops at w - 1
+        assert table.value(np.int64(2), 1, 0) == 0.0
+        assert table.action(np.int64(1), 1, 0) == table.action(1, 1, 0)
+        for epoch in (-1, 3):
+            with pytest.raises(ValueError, match=rf"epoch {epoch} outside 0\.\.2"):
+                table.value(epoch, 1, 0)
+        for epoch in (-1, 2):
+            with pytest.raises(ValueError, match=rf"epoch {epoch} outside 0\.\.1"):
+                table.action(epoch, 1, 0)
+        for epoch in (True, 1.0):
+            for lookup in (table.value, table.action):
+                with pytest.raises(TypeError, match="epoch must be an integer"):
+                    lookup(epoch, 1, 0)
+
     def test_lookup_outside_domain_refused(self):
         table = value_iteration(ScenarioConfig(N=2, p_e=0.5, w=1, y=1, x1=0, x2=0))
         for q1, q2 in ((1, 1), (-1, 0), (0, 2)):
@@ -650,7 +666,7 @@ def assert_both_raise(exc, cfg, policy, match=None):
     with pytest.raises(exc, match=match):
         exact_dvp_chain(cfg, policy)
     with pytest.raises(exc, match=match):
-        simulate(cfg, SimSpec(1000, 3, policy))
+        simulate_policies(cfg, [policy], 1000, 3)
 
 
 class TestResolvePolicy:
@@ -689,16 +705,15 @@ class TestResolvePolicy:
         schedule = Schedule(n1=(2, 2, 1), N=3)
         rule = lambda epoch, q1, q2: schedule.n1[epoch]
         assert exact_dvp_chain(cfg, rule) == exact_dvp_chain(cfg, schedule)
-        spec = lambda policy: SimSpec(20_000, 11, policy)
-        assert simulate(cfg, spec(rule)) == simulate(cfg, spec(schedule))
+        run = lambda policy: simulate_policies(cfg, [policy], 20_000, 11)
+        assert run(rule) == run(schedule)
 
     def test_callable_sees_each_live_state(self):
         # a state-dependent rule gives the baseline it reimplements
         cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
         rule = lambda epoch, q1, q2: 3 if q1 >= q2 else 0
         assert exact_dvp_chain(cfg, rule) == exact_dvp_chain(cfg, "mw")
-        spec = lambda policy: SimSpec(5000, 2, policy)
-        assert simulate(cfg, spec(rule)) == simulate(cfg, spec("mw"))
+        assert simulate_policies(cfg, [rule], 5000, 2) == simulate_policies(cfg, ["mw"], 5000, 2)
 
     def test_out_of_range_action_reported(self):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
@@ -707,7 +722,9 @@ class TestResolvePolicy:
         )
 
     @pytest.mark.parametrize(
-        "action", [1.0, 1.5, np.float64(1.0)], ids=["float", "fraction", "numpy-float"]
+        "action",
+        [1.0, 1.5, np.float64(1.0), True],
+        ids=["float", "fraction", "numpy-float", "bool"],
     )
     def test_non_integer_action_reported(self, action):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
@@ -719,6 +736,13 @@ class TestResolvePolicy:
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
         rule = lambda epoch, q1, q2: np.int64(1)
         assert exact_dvp_chain(cfg, rule) == exact_dvp_chain(cfg, Schedule(n1=(1, 1), N=2))
+
+
+def laid_out(act, epoch, idx):
+    """The actions that a policy laid out as rows and shift gives the
+    states idx at epoch, as both evaluators read them."""
+    assert act.ask is None
+    return act.shift[epoch] + act.rows[epoch % len(act.rows)][idx]
 
 
 class TestPolicyActions:
@@ -735,28 +759,34 @@ class TestPolicyActions:
             for k in range(cfg.w):
                 for kind in BASELINE_KINDS:
                     want = baseline_actions(kind, states.q1[idx], states.q2[idx], cfg.N)
-                    assert np.array_equal(policy_actions(kind, cfg)(k, idx), want), (cfg, kind)
-                got = policy_actions(table, cfg)(k, idx)
+                    got = laid_out(policy_actions(kind, cfg), k, idx)
+                    assert np.array_equal(got, want), (cfg, kind)
+                got = laid_out(policy_actions(table, cfg), k, idx)
                 assert np.array_equal(got, table.actions[k, idx]), cfg
-                got = policy_actions(schedule, cfg)(k, idx)
+                got = laid_out(policy_actions(schedule, cfg), k, idx)
                 assert np.array_equal(got, np.full(idx.shape, schedule.n1[k])), cfg
 
     def test_layout_of_each_form(self):
         # what the sampler keys its moves by: a schedule never lays out a
-        # w x S array, a baseline one row, a table its own rows
+        # w x S array, a baseline one row, a table its own rows; only a
+        # form without a layout is asked
         cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
         S = len(backlog_states(cfg))
         schedule = policy_actions(Schedule(n1=(2, 0, 3), N=3), cfg)
-        assert schedule.shift.tolist() == [2, 0, 3]
+        assert schedule.shift.tolist() == [2, 0, 3] and schedule.ask is None
         assert schedule.rows.shape == (1, S) and not schedule.rows.any()
         baseline = policy_actions("mw", cfg)
         assert baseline.shift.tolist() == [0, 0, 0] and baseline.rows.shape == (1, S)
+        assert baseline.ask is None
         table = value_iteration(cfg)
-        assert policy_actions(table, cfg).rows is table.actions
-        assert policy_actions(lambda epoch, q1, q2: 1, cfg).rows is None
+        laid = policy_actions(table, cfg)
+        assert laid.rows is table.actions and laid.ask is None
+        rule = policy_actions(lambda epoch, q1, q2: 1, cfg)
+        assert rule.rows is None and callable(rule.ask)
         text = table.to_text()
         partial = PolicyTable.from_text("\n".join(text.splitlines()[:-1]))
-        assert policy_actions(partial, cfg).rows is None
+        lacking = policy_actions(partial, cfg)
+        assert lacking.rows is None and callable(lacking.ask)
 
     def test_callable_asked_once_per_distinct_state_and_frame(self):
         cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
@@ -769,11 +799,12 @@ class TestPolicyActions:
         act = policy_actions(rule, cfg)
         states = backlog_states(cfg)
         idx = np.array([4, 0, 4, 2, 0, 4])
-        assert np.array_equal(act(1, idx), baseline_actions("mw", states.q1[idx], states.q2[idx], 3))
+        want = baseline_actions("mw", states.q1[idx], states.q2[idx], 3)
+        assert np.array_equal(act.ask(1, idx), want)
         assert sorted(calls) == sorted((1, states.q1[i], states.q2[i]) for i in (0, 2, 4))
         # one chunk: each state a frame reaches is asked about once
         calls.clear()
-        assert simulate(cfg, SimSpec(5000, 2, rule)) == simulate(cfg, SimSpec(5000, 2, "mw"))
+        assert simulate_policies(cfg, [rule], 5000, 2) == simulate_policies(cfg, ["mw"], 5000, 2)
         assert len(calls) == len(set(calls))
         assert {epoch for epoch, _, _ in calls} == set(range(cfg.w))
         calls.clear()

@@ -213,3 +213,25 @@ class TestConfigAndSchedule:
         with pytest.raises(ValueError):
             Schedule(n1=(3,), N=2)
         assert Schedule(n1=(1, 2), N=3).n2 == (2, 1)
+
+    @pytest.mark.parametrize(
+        "n1, N, name",
+        [
+            ((1.7, 1), 2, "n1[0]"),
+            ((True, 1), 2, "n1[0]"),
+            (("1", 1), 2, "n1[0]"),
+            ((1, np.float64(1.0)), 2, "n1[1]"),
+            ((1, 1), 2.5, "N"),
+            ((1, 1), True, "N"),
+            ((1, 1), "2", "N"),
+        ],
+        ids=["float", "bool", "str", "numpy-float", "N-float", "N-bool", "N-str"],
+    )
+    def test_schedule_non_integer_counts_rejected(self, n1, N, name):
+        with pytest.raises(TypeError, match=f"^{re.escape(name)} must be an integer, got "):
+            Schedule(n1=n1, N=N)
+
+    def test_schedule_numpy_integers_become_ints(self):
+        schedule = Schedule(n1=(np.int64(1), np.uint8(2)), N=np.int32(3))
+        assert schedule == Schedule(n1=(1, 2), N=3)
+        assert type(schedule.N) is int and all(type(v) is int for v in schedule.n1)

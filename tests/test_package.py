@@ -1,7 +1,7 @@
 """Package layout: the production modules never reach the test oracles,
 build transition kernels in one place and take the backward step in two,
-the public API is one sorted list of names that resolve, and the names the
-benchmark harness uses exist."""
+the public API is one sorted list of names that resolve, the names the
+benchmark harness uses exist, and the README's library example runs."""
 import ast
 from pathlib import Path
 
@@ -11,6 +11,7 @@ import dvpsched
 import dvpsched.cli  # the benchmark imports it by name, as here
 
 PACKAGE = Path(dvpsched.__file__).resolve().parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 PRODUCTION = ("cli", "dvp", "mdp", "model", "semistatic", "sim")
 
 # what bench/ reaches into, as dotted paths under the package
@@ -129,3 +130,10 @@ def test_benchmark_reads_the_kernel_and_the_table():
     # the tracer reads kernel.P.nbytes: the link-2 stack, (N + 1) x (q2_max + 1)^2
     assert dvpsched.mdp.TransitionKernel(config).P.shape == (3, 2, 2)
     assert dvpsched.mdp.value_iteration(config).action(0, 1, 0) in range(3)
+
+
+def test_readme_library_example_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md: Library example", "exec"), {})
+    assert "SimResult(" in capsys.readouterr().out

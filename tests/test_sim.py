@@ -1,24 +1,17 @@
 """Monte Carlo estimator: correctness, reproducibility, interval behavior."""
 import dataclasses
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import dvpsched
 from dvpsched import (
     PolicyLookupError,
     PolicyTable,
     ScenarioConfig,
     Schedule,
     SimResult,
-    SimSpec,
     exact_dvp_chain,
-    simulate,
     simulate_policies,
     value_iteration,
     wilson_interval,
@@ -28,7 +21,7 @@ from dvpsched.model import CapExceededError, backlog_states
 from dvpsched.oracles import QueueState, binomial_cdf, step_queues
 from dvpsched.semistatic import even_split
 from dvpsched.sim import (
-    DEFAULT_CHUNK,
+    CHUNK,
     GUIDE_BITS,
     Cells,
     Moves,
@@ -39,7 +32,7 @@ HAND_CFG = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
 HAND_SCHED = Schedule(n1=(1, 1), N=2)
 
 GOLDEN_CFG = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
-# simulate(GOLDEN_CFG, SimSpec(20_000, 11, policy)), recorded once; the
+# simulate_policies(GOLDEN_CFG, [policy], 20_000, 11), recorded once; the
 # stream, and so every field, must not move under refactoring
 GOLDEN_STREAMS = {
     "schedule": SimResult(
@@ -57,7 +50,7 @@ GOLDEN_STREAMS = {
 }
 
 # the benchmark's three Monte Carlo scenarios (N, p_e, w, y, x1, x2) under
-# each dynamic policy, simulate(cfg, SimSpec(50_000, 1, policy)) recorded
+# each dynamic policy, simulate_policies(cfg, [policy], 50_000, 1) recorded
 # before draws went through the guide table; "mdp" is value_iteration's table
 GOLDEN_BENCH_SCALE = {
     ((6, 0.4, 6, 1, 3, 3), "mdp"): SimResult(
@@ -137,7 +130,7 @@ GOLDEN_BENCH_SCALE = {
     ),
 }
 M_SIZE = (10, 0.5, 8, 5, 5, 5)
-# simulate(N20_CFG, SimSpec(20_000, 3, policy)), recorded before the draw
+# simulate_policies(N20_CFG, [policy], 20_000, 3), recorded before the draw
 # cells lost their guide-bucket edges; at N = 20 the most draws fall in a
 # bucket that holds a threshold
 N20_CFG = ScenarioConfig(20, 0.4, 4, 10, 5, 5)
@@ -160,24 +153,24 @@ GOLDEN_N20 = {
 class TestSimulate:
     def test_lossless_schedule_never_violates(self):
         cfg = ScenarioConfig(N=2, p_e=0.0, w=2, y=1, x1=0, x2=0)
-        res = simulate(cfg, SimSpec(5000, 1, Schedule(n1=(1, 1), N=2)))
+        [res] = simulate_policies(cfg, [Schedule(n1=(1, 1), N=2)], 5000, 1)
         assert res.dvp_hat == 0.0
         assert res.mean_departures == pytest.approx(cfg.total_load)
 
     def test_dead_channel_always_violates(self):
         cfg = ScenarioConfig(N=2, p_e=1.0, w=2, y=1, x1=0, x2=0)
-        res = simulate(cfg, SimSpec(2000, 1, Schedule(n1=(1, 1), N=2)))
+        [res] = simulate_policies(cfg, [Schedule(n1=(1, 1), N=2)], 2000, 1)
         assert res.dvp_hat == 1.0
         assert res.mean_departures == 0.0
 
     def test_hand_case_bracketed_at_one_million_reps(self):
-        res = simulate(HAND_CFG, SimSpec(1_000_000, 20240601, HAND_SCHED))
+        [res] = simulate_policies(HAND_CFG, [HAND_SCHED], 1_000_000, 20240601)
         assert res.ci_low <= 0.75 <= res.ci_high
         assert res.dvp_hat == pytest.approx(0.75, abs=0.002)
 
     def test_bit_identical_reruns(self):
-        spec = SimSpec(30_000, 99, HAND_SCHED)
-        assert simulate(HAND_CFG, spec) == simulate(HAND_CFG, spec)
+        run = lambda: simulate_policies(HAND_CFG, [HAND_SCHED], 30_000, 99)
+        assert run() == run()
 
     @pytest.mark.parametrize("kind", sorted(GOLDEN_STREAMS))
     def test_golden_stream(self, kind):
@@ -186,7 +179,7 @@ class TestSimulate:
             "table": value_iteration(GOLDEN_CFG),
             "mw": "mw",
         }[kind]
-        res = simulate(GOLDEN_CFG, SimSpec(20_000, 11, policy))
+        [res] = simulate_policies(GOLDEN_CFG, [policy], 20_000, 11)
         assert res == GOLDEN_STREAMS[kind]
 
     @pytest.mark.parametrize("cell", sorted(GOLDEN_BENCH_SCALE), ids=str)
@@ -194,7 +187,7 @@ class TestSimulate:
         scenario, name = cell
         cfg = ScenarioConfig(*scenario)
         policy = value_iteration(cfg) if name == "mdp" else name
-        res = simulate(cfg, SimSpec(50_000, 1, policy))
+        [res] = simulate_policies(cfg, [policy], 50_000, 1)
         assert res == GOLDEN_BENCH_SCALE[cell]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_N20))
@@ -202,36 +195,43 @@ class TestSimulate:
         policy = {
             "mw": "mw", "even split": even_split(N20_CFG), "mdp": value_iteration(N20_CFG)
         }[name]
-        assert simulate(N20_CFG, SimSpec(20_000, 3, policy)) == GOLDEN_N20[name]
+        assert simulate_policies(N20_CFG, [policy], 20_000, 3) == [GOLDEN_N20[name]]
 
-    def test_chunking_does_not_change_the_padded_stream(self):
+    def test_chunking_does_not_change_the_padded_stream(self, monkeypatch):
         # 2w = 10 words per replication fill 3 Philox blocks of 4, so each
         # replication's row ends in 2 unused words
         cfg = ScenarioConfig(N=5, p_e=0.35, w=5, y=2, x1=1, x2=2)
-        spec = SimSpec(2000, 5, value_iteration(cfg))
-        results = [simulate(cfg, spec, chunk_size=c) for c in (1, 3, DEFAULT_CHUNK)]
+        table = value_iteration(cfg)
+        results = []
+        for chunk in (1, 3, CHUNK):
+            monkeypatch.setattr(sim, "CHUNK", chunk)
+            results += simulate_policies(cfg, [table], 2000, 5)
         assert results[0] == results[1] == results[2]
 
-    def test_chunking_does_not_change_the_bench_scale_stream(self):
+    def test_chunking_does_not_change_the_bench_scale_stream(self, monkeypatch):
         cfg = ScenarioConfig(*M_SIZE)
-        spec = SimSpec(50_000, 1, value_iteration(cfg))
-        for chunk in (64, DEFAULT_CHUNK, 100_000):
-            assert simulate(cfg, spec, chunk_size=chunk) == GOLDEN_BENCH_SCALE[(M_SIZE, "mdp")]
+        table = value_iteration(cfg)
+        for chunk in (64, CHUNK, 100_000):
+            monkeypatch.setattr(sim, "CHUNK", chunk)
+            [res] = simulate_policies(cfg, [table], 50_000, 1)
+            assert res == GOLDEN_BENCH_SCALE[(M_SIZE, "mdp")]
 
-    def test_chunking_does_not_change_the_stream(self):
-        spec = SimSpec(10_000, 7, HAND_SCHED)
-        results = {simulate(HAND_CFG, spec, chunk_size=c) for c in (64, 999, 4096, 100_000)}
+    def test_chunking_does_not_change_the_stream(self, monkeypatch):
+        results = set()
+        for chunk in (64, 999, 4096, 100_000):
+            monkeypatch.setattr(sim, "CHUNK", chunk)
+            results.update(simulate_policies(HAND_CFG, [HAND_SCHED], 10_000, 7))
         assert len(results) == 1
 
     def test_matches_exact_for_dynamic_policies(self):
         cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
         table = value_iteration(cfg)
         exact = exact_dvp_chain(cfg, table).dvp
-        res = simulate(cfg, SimSpec(200_000, 5, table))
+        [res] = simulate_policies(cfg, [table], 200_000, 5)
         assert res.ci_low <= exact <= res.ci_high
         for baseline in ("mw", "wfq", "bp", "fifty"):
             exact_b = exact_dvp_chain(cfg, baseline).dvp
-            res_b = simulate(cfg, SimSpec(200_000, 5, baseline))
+            [res_b] = simulate_policies(cfg, [baseline], 200_000, 5)
             assert res_b.ci_low <= exact_b <= res_b.ci_high
 
     def test_interval_coverage(self):
@@ -239,7 +239,7 @@ class TestSimulate:
         exact = 0.75
         covered = 0
         for seed in range(100):
-            res = simulate(HAND_CFG, SimSpec(4000, seed, HAND_SCHED))
+            [res] = simulate_policies(HAND_CFG, [HAND_SCHED], 4000, seed)
             if res.ci_low <= exact <= res.ci_high:
                 covered += 1
         assert covered >= 93
@@ -249,7 +249,7 @@ class TestSimulate:
         stds = []
         for reps in (500, 2000, 8000):
             vals = [
-                simulate(HAND_CFG, SimSpec(reps, 1000 + s, HAND_SCHED)).dvp_hat
+                simulate_policies(HAND_CFG, [HAND_SCHED], reps, 1000 + s)[0].dvp_hat
                 for s in range(40)
             ]
             stds.append(np.std(vals))
@@ -263,55 +263,31 @@ class TestSimulate:
         kept = [ln for ln in text.splitlines() if not ln.startswith("1 1")]
         table = PolicyTable.from_text("\n".join(kept))
         with pytest.raises(PolicyLookupError, match="epoch=1"):
-            simulate(cfg, SimSpec(1000, 3, table))
+            simulate_policies(cfg, [table], 1000, 3)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            SimSpec(0, 1, HAND_SCHED)
+            simulate_policies(HAND_CFG, [HAND_SCHED], 0, 1)
         with pytest.raises(ValueError):
-            SimSpec(10, -1, HAND_SCHED)
+            simulate_policies(HAND_CFG, [HAND_SCHED], 10, -1)
         with pytest.raises(ValueError):
-            simulate(HAND_CFG, SimSpec(10, 1, "round-robin"))
+            simulate_policies(HAND_CFG, ["round-robin"], 10, 1)
         with pytest.raises(TypeError):
-            simulate(HAND_CFG, SimSpec(10, 1, 3.14))
+            simulate_policies(HAND_CFG, [3.14], 10, 1)
 
     @pytest.mark.parametrize(
         "replications, seed", [(True, 1), (2.5, 1), (10.0, 1), (10, True), (10, 1.5)]
     )
     def test_spec_rejects_non_integer_counts(self, replications, seed):
         with pytest.raises(TypeError, match="must be an integer"):
-            SimSpec(replications, seed, HAND_SCHED)
+            simulate_policies(HAND_CFG, [HAND_SCHED], replications, seed)
 
     def test_numpy_integer_counts_accepted(self):
-        spec = SimSpec(np.int64(3000), np.uint64(4), HAND_SCHED)
-        assert simulate(HAND_CFG, spec) == simulate(HAND_CFG, SimSpec(3000, 4, HAND_SCHED))
-
-    def test_chunk_size_below_one_rejected(self):
-        # a chunk of 0 never advanced the replication count; run it in a
-        # child interpreter so that a hang fails the test, not the suite
-        code = (
-            "from dvpsched import ScenarioConfig, Schedule, SimSpec, simulate\n"
-            "cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)\n"
-            "spec = SimSpec(10, 1, Schedule(n1=(1, 1), N=2))\n"
-            "for chunk in (0, -1):\n"
-            "    try:\n"
-            "        simulate(cfg, spec, chunk_size=chunk)\n"
-            "    except ValueError as exc:\n"
-            "        print(exc)\n"
-        )
-        src = str(Path(dvpsched.__file__).resolve().parent.parent)
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [
-            "chunk_size must be >= 1, got 0",
-            "chunk_size must be >= 1, got -1",
-        ]
+        got = simulate_policies(HAND_CFG, [HAND_SCHED], np.int64(3000), np.uint64(4))
+        assert got == simulate_policies(HAND_CFG, [HAND_SCHED], 3000, 4)
 
     def test_run_statistics_stay_out_of_equality(self):
-        res = simulate(GOLDEN_CFG, SimSpec(20_000, 11, "mw"))
+        [res] = simulate_policies(GOLDEN_CFG, ["mw"], 20_000, 11)
         assert res.wall_s > 0.0
         assert res == dataclasses.replace(res, wall_s=0.0)
         assert res == GOLDEN_STREAMS["mw"]
@@ -327,7 +303,7 @@ class TestSimulate:
         backlog_states.cache_clear()  # count the domain's arrays too
         tracemalloc.start()
         try:
-            simulate(cfg, SimSpec(20_000, 1, policy))
+            simulate_policies(cfg, [policy], 20_000, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -360,7 +336,7 @@ class TestSimulatePolicies:
     def test_results_do_not_depend_on_the_other_policies(self):
         cfg = ScenarioConfig(*M_SIZE)
         policies = list(bench_policies(cfg).values())
-        solo = [simulate(cfg, SimSpec(20_000, 3, p)) for p in policies]
+        solo = [simulate_policies(cfg, [p], 20_000, 3)[0] for p in policies]
         assert simulate_policies(cfg, policies, 20_000, 3) == solo
         assert simulate_policies(cfg, policies[::-1], 20_000, 3) == solo[::-1]
         for subset in ([1], [4, 0], [0, 2, 3]):
@@ -369,7 +345,7 @@ class TestSimulatePolicies:
         got = simulate_policies(cfg, [policies[2], policies[0], policies[2]], 20_000, 3)
         assert got == [solo[2], solo[0], solo[2]]
 
-    def test_chunking_does_not_change_a_joint_run(self):
+    def test_chunking_does_not_change_a_joint_run(self, monkeypatch):
         # 2w = 10 words per replication fill 3 Philox blocks of 4
         N = PADDED_CFG.N
         policies = [
@@ -378,10 +354,10 @@ class TestSimulatePolicies:
             value_iteration(PADDED_CFG),
             "bp",
         ]
-        solo = [simulate(PADDED_CFG, SimSpec(600, 5, p)) for p in policies]
-        for chunk in (1, 3, DEFAULT_CHUNK):
-            got = simulate_policies(PADDED_CFG, policies, 600, 5, chunk_size=chunk)
-            assert got == solo
+        solo = [simulate_policies(PADDED_CFG, [p], 600, 5)[0] for p in policies]
+        for chunk in (1, 3, CHUNK):
+            monkeypatch.setattr(sim, "CHUNK", chunk)
+            assert simulate_policies(PADDED_CFG, policies, 600, 5) == solo
 
     def test_partial_table_raises_named_state(self):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
@@ -415,8 +391,6 @@ class TestSimulatePolicies:
             simulate_policies(HAND_CFG, [HAND_SCHED], 10, -1)
         with pytest.raises(TypeError, match="must be an integer"):
             simulate_policies(HAND_CFG, [HAND_SCHED], 10.0, 1)
-        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
-            simulate_policies(HAND_CFG, [HAND_SCHED], 10, 1, chunk_size=0)
 
     def test_no_policies_no_results(self):
         assert simulate_policies(HAND_CFG, [], 1000, 1) == []
@@ -546,7 +520,7 @@ class TestInversionSampling:
         "key, counter", [(0, 0), (1, 0), (11, 3), (7, 2**40 + 5), (2**64 - 1, 2**255)]
     )
     def test_raw_words_are_generator_uniforms(self, key, counter):
-        # simulate forms the uniform from the raw word only where its bucket
+        # the sampler forms the uniform from the raw word only where its bucket
         # holds a threshold, so the two must agree bit for bit
         words = np.random.Philox(key=key, counter=counter).random_raw(4099)
         u = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(4099)
