@@ -9,7 +9,6 @@ from .dvp import EvalResult, dvpub, exact_dvp_chain, wtb_min_s
 from .mdp import PolicyTable, TransitionKernel, value_iteration
 from .model import (
     CapExceededError,
-    PolicyLookupError,
     ScenarioConfig,
     Schedule,
     binomial_pmf,
@@ -34,7 +33,6 @@ from .sim import SimResult, simulate_policies, wilson_interval
 __all__ = [
     "CapExceededError",
     "EvalResult",
-    "PolicyLookupError",
     "PolicyTable",
     "RelaxedSchedule",
     "ScenarioConfig",

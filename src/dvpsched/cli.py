@@ -20,7 +20,6 @@ from .dvp import exact_dvp_chain
 from .mdp import BASELINE_KINDS, PolicyTable, value_iteration
 from .model import (
     CapExceededError,
-    PolicyLookupError,
     ScenarioConfig,
     Schedule,
     check_scenario_field,
@@ -167,10 +166,6 @@ def cmd_eval(args) -> int:
     try:
         config = _config_from(args)
         policy = _policy_source(args, config)
-    except (ValueError, OSError) as exc:
-        return _error(exc, EXIT_USAGE)
-
-    try:
         if args.evaluator == "exact":
             result = exact_dvp_chain(config, policy)
             print(f"dvp={fmt_prob(result.dvp)}")
@@ -183,8 +178,7 @@ def cmd_eval(args) -> int:
             print(f"reps={sim.replications}")
     except CapExceededError as exc:
         return _error(exc, EXIT_INFEASIBLE)
-    except (ValueError, PolicyLookupError) as exc:
-        # a policy file missing a state that the run reaches is malformed
+    except (ValueError, OSError) as exc:
         return _error(exc, EXIT_USAGE)
     return EXIT_OK
 

@@ -353,33 +353,24 @@ def wtb_min_s(config: ScenarioConfig, schedule) -> tuple[float, float]:
 def exact_dvp_chain(config: ScenarioConfig, policy) -> EvalResult:
     """Exact DVP by propagating the joint backlog distribution through the
     w frames under the given policy, in any form mdp.policy_actions accepts
-    (schedule, policy table, baseline name, or callable); each frame is one
-    forward step of mdp.transition_kernel(config) on the backlog grid. A
-    schedule or the even split moves every state under one action; another
-    policy moves each state under its own, split once from its layout over
-    the states (PolicyActions.rows), or, for a callable or a partial table,
-    asked each frame (PolicyActions.ask) for the states with mass only. The
-    batch met the deadline iff both queues are empty at the horizon, since
-    departures equal the initial load minus what is left."""
+    (schedule, policy table, baseline name, or callable) and lays out over
+    the states before the first frame; each frame is one forward step of
+    mdp.transition_kernel(config) on the backlog grid. A schedule or the
+    even split moves every state under one action; another policy moves
+    each state under its own, split once from its rows. The batch met the
+    deadline iff both queues are empty at the horizon, since departures
+    equal the initial load minus what is left."""
     act = policy_actions(policy, config)
     kernel = transition_kernel(config)
     states = kernel.states
     rows = act.rows
     # one action for every state, as a schedule or the even split takes
-    same = rows is not None and len(rows) == 1 and (rows[0] == rows[0, 0]).all()
-    if rows is not None and not same:
+    same = len(rows) == 1 and (rows[0] == rows[0, 0]).all()
+    if not same:
         splits = kernel.split(rows)
     rho = kernel.start()
     for epoch in range(config.w):
-        if same:
-            a = int(act.shift[epoch] + rows[0, 0])
-        elif rows is not None:
-            a = splits[epoch % len(splits)]
-        else:
-            live = np.flatnonzero(rho.ravel()[kernel.cells])
-            acts = np.zeros((1, len(states)), dtype=np.int64)
-            acts[0, live] = act.ask(epoch, live)
-            [a] = kernel.split(acts)
+        a = int(act.shift[epoch] + rows[0, 0]) if same else splits[epoch % len(splits)]
         rho = kernel.forward(rho, a)
     mass = rho.ravel()[kernel.cells]
     return EvalResult(

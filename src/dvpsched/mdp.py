@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .model import (
     CapExceededError,
-    PolicyLookupError,
     ScenarioConfig,
     Schedule,
     backlog_states,
@@ -219,22 +218,41 @@ class PolicyTable:
     actions[k, i] is the slot count for link 1 at epoch k in state i;
     values[k, i] the expected departures collectable from epoch k on. The
     terminal row values[w] is zero, so value takes epochs 0..w and action
-    0..w - 1. Parsed tables may be partial: a missing lookup raises
-    PolicyLookupError, an epoch or a state outside the range ValueError.
+    0..w - 1. A table is complete and valid when made: actions must be an
+    integer (w, S) array with every entry in 0..N and values a (w + 1, S)
+    array, else ValueError; both are kept as read-only copies. An epoch or
+    a state outside the range raises ValueError on lookup.
     """
 
     config: ScenarioConfig
-    actions: np.ndarray  # (w, S) int, -1 marks a missing entry
+    actions: np.ndarray  # (w, S) int
     values: np.ndarray  # (w + 1, S) float
+
+    def __post_init__(self):
+        c = self.config
+        states = backlog_states(c)
+        actions, values = np.array(self.actions), np.array(self.values, dtype=float)
+        if actions.shape != (c.w, len(states)) or values.shape != (c.w + 1, len(states)):
+            raise ValueError(
+                f"actions of shape {actions.shape} and values of shape {values.shape} "
+                f"do not fit w={c.w} over {len(states)} states"
+            )
+        if actions.dtype.kind not in "iu":
+            raise ValueError(f"actions must be integers, got {actions.dtype}")
+        bad = (actions < 0) | (actions > c.N)
+        if bad.any():
+            k, i = np.argwhere(bad)[0]
+            raise ValueError(
+                f"action {actions[k, i]} outside 0..{c.N} "
+                f"at epoch={k} state=({states.q1[i]},{states.q2[i]})"
+            )
+        for name, arr in (("actions", actions.astype(np.int64, copy=False)), ("values", values)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def action(self, epoch: int, q1: int, q2: int) -> int:
         epoch = self._epoch(epoch, self.config.w - 1)
-        a = int(self.actions[epoch, backlog_states(self.config).index(q1, q2)])
-        if a < 0:
-            raise PolicyLookupError(
-                f"no action stored for epoch={epoch} state=({q1},{q2})"
-            )
-        return a
+        return int(self.actions[epoch, backlog_states(self.config).index(q1, q2)])
 
     def value(self, epoch: int, q1: int, q2: int) -> float:
         epoch = self._epoch(epoch, self.config.w)
@@ -249,8 +267,8 @@ class PolicyTable:
 
     def to_text(self) -> str:
         """Line format: one config header, then `epoch q1 q2 action value`
-        rows with values rendered to 12 significant digits, one per stored
-        entry of each epoch, states in the domain's order. The header gives
+        rows with values rendered to 12 significant digits, one per state
+        of each epoch, in the domain's order. The header gives
         p_e to 12 significant digits too, or in full where those would not
         read back as p_e."""
         c = self.config
@@ -261,9 +279,7 @@ class PolicyTable:
         )
         for k in range(c.w):
             for i, (q1, q2) in enumerate(zip(states.q1.tolist(), states.q2.tolist())):
-                a = int(self.actions[k, i])
-                if a >= 0:
-                    buf.write(f"{k} {q1} {q2} {a} {self.values[k, i]:.12g}\n")
+                buf.write(f"{k} {q1} {q2} {self.actions[k, i]} {self.values[k, i]:.12g}\n")
         return buf.getvalue()
 
     @classmethod
@@ -311,7 +327,15 @@ class PolicyTable:
                 raise ValueError(f"line {lineno}: {exc}") from exc
             if not 0 <= a <= config.N:
                 raise ValueError(f"line {lineno}: action {a} outside 0..{config.N}")
+            if actions[k, i] >= 0:
+                raise ValueError(f"line {lineno}: repeated entry epoch={k} state=({q1},{q2})")
             actions[k, i], values[k, i] = a, v
+        missing = np.argwhere(actions < 0)  # epoch-then-state order
+        if missing.size:
+            k, i = missing[0]
+            raise ValueError(
+                f"no action stored for epoch={k} state=({states.q1[i]},{states.q2[i]})"
+            )
         return cls(config=config, actions=actions, values=values)
 
 
@@ -386,34 +410,27 @@ def baseline_actions(kind: str, q1: np.ndarray, q2: np.ndarray, N: int) -> np.nd
 
 @dataclass(frozen=True, eq=False)
 class PolicyActions:
-    """A policy checked against a scenario and read over state indices into
-    model.backlog_states(config), in one of two ways.
-
-    Where the actions are known without asking, rows lays them out over the
-    domain: at epoch k state i takes shift[k] + rows[k % len(rows)][i]. A
-    schedule is its per-epoch actions over one zero row, a baseline one row
-    shared by every epoch, and a table one row per epoch; ask is None.
-    Otherwise rows is None and ask(epoch, idx) gives n1 of the states idx
-    at that epoch: for a callable, which is asked once per distinct state
-    in idx, and for a table that lacks entries, which raises
-    PolicyLookupError naming the epoch and state whose action it lacks."""
+    """A policy checked against a scenario and laid out over state indices
+    into model.backlog_states(config): at epoch k state i takes
+    shift[k] + rows[k % len(rows)][i], an integer in 0..N. A schedule is its
+    per-epoch actions over one zero row, a baseline one row shared by every
+    epoch, and a table or a callable one row per epoch."""
 
     shift: np.ndarray
-    rows: np.ndarray | None
-    ask: Callable[[int, np.ndarray], np.ndarray] | None
+    rows: np.ndarray
 
 
 def policy_actions(policy, config: ScenarioConfig) -> PolicyActions:
-    """Check a policy against the scenario once and return its
-    PolicyActions, the one view of it that both evaluators read.
+    """Check a policy against the scenario and lay it out over the domain
+    as PolicyActions, the one view of it that both evaluators read, before
+    either does any work.
 
-    A policy is a Schedule, a PolicyTable (a missing entry raises
-    PolicyLookupError naming the epoch and state), a baseline name from
-    BASELINE_KINDS, or a callable (epoch, q1, q2) -> n1 on ints. Every form
-    but a callable or a partial table is laid out over the domain once, as
-    rows with ask None. The callable is asked once per distinct state, and
-    an action that is not an integer in 0..N (model.is_integer) raises
-    ValueError naming the epoch and state.
+    A policy is a Schedule, a PolicyTable (complete and in range by
+    construction), a baseline name from BASELINE_KINDS, or a callable
+    (epoch, q1, q2) -> n1 on ints. The callable is asked once per epoch and
+    domain state, in epoch-then-state order, and the first answer that is
+    not an integer in 0..N (model.is_integer) raises ValueError naming its
+    epoch and state.
     """
     states = backlog_states(config)
     shift = np.zeros(config.w, dtype=np.int64)
@@ -424,40 +441,24 @@ def policy_actions(policy, config: ScenarioConfig) -> PolicyActions:
     elif isinstance(policy, PolicyTable):
         if policy.config != config:
             raise ValueError("policy table was built for a different scenario")
-        rows = policy.actions  # -1 marks an entry a partial table lacks
-        if (rows < 0).any():
-
-            def partial(epoch, idx):
-                acts = rows[epoch][idx]
-                missing = np.flatnonzero(acts < 0)
-                if missing.size:  # the table's own lookup raises the error
-                    i = idx[missing[0]]
-                    policy.action(epoch, int(states.q1[i]), int(states.q2[i]))
-                return acts
-
-            return PolicyActions(shift, None, partial)
+        rows = policy.actions
     elif isinstance(policy, str):
         if policy not in BASELINE_KINDS:
             raise ValueError(f"unknown policy name {policy!r}")
         # the rules ignore the epoch
         rows = baseline_actions(policy, states.q1, states.q2, config.N)[None, :]
     elif callable(policy):
-
-        def rule(epoch, idx):
-            index, inverse = np.unique(idx, return_inverse=True)
-            acts = []
-            for s1, s2 in zip(states.q1[index].tolist(), states.q2[index].tolist()):
-                a = policy(epoch, s1, s2)
+        rows = np.empty((config.w, len(states)), dtype=np.int64)
+        for k in range(config.w):
+            for i, (s1, s2) in enumerate(zip(states.q1.tolist(), states.q2.tolist())):
+                a = policy(k, s1, s2)
                 # a float such as 2.0 is refused, not truncated to an action
                 if not is_integer(a) or not 0 <= a <= config.N:
                     raise ValueError(
                         f"policy returned n1={a} outside the integers 0..{config.N} "
-                        f"at epoch={epoch} state=({s1},{s2})"
+                        f"at epoch={k} state=({s1},{s2})"
                     )
-                acts.append(a)
-            return np.array(acts, dtype=np.int64)[inverse]
-
-        return PolicyActions(shift, None, rule)
+                rows[k, i] = a
     else:
         raise TypeError(f"cannot interpret {type(policy).__name__} as a policy")
-    return PolicyActions(shift, rows, None)
+    return PolicyActions(shift, rows)

@@ -27,10 +27,6 @@ class CapExceededError(RuntimeError):
         self.cap = cap
 
 
-class PolicyLookupError(LookupError):
-    """A policy table has no action for a state it is asked about."""
-
-
 # the least value of each integer field of ScenarioConfig
 SCENARIO_MINIMA = {"N": 1, "w": 1, "y": 1, "x1": 0, "x2": 0}
 
@@ -189,13 +185,12 @@ def backlog_states(config: ScenarioConfig) -> BacklogStates:
 
 def binomial_pmf(n: int, p: float, r: int) -> float:
     """P{Binomial(n, p) = r}, computed in log space for stability at the
-    cumulative trial counts (up to a few hundred) this toolkit produces."""
-    n = int(n)
-    r = int(r)
+    cumulative trial counts (up to a few hundred) this toolkit produces.
+    n and r must be integers (check_integer), never truncated to one."""
+    n = check_integer("n", n, 0)
+    r = check_integer("r", r)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     if r < 0 or r > n:
         raise ValueError(f"r={r} outside 0..{n}")
     if p == 0.0:

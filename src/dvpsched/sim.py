@@ -195,10 +195,9 @@ def simulate_policies(
     policy's result depends on neither the other policies, nor their
     order, nor CHUNK. The results share the call's wall_s.
 
-    The counts (check_counts) and every policy are checked before any
-    draw. A callable, or a table that lacks entries, is asked for the
-    actions of a chunk of replications per frame, so a callable is called
-    once per distinct state in each chunk and frame.
+    The counts (check_counts) are checked and every policy is laid out
+    over the domain (so a callable is called once per epoch and state)
+    before any draw.
     """
     check_counts(replications, seed)
     start = time.perf_counter()
@@ -210,13 +209,9 @@ def simulate_policies(
     backlog = states.q1 + states.q2
     cells = Cells.of(_inversion_table(config.N, 1.0 - config.p_e))
     moves = Moves.of(config, cells)
-    # per policy, each link's keys over the domain, one row or one per
-    # epoch; a policy without a layout adds its actions per frame
-    keys = []
-    for act in actions:
-        rows = 0 if act.rows is None else act.rows
-        keys.append((np.atleast_2d(rows * moves.step1 + moves.key1),
-                     np.atleast_2d(rows * moves.step2 + moves.key2)))
+    # per policy, each link's keys over the domain, one row or one per epoch
+    keys = [(act.rows * moves.step1 + moves.key1, act.rows * moves.step2 + moves.key2)
+            for act in actions]
     words_per_rep = 2 * w
     blocks_per_rep = -(-words_per_rep // 4)  # Philox yields 4 words per block
     row = 4 * blocks_per_rep
@@ -246,13 +241,7 @@ def simulate_policies(
                 # every key is in range by construction, so no bounds check
                 key1 = keys[i][0][k % len(keys[i][0])].take(idx, out=buf1, mode="clip")
                 key2 = keys[i][1][k % len(keys[i][1])].take(idx, out=buf2, mode="clip")
-                if act.rows is None:
-                    a = act.ask(k, idx)
-                    key1 += a * moves.step1
-                    key2 += a * moves.step2
-                    shift = 0
-                else:
-                    shift = act.shift[k]
+                shift = act.shift[k]
                 key1 += cell[k]
                 idx += moves.table[shift * moves.step1 :].take(key1, out=key1, mode="clip")
                 key2 += cell[w + k]

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from dvpsched import (
-    PolicyLookupError,
     PolicyTable,
     ScenarioConfig,
     Schedule,
@@ -17,6 +16,7 @@ from dvpsched import (
     simulate_policies,
     value_iteration,
 )
+from dvpsched import sim
 from dvpsched.mdp import (
     BASELINE_KINDS,
     baseline_actions,
@@ -545,14 +545,55 @@ class TestPolicyTable:
             assert len(parts) == 5
 
     def test_missing_state_lookup_names_state(self):
+        # a table is complete or refused when parsed, at its first missing
+        # entry in epoch-then-state order
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
+        lines = value_iteration(cfg).to_text().splitlines()
+        for dropped in ("1 0 0", "0 1 0"):
+            truncated = "\n".join(line for line in lines if not line.startswith(dropped))
+            q1, q2 = dropped.split()[1:]
+            with pytest.raises(ValueError) as exc:
+                PolicyTable.from_text(truncated)
+            assert str(exc.value) == f"no action stored for epoch={dropped[0]} state=({q1},{q2})"
+
+    def test_repeated_entry_refused(self):
+        cfg = ScenarioConfig(N=2, p_e=0.5, w=1, y=1, x1=0, x2=0)
         text = value_iteration(cfg).to_text()
-        truncated = "\n".join(
-            line for line in text.splitlines() if not line.startswith("1 0 0")
-        )
-        parsed = PolicyTable.from_text(truncated)
-        with pytest.raises(PolicyLookupError, match=r"epoch=1 state=\(0,0\)"):
-            parsed.action(1, 0, 0)
+        assert PolicyTable.from_text(text).action(0, 0, 0) == 0
+        with pytest.raises(ValueError) as exc:
+            PolicyTable.from_text(text + "0 0 0 2 0\n")
+        assert str(exc.value) == "line 5: repeated entry epoch=0 state=(0,0)"
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda acts: acts * 0 + 4, r"action 4 outside 0\.\.3 at epoch=0 state=\(0,0\)"),
+            (lambda acts: acts * 0 + 99, r"action 99 outside 0\.\.3 at epoch=0 state=\(0,0\)"),
+            (lambda acts: acts + 0.5, "actions must be integers, got float64"),
+            (lambda acts: acts[:, :-1], r"actions of shape \(3, 8\) .* do not fit w=3 over 9"),
+            (lambda acts: acts[:-1], r"actions of shape \(2, 9\) .* do not fit w=3 over 9"),
+        ],
+        ids=["N+1", "99", "float", "short-row", "missing-epoch"],
+    )
+    def test_hand_built_table_checked_when_made(self, bad, message):
+        # such tables ran unchecked under Monte Carlo's clipped lookups
+        cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
+        table = value_iteration(cfg)
+        with pytest.raises(ValueError, match=message):
+            PolicyTable(cfg, bad(table.actions), table.values)
+        with pytest.raises(ValueError, match=r"values of shape \(3, 9\) do not fit"):
+            PolicyTable(cfg, table.actions, table.values[:-1])
+
+    def test_made_table_is_read_only(self):
+        cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
+        built = value_iteration(cfg)
+        actions, values = built.actions.astype(np.int32), built.values.copy()
+        table = PolicyTable(cfg, actions, values)
+        assert table.actions.dtype == np.int64 and np.array_equal(table.actions, actions)
+        for arr in (table.actions, table.values, built.actions, built.values):
+            assert not arr.flags.writeable
+        actions[0, 0] = 3 - actions[0, 0]  # the table keeps its own copy
+        assert table.actions[0, 0] != actions[0, 0]
 
     def test_parse_error_carries_line_number(self):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=1, y=1, x1=0, x2=0)
@@ -693,10 +734,11 @@ class TestResolvePolicy:
     def test_truncated_table_names_state(self):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
         text = value_iteration(cfg).to_text()
-        # drop every epoch-1 row with q1 == 1 (reachable when frame 0 fails)
+        # drop every epoch-1 row with q1 == 1 (reachable when frame 0 fails):
+        # the text is refused before either evaluator could read it
         kept = [ln for ln in text.splitlines() if not ln.startswith("1 1")]
-        table = PolicyTable.from_text("\n".join(kept))
-        assert_both_raise(PolicyLookupError, cfg, table, match=r"epoch=1 state=\(1,")
+        with pytest.raises(ValueError, match=r"^no action stored for epoch=1 state=\(1,0\)$"):
+            PolicyTable.from_text("\n".join(kept))
 
     def test_callable_policy_through_chain(self):
         # an epoch-switching rule equals the matching fixed schedule, to the
@@ -716,10 +758,19 @@ class TestResolvePolicy:
         assert simulate_policies(cfg, [rule], 5000, 2) == simulate_policies(cfg, ["mw"], 5000, 2)
 
     def test_out_of_range_action_reported(self):
+        # the first bad answer in epoch-then-state order, (0,0), not the
+        # start state (1,0) that the run visits first
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
         assert_both_raise(
-            ValueError, cfg, lambda epoch, q1, q2: 5, match=r"n1=5 .* epoch=0 state=\(1,0\)"
+            ValueError, cfg, lambda epoch, q1, q2: 5, match=r"n1=5 .* epoch=0 state=\(0,0\)"
         )
+
+    def test_bad_action_at_an_unreached_state_raises(self):
+        # frame 0 only sees the start state (1,0), and no run reaches (0,0)
+        # at epoch 0; the policy is refused all the same, by both evaluators
+        cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
+        rule = lambda epoch, q1, q2: 7 if (epoch, q1, q2) == (0, 0, 0) else 1
+        assert_both_raise(ValueError, cfg, rule, match=r"n1=7 .* epoch=0 state=\(0,0\)")
 
     @pytest.mark.parametrize(
         "action",
@@ -729,7 +780,7 @@ class TestResolvePolicy:
     def test_non_integer_action_reported(self, action):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
         assert_both_raise(
-            ValueError, cfg, lambda epoch, q1, q2: action, match=r"epoch=0 state=\(1,0\)"
+            ValueError, cfg, lambda epoch, q1, q2: action, match=r"epoch=0 state=\(0,0\)"
         )
 
     def test_numpy_integer_action_accepted(self):
@@ -741,7 +792,6 @@ class TestResolvePolicy:
 def laid_out(act, epoch, idx):
     """The actions that a policy laid out as rows and shift gives the
     states idx at epoch, as both evaluators read them."""
-    assert act.ask is None
     return act.shift[epoch] + act.rows[epoch % len(act.rows)][idx]
 
 
@@ -768,45 +818,44 @@ class TestPolicyActions:
 
     def test_layout_of_each_form(self):
         # what the sampler keys its moves by: a schedule never lays out a
-        # w x S array, a baseline one row, a table its own rows; only a
-        # form without a layout is asked
+        # w x S array, a baseline one row, a table its own rows and a
+        # callable one row per epoch of its answers
         cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
         S = len(backlog_states(cfg))
         schedule = policy_actions(Schedule(n1=(2, 0, 3), N=3), cfg)
-        assert schedule.shift.tolist() == [2, 0, 3] and schedule.ask is None
+        assert schedule.shift.tolist() == [2, 0, 3]
         assert schedule.rows.shape == (1, S) and not schedule.rows.any()
         baseline = policy_actions("mw", cfg)
         assert baseline.shift.tolist() == [0, 0, 0] and baseline.rows.shape == (1, S)
-        assert baseline.ask is None
         table = value_iteration(cfg)
-        laid = policy_actions(table, cfg)
-        assert laid.rows is table.actions and laid.ask is None
-        rule = policy_actions(lambda epoch, q1, q2: 1, cfg)
-        assert rule.rows is None and callable(rule.ask)
-        text = table.to_text()
-        partial = PolicyTable.from_text("\n".join(text.splitlines()[:-1]))
-        lacking = policy_actions(partial, cfg)
-        assert lacking.rows is None and callable(lacking.ask)
+        assert policy_actions(table, cfg).rows is table.actions
+        rule = policy_actions(lambda epoch, q1, q2: epoch if q1 >= q2 else 0, cfg)
+        assert rule.shift.tolist() == [0, 0, 0]
+        want = np.where(baseline.rows[0] == 3, np.arange(3)[:, None], 0)
+        assert rule.rows.dtype == np.int64 and np.array_equal(rule.rows, want)
 
-    def test_callable_asked_once_per_distinct_state_and_frame(self):
+    def test_callable_asked_once_per_distinct_state_and_frame(self, monkeypatch):
+        # once per epoch and domain state, in that order, before any work,
+        # whatever the evaluator, the replication count or the chunk size
         cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
+        states = backlog_states(cfg)
+        every = [(k, q1, q2) for k in range(cfg.w)
+                 for q1, q2 in zip(states.q1.tolist(), states.q2.tolist())]
         calls = []
 
         def rule(epoch, q1, q2):
             calls.append((epoch, q1, q2))
             return 3 if q1 >= q2 else 0
 
-        act = policy_actions(rule, cfg)
-        states = backlog_states(cfg)
-        idx = np.array([4, 0, 4, 2, 0, 4])
-        want = baseline_actions("mw", states.q1[idx], states.q2[idx], 3)
-        assert np.array_equal(act.ask(1, idx), want)
-        assert sorted(calls) == sorted((1, states.q1[i], states.q2[i]) for i in (0, 2, 4))
-        # one chunk: each state a frame reaches is asked about once
-        calls.clear()
-        assert simulate_policies(cfg, [rule], 5000, 2) == simulate_policies(cfg, ["mw"], 5000, 2)
-        assert len(calls) == len(set(calls))
-        assert {epoch for epoch, _, _ in calls} == set(range(cfg.w))
-        calls.clear()
-        assert exact_dvp_chain(cfg, rule) == exact_dvp_chain(cfg, "mw")
-        assert len(calls) == len(set(calls))
+        def asked(evaluate):
+            calls.clear()
+            result = evaluate()
+            assert calls == every
+            return result
+
+        assert asked(lambda: exact_dvp_chain(cfg, rule)) == exact_dvp_chain(cfg, "mw")
+        for reps in (1, 600):
+            for chunk in (1, 3, sim.CHUNK):
+                monkeypatch.setattr(sim, "CHUNK", chunk)
+                got = asked(lambda: simulate_policies(cfg, [rule], reps, 2))
+                assert got == simulate_policies(cfg, ["mw"], reps, 2)

@@ -40,6 +40,18 @@ class TestBinomialPmf:
             1.0, abs=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "n, r, name",
+        [(2.7, 1, "n"), (2.0, 1, "n"), ("2", 1, "n"), (True, 1, "n"), (3, 1.9, "r"), (3, True, "r")],
+    )
+    def test_non_integer_counts_rejected(self, n, r, name):
+        # never truncated to an integer count
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            binomial_pmf(n, 0.5, r)
+
+    def test_numpy_integer_counts_accepted(self):
+        assert binomial_pmf(np.int64(3), 0.5, np.int32(1)) == binomial_pmf(3, 0.5, 1)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             binomial_pmf(3, 0.5, 4)

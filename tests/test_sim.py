@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dvpsched import (
-    PolicyLookupError,
     PolicyTable,
     ScenarioConfig,
     Schedule,
@@ -260,10 +259,9 @@ class TestSimulate:
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
         text = value_iteration(cfg).to_text()
         # drop every epoch-1 row with q1 == 1 (reachable when frame 0 fails)
-        kept = [ln for ln in text.splitlines() if not ln.startswith("1 1")]
-        table = PolicyTable.from_text("\n".join(kept))
-        with pytest.raises(PolicyLookupError, match="epoch=1"):
-            simulate_policies(cfg, [table], 1000, 3)
+        kept = "\n".join(ln for ln in text.splitlines() if not ln.startswith("1 1"))
+        with pytest.raises(ValueError, match=r"^no action stored for epoch=1 state=\(1,0\)$"):
+            simulate_policies(cfg, ["mw", PolicyTable.from_text(kept)], 1000, 3)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -359,13 +357,27 @@ class TestSimulatePolicies:
             monkeypatch.setattr(sim, "CHUNK", chunk)
             assert simulate_policies(PADDED_CFG, policies, 600, 5) == solo
 
-    def test_partial_table_raises_named_state(self):
-        cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
-        text = value_iteration(cfg).to_text()
-        kept = [ln for ln in text.splitlines() if not ln.startswith("1 1")]
-        table = PolicyTable.from_text("\n".join(kept))
-        with pytest.raises(PolicyLookupError, match=r"epoch=1 state=\(1,\d\)"):
-            simulate_policies(cfg, ["mw", table, "bp"], 1000, 3)
+    def test_partial_table_raises_named_state(self, monkeypatch):
+        # a table lacking only epoch 2's row for (2,1), which a run reaches
+        # with probability 6.4e-5, is refused alike by both evaluators and
+        # for every seed, when parsed and so before any draw
+        cfg = ScenarioConfig(N=3, p_e=0.2, w=3, y=1, x1=1, x2=1)
+        lines = value_iteration(cfg).to_text().splitlines()
+        text = "\n".join(ln for ln in lines if not ln.startswith("2 2 1 "))
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking every policy")
+
+        monkeypatch.setattr(np.random, "Philox", no_draws)
+        runs = [lambda: exact_dvp_chain(cfg, PolicyTable.from_text(text))]
+        runs += [
+            lambda seed=seed: simulate_policies(cfg, ["mw", PolicyTable.from_text(text)], 1000, seed)
+            for seed in range(6)
+        ]
+        for run in runs:
+            with pytest.raises(ValueError) as exc:
+                run()
+            assert str(exc.value) == "no action stored for epoch=2 state=(2,1)"
 
     @pytest.mark.parametrize(
         "bad, error",
@@ -374,6 +386,10 @@ class TestSimulatePolicies:
             (Schedule(n1=(1, 1, 1), N=2), ValueError),
             (Schedule(n1=(1, 1), N=3), ValueError),
             (3.14, TypeError),
+            pytest.param(  # bad only at (0,0) in frame 0, which no run reaches
+                lambda epoch, q1, q2: 7 if (epoch, q1, q2) == (0, 0, 0) else 1, ValueError,
+                id="callable-bad-where-unreached",
+            ),
         ],
     )
     def test_invalid_policy_raises_before_any_draw(self, monkeypatch, bad, error):
