@@ -12,14 +12,18 @@ A draw is read as its cell: [0, 1) is cut at every threshold of the
 inversion table, so a cell fixes every row's service count. Each chunk
 maps its words to cells once for all policies, by a guide table (indexed
 search, Chen & Asau 1974) on the word's top GUIDE_BITS bits; only the few
-words in a bucket that a threshold cuts form the uniform and search the
-cuts, so the draws, and the stream, are the same as with full counting. Each
-replication's backlog is one index into model.backlog_states, which a
-frame moves by two lookups in one table of index changes per link,
-action, queue backlog and cell (Moves), keyed by the policy's layout over
-the domain (mdp.PolicyActions). simulate_policies, the one entry point,
-runs one or several policies of one scenario over the same words (common
-random numbers), drawing each chunk once for all of them.
+words in a bucket that a threshold cuts (see GUIDE_BITS) form the uniform
+and search the cuts, so the draws, and the stream, are the same as with
+full counting. Each replication's backlog is one index into
+model.backlog_states, which a frame moves by two lookups in one table of
+index changes per link, action, queue backlog and cell (Moves), keyed by
+the policy's layout over the domain (mdp.PolicyActions). Every
+replication starts at states.start, so frame 0 reads each link's change
+from a vector over the cells, one pair per policy. Link 1 only moves
+packets from queue 1 to queue 2, so the last frame adds link 2's change
+to the backlog and makes no next index. simulate_policies, the one entry
+point, runs one or several policies of one scenario over the same words
+(common random numbers), drawing each chunk once for all of them.
 """
 from __future__ import annotations
 
@@ -41,7 +45,10 @@ WILSON_Z = 1.959963984540054  # two-sided 95%
 CHUNK = 1 << 14  # replications per chunk; no result depends on it
 WORD_BLOCK = 1 << 10  # replications whose words are made and mapped to cells at once
 MOVES_BYTE_CAP = 100_000_000  # Moves.table: 8 (N+1)(q1_max+N+2) bytes per draw cell
-GUIDE_BITS = 10  # 1 024 buckets; fewer than 1% of them hold a threshold for N <= 20
+# 16 384 buckets (128 kB); a threshold lies strictly inside 0.12 % of them
+# at S, 0.28 % at the M-size cell (10, 0.5, 8, 5, 5, 5) and 1.08 % at
+# N = 20, pe = 0.4, and only the draws in those buckets search the cuts
+GUIDE_BITS = 14
 
 
 def check_counts(replications, seed) -> None:
@@ -55,8 +62,10 @@ def check_counts(replications, seed) -> None:
 @dataclass(frozen=True)
 class SimResult:
     """The estimate and its Wilson interval. wall_s, the wall time of the
-    call that produced the result (so the results of one simulate_policies
-    call share it), takes no part in equality."""
+    call that produced the result, and searched_draws, the call's draws
+    that fell in a cut guide bucket and searched the cuts (Cells.of_words),
+    are shared by the results of one simulate_policies call and take no
+    part in equality."""
 
     dvp_hat: float
     ci_low: float
@@ -64,6 +73,7 @@ class SimResult:
     mean_departures: float
     replications: int
     wall_s: float = field(default=0.0, compare=False)
+    searched_draws: int = field(default=0, compare=False)
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -113,11 +123,12 @@ class Cells:
         counts = np.stack([np.searchsorted(row, cuts, side="right") for row in cdf])
         return cls(cuts, bucket_cell, counts)
 
-    def of_words(self, words: np.ndarray) -> np.ndarray:
-        """The cells of raw Philox words, transposed: out[j, r] is the cell
-        of the uniform (words[r, j] >> 11) * 2**-53. Only the words in a
-        cut bucket form the uniform, the one Generator.random makes, and
-        search the cuts for it."""
+    def of_words(self, words: np.ndarray) -> tuple[np.ndarray, int]:
+        """The cells of raw Philox words, transposed, and how many words
+        searched the cuts: out[j, r] is the cell of the uniform
+        (words[r, j] >> 11) * 2**-53. Only the words in a cut bucket form
+        the uniform, the one Generator.random makes, and search the cuts
+        for it."""
         out = np.empty(words.shape[::-1], dtype=np.int64)
         np.right_shift(words.T, 64 - GUIDE_BITS, out=out, casting="unsafe")
         self.bucket_cell.take(out, out=out, mode="clip")
@@ -129,7 +140,7 @@ class Cells:
             # in ascending order the search runs without backtracking
             order = np.argsort(u)
             flat[inside[order]] = np.searchsorted(self.cuts, u[order], side="right") - 1
-        return out
+        return out, inside.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +151,9 @@ class Moves:
     table[key2[i] + a * step2 + c2]. The first lookup is link 1's change
     R(q1 - d1) + d1 - R(q1), with R(q) the index of (q, 0) and d1 =
     min(q1, s1); the second is -min(q2, s2), the same for every q2 >= N,
-    with s2 drawn for N - a slots."""
+    with s2 drawn for N - a slots. Link 1 leaves the backlog q1 + q2
+    unchanged, so the second lookup alone is the backlog's change: the
+    last frame of simulate_policies needs no first lookup."""
 
     table: np.ndarray
     key1: np.ndarray
@@ -193,7 +206,8 @@ def simulate_policies(
     each chunk's Philox words and draw cells are made once and every
     policy's frames run over them in turn (common random numbers), so a
     policy's result depends on neither the other policies, nor their
-    order, nor CHUNK. The results share the call's wall_s.
+    order, nor CHUNK. The results share the call's wall_s and
+    searched_draws.
 
     The counts (check_counts) are checked and every policy is laid out
     over the domain (so a callable is called once per epoch and state)
@@ -212,12 +226,22 @@ def simulate_policies(
     # per policy, each link's keys over the domain, one row or one per epoch
     keys = [(act.rows * moves.step1 + moves.key1, act.rows * moves.step2 + moves.key2)
             for act in actions]
+    # frame 0 starts every replication at states.start, so each link's
+    # change depends only on its cell: per policy, link 1's next index and
+    # link 2's change over the C cells
+    C = len(cells.cuts)
+    firsts = []
+    for act, (keys1, keys2) in zip(actions, keys):
+        at1 = act.shift[0] * moves.step1 + keys1[0][states.start]
+        at2 = act.shift[0] * moves.step2 + keys2[0][states.start]
+        firsts.append((states.start + moves.table[at1 : at1 + C], moves.table[at2 : at2 + C]))
     words_per_rep = 2 * w
     blocks_per_rep = -(-words_per_rep // 4)  # Philox yields 4 words per block
     row = 4 * blocks_per_rep
 
     violations = [0] * len(actions)
     departed = [0] * len(actions)
+    searched = 0
     done = 0
     # one chunk's buffers, allocated once and reused by every chunk (the
     # last through its first n columns): fresh ones per chunk let the
@@ -234,11 +258,19 @@ def simulate_policies(
         # made and transposed a cache-sized block of replications at a time
         for lo in range(0, n, WORD_BLOCK):
             words = philox.random_raw(min(WORD_BLOCK, n - lo) * row).reshape(-1, row)
-            cell[:, lo : lo + len(words)] = cells.of_words(words[:, :words_per_rep])
+            # unpacked straight into the chunk, so no block outlives its copy
+            cell[:, lo : lo + len(words)], hits = cells.of_words(words[:, :words_per_rep])
+            searched += hits
         for i, act in enumerate(actions):
-            idx.fill(states.start)
-            for k in range(w):
-                # every key is in range by construction, so no bounds check
+            first1, first2 = firsts[i]
+            # every key is in range by construction, so no take checks bounds;
+            # frame 0 is also the last frame at w = 1
+            if w == 1:
+                idx.fill(states.start)
+            else:
+                first1.take(cell[0], out=idx, mode="clip")
+                idx += first2.take(cell[w], out=buf1, mode="clip")
+            for k in range(1, w - 1):
                 key1 = keys[i][0][k % len(keys[i][0])].take(idx, out=buf1, mode="clip")
                 key2 = keys[i][1][k % len(keys[i][1])].take(idx, out=buf2, mode="clip")
                 shift = act.shift[k]
@@ -246,8 +278,15 @@ def simulate_policies(
                 idx += moves.table[shift * moves.step1 :].take(key1, out=key1, mode="clip")
                 key2 += cell[w + k]
                 idx += moves.table[shift * moves.step2 :].take(key2, out=key2, mode="clip")
-            violations[i] += int(np.count_nonzero(states.nonempty[idx]))
-            departed[i] += n * config.total_load - int(backlog[idx].sum())
+            # link 1 keeps packets in the system, so the last frame
+            # changes the backlog by link 2's change alone
+            k = w - 1
+            left = backlog.take(idx, out=buf1, mode="clip")
+            key2 = keys[i][1][k % len(keys[i][1])].take(idx, out=buf2, mode="clip")
+            key2 += cell[w + k]
+            left += moves.table[act.shift[k] * moves.step2 :].take(key2, out=key2, mode="clip")
+            violations[i] += int(np.count_nonzero(left))
+            departed[i] += n * config.total_load - int(left.sum())
         done += n
 
     wall_s = time.perf_counter() - start
@@ -261,5 +300,6 @@ def simulate_policies(
             mean_departures=d / replications,
             replications=replications,
             wall_s=wall_s,
+            searched_draws=searched,
         ))
     return results

@@ -16,6 +16,7 @@ from dvpsched import (
     wilson_interval,
 )
 from dvpsched import sim
+from dvpsched.mdp import baseline_actions
 from dvpsched.model import CapExceededError, backlog_states
 from dvpsched.oracles import QueueState, binomial_cdf, step_queues
 from dvpsched.semistatic import even_split
@@ -315,6 +316,38 @@ def bench_policies(cfg):
     }
 
 
+def sampled_counts(config, policy, replications, seed):
+    """Violations and departures of replications 0..replications - 1, one
+    at a time in pure Python: replication r reads 2w words from
+    Philox(key=seed, counter=r * blocks), frame k's service counts are the
+    thresholds of the inversion table that the uniforms of words k and
+    w + k reach, and oracles.step_queues moves the queues."""
+    N, w = config.N, config.w
+    cdf = _inversion_table(N, 1.0 - config.p_e).tolist()
+    blocks = -(-2 * w // 4)
+    if isinstance(policy, Schedule):
+        act = lambda k, q1, q2: policy.n1[k]
+    elif isinstance(policy, PolicyTable):
+        act = policy.action
+    elif isinstance(policy, str):
+        act = lambda k, q1, q2: int(baseline_actions(policy, [q1], [q2], N)[0])
+    else:
+        act = policy
+    violations = departed = 0
+    for r in range(replications):
+        words = np.random.Philox(key=seed, counter=r * blocks).random_raw(2 * w)
+        u = [(int(word) >> 11) * 2.0**-53 for word in words]
+        state = QueueState(config.first_hop_load, config.x2)
+        for k in range(w):
+            a = act(k, *state)
+            s1 = sum(t <= u[k] for t in cdf[a])
+            s2 = sum(t <= u[w + k] for t in cdf[N - a])
+            state, d2 = step_queues(state, s1, s2)
+            departed += d2
+        violations += state.q1 + state.q2 > 0
+    return violations, departed
+
+
 PADDED_CFG = ScenarioConfig(N=5, p_e=0.35, w=5, y=2, x1=1, x2=2)
 
 
@@ -438,6 +471,49 @@ class TestSimulatePolicies:
         monkeypatch.setattr(sim, "MOVES_BYTE_CAP", nbytes)  # at the cap it is made
         assert Moves.of(cfg, cells).table.nbytes == nbytes
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            (4, 0.3, 1, 1, 1, 1),  # the first frame is the last
+            (5, 0.35, 2, 2, 1, 2),  # no middle frame
+            (4, 0.3, 3, 2, 1, 1),
+            (5, 0.35, 5, 2, 1, 2),  # 2w = 10 words pad 3 blocks of 4
+        ],
+        ids=str,
+    )
+    def test_counts_equal_a_per_replication_sampler(self, monkeypatch, scenario):
+        cfg = ScenarioConfig(*scenario)
+        N, w = cfg.N, cfg.w
+        policies = [
+            Schedule(n1=tuple((3 * k + 1) % N + 1 for k in range(w)), N=N),
+            value_iteration(cfg),
+            "bp",
+            lambda epoch, q1, q2: min(N, q1 + epoch % 2),
+        ]
+        monkeypatch.setattr(sim, "CHUNK", 3)
+        results = simulate_policies(cfg, policies, 301, 17)
+        for policy, res in zip(policies, results):
+            v, d = sampled_counts(cfg, policy, 301, 17)
+            assert (res.dvp_hat, res.mean_departures) == (v / 301, d / 301), policy
+
+    def test_searched_draws_counted_from_the_raw_words(self, monkeypatch):
+        # the draws whose guide bucket, a word's top GUIDE_BITS bits, holds
+        # a threshold strictly inside it, at S
+        cfg = ScenarioConfig(6, 0.4, 6, 1, 3, 3)
+        buckets = 1 << GUIDE_BITS
+        edges = np.arange(buckets) / buckets
+        thresholds = np.unique(_inversion_table(cfg.N, 1.0 - cfg.p_e))
+        cut = ((thresholds > edges[:, None]) & (thresholds < edges[:, None] + 1 / buckets)).any(axis=1)
+        words = np.random.Philox(key=4).random_raw(20_000 * 12).reshape(20_000, 12)
+        want = int(cut[words >> (64 - GUIDE_BITS)].sum())
+        assert want > 0
+        results = simulate_policies(cfg, ["mw", "bp"], 20_000, 4)
+        assert [r.searched_draws for r in results] == [want, want]
+        monkeypatch.setattr(sim, "CHUNK", 999)
+        [res] = simulate_policies(cfg, ["mw"], 20_000, 4)
+        assert res.searched_draws == want
+        assert res == dataclasses.replace(res, searched_draws=0) == results[0]
+
 
 class TestWilson:
     def test_contains_point_estimate(self):
@@ -477,23 +553,24 @@ class TestInversionSampling:
         for N in range(21):
             cdf = _inversion_table(N, 1.0 - p_e)
             cells = Cells.of(cdf)
-            thresholds = cdf.ravel()
+            thresholds = np.unique(cdf)
             assert cells.cuts.tolist() == sorted({0.0} | set(thresholds[thresholds < 1.0].tolist())), N
             inside = (thresholds > edges[:, None]) & (thresholds < edges[:, None] + 1 / buckets)
             assert np.array_equal(cells.bucket_cell < 0, inside.any(axis=1)), N
-            for a in range(N + 1):
-                # the thresholds and bucket edges as raw Philox words: the
-                # 53-bit values on either side of each, with the 11 low
-                # bits, which the uniform drops, clear and set
-                points = np.concatenate([cdf[a], edges, [0.0, np.nextafter(1.0, 0.0)]])
-                m = np.ceil(points * 2.0**53).astype(np.int64)
-                m = np.clip(np.concatenate([m - 1, m, m + 1]), 0, 2**53 - 1).astype(np.uint64)
-                words = np.concatenate([m << 11, (m << 11) | 0x7FF])
-                cell = cells.of_words(words[:, None])[0]
-                u = (words >> 11) * 2.0**-53
-                assert np.all(cells.cuts[cell] <= u), (N, a)
-                assert np.all(u < np.append(cells.cuts, 1.0)[cell + 1]), (N, a)
-                assert np.array_equal(cells.counts[a, cell], (u[:, None] >= cdf[a]).sum(axis=1)), (N, a)
+            # every threshold of every row and every bucket edge as raw
+            # Philox words: the 53-bit values on either side of each, with
+            # the 11 low bits, which the uniform drops, clear and set
+            points = np.concatenate([thresholds, edges, [0.0, np.nextafter(1.0, 0.0)]])
+            m = np.ceil(points * 2.0**53).astype(np.int64)
+            m = np.clip(np.concatenate([m - 1, m, m + 1]), 0, 2**53 - 1).astype(np.uint64)
+            words = np.concatenate([m << 11, (m << 11) | 0x7FF])
+            [cell], _ = cells.of_words(words[:, None])
+            u = (words >> 11) * 2.0**-53
+            assert np.all(cells.cuts[cell] <= u), N
+            assert np.all(u < np.append(cells.cuts, 1.0)[cell + 1]), N
+            # each row's draw, #{cdf[a] <= u}, counted in the sorted row
+            draws = np.stack([np.searchsorted(np.sort(row), u, side="right") for row in cdf])
+            assert np.array_equal(cells.counts.take(cell, axis=1), draws), N
 
     @pytest.mark.parametrize(
         "scenario",
