@@ -20,7 +20,6 @@ from .semistatic import (
     SemiStaticResult,
     e_dvpub,
     e_wtb,
-    exhaustive,
     fifty_fifty,
     neighbor_search,
     opt,
@@ -47,7 +46,6 @@ __all__ = [
     "e_wtb",
     "exact_dvp_chain",
     "exact_dvp_enum",
-    "exhaustive",
     "fifty_fifty",
     "neighbor_search",
     "opt",

@@ -28,42 +28,34 @@ from .model import (
 from .sim import check_counts, simulate_policies
 
 
-class Sources(NamedTuple):
-    """What a method's solve draws on: `relaxed(config)` gives the relaxed
-    schedule the wtb-* methods start from, and `full_domain` widens opt's
-    search."""
-
-    relaxed: Callable
-    full_domain: bool = False
-
-
 class Method(NamedTuple):
     """How `solve` and `sweep` obtain one method's policy, and for a
     semi-static method the criterion its score is.
 
-    `solve(config, sources)` returns a SemiStaticResult for a semi-static
+    `solve(config, relaxed)` returns a SemiStaticResult for a semi-static
     method (its score is the `score` criterion), else a PolicyTable or a
-    baseline name. Solvers are looked up when called, so that wrapping them
-    in their modules reaches this table too."""
+    baseline name; `relaxed(config)` gives the relaxed schedule the wtb-*
+    methods start from. Solvers are looked up when called, so that wrapping
+    them in their modules reaches this table too."""
 
     solve: Callable
     score: str = ""
 
 
 METHODS = {
-    "wtb-r": Method(lambda c, src: semistatic.round_nearest(c, src.relaxed(c)), "wtb"),
-    "wtb-w": Method(lambda c, src: semistatic.neighbor_search(c, src.relaxed(c), "wtb"), "wtb"),
+    "wtb-r": Method(lambda c, relaxed: semistatic.round_nearest(c, relaxed(c)), "wtb"),
+    "wtb-w": Method(lambda c, relaxed: semistatic.neighbor_search(c, relaxed(c), "wtb"), "wtb"),
     "wtb-d": Method(
-        lambda c, src: semistatic.neighbor_search(c, src.relaxed(c), "dvpub"), "dvpub"
+        lambda c, relaxed: semistatic.neighbor_search(c, relaxed(c), "dvpub"), "dvpub"
     ),
-    "e-wtb": Method(lambda c, src: semistatic.e_wtb(c), "wtb"),
-    "e-dvpub": Method(lambda c, src: semistatic.e_dvpub(c), "dvpub"),
-    "opt": Method(lambda c, src: semistatic.opt(c, full_domain=src.full_domain), "dvp"),
-    "fifty": Method(lambda c, src: semistatic.fifty_fifty(c), "dvp"),
-    "mdp": Method(lambda c, src: value_iteration(c)),
-    "mw": Method(lambda c, src: "mw"),
-    "wfq": Method(lambda c, src: "wfq"),
-    "bp": Method(lambda c, src: "bp"),
+    "e-wtb": Method(lambda c, relaxed: semistatic.e_wtb(c), "wtb"),
+    "e-dvpub": Method(lambda c, relaxed: semistatic.e_dvpub(c), "dvpub"),
+    "opt": Method(lambda c, relaxed: semistatic.opt(c), "dvp"),
+    "fifty": Method(lambda c, relaxed: semistatic.fifty_fifty(c), "dvp"),
+    "mdp": Method(lambda c, relaxed: value_iteration(c)),
+    "mw": Method(lambda c, relaxed: "mw"),
+    "wfq": Method(lambda c, relaxed: "wfq"),
+    "bp": Method(lambda c, relaxed: "bp"),
 }
 
 EXIT_OK = 0
@@ -120,7 +112,10 @@ def cmd_solve(args) -> int:
         except OSError as exc:
             return _error(exc, EXIT_USAGE)
     try:
-        result = method.solve(config, Sources(semistatic.solve_relaxed, args.full_domain))
+        if args.full_domain:
+            result = semistatic.opt(config, full_domain=True)
+        else:
+            result = method.solve(config, semistatic.solve_relaxed)
     except (CapExceededError, ValueError) as exc:
         if out is not None:
             out.close()
@@ -205,8 +200,8 @@ SCALAR_KEYS = ("evaluator", "reps", "seed")
 
 def parse_sweep_file(text: str) -> SweepSpec:
     """Flat key = value syntax, commas separate list entries, # comments.
-    A value that is not of its key's type, or that no scenario allows,
-    raises ValueError naming its line."""
+    A value that is not of its key's type, that no scenario allows, or that
+    repeats within its list, raises ValueError naming its line."""
     values: dict[str, list[str]] = {}
     lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -237,7 +232,7 @@ def parse_sweep_file(text: str) -> SweepSpec:
 
     def parsed(key: str, kind=int, field: str | None = None) -> list:
         """The key's values as kind, each checked as ScenarioConfig checks
-        its field, if one is named."""
+        its field, if one is named, and against the values before it."""
         out = []
         for item in values[key]:
             try:
@@ -250,10 +245,12 @@ def parse_sweep_file(text: str) -> SweepSpec:
                     check_scenario_field(field, value)
                 except ValueError as exc:
                     raise ValueError(f"line {lines[key]}: {exc}") from None
+            if value in out:
+                raise ValueError(f"line {lines[key]}: {key} repeats {item!r}")
             out.append(value)
         return out
 
-    policies = values["policies"]
+    policies = parsed("policies", str)
     for p in policies:
         if p not in METHODS:
             raise ValueError(f"unknown policy {p!r}")
@@ -277,13 +274,13 @@ def parse_sweep_file(text: str) -> SweepSpec:
     )
 
 
-def _cell_policy(config: ScenarioConfig, policy_name: str, sources: Sources):
+def _cell_policy(config: ScenarioConfig, policy_name: str, relaxed: Callable):
     """The schedule, table or baseline name that one sweep cell evaluates."""
     if policy_name == "fifty":
         # the cell evaluates the schedule itself; fifty_fifty would score it too
         return semistatic.even_split(config)
     method = METHODS[policy_name]
-    policy = method.solve(config, sources)
+    policy = method.solve(config, relaxed)
     return policy.schedule if method.score else policy
 
 
@@ -341,21 +338,6 @@ class SweepRow:
             cells.append(self.error.replace(",", ";").replace("\n", " "))
         return ",".join(cells)
 
-    @classmethod
-    def from_csv(cls, line: str) -> "SweepRow":
-        parts = line.split(",")
-        if len(parts) not in (11, 12):
-            raise ValueError(f"expected 11 or 12 fields, got {len(parts)}")
-        return cls(
-            x1=int(parts[0]), x2=int(parts[1]), w=int(parts[2]), N=int(parts[3]),
-            pe=float(parts[4]), y=int(parts[5]), policy=parts[6],
-            dvp=float(parts[7]) if parts[7] else None,
-            ci_low=float(parts[8]) if parts[8] else None,
-            ci_high=float(parts[9]) if parts[9] else None,
-            ms=float(parts[10]),
-            error=parts[11] if len(parts) == 12 else "",
-        )
-
 
 def run_sweep(spec: SweepSpec, out) -> int:
     cells = sorted(
@@ -364,7 +346,7 @@ def run_sweep(spec: SweepSpec, out) -> int:
     out.write(SWEEP_HEADER + "\n")
     failures = 0
     # one relaxed solve per config, shared by its wtb-* rows
-    sources = Sources(functools.cache(semistatic.solve_relaxed))
+    relaxed = functools.cache(semistatic.solve_relaxed)
     for x1, x2, w, N, pe, y in cells:
         rows = []
         jobs = []  # Monte Carlo rows, simulated together once all are solved
@@ -376,7 +358,7 @@ def run_sweep(spec: SweepSpec, out) -> int:
             )
             try:
                 config = ScenarioConfig(N=N, p_e=pe, w=w, y=y, x1=x1, x2=x2)
-                policy = _cell_policy(config, policy_name, sources)
+                policy = _cell_policy(config, policy_name, relaxed)
                 if spec.evaluator == "exact":
                     row.dvp = exact_dvp_chain(config, policy).dvp
                 else:

@@ -46,9 +46,9 @@ _REJECT_MARGIN = 1e-9
 @dataclass(frozen=True)
 class EvalResult:
     """A DVP value with its provenance. Bound methods may exceed 1 and are
-    reported unclamped; `clamped` is the usable probability. The chain
-    evaluator also records its probability-mass residual |1 - sum(rho)| at
-    the horizon and its state count; neither takes part in equality."""
+    reported unclamped. The chain evaluator also records its
+    probability-mass residual |1 - sum(rho)| at the horizon and its state
+    count; neither takes part in equality."""
 
     dvp: float
     method: str
@@ -56,10 +56,6 @@ class EvalResult:
     mean_departures: float | None = None
     mass_residual: float = field(default=math.nan, compare=False)
     states: int = field(default=0, compare=False)
-
-    @property
-    def clamped(self) -> float:
-        return min(self.dvp, 1.0)
 
 
 def _as_n2(config: ScenarioConfig, schedule) -> np.ndarray:

@@ -75,8 +75,9 @@ class RelaxedSchedule:
 class SemiStaticResult:
     """An integer schedule, how it was chosen, and the criterion value that
     selected it. nodes, for the searches, is the work done: the chain steps
-    opt's branch-and-bound took, the schedules e-wtb scored, or the edges
-    e-dvpub's forward pass scored. It takes no part in equality."""
+    opt's branch-and-bound took, the schedules e-wtb, wtb-w or wtb-d
+    scored, or the edges e-dvpub's forward pass scored. It takes no part in
+    equality."""
 
     schedule: Schedule
     method: str
@@ -196,15 +197,32 @@ def round_nearest(config: ScenarioConfig, relaxed: RelaxedSchedule) -> SemiStati
     return SemiStaticResult(schedule, "wtb-r", wtb_min_s(config, schedule)[1], relaxed)
 
 
+def _scan(
+    config: ScenarioConfig, choices: list[tuple[int, ...]], criterion: str
+) -> tuple[tuple[int, ...], float, int]:
+    """The first n2 in product order (lexicographic: each choice ascends)
+    of least dvpub or wtb, that score, and the number of schedules scored.
+    Under wtb, a schedule's exponent search stops once it proves the
+    schedule cannot beat the best so far (_wtb_below)."""
+    best_n2, best_score, count = None, math.inf, 0
+    for count, n2 in enumerate(itertools.product(*choices), start=1):
+        if criterion == "dvpub":
+            score = dvpub(config, _schedule_from_n2(config, n2)).dvp
+        else:
+            score = _wtb_below(config, n2, best_score)
+        if score < best_score:
+            best_n2, best_score = n2, score
+    return best_n2, best_score, count
+
+
 def neighbor_search(
     config: ScenarioConfig, relaxed: RelaxedSchedule, criterion: str
 ) -> SemiStaticResult:
     """Score every floor/ceil combination around the relaxed allocation
-    (clamped into {1..N-1}, duplicates collapsed) and keep the best; ties go
-    to the lexicographically smallest link-2 vector. Under wtb, a
-    combination's exponent search stops once it proves the combination
-    cannot beat the best so far (_wtb_below). More than NEIGHBOR_CAP
-    combinations raise CapExceededError."""
+    (clamped into {1..N-1}, duplicates collapsed) by criterion, dvpub or
+    wtb, and keep the best (_scan); ties go to the lexicographically
+    smallest link-2 vector, and nodes counts the combinations scored. More
+    than NEIGHBOR_CAP combinations raise CapExceededError."""
     if criterion not in ("dvpub", "wtb"):
         raise ValueError(f"criterion must be dvpub or wtb, got {criterion!r}")
     choices = []
@@ -217,16 +235,9 @@ def neighbor_search(
         raise CapExceededError(
             f"{count} neighbor combinations exceed cap {NEIGHBOR_CAP}", count, NEIGHBOR_CAP
         )
-    best_n2, best_score = None, math.inf
-    for n2 in itertools.product(*choices):
-        if criterion == "dvpub":
-            score = dvpub(config, _schedule_from_n2(config, n2)).dvp
-        else:
-            score = _wtb_below(config, n2, best_score)
-        if score < best_score:
-            best_n2, best_score = n2, score
+    n2, score, nodes = _scan(config, choices, criterion)
     method = "wtb-d" if criterion == "dvpub" else "wtb-w"
-    return SemiStaticResult(_schedule_from_n2(config, best_n2), method, best_score, relaxed)
+    return SemiStaticResult(_schedule_from_n2(config, n2), method, score, relaxed, nodes=nodes)
 
 
 def _largest_addend(t: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -243,8 +254,8 @@ def _largest_addend(t: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def e_dvpub(config: ScenarioConfig) -> SemiStaticResult:
-    """The first n2 in {1..N-1}^w, in itertools.product order, of least
-    dvpub, by dynamic programming; nodes counts the forward pass's edges.
+    """The first n2 in {1..N-1}^w, in product order, of least dvpub, by
+    dynamic programming; nodes counts the forward pass's edges.
     Arrays of more than DVPUB_BYTE_CAP bytes raise CapExceededError.
     Term k (1..w) has N (k-1) + S - P_{k-1} - P_k trials, with P_k the
     link-2 slots of frames before k and S = P_w; arrays run over R = S - w,
@@ -303,7 +314,7 @@ def _least_exact_dvp(
     """The n2 in values^w of least exact DVP up to ties, that DVP, and the
     chain steps taken, by depth-first branch-and-bound. A schedule ties
     with the incumbent when it is not below it by more than _TIE_MARGIN of
-    it; the first in itertools.product order is kept.
+    it; the first in product order is kept.
 
     A node at depth k holds its prefix's backlog distribution rho_k on the
     grid. A child advances it one frame, and a leaf is scored, by
@@ -357,23 +368,10 @@ def _least_exact_dvp(
     return tuple(values[best_path].tolist()), best, nodes
 
 
-def exhaustive(
-    config: ScenarioConfig, criterion: str, full_domain: bool = False
-) -> SemiStaticResult:
-    """The minimizer of wtb or the exact DVP over every allocation in
-    {1..N-1}^w (optionally {0..N}^w for the exact criterion), the first in
-    itertools.product order of n2 where several tie (for the exact
-    criterion, where several lie within _TIE_MARGIN). A domain of more than
-    EXHAUSTIVE_CAP schedules raises CapExceededError. The exact criterion
-    is searched by branch-and-bound (_least_exact_dvp), which fetches
-    transition_kernel(config) once the cap is checked; wtb scores
-    one schedule at a time, each exponent search stopping once it proves
-    the schedule cannot beat the best so far (_wtb_below). Both return what
-    scoring every schedule in turn would."""
-    if criterion not in ("wtb", "exact"):
-        raise ValueError(f"criterion must be wtb or exact, got {criterion!r}")
-    if full_domain and criterion != "exact":
-        raise ValueError("the widened {0..N}^w domain applies to the exact criterion")
+def _exhaustive_domain(config: ScenarioConfig, full_domain: bool = False) -> np.ndarray:
+    """The link-2 values an exhaustive search tries per frame, {1..N-1} or
+    {0..N}. A domain of more than EXHAUSTIVE_CAP schedules raises
+    CapExceededError."""
     if not full_domain and config.N < 2:
         raise ValueError(f"domain {{1..N-1}} is empty for N={config.N}")
     values = np.arange(0, config.N + 1) if full_domain else np.arange(1, config.N)
@@ -381,16 +379,7 @@ def exhaustive(
     if count > EXHAUSTIVE_CAP:
         message = f"exhaustive search over {count} schedules exceeds cap {EXHAUSTIVE_CAP}"
         raise CapExceededError(message, count, EXHAUSTIVE_CAP)
-    if criterion == "exact":
-        best_n2, best_score, nodes = _least_exact_dvp(config, values)
-    else:
-        best_n2, best_score, nodes = None, math.inf, count
-        for n2 in itertools.product(values.tolist(), repeat=config.w):
-            score = _wtb_below(config, n2, best_score)
-            if score < best_score:
-                best_n2, best_score = n2, score
-    method = "opt" if criterion == "exact" else "e-wtb"
-    return SemiStaticResult(_schedule_from_n2(config, best_n2), method, best_score, nodes=nodes)
+    return values
 
 
 def even_split(config: ScenarioConfig) -> Schedule:
@@ -407,12 +396,23 @@ def fifty_fifty(config: ScenarioConfig) -> SemiStaticResult:
 
 
 def wtb_w(config: ScenarioConfig) -> SemiStaticResult:
+    """wtb-w from its own relaxed solve; a sweep shares one among wtb-*."""
     return neighbor_search(config, solve_relaxed(config), "wtb")
 
 
 def e_wtb(config: ScenarioConfig) -> SemiStaticResult:
-    return exhaustive(config, "wtb")
+    """The first n2 in {1..N-1}^w, in product order, of least wtb, by
+    scoring every schedule (_scan); nodes counts them."""
+    values = _exhaustive_domain(config).tolist()
+    n2, score, nodes = _scan(config, [values] * config.w, "wtb")
+    return SemiStaticResult(_schedule_from_n2(config, n2), "e-wtb", score, nodes=nodes)
 
 
 def opt(config: ScenarioConfig, full_domain: bool = False) -> SemiStaticResult:
-    return exhaustive(config, "exact", full_domain=full_domain)
+    """The n2 in {1..N-1}^w ({0..N}^w with full_domain) of least exact
+    DVP, the first in product order of those within _TIE_MARGIN, by
+    branch-and-bound (_least_exact_dvp), which fetches
+    transition_kernel(config) once the cap is checked and returns what
+    scoring every schedule would; nodes counts its chain steps."""
+    n2, score, nodes = _least_exact_dvp(config, _exhaustive_domain(config, full_domain))
+    return SemiStaticResult(_schedule_from_n2(config, n2), "opt", score, nodes=nodes)

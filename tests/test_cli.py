@@ -14,7 +14,7 @@ from dvpsched import (
     simulate_policies,
     value_iteration,
 )
-from dvpsched import cli, sim
+from dvpsched import cli, semistatic, sim
 from dvpsched.cli import SWEEP_HEADER, SweepRow, fmt_prob, main, parse_sweep_file, run_sweep
 from dvpsched.mdp import transition_kernel
 
@@ -23,6 +23,19 @@ SWEEPS = Path(__file__).resolve().parent.parent / "sweeps"
 # kernel builds caches its kernel first, so the tests run before it cannot
 # leave the sweep's first kernel cached
 UNRELATED_KEY = ScenarioConfig(N=2, p_e=0.5, w=1, y=1, x1=0, x2=0)
+
+
+def csv_row(line: str) -> SweepRow:
+    """Parse one sweep CSV line back into the SweepRow that wrote it."""
+    parts = line.split(",")
+    assert len(parts) in (11, 12), line
+    number = lambda text: float(text) if text else None
+    return SweepRow(
+        x1=int(parts[0]), x2=int(parts[1]), w=int(parts[2]), N=int(parts[3]),
+        pe=float(parts[4]), y=int(parts[5]), policy=parts[6], dvp=number(parts[7]),
+        ci_low=number(parts[8]), ci_high=number(parts[9]), ms=float(parts[10]),
+        error=parts[11] if len(parts) == 12 else "",
+    )
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +87,33 @@ EDVPUB_GOLDEN = {
     "w8": (W8_ARGS, ("n1=11,11,11,11,1,1,1,1", "dvpub=3.096225032e-33")),
 }
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+# small enough for e-wtb to score all 3^6 schedules quickly (5^6 at S)
+T = ScenarioConfig(N=4, p_e=0.2, w=6, y=1, x1=3, x2=3)
+
+
+@pytest.mark.parametrize(
+    "name, direct",
+    [
+        ("wtb-r", lambda c: semistatic.round_nearest(c, semistatic.solve_relaxed(c))),
+        ("wtb-w", lambda c: semistatic.neighbor_search(c, semistatic.solve_relaxed(c), "wtb")),
+        ("wtb-d", lambda c: semistatic.neighbor_search(c, semistatic.solve_relaxed(c), "dvpub")),
+        ("e-wtb", semistatic.e_wtb),
+        ("e-dvpub", semistatic.e_dvpub),
+        ("opt", semistatic.opt),
+        ("fifty", semistatic.fifty_fifty),
+    ],
+)
+def test_registry_calls_the_searches(name, direct):
+    got = cli.METHODS[name].solve(T, semistatic.solve_relaxed)
+    want = direct(T)
+    assert (got.schedule, got.score) == (want.schedule, want.score)
+
+
+def test_registry_covers_every_semi_static_method():
+    semi_static = {name for name, method in cli.METHODS.items() if method.score}
+    assert semi_static == {"wtb-r", "wtb-w", "wtb-d", "e-wtb", "e-dvpub", "opt", "fifty"}
 
 
 class TestSolve:
@@ -531,6 +571,26 @@ class TestSweepParsing:
         code, out, err = run_cli(capsys, "sweep", str(sweep))
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("pe = 0.2", "pe = 0.1, 0.2, 0.10", "line 7: pe repeats '0.10'"),
+            ("w = 2, 3", "w = 2, 3, 2", "line 5: w repeats '2'"),
+            ("policies = wtb-w, fifty, mw", "policies = mw, fifty, mw",
+             "line 9: policies repeats 'mw'"),
+        ],
+    )
+    def test_repeated_value_refused(self, capsys, tmp_path, old, new, message):
+        # values compare after conversion, so 0.1 and 0.10 are one value
+        text = SWEEP_TEXT.replace(old, new)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_sweep_file(text)
+        sweep, out_csv = tmp_path / "sweep.txt", tmp_path / "rows.csv"
+        sweep.write_text(text)
+        code, out, err = run_cli(capsys, "sweep", str(sweep), "--out", str(out_csv))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_csv.exists()
+
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "sweep", str(SWEEPS / "semistatic-deadlines.sweep"),
@@ -603,7 +663,7 @@ class TestSweepRun:
         buf = io.StringIO()
         run_sweep(spec, buf)
         for line in buf.getvalue().splitlines()[1:]:
-            row = SweepRow.from_csv(line)
+            row = csv_row(line)
             assert row.to_csv() == line
             assert row.error == "" and row.dvp is not None
 
@@ -616,10 +676,10 @@ class TestSweepRun:
         run_sweep(spec, buf)
         lines = buf.getvalue().splitlines()[1:]
         assert [line.split(",")[4] for line in lines] == ["0.1234567", "0.1234568"]
-        assert [SweepRow.from_csv(line).pe for line in lines] == [0.1234567, 0.1234568]
-        row = SweepRow.from_csv(lines[0])
+        assert [csv_row(line).pe for line in lines] == [0.1234567, 0.1234568]
+        row = csv_row(lines[0])
         row.pe = 0.1 + 0.2  # 12 significant digits would read back as 0.3
-        assert SweepRow.from_csv(row.to_csv()).pe == 0.1 + 0.2
+        assert csv_row(row.to_csv()).pe == 0.1 + 0.2
 
     def test_monte_carlo_rows_have_intervals(self):
         spec = parse_sweep_file(
@@ -662,7 +722,7 @@ class TestSweepRun:
         )
         buf = io.StringIO()
         assert run_sweep(spec, buf) == 4
-        rows = {r.policy: r for r in map(SweepRow.from_csv, buf.getvalue().splitlines()[1:])}
+        rows = {r.policy: r for r in map(csv_row, buf.getvalue().splitlines()[1:])}
         assert sorted(rows) == ["mw", "opt"]
         assert rows["opt"].error.startswith("exhaustive search over 1771561 schedules")
         assert rows["opt"].dvp is None
@@ -673,16 +733,18 @@ class TestSweepRun:
             fmt_prob(v) for v in (solo.dvp_hat, solo.ci_low, solo.ci_high)
         ]
 
-    def test_duplicated_policy_names_give_identical_rows(self):
+    def test_one_policy_under_two_names_gives_identical_rows(self):
+        # at N = 2 every schedule is n1 = 1, 1, 1: opt's and fifty's rows
+        # share each chunk's draws in the joint run, and mw's row sits between
         spec = parse_sweep_file(
-            "x1=1\nx2=2\nw=3\nN=3\npe=0.4\ny=1\npolicies=mw, mdp, mw\n"
+            "x1=1\nx2=2\nw=3\nN=2\npe=0.4\ny=1\npolicies=opt, mw, fifty\n"
             "evaluator=monte-carlo\nreps=4000\nseed=2\n"
         )
         buf = io.StringIO()
         assert run_sweep(spec, buf) == 0
         rows = [ln.split(",") for ln in buf.getvalue().splitlines()[1:]]
-        assert [r[6] for r in rows] == ["mdp", "mw", "mw"]
-        assert rows[1][:10] == rows[2][:10]
+        assert [r[6] for r in rows] == ["fifty", "mw", "opt"]
+        assert rows[0][7:10] == rows[2][7:10]
 
     def test_joint_run_error_fills_every_monte_carlo_row(self, monkeypatch):
         def fails(config, policies, replications, seed):
@@ -695,7 +757,7 @@ class TestSweepRun:
         )
         buf = io.StringIO()
         assert run_sweep(spec, buf) == 4
-        rows = [SweepRow.from_csv(ln) for ln in buf.getvalue().splitlines()[1:]]
+        rows = [csv_row(ln) for ln in buf.getvalue().splitlines()[1:]]
         assert [(r.policy, r.dvp, r.error) for r in rows] == [
             ("fifty", None, "no run"), ("mw", None, "no run")
         ]
@@ -708,7 +770,7 @@ class TestSweepRun:
         )
         buf = io.StringIO()
         assert run_sweep(spec, buf) == 4
-        rows = [SweepRow.from_csv(ln) for ln in buf.getvalue().splitlines()[1:]]
+        rows = [csv_row(ln) for ln in buf.getvalue().splitlines()[1:]]
         assert [r.policy for r in rows] == ["fifty", "mw", "wtb-w"]
         for row in rows:
             assert row.dvp is None and row.ci_low is None
@@ -743,7 +805,7 @@ class TestSweepRun:
         monkeypatch.undo()
         # a kernel per cell and per table made 96: 16 configs x (5 + 1)
         assert [(c.x1, c.x2) for c in built] == [(1, 1), (1, 3), (3, 1), (3, 3)]
-        rows = [SweepRow.from_csv(ln) for ln in buf.getvalue().splitlines()[1:]]
+        rows = [csv_row(ln) for ln in buf.getvalue().splitlines()[1:]]
         assert len(rows) == 80
         for row in rows:
             cfg = ScenarioConfig(N=row.N, p_e=row.pe, w=row.w, y=row.y, x1=row.x1, x2=row.x2)
@@ -790,7 +852,7 @@ class TestSweepRun:
         )
         buf = io.StringIO()
         assert run_sweep(spec, buf) == 4
-        rows = [SweepRow.from_csv(ln) for ln in buf.getvalue().splitlines()[1:]]
+        rows = [csv_row(ln) for ln in buf.getvalue().splitlines()[1:]]
         assert {r.policy: r.error for r in rows} == {
             "bp": "",
             "fifty": "",

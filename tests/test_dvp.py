@@ -181,7 +181,6 @@ class TestDvpub:
         assert res.detail == pytest.approx((0.25, 0.5, 0.5), abs=1e-12)
         assert res.dvp == pytest.approx(1.25, abs=1e-12)
         assert res.dvp >= 0.75
-        assert res.clamped == 1.0
 
     def test_upper_bounds_exact(self):
         cfg = ScenarioConfig(N=4, p_e=0.2, w=4, y=1, x1=1, x2=1)
@@ -557,11 +556,6 @@ class TestRejectionBound:
 
 
 class TestEvalResult:
-    def test_clamped_companion(self):
-        res = dvpub(HAND_CFG, HAND_SCHED)
-        assert res.dvp > 1.0
-        assert res.clamped == 1.0
-
     def test_exact_methods_stay_in_unit_interval(self):
         rng = np.random.default_rng(10)
         for _ in range(20):

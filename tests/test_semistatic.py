@@ -15,7 +15,6 @@ from dvpsched import (
     e_dvpub,
     e_wtb,
     exact_dvp_chain,
-    exhaustive,
     fifty_fifty,
     neighbor_search,
     opt,
@@ -437,7 +436,7 @@ class TestNeighborSearch:
 class TestExhaustive:
     def test_single_frame_matches_manual_argmin(self):
         cfg = ScenarioConfig(N=4, p_e=0.3, w=1, y=1, x1=0, x2=1)
-        res = exhaustive(cfg, "exact")
+        res = opt(cfg)
         # every schedule's DVP is 1 up to rounding here (the batch cannot
         # cross both hops in one frame), so the first one wins: a schedule
         # replaces the best only when below it by more than 1e-13 of it
@@ -464,7 +463,7 @@ class TestExhaustive:
 
     def test_argmin_certificate_by_rescan(self):
         cfg = ScenarioConfig(N=4, p_e=0.4, w=3, y=1, x1=1, x2=0)
-        best_wtb = exhaustive(cfg, "wtb").score
+        best_wtb = e_wtb(cfg).score
         best_ub = e_dvpub(cfg).score
         rng = np.random.default_rng(4)
         for _ in range(100):
@@ -476,7 +475,7 @@ class TestExhaustive:
     def test_cap_refusal_reports_count(self):
         cfg = ScenarioConfig(N=12, p_e=0.2, w=8, y=1, x1=0, x2=0)
         with pytest.raises(CapExceededError) as exc:
-            exhaustive(cfg, "wtb")
+            e_wtb(cfg)
         assert exc.value.estimate == 11**8
 
     def test_full_domain_flag(self):
@@ -493,10 +492,9 @@ class TestExhaustive:
 
 
 def scan_exact(cfg, full_domain=False):
-    """The full scan exhaustive's exact criterion made before it used
-    branch-and-bound: every schedule's exact_dvp_chain in product order, a
-    schedule kept only when below the best so far by more than opt's tie
-    margin, 1e-13 of it."""
+    """The full scan opt made before it used branch-and-bound: every
+    schedule's exact_dvp_chain in product order, a schedule kept only when
+    below the best so far by more than opt's tie margin, 1e-13 of it."""
     values = range(0, cfg.N + 1) if full_domain else range(1, cfg.N)
     best_n2, best = None, float("inf")
     for n2 in itertools.product(values, repeat=cfg.w):
@@ -626,8 +624,9 @@ class TestLeastDvpub:
     def test_empty_domain_and_dvpub_criterion_refused(self):
         with pytest.raises(ValueError, match="N=1"):
             e_dvpub(ScenarioConfig(N=1, p_e=0.2, w=2, y=1, x1=0, x2=0))
-        with pytest.raises(ValueError, match="criterion must be wtb or exact"):
-            exhaustive(ScenarioConfig(N=3, p_e=0.2, w=2, y=1, x1=0, x2=0), "dvpub")
+        for search in (opt, e_wtb):
+            with pytest.raises(ValueError, match=r"^domain \{1\.\.N-1\} is empty for N=1$"):
+                search(ScenarioConfig(N=1, p_e=0.2, w=2, y=1, x1=0, x2=0))
 
     def test_largest_addend_is_the_rounding_edge(self):
         rng = np.random.default_rng(11)
@@ -664,6 +663,12 @@ class TestSearchWork:
     def test_scans_count_every_schedule(self):
         cfg = ScenarioConfig(N=4, p_e=0.2, w=3, y=1, x1=1, x2=1)
         assert e_wtb(cfg).nodes == 3**3
+        # the floor/ceil combinations around the relaxed allocation
+        relaxed = solve_relaxed(cfg)
+        combinations = math.prod(len({math.floor(v), math.ceil(v)}) for v in relaxed.n2)
+        assert combinations == 2  # n2 is 1, 2.54... and 3, the box's faces held
+        for criterion in ("wtb", "dvpub"):
+            assert neighbor_search(cfg, relaxed, criterion).nodes == combinations
         # e-dvpub's forward pass: w steps of N - 1 edges into each of the
         # 7 x 7 (total, prefix sum) pairs, 7 = w (N - 2) + 1
         assert e_dvpub(cfg).nodes == 3 * 3 * 7 * 7
