@@ -1,5 +1,6 @@
 """Command-line front end: single solves and evaluations, plus parameter
-sweeps emitting plot-ready CSV.
+sweeps emitting plot-ready CSV, one ScenarioConfig per sweep cell, which
+the cell's rows carry.
 
 Exit codes: 0 ok, 2 usage or malformed input, 3 infeasible or cap exceeded,
 4 one or more sweep cells failed.
@@ -200,8 +201,10 @@ SCALAR_KEYS = ("evaluator", "reps", "seed")
 
 def parse_sweep_file(text: str) -> SweepSpec:
     """Flat key = value syntax, commas separate list entries, # comments.
-    A value that is not of its key's type, that no scenario allows, or that
-    repeats within its list, raises ValueError naming its line."""
+    An unknown key, an unknown policy or evaluator, or a value that is not
+    of its key's type, that no scenario allows, or that repeats within its
+    list, raises ValueError naming its line."""
+    required = ("x1", "x2", "w", "N", "pe", "y", "policies")
     values: dict[str, list[str]] = {}
     lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -212,6 +215,8 @@ def parse_sweep_file(text: str) -> SweepSpec:
             raise ValueError(f"line {lineno}: expected key = value")
         key, _, rhs = line.partition("=")
         key = key.strip()
+        if key not in required + SCALAR_KEYS:
+            raise ValueError(f"line {lineno}: unknown key {key!r}")
         items = [v.strip() for v in rhs.split(",") if v.strip()]
         if not items:
             raise ValueError(f"line {lineno}: no values for {key!r}")
@@ -222,11 +227,7 @@ def parse_sweep_file(text: str) -> SweepSpec:
         values[key] = items
         lines[key] = lineno
 
-    required = {"x1", "x2", "w", "N", "pe", "y", "policies"}
-    unknown = set(values) - required - set(SCALAR_KEYS)
-    if unknown:
-        raise ValueError(f"unknown keys: {', '.join(sorted(unknown))}")
-    missing = required - set(values)
+    missing = set(required) - set(values)
     if missing:
         raise ValueError(f"missing keys: {', '.join(sorted(missing))}")
 
@@ -253,10 +254,12 @@ def parse_sweep_file(text: str) -> SweepSpec:
     policies = parsed("policies", str)
     for p in policies:
         if p not in METHODS:
-            raise ValueError(f"unknown policy {p!r}")
+            raise ValueError(f"line {lines['policies']}: unknown policy {p!r}")
     evaluator = values.get("evaluator", ["exact"])[0]
     if evaluator not in ("exact", "monte-carlo"):
-        raise ValueError(f"evaluator must be exact or monte-carlo, got {evaluator!r}")
+        raise ValueError(
+            f"line {lines['evaluator']}: evaluator must be exact or monte-carlo, got {evaluator!r}"
+        )
     reps = parsed("reps")[0] if "reps" in values else 1_000_000
     seed = parsed("seed")[0] if "seed" in values else 0
     check_counts(reps, seed)
@@ -285,7 +288,7 @@ def _cell_policy(config: ScenarioConfig, policy_name: str, relaxed: Callable):
 
 
 def _simulate_rows(config: ScenarioConfig, jobs: list, spec: SweepSpec) -> None:
-    """Fill in one scenario's Monte Carlo rows, given as (row, policy)
+    """Fill in the Monte Carlo rows of config's cell, given as (row, policy)
     pairs, from one joint run over its policies. Each row's ms gains an
     equal share of the run, and a run that raises ValueError or
     CapExceededError gives every row its error."""
@@ -309,26 +312,21 @@ SWEEP_HEADER = "x1,x2,w,N,pe,y,policy,dvp,ci_low,ci_high,ms"
 
 @dataclass
 class SweepRow:
-    """One evaluated (config, policy) cell; failed cells carry an error
-    message and an empty dvp."""
+    """One policy evaluated on one sweep cell, whose scenario is config;
+    failed cells carry an error message and an empty dvp."""
 
-    x1: int
-    x2: int
-    w: int
-    N: int
-    pe: float
-    y: int
+    config: ScenarioConfig
     policy: str
-    dvp: float | None
-    ci_low: float | None
-    ci_high: float | None
-    ms: float
+    dvp: float | None = None
+    ci_low: float | None = None
+    ci_high: float | None = None
+    ms: float = 0.0
     error: str = ""
 
     def to_csv(self) -> str:
+        c = self.config
         cells = [
-            str(self.x1), str(self.x2), str(self.w), str(self.N),
-            pe_text(self.pe), str(self.y), self.policy,
+            str(c.x1), str(c.x2), str(c.w), str(c.N), pe_text(c.p_e), str(c.y), self.policy,
             "" if self.dvp is None else fmt_prob(self.dvp),
             "" if self.ci_low is None else fmt_prob(self.ci_low),
             "" if self.ci_high is None else fmt_prob(self.ci_high),
@@ -340,24 +338,22 @@ class SweepRow:
 
 
 def run_sweep(spec: SweepSpec, out) -> int:
-    cells = sorted(
-        itertools.product(spec.x1, spec.x2, spec.w, spec.N, spec.pe, spec.y)
-    )
+    """Write the CSV of every policy on every cell of spec, cells in sorted
+    order. Each cell's ScenarioConfig is built before the header, so a value
+    it refuses raises ValueError before anything is written."""
+    cells = sorted(itertools.product(spec.x1, spec.x2, spec.w, spec.N, spec.pe, spec.y))
+    configs = [ScenarioConfig(N, pe, w, y, x1, x2) for x1, x2, w, N, pe, y in cells]
     out.write(SWEEP_HEADER + "\n")
     failures = 0
-    # one relaxed solve per config, shared by its wtb-* rows
-    relaxed = functools.cache(semistatic.solve_relaxed)
-    for x1, x2, w, N, pe, y in cells:
+    for config in configs:
+        # one relaxed solve, shared by the cell's wtb-* rows
+        relaxed = functools.cache(semistatic.solve_relaxed)
         rows = []
         jobs = []  # Monte Carlo rows, simulated together once all are solved
         for policy_name in sorted(spec.policies):
             start = time.perf_counter()
-            row = SweepRow(
-                x1=x1, x2=x2, w=w, N=N, pe=pe, y=y, policy=policy_name,
-                dvp=None, ci_low=None, ci_high=None, ms=0.0,
-            )
+            row = SweepRow(config, policy_name)
             try:
-                config = ScenarioConfig(N=N, p_e=pe, w=w, y=y, x1=x1, x2=x2)
                 policy = _cell_policy(config, policy_name, relaxed)
                 if spec.evaluator == "exact":
                     row.dvp = exact_dvp_chain(config, policy).dvp

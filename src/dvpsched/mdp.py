@@ -11,8 +11,8 @@ operator (TransitionKernel) is kept factored, as a structured Markov chain
 is (Plateau, SIGMETRICS 1985; Buchholz, Ciardo, Donatelli and Kemper,
 INFORMS J. Computing 12, 2000): a relay table for link 1 and a matrix stack
 for link 2 per action, acting on distributions and values held on the
-(q1_max + 1) x (q2_max + 1) backlog grid. Its size is capped in bytes
-(KERNEL_BYTE_CAP), not in states. Every evaluator gets it from
+(first_hop_load + 1) x (total_load + 1) backlog grid. Its size is capped in
+bytes (KERNEL_BYTE_CAP), not in states. Every evaluator gets it from
 transition_kernel, which keeps the one built last.
 
 A bound of the form  DVP <= total_load * E[1 / D(w)]  motivates maximizing
@@ -55,7 +55,7 @@ KERNEL_BYTE_CAP = 400_000_000
 def kernel_key(config: ScenarioConfig) -> tuple:
     """What a TransitionKernel depends on: N, p_e and the backlog bounds,
     not the deadline w."""
-    return (config.N, config.p_e, config.q1_max, config.q2_max)
+    return (config.N, config.p_e, config.first_hop_load, config.total_load)
 
 
 class ActionSplit(NamedTuple):
@@ -72,12 +72,12 @@ class ActionSplit(NamedTuple):
 class TransitionKernel:
     """The one-frame transition operator, factored into its two links.
 
-    A distribution over states is held on the backlog grid, an
-    (q1_max + 1) x (q2_max + 1) array that is zero off the triangle of
-    model.backlog_states. In a frame under action a (n1 = a slots to link
-    1), link 1 relays d1 = min(q1, Bin(a)) packets and link 2 leaves
-    r = max(q2 - Bin(N - a), 0), independently, and the next state is
-    (q1 - d1, r + d1). So the operator is two small tables per action:
+    A distribution over states is held on the backlog grid, a
+    (first_hop_load + 1) x (total_load + 1) array that is zero off the
+    triangle of model.backlog_states. In a frame under action a (n1 = a
+    slots to link 1), link 1 relays d1 = min(q1, Bin(a)) packets and link 2
+    leaves r = max(q2 - Bin(N - a), 0), independently, and the next state
+    is (q1 - d1, r + d1). So the operator is two small tables per action:
     D1[a, q1, d1], the chance of relaying d1, and the link-2 stack
     P[a, q2, r], the chance of leaving r. pmf is the binomial table of one
     frame's service (binomial_pmf_table) both are read from.
@@ -90,8 +90,8 @@ class TransitionKernel:
     def __init__(self, config: ScenarioConfig):
         self.key = kernel_key(config)
         N = config.N
-        A, R, C = N + 1, config.q1_max + 1, config.q2_max + 1
-        K = min(R, A)  # relay counts 0..min(q1_max, N)
+        A, R, C = N + 1, config.first_hop_load + 1, config.total_load + 1
+        K = min(R, A)  # relay counts 0..min(first_hop_load, N)
         # the tables (P twice, D1 twice), the relay buffer, and the two
         # (A, grid) arrays of one step
         nbytes = 8 * (2 * A * C * C + 2 * A * R * K + R * K * C + 2 * A * R * C)
@@ -200,10 +200,10 @@ _last_kernel: TransitionKernel | None = None
 
 def transition_kernel(config: ScenarioConfig) -> TransitionKernel:
     """The TransitionKernel of config's kernel_key (any deadline, any split
-    of q1_max into y and x1). One is cached: the kernel built last, which a
-    scenario of another key drops before its own is built, so that two are
-    never alive at once. Its tables are read-only, but forward and backward
-    write its step buffers, so it serves one thread at a time."""
+    of first_hop_load into y and x1). One is cached: the kernel built last,
+    which a scenario of another key drops before its own is built, so that
+    two are never alive at once. Its tables are read-only, but forward and
+    backward write its step buffers, so it serves one thread at a time."""
     global _last_kernel
     if _last_kernel is None or _last_kernel.key != kernel_key(config):
         _last_kernel = None  # freed before the next is built
@@ -287,23 +287,26 @@ class PolicyTable:
         lines = text.splitlines()
         if not lines or not lines[0].startswith("# policy-table "):
             raise ValueError("line 1: missing policy-table header")
+        # the header's fields, in ScenarioConfig's order
+        kinds = {"N": int, "pe": float, "w": int, "y": int, "x1": int, "x2": int}
         fields = {}
         for token in lines[0].removeprefix("# policy-table ").split():
             key, _, val = token.partition("=")
-            if key not in ("N", "pe", "w", "y", "x1", "x2"):
+            if key not in kinds:
                 raise ValueError(f"line 1: unknown field {key!r}")
             if key in fields:
                 raise ValueError(f"line 1: repeated field {key!r}")
             fields[key] = val
+
+        def number(key: str):
+            try:
+                return kinds[key](fields[key])
+            except ValueError:
+                noun = "an integer" if kinds[key] is int else "a number"
+                raise ValueError(f"{key} must be {noun}, got {fields[key]!r}") from None
+
         try:
-            config = ScenarioConfig(
-                N=int(fields["N"]),
-                p_e=float(fields["pe"]),
-                w=int(fields["w"]),
-                y=int(fields["y"]),
-                x1=int(fields["x1"]),
-                x2=int(fields["x2"]),
-            )
+            config = ScenarioConfig(*map(number, kinds))
         except KeyError as exc:
             raise ValueError(f"line 1: header missing field {exc}") from exc
         except ValueError as exc:
@@ -347,7 +350,7 @@ def value_iteration(config: ScenarioConfig) -> PolicyTable:
     states."""
     kernel = transition_kernel(config)
     cells = kernel.cells
-    rewards = kernel.rewards()[:, None, :]  # (A, 1, q2_max + 1)
+    rewards = kernel.rewards()[:, None, :]  # (A, 1, total_load + 1)
     actions = np.zeros((config.w, len(cells)), dtype=np.int64)
     values = np.zeros((config.w + 1, len(cells)))
     v = np.zeros(kernel.shape)

@@ -61,7 +61,8 @@ def check_scenario_field(name: str, value):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One problem instance.
+    """One problem instance, the one record of a scenario (a sweep cell and
+    its rows carry one).
 
     N: slots per frame; p_e: per-slot packet error rate; w: deadline in
     frames; y: size of the time-critical batch arriving at frame 0;
@@ -83,23 +84,15 @@ class ScenarioConfig:
 
     @property
     def total_load(self) -> int:
-        """Packets that must clear the second queue: y + x1 + x2."""
+        """Packets that must clear the second queue, y + x1 + x2: also the
+        largest reachable total backlog q1 + q2, and so second-queue one."""
         return self.y + self.x1 + self.x2
 
     @property
     def first_hop_load(self) -> int:
-        """Packets that must clear the first queue: y + x1."""
+        """Packets that must clear the first queue, y + x1: also the largest
+        reachable first-queue backlog."""
         return self.y + self.x1
-
-    @property
-    def q1_max(self) -> int:
-        """Largest reachable first-queue backlog."""
-        return self.y + self.x1
-
-    @property
-    def q2_max(self) -> int:
-        """Largest reachable second-queue backlog."""
-        return self.y + self.x1 + self.x2
 
 
 def pe_text(p_e: float) -> str:
@@ -146,10 +139,10 @@ def check_schedule(config: ScenarioConfig, schedule: Schedule) -> None:
 class BacklogStates:
     """The state domain: the joint backlogs reachable from the start state
     (y + x1, x2). Neither queue 1 nor the total backlog ever grows, so it is
-    the triangle {q1 <= q1_max, q1 + q2 <= q2_max}, numbered row-major:
-    q1[i], q2[i] are state i's backlogs, lookup[q1, q2] its index (-1
-    outside the domain), start the start state's index, and nonempty marks
-    the states with a packet left."""
+    the triangle {q1 <= first_hop_load, q1 + q2 <= total_load}, numbered
+    row-major: q1[i], q2[i] are state i's backlogs, lookup[q1, q2] its index
+    (-1 outside the domain), start the start state's index, and nonempty
+    marks the states with a packet left."""
 
     q1: np.ndarray
     q2: np.ndarray
@@ -168,19 +161,24 @@ class BacklogStates:
                          f"q1 <= {rows - 1}, q1 + q2 <= {cols - 1}")
 
 
-@functools.lru_cache(maxsize=64)
 def backlog_states(config: ScenarioConfig) -> BacklogStates:
-    """The state domain of config, which depends only on q1_max and q2_max.
-    Cached, so its arrays are read-only."""
-    q1_max, q2_max = config.q1_max, config.q2_max
-    grid = np.add.outer(np.arange(q1_max + 1), np.arange(q2_max + 1))
-    q1, q2 = np.nonzero(grid <= q2_max)
+    """The state domain of config, which depends only on its first_hop_load
+    and total_load: configs with equal bounds share one, whose arrays are
+    read-only."""
+    return _backlog_states(config.first_hop_load, config.total_load)
+
+
+@functools.lru_cache(maxsize=64)
+def _backlog_states(first_hop_load: int, total_load: int) -> BacklogStates:
+    grid = np.add.outer(np.arange(first_hop_load + 1), np.arange(total_load + 1))
+    q1, q2 = np.nonzero(grid <= total_load)
     lookup = np.full(grid.shape, -1, dtype=np.int64)
     lookup[q1, q2] = np.arange(len(q1))
     nonempty = q1 + q2 > 0
     for arr in (q1, q2, lookup, nonempty):
         arr.flags.writeable = False
-    return BacklogStates(q1, q2, lookup, int(lookup[config.first_hop_load, config.x2]), nonempty)
+    start = int(lookup[first_hop_load, total_load - first_hop_load])
+    return BacklogStates(q1, q2, lookup, start, nonempty)
 
 
 def binomial_pmf(n: int, p: float, r: int) -> float:

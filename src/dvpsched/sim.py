@@ -44,7 +44,7 @@ from .model import (
 WILSON_Z = 1.959963984540054  # two-sided 95%
 CHUNK = 1 << 14  # replications per chunk; no result depends on it
 WORD_BLOCK = 1 << 10  # replications whose words are made and mapped to cells at once
-MOVES_BYTE_CAP = 100_000_000  # Moves.table: 8 (N+1)(q1_max+N+2) bytes per draw cell
+MOVES_BYTE_CAP = 100_000_000  # Moves.table: 8 (N+1)(first_hop_load+N+2) bytes per draw cell
 # 16 384 buckets (128 kB); a threshold lies strictly inside 0.12 % of them
 # at S, 0.28 % at the M-size cell (10, 0.5, 8, 5, 5, 5) and 1.08 % at
 # N = 20, pe = 0.4, and only the draws in those buckets search the cuts

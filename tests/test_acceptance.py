@@ -191,8 +191,8 @@ def test_criterion_05_kernel_fidelity():
             for N in (1, 2, 3, 4, 5, 6):
                 for pe in (0.35, 0.7):
                     cfg = ScenarioConfig(N=N, p_e=pe, w=2, y=y, x1=x1, x2=x2)
-                    for q1 in range(cfg.q1_max + 1):
-                        for q2 in range(cfg.q2_max + 1):
+                    for q1 in range(cfg.first_hop_load + 1):
+                        for q2 in range(cfg.total_load + 1):
                             state = (q1, q2)
                             for a in range(N + 1):
                                 ref = transition_probs(cfg, state, a)

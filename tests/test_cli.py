@@ -1,4 +1,5 @@
 """Command-line interface: output contracts, file formats, exit codes."""
+import dataclasses
 import io
 import re
 import weakref
@@ -30,10 +31,13 @@ def csv_row(line: str) -> SweepRow:
     parts = line.split(",")
     assert len(parts) in (11, 12), line
     number = lambda text: float(text) if text else None
+    config = ScenarioConfig(
+        N=int(parts[3]), p_e=float(parts[4]), w=int(parts[2]), y=int(parts[5]),
+        x1=int(parts[0]), x2=int(parts[1]),
+    )
     return SweepRow(
-        x1=int(parts[0]), x2=int(parts[1]), w=int(parts[2]), N=int(parts[3]),
-        pe=float(parts[4]), y=int(parts[5]), policy=parts[6], dvp=number(parts[7]),
-        ci_low=number(parts[8]), ci_high=number(parts[9]), ms=float(parts[10]),
+        config, parts[6], dvp=number(parts[7]), ci_low=number(parts[8]),
+        ci_high=number(parts[9]), ms=float(parts[10]),
         error=parts[11] if len(parts) == 12 else "",
     )
 
@@ -483,12 +487,18 @@ class TestSweepParsing:
             parse_sweep_file("x1=1\nx2=1\nw=2\nN=4\npe=0.2\ny=1\n")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown keys"):
+        # SWEEP_TEXT's last line is line 10, then a blank line
+        with pytest.raises(ValueError, match="^line 12: unknown key 'foo'$"):
             parse_sweep_file(SWEEP_TEXT + "\nfoo = 1\n")
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="rr"):
+        with pytest.raises(ValueError, match="^line 9: unknown policy 'rr'$"):
             parse_sweep_file(SWEEP_TEXT.replace("mw", "rr"))
+
+    def test_unknown_evaluator_rejected(self):
+        message = "line 10: evaluator must be exact or monte-carlo, got 'mc'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_sweep_file(SWEEP_TEXT.replace("evaluator = exact", "evaluator = mc"))
 
     @pytest.mark.parametrize(
         "line", ["evaluator = monte-carlo, exact", "reps = 1000, 5", "seed = 3, 4"]
@@ -667,6 +677,48 @@ class TestSweepRun:
             assert row.to_csv() == line
             assert row.error == "" and row.dvp is not None
 
+    def test_rows_of_a_cell_carry_its_config(self, monkeypatch):
+        made = []
+
+        class Recorded(SweepRow):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(cli, "SweepRow", Recorded)
+        buf = io.StringIO()
+        assert run_sweep(parse_sweep_file(SWEEP_TEXT), buf) == 0
+        assert [row.to_csv() for row in made] == buf.getvalue().splitlines()[1:]
+        # four cells in sorted order, three policies each, one config per cell
+        cells = [ScenarioConfig(4, 0.2, w, 1, x1, 1) for x1 in (1, 2) for w in (2, 3)]
+        assert [row.config for row in made] == [c for c in cells for _ in range(3)]
+        assert all(row.config is made[i - i % 3].config for i, row in enumerate(made))
+
+    def test_one_relaxed_solve_per_cell(self, monkeypatch):
+        solved = []
+        solve_relaxed = semistatic.solve_relaxed
+
+        def counted(config):
+            solved.append(config)
+            return solve_relaxed(config)
+
+        monkeypatch.setattr(semistatic, "solve_relaxed", counted)
+        spec = parse_sweep_file(
+            "x1=1, 2\nx2=1\nw=3\nN=4\npe=0.2\ny=1\npolicies=wtb-r, wtb-w, wtb-d\n"
+        )
+        buf = io.StringIO()
+        assert run_sweep(spec, buf) == 0
+        assert [c.x1 for c in solved] == [1, 2]
+        assert len(buf.getvalue().splitlines()) == 1 + 6
+
+    def test_hand_built_spec_refused_before_any_output(self):
+        # parse_sweep_file refuses N = 0; a spec built by hand reaches run_sweep
+        spec = cli.SweepSpec(x1=[1], x2=[1], w=[2], N=[0], pe=[0.2], y=[1], policies=["mw"])
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="^N must be >= 1, got 0$"):
+            run_sweep(spec, buf)
+        assert buf.getvalue() == ""
+
     def test_pe_close_to_another_reads_back(self):
         # both print as 0.123457 at 6 significant digits
         spec = parse_sweep_file(
@@ -676,10 +728,11 @@ class TestSweepRun:
         run_sweep(spec, buf)
         lines = buf.getvalue().splitlines()[1:]
         assert [line.split(",")[4] for line in lines] == ["0.1234567", "0.1234568"]
-        assert [csv_row(line).pe for line in lines] == [0.1234567, 0.1234568]
+        assert [csv_row(line).config.p_e for line in lines] == [0.1234567, 0.1234568]
         row = csv_row(lines[0])
-        row.pe = 0.1 + 0.2  # 12 significant digits would read back as 0.3
-        assert csv_row(row.to_csv()).pe == 0.1 + 0.2
+        # 12 significant digits would read back as 0.3
+        row.config = dataclasses.replace(row.config, p_e=0.1 + 0.2)
+        assert csv_row(row.to_csv()).config.p_e == 0.1 + 0.2
 
     def test_monte_carlo_rows_have_intervals(self):
         spec = parse_sweep_file(
@@ -808,10 +861,9 @@ class TestSweepRun:
         rows = [csv_row(ln) for ln in buf.getvalue().splitlines()[1:]]
         assert len(rows) == 80
         for row in rows:
-            cfg = ScenarioConfig(N=row.N, p_e=row.pe, w=row.w, y=row.y, x1=row.x1, x2=row.x2)
-            policy = value_iteration(cfg) if row.policy == "mdp" else row.policy
+            policy = value_iteration(row.config) if row.policy == "mdp" else row.policy
             # as a call outside the sweep evaluates it
-            assert fmt_prob(row.dvp) == fmt_prob(exact_dvp_chain(cfg, policy).dvp)
+            assert fmt_prob(row.dvp) == fmt_prob(exact_dvp_chain(row.config, policy).dvp)
 
     def test_monte_carlo_sweep_keeps_no_kernel(self, monkeypatch):
         # no kernel is built while another is alive: the cache drops its

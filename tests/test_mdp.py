@@ -59,8 +59,8 @@ def rectangle(cfg):
     the corner beyond them: the oracles are defined there too."""
     return [
         QueueState(q1, q2)
-        for q1 in range(cfg.q1_max + 1)
-        for q2 in range(cfg.q2_max + 1)
+        for q1 in range(cfg.first_hop_load + 1)
+        for q2 in range(cfg.total_load + 1)
     ]
 
 
@@ -78,8 +78,8 @@ class TestStateSpace:
     def test_bounds(self):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=1, x2=2)
         for st in domain(cfg):
-            assert 0 <= st.q1 <= cfg.q1_max
-            assert 0 <= st.q2 and st.q1 + st.q2 <= cfg.q2_max
+            assert 0 <= st.q1 <= cfg.first_hop_load
+            assert 0 <= st.q2 and st.q1 + st.q2 <= cfg.total_load
 
     def test_index_lookup_start_and_nonempty_agree(self):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=2, x1=1, x2=2)
@@ -89,6 +89,13 @@ class TestStateSpace:
             assert states.nonempty[i] == (st != (0, 0))
         assert states.start == states.index(cfg.first_hop_load, cfg.x2)
         assert (states.lookup >= 0).sum() == len(states)
+
+    def test_configs_of_equal_bounds_share_one_domain(self):
+        # first_hop_load 3 and total_load 5 in both; N, p_e, w and the y/x1 split differ
+        a = ScenarioConfig(N=2, p_e=0.5, w=2, y=2, x1=1, x2=2)
+        b = ScenarioConfig(N=5, p_e=0.3, w=4, y=1, x1=2, x2=2)
+        assert backlog_states(a) is backlog_states(b)
+        assert backlog_states(b).start == backlog_states(b).index(3, 2)
 
     def test_domain_is_the_reachable_set(self):
         # a search from the start state over transition_probs' moves of
@@ -275,7 +282,7 @@ class TestKernelScenarioGuard:
     its kernel_key and builds anew for any other."""
 
     CFG = ScenarioConfig(N=4, p_e=0.4, w=4, y=1, x1=1, x2=1)
-    # the kernel does not depend on w, nor on how q1_max splits into y, x1
+    # the kernel does not depend on w, nor on how first_hop_load splits into y, x1
     SAME_KEY = ScenarioConfig(N=4, p_e=0.4, w=1, y=2, x1=0, x2=1)
     OTHERS = {
         "p_e": ScenarioConfig(N=4, p_e=0.2, w=4, y=1, x1=1, x2=1),
@@ -467,7 +474,7 @@ class TestViolationToGo:
         acts = np.array([3, 1])
         Q = violation_to_go(cfg, acts)
         assert len(Q) == cfg.w
-        assert all(q.shape == (2, (cfg.q1_max + 1) * (cfg.q2_max + 1)) for q in Q)
+        assert all(q.shape == (2, (cfg.first_hop_load + 1) * (cfg.total_load + 1)) for q in Q)
 
     def test_last_frame_is_one_step_to_the_horizon(self):
         # Q_{w-1}[j] . rho is the violation one frame after rho under acts[j]
@@ -653,11 +660,21 @@ class TestPolicyTable:
             PolicyTable.from_text(f"# policy-table {header}\n")
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("n", ["abc", "0"])
-    def test_malformed_header_value_carries_line_number(self, n):
-        text = f"# policy-table N={n} pe=0.5 w=1 y=1 x1=0 x2=0\n"
-        with pytest.raises(ValueError, match="^line 1: "):
+    @pytest.mark.parametrize(
+        "n, pe, message",
+        [
+            pytest.param("abc", "0.5", "line 1: N must be an integer, got 'abc'", id="abc"),
+            pytest.param("0", "0.5", "line 1: N must be >= 1, got 0", id="0"),
+            pytest.param("2.5", "0.5", "line 1: N must be an integer, got '2.5'", id="2.5"),
+            pytest.param("2", "x", "line 1: pe must be a number, got 'x'", id="pe-x"),
+        ],
+    )
+    def test_malformed_header_value_carries_line_number(self, n, pe, message):
+        # the sweep parser's wording for a value that does not convert
+        text = f"# policy-table N={n} pe={pe} w=1 y=1 x1=0 x2=0\n"
+        with pytest.raises(ValueError) as exc:
             PolicyTable.from_text(text)
+        assert str(exc.value) == message
 
 
 def one_action(kind, N, q1, q2):

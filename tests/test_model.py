@@ -178,7 +178,6 @@ class TestConfigAndSchedule:
         cfg = ScenarioConfig(N=4, p_e=0.2, w=3, y=2, x1=1, x2=3)
         assert cfg.total_load == 6
         assert cfg.first_hop_load == 3
-        assert cfg.q1_max == 3 and cfg.q2_max == 6
 
     @pytest.mark.parametrize(
         "kwargs",

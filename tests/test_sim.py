@@ -15,7 +15,7 @@ from dvpsched import (
     value_iteration,
     wilson_interval,
 )
-from dvpsched import sim
+from dvpsched import model, sim
 from dvpsched.mdp import baseline_actions
 from dvpsched.model import CapExceededError, backlog_states
 from dvpsched.oracles import QueueState, binomial_cdf, step_queues
@@ -299,7 +299,7 @@ class TestSimulate:
         cfg = ScenarioConfig(4, 0.4, 5, 300, 300, 300)
         if policy == "even split":
             policy = even_split(cfg)
-        backlog_states.cache_clear()  # count the domain's arrays too
+        model._backlog_states.cache_clear()  # count the domain's arrays too
         tracemalloc.start()
         try:
             simulate_policies(cfg, [policy], 20_000, 1)
@@ -447,7 +447,7 @@ class TestSimulatePolicies:
     def test_move_table_over_budget_refused_before_it_is_made(self, monkeypatch):
         cfg = ScenarioConfig(N=20, p_e=0.4, w=2, y=10, x1=10, x2=10)
         cells = Cells.of(_inversion_table(cfg.N, 1.0 - cfg.p_e))
-        nbytes = 8 * (cfg.N + 1) * (cfg.q1_max + cfg.N + 2) * len(cells.cuts)
+        nbytes = 8 * (cfg.N + 1) * (cfg.first_hop_load + cfg.N + 2) * len(cells.cuts)
         assert Moves.of(cfg, cells).table.nbytes == nbytes
 
         def no_draws(*args, **kwargs):
