@@ -202,8 +202,9 @@ SCALAR_KEYS = ("evaluator", "reps", "seed")
 def parse_sweep_file(text: str) -> SweepSpec:
     """Flat key = value syntax, commas separate list entries, # comments.
     An unknown key, an unknown policy or evaluator, or a value that is not
-    of its key's type, that no scenario allows, or that repeats within its
-    list, raises ValueError naming its line."""
+    of its key's type, that no scenario allows, that repeats within its
+    list, or that sim.check_counts refuses, raises ValueError naming its
+    line."""
     required = ("x1", "x2", "w", "N", "pe", "y", "policies")
     values: dict[str, list[str]] = {}
     lines: dict[str, int] = {}
@@ -262,7 +263,12 @@ def parse_sweep_file(text: str) -> SweepSpec:
         )
     reps = parsed("reps")[0] if "reps" in values else 1_000_000
     seed = parsed("seed")[0] if "seed" in values else 0
-    check_counts(reps, seed)
+    # each count alone, so that a refusal names its own line
+    for key, counts in (("reps", (reps, 0)), ("seed", (1, seed))):
+        try:
+            check_counts(*counts)
+        except ValueError as exc:
+            raise ValueError(f"line {lines[key]}: {exc}") from None
     return SweepSpec(
         x1=parsed("x1", field="x1"),
         x2=parsed("x2", field="x2"),
@@ -348,6 +354,7 @@ def run_sweep(spec: SweepSpec, out) -> int:
     for config in configs:
         # one relaxed solve, shared by the cell's wtb-* rows
         relaxed = functools.cache(semistatic.solve_relaxed)
+        chains = {}  # each distinct schedule's exact DVP, one chain each
         rows = []
         jobs = []  # Monte Carlo rows, simulated together once all are solved
         for policy_name in sorted(spec.policies):
@@ -355,10 +362,14 @@ def run_sweep(spec: SweepSpec, out) -> int:
             row = SweepRow(config, policy_name)
             try:
                 policy = _cell_policy(config, policy_name, relaxed)
-                if spec.evaluator == "exact":
-                    row.dvp = exact_dvp_chain(config, policy).dvp
-                else:
+                if spec.evaluator != "exact":
                     jobs.append((row, policy))
+                elif isinstance(policy, Schedule):
+                    if policy not in chains:
+                        chains[policy] = exact_dvp_chain(config, policy).dvp
+                    row.dvp = chains[policy]
+                else:
+                    row.dvp = exact_dvp_chain(config, policy).dvp
             except (ValueError, CapExceededError) as exc:
                 row.error = str(exc)
             row.ms = (time.perf_counter() - start) * 1e3

@@ -136,14 +136,6 @@ def _exp_or_inf(exponent: float) -> float:
     return math.exp(exponent) if exponent < 709.0 else math.inf
 
 
-def _log_sum_exp(e: np.ndarray) -> tuple[float, np.ndarray]:
-    """log(sum(exp(e))) and the softmax weights exp(e) / sum(exp(e))."""
-    top = e.max()
-    p = np.exp(e - top)
-    total = p.sum()
-    return top + math.log(total), p / total
-
-
 def _log_wtb_in_s(T: np.ndarray, m: np.ndarray, p_e: float, s: float):
     """log wtb and its first two derivatives in s, for fixed trial counts,
     with the union terms' softmax weights.
@@ -152,15 +144,20 @@ def _log_wtb_in_s(T: np.ndarray, m: np.ndarray, p_e: float, s: float):
     has e_j' = m_j - r T_j and e_j'' = r (1 - r) T_j >= 0, so the
     log-sum-exp g = log sum exp(e_j) is convex with
     g' = E_p[e'] and g'' = E_p[e''] + Var_p(e') under the softmax weights p."""
-    q = 1.0 - p_e
-    alpha = p_e + q * math.exp(-s)
-    r = q * math.exp(-s) / alpha if p_e > 0.0 else 1.0
-    g, p = _log_sum_exp(T * _log_alpha(p_e, s) + s * m)
+    q_decay = (1.0 - p_e) * math.exp(-s)
+    alpha = p_e + q_decay
+    r = q_decay / alpha if p_e > 0.0 else 1.0
+    e = T * _log_alpha(p_e, s) + s * m
+    top = max(e.tolist())  # e.max(), since e holds no NaN
+    p = np.exp(e - top)
+    total = p.sum()
+    p /= total
     slope = m - r * T
-    g1 = float(p @ slope)
-    g2 = (r * p_e / alpha if p_e > 0.0 else 0.0) * float(p @ T)
-    g2 += float(p @ (slope - g1) ** 2)
-    return g, g1, g2, p
+    g1 = float(p.dot(slope))
+    g2 = (r * p_e / alpha if p_e > 0.0 else 0.0) * float(p.dot(T))
+    d = slope - g1
+    g2 += float(p.dot(d * d))
+    return top + math.log(total), g1, g2, p
 
 
 def _newton_in_bracket(f, lo: float, hi: float, s: float, point, lo_seen=True, hi_seen=True):
@@ -232,17 +229,11 @@ class _Proven(Exception):
 
 def _tangent_bound(neg, pos) -> float:
     """A lower bound on a convex g over [S_LO, _S_CAP] from its tangents at
-    neg = (s, g, g') with g' < 0 and pos = (s, g, g') with g' >= 0, either
-    None if there is none: where the two cross, or the one tangent's value
-    at the end of the range it falls toward. The smaller of the two
-    tangents' values at the computed crossing is taken, so that rounding in
-    the crossing can only lower the bound."""
-    if pos is None:
-        s, g, g1 = neg
-        return g + g1 * (_S_CAP - s)
-    if neg is None:
-        s, g, g1 = pos
-        return g + g1 * (S_LO - s)
+    neg = (s, g, g') with g' < 0 and pos = (s, g, g') with g' >= 0: where
+    the two cross. (With one tangent only, min_log_wtb takes its value at
+    the end of the range it falls toward.) The smaller of the two tangents'
+    values at the computed crossing is taken, so that rounding in the
+    crossing can only lower the bound."""
     (sa, ga, da), (sb, gb, db) = neg, pos
     gap = sb - sa
     dx = (gb - ga - db * gap) / (da - db)
@@ -274,9 +265,10 @@ def min_log_wtb(
     starts; a range end is evaluated only if a step would cross it.
 
     With `above` given, the search stops early and returns Rejected once
-    the tangents at its evaluated points (_tangent_bound over the
-    right-most point of falling and the left-most point of rising log wtb)
-    put the minimum above `above` by more than _REJECT_MARGIN * (1 +
+    the tangents at its evaluated points (at the right-most point of
+    falling and the left-most point of rising log wtb: their crossing,
+    _tangent_bound, or one tangent's value at the range end it falls
+    toward) put the minimum above `above` by more than _REJECT_MARGIN * (1 +
     |above|); the full search would then have ended above `above` too.
     Otherwise it evaluates the same exponents and returns the same result
     as without `above`."""
@@ -284,6 +276,7 @@ def min_log_wtb(
     neg = pos = None
     if above is not None:
         limit = above + _REJECT_MARGIN * (1.0 + abs(above))
+    m = np.asarray(m, dtype=float)  # once, not at every exponent
 
     def f(s: float):
         nonlocal evals, neg, pos
@@ -295,7 +288,12 @@ def min_log_wtb(
                     neg = (s, point[0], point[1])
             elif pos is None or s < pos[0]:
                 pos = (s, point[0], point[1])
-            bound = _tangent_bound(neg, pos)
+            if pos is None:
+                bound = neg[1] + neg[2] * (_S_CAP - neg[0])
+            elif neg is None:
+                bound = pos[1] + pos[2] * (S_LO - pos[0])
+            else:
+                bound = _tangent_bound(neg, pos)
             if bound > limit:
                 raise _Proven(bound)
         return point

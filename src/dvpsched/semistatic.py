@@ -110,7 +110,7 @@ def solve_relaxed(config: ScenarioConfig) -> RelaxedSchedule:
         raise ValueError(f"relaxed box [1, N-1] is empty for N={config.N}")
     lo, hi = 1.0, float(config.N - 1)
     c, A, m = union_terms(config)
-    x = np.clip(np.full(config.w, config.N / 2.0), lo, hi)
+    x = np.minimum(np.maximum(np.full(config.w, config.N / 2.0), lo), hi)
     best = min_log_wtb(c + A @ x, m, config.p_e)
     s_evals = best.evals
     iterations = trials = rejected_early = 0
@@ -119,7 +119,9 @@ def solve_relaxed(config: ScenarioConfig) -> RelaxedSchedule:
         p = best.weights
         pA = p @ A
         grad = log_alpha * pA
-        pg_norm = float(np.linalg.norm(x - np.clip(x - grad, lo, hi)))
+        # np.clip and np.linalg.norm compute the same, with more dispatch
+        gap = x - np.minimum(np.maximum(x - grad, lo), hi)
+        pg_norm = math.sqrt(gap.dot(gap))
         if pg_norm <= _PG_TOL or best.value == 0.0:  # a zero bound cannot fall further
             stop_reason = "converged"
             break
@@ -127,8 +129,9 @@ def solve_relaxed(config: ScenarioConfig) -> RelaxedSchedule:
             stop_reason = "max-iters"
             break
         iterations += 1
-        held = ((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0))
-        free = ~held
+        # held: at a face of the box, with the gradient pointing out of it
+        held = np.where(grad > 0.0, x <= lo, (grad < 0.0) & (x >= hi))
+        free = ~held if held.any() else slice(None)  # all free: no fancy indexing
         step = -grad
         Af = A[:, free] - pA[free]
         hess = log_alpha**2 * (Af.T @ (p[:, None] * Af))
@@ -145,7 +148,7 @@ def solve_relaxed(config: ScenarioConfig) -> RelaxedSchedule:
         # anyway; start the search no longer than the box is wide
         t = min(1.0, (hi - lo) / np.abs(step).max())
         for _ in range(_MAX_HALVINGS):
-            cand = np.clip(x + t * step, lo, hi)
+            cand = np.minimum(np.maximum(x + t * step, lo), hi)
             decrease = grad @ (cand - x)
             if decrease < 0.0:
                 threshold = best.log_wtb + _ARMIJO_C * decrease

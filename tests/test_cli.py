@@ -1,6 +1,8 @@
 """Command-line interface: output contracts, file formats, exit codes."""
 import dataclasses
+import functools
 import io
+import itertools
 import re
 import weakref
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from dvpsched import (
     PolicyTable,
     ScenarioConfig,
+    Schedule,
     TransitionKernel,
     exact_dvp_chain,
     simulate_policies,
@@ -524,9 +527,26 @@ class TestSweepParsing:
         ],
     )
     def test_malformed_monte_carlo_settings_rejected(self, capsys, tmp_path, line, message):
-        # sim.check_counts' own messages, once for the sweep, not once per cell
-        text = SWEEP_TEXT.replace("evaluator = exact", "evaluator = monte-carlo\n" + line)
-        with pytest.raises(ValueError, match=message):
+        # sim.check_counts' own messages at the value's line (line 11), once
+        # for the sweep, not once per cell
+        self.check_count_refused(capsys, tmp_path, line, f"line 11: {message}")
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("reps = 0\nseed = -1", "line 11: replications must be >= 1, got 0"),
+            ("seed = -1\nreps = 0", "line 12: replications must be >= 1, got 0"),
+            ("reps = 5\nseed = -1", "line 12: seed must fit in 64 bits"),
+        ],
+    )
+    def test_each_count_refused_at_its_own_line(self, capsys, tmp_path, lines, message):
+        # reps is checked before seed, wherever each stands
+        self.check_count_refused(capsys, tmp_path, lines, message)
+
+    @staticmethod
+    def check_count_refused(capsys, tmp_path, lines, message):
+        text = SWEEP_TEXT.replace("evaluator = exact", "evaluator = monte-carlo\n" + lines)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_sweep_file(text)
         sweep = tmp_path / "sweep.txt"
         sweep.write_text(text)
@@ -710,6 +730,44 @@ class TestSweepRun:
         assert run_sweep(spec, buf) == 0
         assert [c.x1 for c in solved] == [1, 2]
         assert len(buf.getvalue().splitlines()) == 1 + 6
+
+    @pytest.mark.parametrize("name", ["semistatic-deadlines", "dynamic-deadlines"])
+    def test_one_chain_per_distinct_schedule(self, monkeypatch, name):
+        # a cell's rows that share a schedule share one chain; a table or a
+        # baseline name is evaluated per row
+        calls = []
+
+        def key(policy):
+            return policy.to_text() if isinstance(policy, PolicyTable) else policy
+
+        def counted(config, policy):
+            calls.append((config, key(policy)))
+            return exact_dvp_chain(config, policy)
+
+        monkeypatch.setattr(cli, "exact_dvp_chain", counted)
+        spec = parse_sweep_file((SWEEPS / f"{name}.sweep").read_text())
+        buf = io.StringIO()
+        assert run_sweep(spec, buf) == 0
+        got = [line.rsplit(",", 1)[0] for line in buf.getvalue().splitlines()]
+        assert got == (GOLDEN / f"{name}.csv").read_text().splitlines()
+        want = []
+        for x1, x2, w, N, pe, y in sorted(
+            itertools.product(spec.x1, spec.x2, spec.w, spec.N, spec.pe, spec.y)
+        ):
+            config = ScenarioConfig(N, pe, w, y, x1, x2)
+            relaxed = functools.cache(semistatic.solve_relaxed)
+            for policy_name in sorted(spec.policies):
+                policy = key(cli._cell_policy(config, policy_name, relaxed))
+                if not isinstance(policy, Schedule) or (config, policy) not in want:
+                    want.append((config, policy))
+        assert calls == want
+        schedules = sum(isinstance(policy, Schedule) for _, policy in calls)
+        if name == "dynamic-deadlines":
+            # one schedule row (fifty) per cell: one call per row
+            assert len(calls) == len(got) - 1
+        else:
+            # every row is a schedule: 109 distinct among the 180 rows
+            assert schedules == len(calls) == 109 and len(got) - 1 == 180
 
     def test_hand_built_spec_refused_before_any_output(self):
         # parse_sweep_file refuses N = 0; a spec built by hand reaches run_sweep

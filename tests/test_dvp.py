@@ -16,7 +16,7 @@ from dvpsched import (
     value_iteration,
     wtb_min_s,
 )
-from dvpsched.dvp import S_LO, Rejected, _log_wtb_in_s, min_log_wtb, union_terms
+from dvpsched.dvp import S_LO, Rejected, _log_alpha, _log_wtb_in_s, min_log_wtb, union_terms
 from dvpsched.model import backlog_states
 from dvpsched.oracles import binomial_cdf, exact_dvp_enum, wtb
 
@@ -379,6 +379,68 @@ def random_terms(rng):
     m = rng.integers(0, 20, size=k).astype(float)
     p_e = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 0.9))
     return T, m, p_e
+
+
+def log_sum_exp_before_fusion(e):
+    """log(sum(exp(e))) and the softmax weights, as _log_wtb_in_s computed
+    them through a helper of its own before it did so inline."""
+    top = e.max()
+    p = np.exp(e - top)
+    total = p.sum()
+    return top + math.log(total), p / total
+
+
+def log_wtb_in_s_before_fusion(T, m, p_e, s):
+    """_log_wtb_in_s before it fused its array passes, kept as the
+    reference it must equal bit for bit."""
+    q = 1.0 - p_e
+    alpha = p_e + q * math.exp(-s)
+    r = q * math.exp(-s) / alpha if p_e > 0.0 else 1.0
+    g, p = log_sum_exp_before_fusion(T * _log_alpha(p_e, s) + s * m)
+    slope = m - r * T
+    g1 = float(p @ slope)
+    g2 = (r * p_e / alpha if p_e > 0.0 else 0.0) * float(p @ T)
+    g2 += float(p @ (slope - g1) ** 2)
+    return g, g1, g2, p
+
+
+class TestFusedEvaluation:
+    """_log_wtb_in_s equals its unfused form bit for bit, so every exponent
+    search evaluates the same exponents and returns the same result."""
+
+    @staticmethod
+    def check(T, m, p_e, s):
+        g, g1, g2, p = _log_wtb_in_s(T, m, p_e, s)
+        rg, rg1, rg2, rp = log_wtb_in_s_before_fusion(T, m, p_e, s)
+        assert (g, g1, g2) == (rg, rg1, rg2)
+        assert np.array_equal(p, rp)
+
+    def test_random_terms(self):
+        rng = np.random.default_rng(29)
+        for _ in range(500):
+            T, m, p_e = random_terms(rng)
+            s = float(np.exp(rng.uniform(math.log(S_LO), math.log(3200.0))))
+            self.check(T, m, p_e, s)
+            self.check(T, m.astype(int), p_e, s)  # union_terms' thresholds are int
+
+    def test_union_terms(self):
+        # the trial counts and thresholds the relaxed solver searches, at
+        # p_e = 0, at the low-loss corner and at S, M and L, over both ends
+        # of the exponent range
+        rng = np.random.default_rng(30)
+        for cfg in [
+            ScenarioConfig(4, 0.0, 5, 1, 1, 1),
+            ScenarioConfig(5, 0.02, 6, 1, 1, 1),
+            ScenarioConfig(6, 0.4, 6, 1, 3, 3),
+            ScenarioConfig(10, 0.4, 10, 5, 5, 5),
+            ScenarioConfig(16, 0.4, 12, 10, 10, 10),
+        ]:
+            c, A, m = union_terms(cfg)
+            for _ in range(40):
+                T = c + A @ rng.uniform(1.0, cfg.N - 1.0, size=cfg.w)
+                for s in (S_LO, float(rng.uniform(0.01, 20.0)), 3200.0):
+                    self.check(T, m, cfg.p_e, s)
+                    self.check(T, m.astype(float), cfg.p_e, s)
 
 
 class TestExponentSearch:
