@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import semistatic
 from .dvp import exact_dvp_chain
@@ -29,34 +29,21 @@ from .model import (
 from .sim import check_counts, simulate_policies
 
 
-class Method(NamedTuple):
-    """How `solve` and `sweep` obtain one method's policy, and for a
-    semi-static method the criterion its score is.
-
-    `solve(config, relaxed)` returns a SemiStaticResult for a semi-static
-    method (its score is the `score` criterion), else a PolicyTable or a
-    baseline name; `relaxed(config)` gives the relaxed schedule the wtb-*
-    methods start from. Solvers are looked up when called, so that wrapping
-    them in their modules reaches this table too."""
-
-    solve: Callable
-    score: str = ""
-
-
+# What `solve` can solve: each method's solve(config, relaxed), which gives a
+# SemiStaticResult, whose criterion names its score, or the mdp PolicyTable;
+# relaxed(config) gives the relaxed schedule the wtb-* methods start from.
+# Solvers are looked up when called, so that wrapping them in their modules
+# reaches this table too. A baseline (mdp.BASELINE_KINDS) has nothing to
+# solve: a sweep evaluates its name as the policy.
 METHODS = {
-    "wtb-r": Method(lambda c, relaxed: semistatic.round_nearest(c, relaxed(c)), "wtb"),
-    "wtb-w": Method(lambda c, relaxed: semistatic.neighbor_search(c, relaxed(c), "wtb"), "wtb"),
-    "wtb-d": Method(
-        lambda c, relaxed: semistatic.neighbor_search(c, relaxed(c), "dvpub"), "dvpub"
-    ),
-    "e-wtb": Method(lambda c, relaxed: semistatic.e_wtb(c), "wtb"),
-    "e-dvpub": Method(lambda c, relaxed: semistatic.e_dvpub(c), "dvpub"),
-    "opt": Method(lambda c, relaxed: semistatic.opt(c), "dvp"),
-    "fifty": Method(lambda c, relaxed: semistatic.fifty_fifty(c), "dvp"),
-    "mdp": Method(lambda c, relaxed: value_iteration(c)),
-    "mw": Method(lambda c, relaxed: "mw"),
-    "wfq": Method(lambda c, relaxed: "wfq"),
-    "bp": Method(lambda c, relaxed: "bp"),
+    "wtb-r": lambda c, relaxed: semistatic.round_nearest(c, relaxed(c)),
+    "wtb-w": lambda c, relaxed: semistatic.neighbor_search(c, relaxed(c), "wtb"),
+    "wtb-d": lambda c, relaxed: semistatic.neighbor_search(c, relaxed(c), "dvpub"),
+    "e-wtb": lambda c, relaxed: semistatic.e_wtb(c),
+    "e-dvpub": lambda c, relaxed: semistatic.e_dvpub(c),
+    "opt": lambda c, relaxed: semistatic.opt(c),
+    "fifty": lambda c, relaxed: semistatic.fifty_fifty(c),
+    "mdp": lambda c, relaxed: value_iteration(c),
 }
 
 EXIT_OK = 0
@@ -101,7 +88,6 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         return _error(exc, EXIT_USAGE)
 
-    method = METHODS[args.method]
     out = None
     if args.out:
         # opened before the solve, so that an unwritable path costs no solve;
@@ -116,14 +102,14 @@ def cmd_solve(args) -> int:
         if args.full_domain:
             result = semistatic.opt(config, full_domain=True)
         else:
-            result = method.solve(config, semistatic.solve_relaxed)
+            result = METHODS[args.method](config, semistatic.solve_relaxed)
     except (CapExceededError, ValueError) as exc:
         if out is not None:
             out.close()
             if created:
                 os.remove(args.out)
         return _error(exc, EXIT_INFEASIBLE)
-    if not method.score:
+    if isinstance(result, PolicyTable):
         text = result.to_text()
         if out is None:
             sys.stdout.write(text)
@@ -136,7 +122,7 @@ def cmd_solve(args) -> int:
             return _error(exc, EXIT_USAGE)
         return EXIT_OK
     print("n1=" + ",".join(str(v) for v in result.schedule.n1))
-    print(f"{method.score}={fmt_prob(result.score)}")
+    print(f"{result.criterion}={fmt_prob(result.score)}")
     return EXIT_OK
 
 
@@ -254,7 +240,7 @@ def parse_sweep_file(text: str) -> SweepSpec:
 
     policies = parsed("policies", str)
     for p in policies:
-        if p not in METHODS:
+        if p not in METHODS and p not in BASELINE_KINDS:
             raise ValueError(f"line {lines['policies']}: unknown policy {p!r}")
     evaluator = values.get("evaluator", ["exact"])[0]
     if evaluator not in ("exact", "monte-carlo"):
@@ -284,13 +270,12 @@ def parse_sweep_file(text: str) -> SweepSpec:
 
 
 def _cell_policy(config: ScenarioConfig, policy_name: str, relaxed: Callable):
-    """The schedule, table or baseline name that one sweep cell evaluates."""
-    if policy_name == "fifty":
-        # the cell evaluates the schedule itself; fifty_fifty would score it too
-        return semistatic.even_split(config)
-    method = METHODS[policy_name]
-    policy = method.solve(config, relaxed)
-    return policy.schedule if method.score else policy
+    """The schedule, table or baseline name that one sweep cell evaluates;
+    a baseline name, fifty among them, is its own policy."""
+    if policy_name in BASELINE_KINDS:
+        return policy_name
+    policy = METHODS[policy_name](config, relaxed)
+    return policy if isinstance(policy, PolicyTable) else policy.schedule
 
 
 def _simulate_rows(config: ScenarioConfig, jobs: list, spec: SweepSpec) -> None:
@@ -354,7 +339,9 @@ def run_sweep(spec: SweepSpec, out) -> int:
     for config in configs:
         # one relaxed solve, shared by the cell's wtb-* rows
         relaxed = functools.cache(semistatic.solve_relaxed)
-        chains = {}  # each distinct schedule's exact DVP, one chain each
+        # each distinct policy's exact DVP, one chain each; a schedule keys by
+        # value, a table by identity
+        chains = {}
         rows = []
         jobs = []  # Monte Carlo rows, simulated together once all are solved
         for policy_name in sorted(spec.policies):
@@ -364,12 +351,10 @@ def run_sweep(spec: SweepSpec, out) -> int:
                 policy = _cell_policy(config, policy_name, relaxed)
                 if spec.evaluator != "exact":
                     jobs.append((row, policy))
-                elif isinstance(policy, Schedule):
+                else:
                     if policy not in chains:
                         chains[policy] = exact_dvp_chain(config, policy).dvp
                     row.dvp = chains[policy]
-                else:
-                    row.dvp = exact_dvp_chain(config, policy).dvp
             except (ValueError, CapExceededError) as exc:
                 row.error = str(exc)
             row.ms = (time.perf_counter() - start) * 1e3
@@ -410,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--method",
         required=True,
-        # the semi-static methods and the MDP table; a baseline has nothing to solve
-        choices=[name for name, method in METHODS.items() if method.score or name == "mdp"],
+        choices=list(METHODS),
     )
     p_solve.add_argument("--out", help="write the mdp policy table here")
     p_solve.add_argument(

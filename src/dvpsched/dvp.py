@@ -59,9 +59,10 @@ class EvalResult:
 
 
 def _as_n2(config: ScenarioConfig, schedule) -> np.ndarray:
-    """Accept a Schedule or a raw per-frame link-2 allocation vector (real
-    values allowed, for acceptance criterion 03 and the oracles; the relaxed
-    optimizer calls min_log_wtb on its trial counts instead)."""
+    """Accept a Schedule or a raw per-frame link-2 allocation vector: real
+    values for acceptance criterion 03 and the oracles, or the integer
+    vectors the semi-static searches build in range. The relaxed optimizer
+    calls min_log_wtb on its trial counts instead."""
     if isinstance(schedule, Schedule):
         check_schedule(config, schedule)
         return np.array(schedule.n2, dtype=float)
@@ -107,11 +108,11 @@ def _term_cdf(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return cdf, np.minimum(union_terms(config).m, n_max)
 
 
-def dvpub(config: ScenarioConfig, schedule: Schedule) -> EvalResult:
-    """Union-bound DVP estimate: the sum of the binomial tails of the union
-    terms. Unclamped; may exceed 1. The tails are read from _term_cdf's
-    table, so an allocation outside [0, N]^w whose trial counts leave
-    0..w*N raises ValueError."""
+def dvpub(config: ScenarioConfig, schedule) -> EvalResult:
+    """Union-bound DVP estimate of a Schedule or a raw link-2 vector
+    (_as_n2): the sum of the binomial tails of the union terms, unclamped
+    (it may exceed 1) and read from _term_cdf's table, so an allocation
+    outside [0, N]^w whose trial counts leave 0..w*N raises ValueError."""
     c, A, _ = union_terms(config)
     cdf, cols = _term_cdf(config)
     trials = np.rint(c + A @ _as_n2(config, schedule)).astype(np.intp)

@@ -73,14 +73,14 @@ class RelaxedSchedule:
 
 @dataclass(frozen=True)
 class SemiStaticResult:
-    """An integer schedule, how it was chosen, and the criterion value that
-    selected it. nodes, for the searches, is the work done: the chain steps
-    opt's branch-and-bound took, the schedules e-wtb, wtb-w or wtb-d
-    scored, or the edges e-dvpub's forward pass scored. It takes no part in
-    equality."""
+    """An integer schedule, the criterion that selected it (wtb, dvpub or
+    dvp, the exact DVP) and its value there, the score. nodes, for the
+    searches, is the work done: the chain steps opt's branch-and-bound took,
+    the schedules e-wtb, wtb-w or wtb-d scored, or the edges e-dvpub's
+    forward pass scored. It takes no part in equality."""
 
     schedule: Schedule
-    method: str
+    criterion: str
     score: float
     relaxed: RelaxedSchedule | None = None
     nodes: int = field(default=0, compare=False)
@@ -197,7 +197,7 @@ def round_nearest(config: ScenarioConfig, relaxed: RelaxedSchedule) -> SemiStati
     clamped back into {1..N-1}."""
     n2 = tuple(int(min(max(math.floor(v + 0.5), 1), config.N - 1)) for v in relaxed.n2)
     schedule = _schedule_from_n2(config, n2)
-    return SemiStaticResult(schedule, "wtb-r", wtb_min_s(config, schedule)[1], relaxed)
+    return SemiStaticResult(schedule, "wtb", wtb_min_s(config, schedule)[1], relaxed)
 
 
 def _scan(
@@ -205,12 +205,13 @@ def _scan(
 ) -> tuple[tuple[int, ...], float, int]:
     """The first n2 in product order (lexicographic: each choice ascends)
     of least dvpub or wtb, that score, and the number of schedules scored.
-    Under wtb, a schedule's exponent search stops once it proves the
-    schedule cannot beat the best so far (_wtb_below)."""
+    Each n2 is scored as the link-2 vector it is, with no Schedule built
+    for it. Under wtb, a schedule's exponent search stops once it proves
+    the schedule cannot beat the best so far (_wtb_below)."""
     best_n2, best_score, count = None, math.inf, 0
     for count, n2 in enumerate(itertools.product(*choices), start=1):
         if criterion == "dvpub":
-            score = dvpub(config, _schedule_from_n2(config, n2)).dvp
+            score = dvpub(config, n2).dvp
         else:
             score = _wtb_below(config, n2, best_score)
         if score < best_score:
@@ -239,8 +240,7 @@ def neighbor_search(
             f"{count} neighbor combinations exceed cap {NEIGHBOR_CAP}", count, NEIGHBOR_CAP
         )
     n2, score, nodes = _scan(config, choices, criterion)
-    method = "wtb-d" if criterion == "dvpub" else "wtb-w"
-    return SemiStaticResult(_schedule_from_n2(config, n2), method, score, relaxed, nodes=nodes)
+    return SemiStaticResult(_schedule_from_n2(config, n2), criterion, score, relaxed, nodes=nodes)
 
 
 def _largest_addend(t: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -308,7 +308,7 @@ def e_dvpub(config: ScenarioConfig) -> SemiStaticResult:
         e = int(ok.any(axis=1).argmax())
         partial, q = np.where(ok[e], cand[e], np.inf), q + e
         n2.append(1 + e)
-    return SemiStaticResult(_schedule_from_n2(config, n2), "e-dvpub", best, nodes=w * v * width**2)
+    return SemiStaticResult(_schedule_from_n2(config, n2), "dvpub", best, nodes=w * v * width**2)
 
 
 def _least_exact_dvp(
@@ -395,7 +395,7 @@ def fifty_fifty(config: ScenarioConfig) -> SemiStaticResult:
     """The even split, scored by its exact DVP."""
     schedule = even_split(config)
     score = exact_dvp_chain(config, schedule).dvp
-    return SemiStaticResult(schedule=schedule, method="fifty-fifty", score=score)
+    return SemiStaticResult(schedule=schedule, criterion="dvp", score=score)
 
 
 def wtb_w(config: ScenarioConfig) -> SemiStaticResult:
@@ -408,7 +408,7 @@ def e_wtb(config: ScenarioConfig) -> SemiStaticResult:
     scoring every schedule (_scan); nodes counts them."""
     values = _exhaustive_domain(config).tolist()
     n2, score, nodes = _scan(config, [values] * config.w, "wtb")
-    return SemiStaticResult(_schedule_from_n2(config, n2), "e-wtb", score, nodes=nodes)
+    return SemiStaticResult(_schedule_from_n2(config, n2), "wtb", score, nodes=nodes)
 
 
 def opt(config: ScenarioConfig, full_domain: bool = False) -> SemiStaticResult:
@@ -418,4 +418,4 @@ def opt(config: ScenarioConfig, full_domain: bool = False) -> SemiStaticResult:
     transition_kernel(config) once the cap is checked and returns what
     scoring every schedule would; nodes counts its chain steps."""
     n2, score, nodes = _least_exact_dvp(config, _exhaustive_domain(config, full_domain))
-    return SemiStaticResult(_schedule_from_n2(config, n2), "opt", score, nodes=nodes)
+    return SemiStaticResult(_schedule_from_n2(config, n2), "dvp", score, nodes=nodes)

@@ -1,4 +1,5 @@
 """Command-line interface: output contracts, file formats, exit codes."""
+import argparse
 import dataclasses
 import functools
 import io
@@ -7,6 +8,7 @@ import re
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dvpsched import (
@@ -20,7 +22,7 @@ from dvpsched import (
 )
 from dvpsched import cli, semistatic, sim
 from dvpsched.cli import SWEEP_HEADER, SweepRow, fmt_prob, main, parse_sweep_file, run_sweep
-from dvpsched.mdp import transition_kernel
+from dvpsched.mdp import BASELINE_KINDS, transition_kernel
 
 SWEEPS = Path(__file__).resolve().parent.parent / "sweeps"
 # a scenario of a kernel_key that no sweep here uses: a test that counts
@@ -113,14 +115,24 @@ T = ScenarioConfig(N=4, p_e=0.2, w=6, y=1, x1=3, x2=3)
     ],
 )
 def test_registry_calls_the_searches(name, direct):
-    got = cli.METHODS[name].solve(T, semistatic.solve_relaxed)
+    got = cli.METHODS[name](T, semistatic.solve_relaxed)
     want = direct(T)
-    assert (got.schedule, got.score) == (want.schedule, want.score)
+    assert (got.schedule, got.criterion, got.score) == (want.schedule, want.criterion, want.score)
+
+
+SOLVABLE = ["wtb-r", "wtb-w", "wtb-d", "e-wtb", "e-dvpub", "opt", "fifty", "mdp"]
 
 
 def test_registry_covers_every_semi_static_method():
-    semi_static = {name for name, method in cli.METHODS.items() if method.score}
-    assert semi_static == {"wtb-r", "wtb-w", "wtb-d", "e-wtb", "e-dvpub", "opt", "fifty"}
+    # the registry holds what solve can solve, so no baseline (mw, wfq, bp)
+    assert set(cli.METHODS) == set(SOLVABLE)
+
+
+def test_solve_method_choices_in_registry_order():
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    [method] = [a for a in sub.choices["solve"]._actions if a.dest == "method"]
+    assert method.choices == SOLVABLE
 
 
 class TestSolve:
@@ -301,10 +313,13 @@ class TestSolve:
         assert score(wide) <= score(narrow) + 1e-15
 
     def test_unknown_method_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--N", "2", "--pe", "0.2", "--w", "2", "--y", "1",
-                  "--x1", "0", "--x2", "0", "--method", "magic"])
-        assert exc.value.code == 2
+        # mw, wfq and bp are baselines, with nothing to solve
+        for method in ("magic", "mw", "wfq", "bp"):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", "--N", "2", "--pe", "0.2", "--w", "2", "--y", "1",
+                      "--x1", "0", "--x2", "0", "--method", method])
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
 
 
 class TestEval:
@@ -649,6 +664,18 @@ class TestSweepRun:
         got = [line.rsplit(",", 1)[0] for line in buf.getvalue().splitlines()]
         assert got == (GOLDEN / "dynamic-deadlines.csv").read_text().splitlines()
 
+    def test_every_baseline_row_is_its_own_policy(self):
+        spec = parse_sweep_file(
+            f"x1=1\nx2=2\nw=3\nN=5\npe=0.3\ny=1\npolicies={', '.join(BASELINE_KINDS)}\n"
+        )
+        buf = io.StringIO()
+        assert run_sweep(spec, buf) == 0
+        rows = {r.policy: r.dvp for r in map(csv_row, buf.getvalue().splitlines()[1:])}
+        cfg = ScenarioConfig(N=5, p_e=0.3, w=3, y=1, x1=1, x2=2)
+        assert rows == {
+            name: float(fmt_prob(exact_dvp_chain(cfg, name).dvp)) for name in BASELINE_KINDS
+        }
+
     def test_header_rows_and_sorting(self):
         spec = parse_sweep_file(SWEEP_TEXT)
         buf = io.StringIO()
@@ -733,8 +760,8 @@ class TestSweepRun:
 
     @pytest.mark.parametrize("name", ["semistatic-deadlines", "dynamic-deadlines"])
     def test_one_chain_per_distinct_schedule(self, monkeypatch, name):
-        # a cell's rows that share a schedule share one chain; a table or a
-        # baseline name is evaluated per row
+        # a scenario's rows that share a policy share one chain; only
+        # schedules repeat, since each table is new and a baseline one row
         calls = []
 
         def key(policy):
@@ -763,11 +790,12 @@ class TestSweepRun:
         assert calls == want
         schedules = sum(isinstance(policy, Schedule) for _, policy in calls)
         if name == "dynamic-deadlines":
-            # one schedule row (fifty) per cell: one call per row
-            assert len(calls) == len(got) - 1
+            # a table and four baseline names per cell: one call per row
+            assert schedules == 0 and len(calls) == len(got) - 1
         else:
-            # every row is a schedule: 109 distinct among the 180 rows
-            assert schedules == len(calls) == 109 and len(got) - 1 == 180
+            # 64 distinct schedules among the 135 schedule rows, and the 45
+            # fifty rows, each of which evaluates the baseline name
+            assert (schedules, len(calls), len(got) - 1) == (64, 109, 180)
 
     def test_hand_built_spec_refused_before_any_output(self):
         # parse_sweep_file refuses N = 0; a spec built by hand reaches run_sweep
@@ -988,3 +1016,51 @@ class TestSweepRun:
         code, _, err = run_cli(capsys, "sweep", str(sweep))
         assert code == 2
         assert "error" in err
+
+
+def sweep_configs(name: str) -> list[ScenarioConfig]:
+    spec = parse_sweep_file((SWEEPS / f"{name}.sweep").read_text())
+    return [
+        ScenarioConfig(N, pe, w, y, x1, x2)
+        for x1, x2, w, N, pe, y in itertools.product(
+            spec.x1, spec.x2, spec.w, spec.N, spec.pe, spec.y
+        )
+    ]
+
+
+def random_configs(count: int, seed: int) -> list[ScenarioConfig]:
+    rng = np.random.default_rng(seed)
+    return [
+        ScenarioConfig(
+            N=int(rng.integers(1, 9)),
+            p_e=0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 0.9)),
+            w=int(rng.integers(1, 7)),
+            y=int(rng.integers(1, 5)),
+            x1=int(rng.integers(0, 5)),
+            x2=int(rng.integers(0, 5)),
+        )
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "configs",
+    [
+        sweep_configs("semistatic-deadlines"),
+        sweep_configs("dynamic-deadlines"),
+        random_configs(60, seed=30),
+    ],
+    ids=["semistatic-deadlines", "dynamic-deadlines", "random"],
+)
+def test_fifty_baseline_is_the_even_split(configs):
+    # a sweep's fifty row evaluates the baseline name, not the schedule
+    # semistatic.even_split: both must give the same chain and the same stream
+    for cfg in configs:
+        split = semistatic.even_split(cfg)
+        named, scheduled = exact_dvp_chain(cfg, "fifty"), exact_dvp_chain(cfg, split)
+        assert (named, named.mass_residual, named.states) == (
+            scheduled, scheduled.mass_residual, scheduled.states
+        ), cfg
+        for seed in (0, 5):
+            named_sim, split_sim = simulate_policies(cfg, ["fifty", split], 5000, seed)
+            assert named_sim == split_sim, cfg

@@ -214,6 +214,14 @@ class TestDvpub:
             assert res.detail == tuple(tails)
             assert res.dvp == sum(tails)
 
+    def test_raw_link2_vector_scores_as_its_schedule(self):
+        # the semi-static searches score the link-2 tuples they build with
+        # no Schedule
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            cfg, sched = random_instance(rng, max_N=7, max_w=6, max_load=9)
+            assert dvpub(cfg, sched.n2) == dvpub(cfg, sched)
+
     def test_rejects_allocations_beyond_the_table(self):
         # link-2 allocations above N give trial counts outside 0..w*N
         cfg = ScenarioConfig(N=4, p_e=0.2, w=2, y=1, x1=0, x2=0)

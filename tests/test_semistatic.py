@@ -353,7 +353,7 @@ class TestRoundNearest:
         cfg = ScenarioConfig(N=4, p_e=0.2, w=2, y=1, x1=0, x2=0)
         res = round_nearest(cfg, fake_relaxed(cfg, (1.2, 2.7)))
         assert res.schedule.n2 == (1, 3)
-        assert res.method == "wtb-r"
+        assert res.criterion == "wtb"
 
     def test_clamps_into_box(self):
         cfg = ScenarioConfig(N=3, p_e=0.2, w=2, y=1, x1=0, x2=0)
@@ -382,8 +382,8 @@ class TestNeighborSearch:
     def test_methods_labelled_by_criterion(self):
         cfg = ScenarioConfig(N=4, p_e=0.2, w=2, y=1, x1=1, x2=0)
         relaxed = solve_relaxed(cfg)
-        assert neighbor_search(cfg, relaxed, "wtb").method == "wtb-w"
-        assert neighbor_search(cfg, relaxed, "dvpub").method == "wtb-d"
+        assert neighbor_search(cfg, relaxed, "wtb").criterion == "wtb"
+        assert neighbor_search(cfg, relaxed, "dvpub").criterion == "dvpub"
 
     def test_winner_scored_by_criterion(self):
         cfg = ScenarioConfig(N=5, p_e=0.33, w=3, y=1, x1=1, x2=1)
@@ -706,7 +706,7 @@ class TestConvenienceWrappers:
     def test_wtb_r_runs(self):
         cfg = ScenarioConfig(N=4, p_e=0.2, w=3, y=1, x1=1, x2=1)
         res = round_nearest(cfg, solve_relaxed(cfg))
-        assert res.method == "wtb-r"
+        assert res.criterion == "wtb"
         assert all(1 <= v <= 3 for v in res.schedule.n2)
         assert res.relaxed is not None
 
