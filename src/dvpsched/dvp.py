@@ -348,8 +348,8 @@ def wtb_min_s(config: ScenarioConfig, schedule) -> tuple[float, float]:
 def exact_dvp_chain(config: ScenarioConfig, policy) -> EvalResult:
     """Exact DVP by propagating the joint backlog distribution through the
     w frames under the given policy, in any form mdp.policy_actions accepts
-    (schedule, policy table, baseline name, or callable) and lays out over
-    the states before the first frame; each frame is one forward step of
+    (schedule, policy table or baseline name) and lays out over the states
+    before the first frame; each frame is one forward step of
     mdp.transition_kernel(config) on the backlog grid. A schedule or the
     even split moves every state under one action; another policy moves
     each state under its own, split once from its rows. The batch met the

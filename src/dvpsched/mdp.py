@@ -41,7 +41,6 @@ from .model import (
     binomial_pmf_table,
     check_integer,
     check_schedule,
-    is_integer,
     pe_text,
 )
 
@@ -169,9 +168,10 @@ class TransitionKernel:
 
     def backward(self, v: np.ndarray) -> np.ndarray:
         """(A, grid): entry [a, q1, q2] is the expected value of v, a grid
-        array, one frame after state (q1, q2) under action a; off the
-        triangle it is meaningless. It is forward's adjoint:
-        backward(v)[a] . rho equals v . forward(rho, a)."""
+        array, one frame after state (q1, q2) under action a. Off the
+        triangle it is meaningless; on it, P or D1 weights v off the triangle
+        by exact zeros, so finite values there do not change it. It is
+        forward's adjoint: backward(v)[a] . rho equals v . forward(rho, a)."""
         self._v[:] = v.ravel()
         relayed = np.matmul(self._D1_by_q1.transpose(0, 2, 1), self._gathered)  # (R, A, C)
         return relayed.transpose(1, 0, 2) @ self._P_T
@@ -342,40 +342,53 @@ class PolicyTable:
         return cls(config=config, actions=actions, values=values)
 
 
+def _action_values(config, terminal, acts=None, rewards=None, best=np.maximum):
+    """The backward recursion over transition_kernel(config), from
+    V_w = terminal, a grid array: yields Q_k = rewards + backward(V_{k+1}),
+    at the actions acts (all if None), flattened over the grid, for k = w - 1
+    down to 0, and folds V_k = best.reduce(Q_k, axis=0) back in. V_k is
+    finite off the triangle, where backward weights it by exact zeros."""
+    kernel = transition_kernel(config)
+    v = terminal
+    for _ in range(config.w):
+        q = kernel.backward(v)
+        if rewards is not None:
+            q += rewards
+        if acts is not None:
+            q = q[acts]
+        q = q.reshape(len(q), -1)
+        yield q
+        v = best.reduce(q, axis=0)
+
+
 def value_iteration(config: ScenarioConfig) -> PolicyTable:
     """Backward recursion from a zero terminal value; per epoch and state the
     action maximizing immediate expected departures plus expected
-    continuation, ties broken toward the smallest n1. Each epoch is one
-    backward step of transition_kernel(config) over the grid, read on the
-    states."""
+    continuation, ties broken toward the smallest n1 (_action_values, read
+    on the states)."""
     kernel = transition_kernel(config)
     cells = kernel.cells
-    rewards = kernel.rewards()[:, None, :]  # (A, 1, total_load + 1)
     actions = np.zeros((config.w, len(cells)), dtype=np.int64)
     values = np.zeros((config.w + 1, len(cells)))
-    v = np.zeros(kernel.shape)
-    for k in range(config.w - 1, -1, -1):
-        q_sa = (rewards + kernel.backward(v)).reshape(len(rewards), -1)[:, cells]
+    rewards = kernel.rewards()[:, None, :]  # (A, 1, total_load + 1)
+    passes = _action_values(config, np.zeros(kernel.shape), rewards=rewards)
+    for k, q in zip(reversed(range(config.w)), passes):
+        q_sa = q[:, cells]
         actions[k] = np.argmax(q_sa, axis=0)  # first (= smallest) maximizing action
         values[k] = q_sa.max(axis=0)
-        v.flat[cells] = values[k]
     return PolicyTable(config=config, actions=actions, values=values)
 
 
 def violation_to_go(config: ScenarioConfig, acts: np.ndarray) -> list[np.ndarray]:
-    """The violation recursion: V_w indicates the non-empty states,
-    Q_k = backward(V_{k+1})[acts] and V_k = Q_k.min(0). Q[k] @ rho.ravel(),
-    Q_k flattened over the grid, is the least DVP that each action at frame
-    k, then the best closed-loop play over acts, reaches from rho; over
-    every action 0..N, Q[0]'s least entry at the start state is DVP*."""
+    """The violation recursion (_action_values): V_w indicates the non-empty
+    states, Q_k = backward(V_{k+1})[acts] and V_k = Q_k.min(0). Q[k] @
+    rho.ravel() is the least DVP that each action at frame k, then the best
+    closed-loop play over acts, reaches from rho; over every action 0..N,
+    Q[0]'s least entry at the start state is DVP*."""
     kernel = transition_kernel(config)
     v = np.zeros(kernel.shape)
     v.flat[kernel.cells[kernel.states.nonempty]] = 1.0
-    Q = []
-    for _ in range(config.w):
-        Q.insert(0, kernel.backward(v)[acts].reshape(len(acts), -1))
-        v = Q[0].min(axis=0)  # backward reads v on the flattened grid
-    return Q
+    return list(_action_values(config, v, acts, best=np.minimum))[::-1]
 
 
 def baseline_actions(kind: str, q1: np.ndarray, q2: np.ndarray, N: int) -> np.ndarray:
@@ -417,7 +430,7 @@ class PolicyActions:
     into model.backlog_states(config): at epoch k state i takes
     shift[k] + rows[k % len(rows)][i], an integer in 0..N. A schedule is its
     per-epoch actions over one zero row, a baseline one row shared by every
-    epoch, and a table or a callable one row per epoch."""
+    epoch, and a table one row per epoch."""
 
     shift: np.ndarray
     rows: np.ndarray
@@ -429,11 +442,7 @@ def policy_actions(policy, config: ScenarioConfig) -> PolicyActions:
     either does any work.
 
     A policy is a Schedule, a PolicyTable (complete and in range by
-    construction), a baseline name from BASELINE_KINDS, or a callable
-    (epoch, q1, q2) -> n1 on ints. The callable is asked once per epoch and
-    domain state, in epoch-then-state order, and the first answer that is
-    not an integer in 0..N (model.is_integer) raises ValueError naming its
-    epoch and state.
+    construction) or a baseline name from BASELINE_KINDS.
     """
     states = backlog_states(config)
     shift = np.zeros(config.w, dtype=np.int64)
@@ -450,18 +459,6 @@ def policy_actions(policy, config: ScenarioConfig) -> PolicyActions:
             raise ValueError(f"unknown policy name {policy!r}")
         # the rules ignore the epoch
         rows = baseline_actions(policy, states.q1, states.q2, config.N)[None, :]
-    elif callable(policy):
-        rows = np.empty((config.w, len(states)), dtype=np.int64)
-        for k in range(config.w):
-            for i, (s1, s2) in enumerate(zip(states.q1.tolist(), states.q2.tolist())):
-                a = policy(k, s1, s2)
-                # a float such as 2.0 is refused, not truncated to an action
-                if not is_integer(a) or not 0 <= a <= config.N:
-                    raise ValueError(
-                        f"policy returned n1={a} outside the integers 0..{config.N} "
-                        f"at epoch={k} state=({s1},{s2})"
-                    )
-                rows[k, i] = a
     else:
         raise TypeError(f"cannot interpret {type(policy).__name__} as a policy")
     return PolicyActions(shift, rows)

@@ -200,8 +200,8 @@ def simulate_policies(
     config: ScenarioConfig, policies, replications: int, seed: int
 ) -> list[SimResult]:
     """Estimate DVP and expected departures, with Wilson 95% CIs, of each
-    policy in order (a schedule, policy table, baseline name or callable,
-    as mdp.policy_actions reads them); a run is a violation iff any packet
+    policy in order (a schedule, policy table or baseline name, as
+    mdp.policy_actions reads them); a run is a violation iff any packet
     is still queued after the final frame. The policies share one stream:
     each chunk's Philox words and draw cells are made once and every
     policy's frames run over them in turn (common random numbers), so a
@@ -210,8 +210,7 @@ def simulate_policies(
     searched_draws.
 
     The counts (check_counts) are checked and every policy is laid out
-    over the domain (so a callable is called once per epoch and state)
-    before any draw.
+    over the domain before any draw.
     """
     check_counts(replications, seed)
     start = time.perf_counter()

@@ -16,7 +16,6 @@ from dvpsched import (
     simulate_policies,
     value_iteration,
 )
-from dvpsched import sim
 from dvpsched.mdp import (
     BASELINE_KINDS,
     baseline_actions,
@@ -243,6 +242,23 @@ class TestKernel:
             back = kern.backward(v)
             for a in range(cfg.N + 1):
                 assert abs(np.vdot(back[a], rho) - np.vdot(v, kern.forward(rho, a))) <= 1e-12
+
+    def test_backward_on_the_states_ignores_v_off_them(self):
+        # what lets the one backward recursion carry V_k off the triangle
+        rng = np.random.default_rng(33)
+        configs = [ScenarioConfig(6, 0.4, 6, 1, 3, 3), ScenarioConfig(10, 0.4, 10, 5, 5, 5),
+                   ScenarioConfig(16, 0.4, 12, 10, 10, 10)]
+        configs += [random_config(rng, max_N=6) for _ in range(5)]
+        for cfg in configs:
+            kern = TransitionKernel(cfg)
+            on = np.zeros(kern.shape)
+            on.flat[kern.cells] = rng.random(len(kern.cells))
+            off = rng.uniform(1e6, 1e9, kern.shape)
+            off.flat[kern.cells] = on.flat[kern.cells]
+            A = cfg.N + 1
+            want = kern.backward(on).reshape(A, -1)[:, kern.cells]
+            got = kern.backward(off).reshape(A, -1)[:, kern.cells]
+            assert np.array_equal(got, want), cfg
 
     @pytest.mark.parametrize("some", [False, True], ids=["every action", "two actions"])
     def test_split_actions_add_up_the_single_actions(self, some):
@@ -757,54 +773,6 @@ class TestResolvePolicy:
         with pytest.raises(ValueError, match=r"^no action stored for epoch=1 state=\(1,0\)$"):
             PolicyTable.from_text("\n".join(kept))
 
-    def test_callable_policy_through_chain(self):
-        # an epoch-switching rule equals the matching fixed schedule, to the
-        # bit in the chain and draw for draw in Monte Carlo
-        cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
-        schedule = Schedule(n1=(2, 2, 1), N=3)
-        rule = lambda epoch, q1, q2: schedule.n1[epoch]
-        assert exact_dvp_chain(cfg, rule) == exact_dvp_chain(cfg, schedule)
-        run = lambda policy: simulate_policies(cfg, [policy], 20_000, 11)
-        assert run(rule) == run(schedule)
-
-    def test_callable_sees_each_live_state(self):
-        # a state-dependent rule gives the baseline it reimplements
-        cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
-        rule = lambda epoch, q1, q2: 3 if q1 >= q2 else 0
-        assert exact_dvp_chain(cfg, rule) == exact_dvp_chain(cfg, "mw")
-        assert simulate_policies(cfg, [rule], 5000, 2) == simulate_policies(cfg, ["mw"], 5000, 2)
-
-    def test_out_of_range_action_reported(self):
-        # the first bad answer in epoch-then-state order, (0,0), not the
-        # start state (1,0) that the run visits first
-        cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
-        assert_both_raise(
-            ValueError, cfg, lambda epoch, q1, q2: 5, match=r"n1=5 .* epoch=0 state=\(0,0\)"
-        )
-
-    def test_bad_action_at_an_unreached_state_raises(self):
-        # frame 0 only sees the start state (1,0), and no run reaches (0,0)
-        # at epoch 0; the policy is refused all the same, by both evaluators
-        cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
-        rule = lambda epoch, q1, q2: 7 if (epoch, q1, q2) == (0, 0, 0) else 1
-        assert_both_raise(ValueError, cfg, rule, match=r"n1=7 .* epoch=0 state=\(0,0\)")
-
-    @pytest.mark.parametrize(
-        "action",
-        [1.0, 1.5, np.float64(1.0), True],
-        ids=["float", "fraction", "numpy-float", "bool"],
-    )
-    def test_non_integer_action_reported(self, action):
-        cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
-        assert_both_raise(
-            ValueError, cfg, lambda epoch, q1, q2: action, match=r"epoch=0 state=\(0,0\)"
-        )
-
-    def test_numpy_integer_action_accepted(self):
-        cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
-        rule = lambda epoch, q1, q2: np.int64(1)
-        assert exact_dvp_chain(cfg, rule) == exact_dvp_chain(cfg, Schedule(n1=(1, 1), N=2))
-
 
 def laid_out(act, epoch, idx):
     """The actions that a policy laid out as rows and shift gives the
@@ -835,8 +803,8 @@ class TestPolicyActions:
 
     def test_layout_of_each_form(self):
         # what the sampler keys its moves by: a schedule never lays out a
-        # w x S array, a baseline one row, a table its own rows and a
-        # callable one row per epoch of its answers
+        # w x S array, a baseline one row and a table its own rows, as int64
+        # whatever integers it was built from
         cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
         S = len(backlog_states(cfg))
         schedule = policy_actions(Schedule(n1=(2, 0, 3), N=3), cfg)
@@ -846,33 +814,8 @@ class TestPolicyActions:
         assert baseline.shift.tolist() == [0, 0, 0] and baseline.rows.shape == (1, S)
         table = value_iteration(cfg)
         assert policy_actions(table, cfg).rows is table.actions
-        rule = policy_actions(lambda epoch, q1, q2: epoch if q1 >= q2 else 0, cfg)
-        assert rule.shift.tolist() == [0, 0, 0]
         want = np.where(baseline.rows[0] == 3, np.arange(3)[:, None], 0)
-        assert rule.rows.dtype == np.int64 and np.array_equal(rule.rows, want)
-
-    def test_callable_asked_once_per_distinct_state_and_frame(self, monkeypatch):
-        # once per epoch and domain state, in that order, before any work,
-        # whatever the evaluator, the replication count or the chunk size
-        cfg = ScenarioConfig(N=3, p_e=0.4, w=3, y=1, x1=1, x2=1)
-        states = backlog_states(cfg)
-        every = [(k, q1, q2) for k in range(cfg.w)
-                 for q1, q2 in zip(states.q1.tolist(), states.q2.tolist())]
-        calls = []
-
-        def rule(epoch, q1, q2):
-            calls.append((epoch, q1, q2))
-            return 3 if q1 >= q2 else 0
-
-        def asked(evaluate):
-            calls.clear()
-            result = evaluate()
-            assert calls == every
-            return result
-
-        assert asked(lambda: exact_dvp_chain(cfg, rule)) == exact_dvp_chain(cfg, "mw")
-        for reps in (1, 600):
-            for chunk in (1, 3, sim.CHUNK):
-                monkeypatch.setattr(sim, "CHUNK", chunk)
-                got = asked(lambda: simulate_policies(cfg, [rule], reps, 2))
-                assert got == simulate_policies(cfg, ["mw"], reps, 2)
+        hand = PolicyTable(cfg, want.astype(np.int32), np.zeros((cfg.w + 1, S)))
+        made = policy_actions(hand, cfg)
+        assert made.shift.tolist() == [0, 0, 0]
+        assert made.rows.dtype == np.int64 and np.array_equal(made.rows, want)

@@ -329,10 +329,8 @@ def sampled_counts(config, policy, replications, seed):
         act = lambda k, q1, q2: policy.n1[k]
     elif isinstance(policy, PolicyTable):
         act = policy.action
-    elif isinstance(policy, str):
-        act = lambda k, q1, q2: int(baseline_actions(policy, [q1], [q2], N)[0])
     else:
-        act = policy
+        act = lambda k, q1, q2: int(baseline_actions(policy, [q1], [q2], N)[0])
     violations = departed = 0
     for r in range(replications):
         words = np.random.Philox(key=seed, counter=r * blocks).random_raw(2 * w)
@@ -346,6 +344,13 @@ def sampled_counts(config, policy, replications, seed):
             departed += d2
         violations += state.q1 + state.q2 > 0
     return violations, departed
+
+
+def alternating_table(config):
+    """The PolicyTable, with zero values, whose n1 is min(N, q1 + epoch % 2)."""
+    states = backlog_states(config)
+    acts = np.minimum(config.N, states.q1 + np.arange(config.w)[:, None] % 2)
+    return PolicyTable(config, acts, np.zeros((config.w + 1, len(states))))
 
 
 PADDED_CFG = ScenarioConfig(N=5, p_e=0.35, w=5, y=2, x1=1, x2=2)
@@ -378,10 +383,9 @@ class TestSimulatePolicies:
 
     def test_chunking_does_not_change_a_joint_run(self, monkeypatch):
         # 2w = 10 words per replication fill 3 Philox blocks of 4
-        N = PADDED_CFG.N
         policies = [
-            Schedule(n1=(3, 2, 2, 1, 4), N=N),
-            lambda epoch, q1, q2: min(N, q1 + epoch % 2),
+            Schedule(n1=(3, 2, 2, 1, 4), N=PADDED_CFG.N),
+            alternating_table(PADDED_CFG),
             value_iteration(PADDED_CFG),
             "bp",
         ]
@@ -419,10 +423,6 @@ class TestSimulatePolicies:
             (Schedule(n1=(1, 1, 1), N=2), ValueError),
             (Schedule(n1=(1, 1), N=3), ValueError),
             (3.14, TypeError),
-            pytest.param(  # bad only at (0,0) in frame 0, which no run reaches
-                lambda epoch, q1, q2: 7 if (epoch, q1, q2) == (0, 0, 0) else 1, ValueError,
-                id="callable-bad-where-unreached",
-            ),
         ],
     )
     def test_invalid_policy_raises_before_any_draw(self, monkeypatch, bad, error):
@@ -488,7 +488,7 @@ class TestSimulatePolicies:
             Schedule(n1=tuple((3 * k + 1) % N + 1 for k in range(w)), N=N),
             value_iteration(cfg),
             "bp",
-            lambda epoch, q1, q2: min(N, q1 + epoch % 2),
+            alternating_table(cfg),
         ]
         monkeypatch.setattr(sim, "CHUNK", 3)
         results = simulate_policies(cfg, policies, 301, 17)
