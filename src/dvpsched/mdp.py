@@ -13,7 +13,8 @@ INFORMS J. Computing 12, 2000): a relay table for link 1 and a matrix stack
 for link 2 per action, acting on distributions and values held on the
 (first_hop_load + 1) x (total_load + 1) backlog grid. Its size is capped in
 bytes (KERNEL_BYTE_CAP), not in states. Every evaluator gets it from
-transition_kernel, which keeps the one built last.
+transition_kernel, which keeps the kernels it builds, least recently used
+first out, within that same cap for all of them together.
 
 A bound of the form  DVP <= total_load * E[1 / D(w)]  motivates maximizing
 throughput as a proxy for minimizing DVP, but the expectation is undefined
@@ -27,6 +28,7 @@ policies over the same state space.
 from __future__ import annotations
 
 import io
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,6 +57,16 @@ def kernel_key(config: ScenarioConfig) -> tuple:
     """What a TransitionKernel depends on: N, p_e and the backlog bounds,
     not the deadline w."""
     return (config.N, config.p_e, config.first_hop_load, config.total_load)
+
+
+def _kernel_nbytes(key: tuple) -> int:
+    """The bytes charged to the TransitionKernel of kernel_key key: its
+    tables (P twice, D1 twice), its relay buffer, and the two (A, grid)
+    arrays of one step."""
+    N, _, first_hop_load, total_load = key
+    A, R, C = N + 1, first_hop_load + 1, total_load + 1
+    K = min(R, A)  # relay counts 0..min(first_hop_load, N)
+    return 8 * (2 * A * C * C + 2 * A * R * K + R * K * C + 2 * A * R * C)
 
 
 class ActionSplit(NamedTuple):
@@ -91,9 +103,7 @@ class TransitionKernel:
         N = config.N
         A, R, C = N + 1, config.first_hop_load + 1, config.total_load + 1
         K = min(R, A)  # relay counts 0..min(first_hop_load, N)
-        # the tables (P twice, D1 twice), the relay buffer, and the two
-        # (A, grid) arrays of one step
-        nbytes = 8 * (2 * A * C * C + 2 * A * R * K + R * K * C + 2 * A * R * C)
+        nbytes = _kernel_nbytes(self.key)
         if nbytes > KERNEL_BYTE_CAP:
             raise CapExceededError(
                 f"transition operator needs {nbytes} bytes "
@@ -136,6 +146,7 @@ class TransitionKernel:
         self._gathered = as_strided(
             self._value, (R, K, C), (size * C, size * (C - 1), size)
         )[:, ::-1]
+        self._rewards = None
 
     def start(self) -> np.ndarray:
         """The grid distribution with all its mass on the start state."""
@@ -179,13 +190,17 @@ class TransitionKernel:
     def rewards(self) -> np.ndarray:
         """R[a, q2] = E[min(q2, Bin(N - a))], the stage reward at any state
         with that q2, summed over the service count r in oracles.reward's
-        order, with exact zeros added past N - a, so equal to it bit for bit."""
-        q2 = np.arange(self.shape[1])
-        pmf2 = self.pmf[::-1]  # row a: Bin(N - a)
-        R = np.zeros((len(pmf2), len(q2)))
-        for r in range(len(pmf2)):
-            R = R + np.minimum(q2, r) * pmf2[:, r, None]
-        return R
+        order, with exact zeros added past N - a, so equal to it bit for bit.
+        Built on the first call and kept, read-only, for every later one."""
+        if self._rewards is None:
+            q2 = np.arange(self.shape[1])
+            pmf2 = self.pmf[::-1]  # row a: Bin(N - a)
+            R = np.zeros((len(pmf2), len(q2)))
+            for r in range(len(pmf2)):
+                R = R + np.minimum(q2, r) * pmf2[:, r, None]
+            R.flags.writeable = False
+            self._rewards = R
+        return self._rewards
 
     def violation(self, rho: np.ndarray) -> float:
         """The DVP of a grid distribution at the horizon: its mass on the
@@ -195,20 +210,35 @@ class TransitionKernel:
         return min(float(np.add.reduce(mass[self.states.nonempty])), 1.0)
 
 
-_last_kernel: TransitionKernel | None = None
+# the kernels transition_kernel built, by kernel_key, least recently used first
+_kernels: OrderedDict[tuple, TransitionKernel] = OrderedDict()
 
 
 def transition_kernel(config: ScenarioConfig) -> TransitionKernel:
     """The TransitionKernel of config's kernel_key (any deadline, any split
-    of first_hop_load into y and x1). One is cached: the kernel built last,
-    which a scenario of another key drops before its own is built, so that
-    two are never alive at once. Its tables are read-only, but forward and
-    backward write its step buffers, so it serves one thread at a time."""
-    global _last_kernel
-    if _last_kernel is None or _last_kernel.key != kernel_key(config):
-        _last_kernel = None  # freed before the next is built
-        _last_kernel = TransitionKernel(config)
-    return _last_kernel
+    of first_hop_load into y and x1). Every kernel built is kept, within one
+    budget: before a build, the least recently used kernels are dropped
+    until the bytes of those kept plus the new one's (_kernel_nbytes) fit
+    in KERNEL_BYTE_CAP, so all kept kernels together take no more than one
+    kernel may. A key whose kernel alone is over the cap raises
+    CapExceededError and drops none. So a run builds each key's kernel
+    once while they fit: sweeps/dynamic-deadlines.sweep at two loss rates
+    builds 8 where keeping only the last kernel built 32. Reuse gives the
+    bits of a rebuild, since forward and backward overwrite a kernel's
+    step buffers in full; for the same reason a kernel serves one thread
+    at a time."""
+    key = kernel_key(config)
+    kernel = _kernels.get(key)
+    if kernel is not None:
+        _kernels.move_to_end(key)
+        return kernel
+    nbytes = _kernel_nbytes(key)
+    if nbytes <= KERNEL_BYTE_CAP:  # else TransitionKernel raises, dropping none
+        held = sum(map(_kernel_nbytes, _kernels))
+        while held + nbytes > KERNEL_BYTE_CAP:
+            held -= _kernel_nbytes(_kernels.popitem(last=False)[0])
+    kernel = _kernels[key] = TransitionKernel(config)
+    return kernel
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,7 @@ import io
 import itertools
 import re
 import weakref
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +21,11 @@ from dvpsched import (
     simulate_policies,
     value_iteration,
 )
-from dvpsched import cli, semistatic, sim
+from dvpsched import cli, mdp, semistatic, sim
 from dvpsched.cli import SWEEP_HEADER, SweepRow, fmt_prob, main, parse_sweep_file, run_sweep
-from dvpsched.mdp import BASELINE_KINDS, transition_kernel
+from dvpsched.mdp import BASELINE_KINDS, kernel_key
 
 SWEEPS = Path(__file__).resolve().parent.parent / "sweeps"
-# a scenario of a kernel_key that no sweep here uses: a test that counts
-# kernel builds caches its kernel first, so the tests run before it cannot
-# leave the sweep's first kernel cached
-UNRELATED_KEY = ScenarioConfig(N=2, p_e=0.5, w=1, y=1, x1=0, x2=0)
 
 
 def csv_row(line: str) -> SweepRow:
@@ -928,7 +925,9 @@ class TestSweepRun:
         assert len(bad) == 1 and len(good) == 1
         assert len(bad[0].split(",")) == 12  # trailing error column
 
-    def test_exact_sweep_shares_one_kernel_per_backlog_pair(self, monkeypatch):
+    @staticmethod
+    def count_builds(monkeypatch) -> list[ScenarioConfig]:
+        """The config of every kernel built from here on, from an empty cache."""
         built = []
         init = TransitionKernel.__init__
 
@@ -936,14 +935,23 @@ class TestSweepRun:
             built.append(config)
             init(kernel, config)
 
-        transition_kernel(UNRELATED_KEY)
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
         monkeypatch.setattr(TransitionKernel, "__init__", counted)
+        return built
+
+    def test_exact_sweep_shares_one_kernel_per_backlog_pair(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
         spec = parse_sweep_file((SWEEPS / "dynamic-deadlines.sweep").read_text())
         buf = io.StringIO()
         assert run_sweep(spec, buf) == 0
-        monkeypatch.undo()
         # a kernel per cell and per table made 96: 16 configs x (5 + 1)
         assert [(c.x1, c.x2) for c in built] == [(1, 1), (1, 3), (3, 1), (3, 3)]
+        again = io.StringIO()
+        assert run_sweep(spec, again) == 0
+        assert len(built) == 4  # the second run builds none
+        without_ms = lambda out: [ln.rsplit(",", 1)[0] for ln in out.getvalue().splitlines()]
+        assert without_ms(again) == without_ms(buf)
+        monkeypatch.undo()
         rows = [csv_row(ln) for ln in buf.getvalue().splitlines()[1:]]
         assert len(rows) == 80
         for row in rows:
@@ -951,19 +959,41 @@ class TestSweepRun:
             # as a call outside the sweep evaluates it
             assert fmt_prob(row.dvp) == fmt_prob(exact_dvp_chain(row.config, policy).dvp)
 
-    def test_monte_carlo_sweep_keeps_no_kernel(self, monkeypatch):
-        # no kernel is built while another is alive: the cache drops its
-        # kernel before it builds the next
-        kernels = []
+    def test_two_loss_rates_build_one_kernel_per_key(self, monkeypatch):
+        # sorted cells alternate p_e, so the one-kernel cache this replaced
+        # built 32 kernels over these 8 keys
+        text = (SWEEPS / "dynamic-deadlines.sweep").read_text()
+        spec = parse_sweep_file(text.replace("pe = 0.4", "pe = 0.4, 0.05"))
+        built = self.count_builds(monkeypatch)
+        buf = io.StringIO()
+        assert run_sweep(spec, buf) == 0
+        assert len(built) == len(set(map(kernel_key, built))) == 8
+        lines = [ln.rsplit(",", 1)[0] for ln in buf.getvalue().splitlines()]
+        assert len(lines) == 1 + 160
+        got = [ln for ln in lines if ln.split(",")[4] != "0.05"]
+        assert got == (GOLDEN / "dynamic-deadlines.csv").read_text().splitlines()
+
+    def test_monte_carlo_sweep_keeps_its_kernels_within_the_byte_cap(self, monkeypatch):
+        spec = parse_sweep_file(
+            "x1=1\nx2=1, 2\nw=3\nN=3\npe=0.4\ny=1\npolicies=mdp, mw, fifty\n"
+            "evaluator=monte-carlo\nreps=2000\nseed=4\n"
+        )
+        one, two = (
+            mdp._kernel_nbytes(kernel_key(ScenarioConfig(3, 0.4, 3, 1, 1, x2))) for x2 in (1, 2)
+        )
+        default_cap = mdp.KERNEL_BYTE_CAP
+        kernels, alive_at_build, runs = [], [], []
         init = TransitionKernel.__init__
 
         def tracked(kernel, config):
-            assert all(ref() is None for ref in kernels)
+            # the kept kernels and the new one fit in the cap at every build
+            held = sum(map(mdp._kernel_nbytes, mdp._kernels))
+            assert held + mdp._kernel_nbytes(kernel_key(config)) <= mdp.KERNEL_BYTE_CAP
+            alive_at_build.append(sum(ref() is not None for ref in kernels))
             init(kernel, config)
             kernels.append(weakref.ref(kernel))
 
         simulate_policies = cli.simulate_policies
-        runs = []
 
         def counted(config, policies, replications, seed):
             runs.append(len(policies))
@@ -971,16 +1001,27 @@ class TestSweepRun:
 
         monkeypatch.setattr(TransitionKernel, "__init__", tracked)
         monkeypatch.setattr(cli, "simulate_policies", counted)
-        transition_kernel(UNRELATED_KEY)
-        spec = parse_sweep_file(
-            "x1=1\nx2=1, 2\nw=3\nN=3\npe=0.4\ny=1\npolicies=mdp, mw, fifty\n"
-            "evaluator=monte-carlo\nreps=2000\nseed=4\n"
-        )
-        buf = io.StringIO()
-        assert run_sweep(spec, buf) == 0
-        assert len(kernels) == 1 + 2  # the primed one, then one per mdp cell
-        assert runs == [3, 3]  # one joint run per scenario
-        assert len(buf.getvalue().splitlines()) == 1 + 6
+
+        def sweep(cap):
+            monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", cap)
+            monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+            for log in (kernels, alive_at_build, runs):
+                log.clear()
+            buf = io.StringIO()
+            assert run_sweep(spec, buf) == 0
+            assert runs == [3, 3]  # one joint run per scenario
+            return [ln.rsplit(",", 1)[0] for ln in buf.getvalue().splitlines()]
+
+        # room for either kernel, not both: none is built while another is
+        # alive, and the last one built stays
+        rows = sweep(one + two - 1)
+        assert len(rows) == 1 + 6
+        assert alive_at_build == [0, 0]
+        assert [ref() is not None for ref in kernels] == [False, True]
+        # under the default cap both stay
+        assert sweep(default_cap) == rows
+        assert alive_at_build == [0, 1]
+        assert [ref() is not None for ref in kernels] == [True, True]
 
     def test_sweep_over_kernel_cap_writes_one_error_row_per_cell(self):
         # past the dense kernel's old cap: only opt, at its own cap, fails

@@ -1,6 +1,7 @@
 """State space, transition kernel, value iteration, and baseline policies."""
 import importlib.util
 import itertools
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from dvpsched import (
     simulate_policies,
     value_iteration,
 )
+from dvpsched import mdp
 from dvpsched.mdp import (
     BASELINE_KINDS,
     baseline_actions,
@@ -24,7 +26,7 @@ from dvpsched.mdp import (
     transition_kernel,
     violation_to_go,
 )
-from dvpsched.model import backlog_states
+from dvpsched.model import CapExceededError, backlog_states
 from dvpsched.oracles import QueueState, reward, transition_probs, transition_probs_casewise
 
 
@@ -294,8 +296,9 @@ class TestKernel:
 
 
 class TestKernelScenarioGuard:
-    """transition_kernel keeps the kernel it built last for scenarios of
-    its kernel_key and builds anew for any other."""
+    """transition_kernel keeps a kernel per kernel_key, all of them within
+    KERNEL_BYTE_CAP, least recently used first out, serves it to every
+    scenario of its key and builds anew for any other."""
 
     CFG = ScenarioConfig(N=4, p_e=0.4, w=4, y=1, x1=1, x2=1)
     # the kernel does not depend on w, nor on how first_hop_load splits into y, x1
@@ -320,19 +323,58 @@ class TestKernelScenarioGuard:
         for table in (kern.P, kern.D1, kern._P_T, kern._D1_by_q1):
             assert not table.flags.writeable
 
-    def test_reused_kernel_evaluates_as_a_rebuilt_one(self):
+    def test_reused_kernel_evaluates_as_a_rebuilt_one(self, monkeypatch):
         def table(cfg):
             built = value_iteration(cfg)
             return built.actions.tolist(), built.values.tolist()
 
         evaluators = (lambda cfg: exact_dvp_chain(cfg, "mw"), table, opt)
-        transition_kernel(self.SAME_KEY)
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        kern = transition_kernel(self.SAME_KEY)
         reused = [evaluate(self.CFG) for evaluate in evaluators]  # all on SAME_KEY's kernel
+        assert transition_kernel(self.CFG) is kern
         rebuilt = []
         for evaluate in evaluators:
-            transition_kernel(self.OTHERS["N"])  # drops the kernel of CFG's key
+            monkeypatch.setattr(mdp, "_kernels", OrderedDict())  # a fresh kernel each
             rebuilt.append(evaluate(self.CFG))
         assert reused == rebuilt
+
+    def test_least_recently_used_kernel_dropped_first(self, monkeypatch):
+        a, b, c = (ScenarioConfig(N=4, p_e=pe, w=4, y=1, x1=1, x2=1) for pe in (0.4, 0.2, 0.3))
+        # room for two kernels of this size, not three
+        monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", 2 * mdp._kernel_nbytes(kernel_key(a)))
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        kern_a, kern_b = transition_kernel(a), transition_kernel(b)
+        assert transition_kernel(a) is kern_a
+        kern_c = transition_kernel(c)
+        assert list(mdp._kernels) == [kernel_key(a), kernel_key(c)]
+        assert transition_kernel(a) is kern_a and transition_kernel(c) is kern_c
+        assert transition_kernel(b) is not kern_b
+
+    def test_kernel_over_the_cap_raises_and_drops_none(self, monkeypatch):
+        cap = 2 * mdp._kernel_nbytes(kernel_key(self.CFG))
+        monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", cap)
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        kept = [transition_kernel(self.CFG), transition_kernel(self.OTHERS["p_e"])]
+        big = ScenarioConfig(N=4, p_e=0.4, w=4, y=1, x1=1, x2=10)
+        with pytest.raises(CapExceededError) as info:
+            transition_kernel(big)
+        assert str(info.value) == (
+            "transition operator needs 18296 bytes "
+            f"(5 actions over a 3 x 13 backlog grid), cap is {cap}"
+        )
+        assert (info.value.estimate, info.value.cap) == (18296, cap)
+        assert list(mdp._kernels.values()) == kept
+
+    def test_rewards_built_once_read_only(self, monkeypatch):
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        kern = transition_kernel(self.CFG)
+        R = kern.rewards()
+        value_iteration(self.CFG)
+        value_iteration(self.SAME_KEY)
+        assert kern.rewards() is R and not R.flags.writeable
+        fresh = TransitionKernel(self.CFG).rewards()
+        assert R.shape == fresh.shape and R.tobytes() == fresh.tobytes()
 
 
 def bench_reference():
