@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ScenarioConfig, Schedule, binomial_cdf_table, check_schedule
-from .mdp import policy_actions, transition_kernel
+from .mdp import BASELINE_KINDS, policy_actions, transition_kernel
 
 # the exponent search's range is [S_LO, _S_HI * 2**_MAX_DOUBLINGS]: a cold
 # search brackets [S_LO, _S_HI] and doubles its upper end while the bound
@@ -352,21 +352,28 @@ def exact_dvp_chain(config: ScenarioConfig, policy) -> EvalResult:
     before the first frame; each frame is one forward step of
     mdp.transition_kernel(config) on the backlog grid. A schedule or the
     even split moves every state under one action; another policy moves
-    each state under its own, split once from its rows. The batch met the
-    deadline iff both queues are empty at the horizon, since departures
-    equal the initial load minus what is left."""
-    act = policy_actions(policy, config)
-    kernel = transition_kernel(config)
-    states = kernel.states
-    rows = act.rows
-    # one action for every state, as a schedule or the even split takes
-    same = len(rows) == 1 and (rows[0] == rows[0, 0]).all()
-    if not same:
-        splits = kernel.split(rows)
+    each state under its own, split once from its rows. A state-dependent
+    baseline's split depends on the kernel alone, which keeps it, so its
+    chain starts at its first forward step. The batch met the deadline iff
+    both queues are empty at the horizon, since departures equal the
+    initial load minus what is left."""
+    if isinstance(policy, str) and policy in BASELINE_KINDS and policy != "fifty":
+        kernel = transition_kernel(config)
+        steps = [kernel._baseline_split(policy, config)] * config.w
+    else:
+        act = policy_actions(policy, config)
+        kernel = transition_kernel(config)
+        rows = act.rows
+        if len(rows) == 1 and (rows[0] == rows[0, 0]).all():
+            # one action for every state, as a schedule or the even split takes
+            steps = (act.shift + rows[0, 0]).tolist()
+        else:
+            splits = kernel.split(rows)
+            steps = [splits[epoch % len(splits)] for epoch in range(config.w)]
     rho = kernel.start()
-    for epoch in range(config.w):
-        a = int(act.shift[epoch] + rows[0, 0]) if same else splits[epoch % len(splits)]
+    for a in steps:
         rho = kernel.forward(rho, a)
+    states = kernel.states
     mass = rho.ravel()[kernel.cells]
     return EvalResult(
         dvp=kernel.violation(rho),

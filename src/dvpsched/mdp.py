@@ -14,7 +14,11 @@ for link 2 per action, acting on distributions and values held on the
 (first_hop_load + 1) x (total_load + 1) backlog grid. Its size is capped in
 bytes (KERNEL_BYTE_CAP), not in states. Every evaluator gets it from
 transition_kernel, which keeps the kernels it builds, least recently used
-first out, within that same cap for all of them together.
+first out, within that same cap for all of them together. A kept kernel
+also keeps what depends on it alone: its stage rewards, the value-iteration
+table by frames to go, which serves every deadline, and the action split of
+each state-dependent baseline. It is charged for those bytes too, so one
+budget covers everything kept.
 
 A bound of the form  DVP <= total_load * E[1 / D(w)]  motivates maximizing
 throughput as a proxy for minimizing DVP, but the expectation is undefined
@@ -146,7 +150,7 @@ class TransitionKernel:
         self._gathered = as_strided(
             self._value, (R, K, C), (size * C, size * (C - 1), size)
         )[:, ::-1]
-        self._rewards = None
+        self._kept = {}  # name -> tuple of read-only arrays, charged (_charge)
 
     def start(self) -> np.ndarray:
         """The grid distribution with all its mass on the start state."""
@@ -187,20 +191,55 @@ class TransitionKernel:
         relayed = np.matmul(self._D1_by_q1.transpose(0, 2, 1), self._gathered)  # (R, A, C)
         return relayed.transpose(1, 0, 2) @ self._P_T
 
+    def _charge(self) -> int:
+        """The bytes this kernel counts against KERNEL_BYTE_CAP: its own
+        (_kernel_nbytes) and those of every array it keeps."""
+        return _kernel_nbytes(self.key) + sum(a.nbytes for kept in self._kept.values() for a in kept)
+
+    def _keep(self, name: str, arrays: tuple) -> None:
+        """Freeze arrays and keep them under name, in place of what name
+        held, if transition_kernel holds this kernel and its charge with
+        them fits in KERNEL_BYTE_CAP. To make room it first drops the least
+        recently used other kernels, with all they keep; where its own
+        charge would not fit, it keeps what it held and drops none."""
+        for a in arrays:
+            a.flags.writeable = False
+        if _kernels.get(self.key) is not self:
+            return
+        _kernels.move_to_end(self.key)
+        more = sum(a.nbytes for a in arrays) - sum(a.nbytes for a in self._kept.get(name, ()))
+        if self._charge() + more > KERNEL_BYTE_CAP:
+            return
+        held = sum(kernel._charge() for kernel in _kernels.values())
+        while held + more > KERNEL_BYTE_CAP:
+            held -= _kernels.popitem(last=False)[1]._charge()
+        self._kept[name] = arrays
+
     def rewards(self) -> np.ndarray:
         """R[a, q2] = E[min(q2, Bin(N - a))], the stage reward at any state
         with that q2, summed over the service count r in oracles.reward's
         order, with exact zeros added past N - a, so equal to it bit for bit.
-        Built on the first call and kept, read-only, for every later one."""
-        if self._rewards is None:
-            q2 = np.arange(self.shape[1])
-            pmf2 = self.pmf[::-1]  # row a: Bin(N - a)
-            R = np.zeros((len(pmf2), len(q2)))
-            for r in range(len(pmf2)):
-                R = R + np.minimum(q2, r) * pmf2[:, r, None]
-            R.flags.writeable = False
-            self._rewards = R
-        return self._rewards
+        Read-only, built on the first call and kept (_keep) for every later
+        one."""
+        if "rewards" in self._kept:
+            return self._kept["rewards"][0]
+        q2 = np.arange(self.shape[1])
+        pmf2 = self.pmf[::-1]  # row a: Bin(N - a)
+        R = np.zeros((len(pmf2), len(q2)))
+        for r in range(len(pmf2)):
+            R = R + np.minimum(q2, r) * pmf2[:, r, None]
+        self._keep("rewards", (R,))
+        return R
+
+    def _baseline_split(self, kind: str, config: ScenarioConfig) -> ActionSplit:
+        """The ActionSplit of baseline kind's actions, one row that the
+        backlog and N alone decide (policy_actions lays it out for config, a
+        scenario of this kernel): split on the first call and kept (_keep)."""
+        if kind in self._kept:
+            return self._kept[kind]
+        [split] = self.split(policy_actions(kind, config).rows)
+        self._keep(kind, split)
+        return split
 
     def violation(self, rho: np.ndarray) -> float:
         """The DVP of a grid distribution at the horizon: its mass on the
@@ -217,16 +256,18 @@ _kernels: OrderedDict[tuple, TransitionKernel] = OrderedDict()
 def transition_kernel(config: ScenarioConfig) -> TransitionKernel:
     """The TransitionKernel of config's kernel_key (any deadline, any split
     of first_hop_load into y and x1). Every kernel built is kept, within one
-    budget: before a build, the least recently used kernels are dropped
-    until the bytes of those kept plus the new one's (_kernel_nbytes) fit
-    in KERNEL_BYTE_CAP, so all kept kernels together take no more than one
-    kernel may. A key whose kernel alone is over the cap raises
-    CapExceededError and drops none. So a run builds each key's kernel
-    once while they fit: sweeps/dynamic-deadlines.sweep at two loss rates
-    builds 8 where keeping only the last kernel built 32. Reuse gives the
-    bits of a rebuild, since forward and backward overwrite a kernel's
-    step buffers in full; for the same reason a kernel serves one thread
-    at a time."""
+    budget: each is charged its own bytes (_kernel_nbytes) plus those of
+    the arrays it keeps (TransitionKernel._keep), and before a build the
+    least recently used kernels are dropped until the charges of those kept
+    plus the new kernel's bytes fit in KERNEL_BYTE_CAP, so all kept kernels
+    and what they keep take no more than one kernel may. A key whose
+    kernel alone is over the cap raises CapExceededError and drops none.
+    So a run builds each key's kernel once while they fit:
+    sweeps/dynamic-deadlines.sweep at two loss rates builds 8 where keeping
+    only the last kernel built 32. Reuse gives the bits of a rebuild, since
+    forward and backward overwrite a kernel's step buffers in full and
+    what it keeps is read-only; for the same reason a kernel serves one
+    thread at a time."""
     key = kernel_key(config)
     kernel = _kernels.get(key)
     if kernel is not None:
@@ -234,9 +275,9 @@ def transition_kernel(config: ScenarioConfig) -> TransitionKernel:
         return kernel
     nbytes = _kernel_nbytes(key)
     if nbytes <= KERNEL_BYTE_CAP:  # else TransitionKernel raises, dropping none
-        held = sum(map(_kernel_nbytes, _kernels))
+        held = sum(kernel._charge() for kernel in _kernels.values())
         while held + nbytes > KERNEL_BYTE_CAP:
-            held -= _kernel_nbytes(_kernels.popitem(last=False)[0])
+            held -= _kernels.popitem(last=False)[1]._charge()
     kernel = _kernels[key] = TransitionKernel(config)
     return kernel
 
@@ -372,15 +413,16 @@ class PolicyTable:
         return cls(config=config, actions=actions, values=values)
 
 
-def _action_values(config, terminal, acts=None, rewards=None, best=np.maximum):
-    """The backward recursion over transition_kernel(config), from
-    V_w = terminal, a grid array: yields Q_k = rewards + backward(V_{k+1}),
-    at the actions acts (all if None), flattened over the grid, for k = w - 1
-    down to 0, and folds V_k = best.reduce(Q_k, axis=0) back in. V_k is
-    finite off the triangle, where backward weights it by exact zeros."""
+def _action_values(config, epochs, terminal, acts=None, rewards=None, best=np.maximum):
+    """The backward recursion over transition_kernel(config), epochs frames
+    back from V = terminal, a grid array: yields Q = rewards + backward(V),
+    at the actions acts (all if None), flattened over the grid, one frame
+    further back each time, and folds V = best.reduce(Q, axis=0) back in.
+    V is finite off the triangle, where backward weights it by exact zeros,
+    so any finite terminal there gives the same Q on the states."""
     kernel = transition_kernel(config)
     v = terminal
-    for _ in range(config.w):
+    for _ in range(epochs):
         q = kernel.backward(v)
         if rewards is not None:
             q += rewards
@@ -395,18 +437,32 @@ def value_iteration(config: ScenarioConfig) -> PolicyTable:
     """Backward recursion from a zero terminal value; per epoch and state the
     action maximizing immediate expected departures plus expected
     continuation, ties broken toward the smallest n1 (_action_values, read
-    on the states)."""
+    on the states).
+
+    Frames to go, not the deadline, decide an entry, so the kernel keeps
+    (TransitionKernel._keep) one table by frames to go: actions[j] and
+    values[j + 1] with j + 1 frames left, values[0] zero. A deadline past
+    its rows grows it from its last values, put on the grid with zeros off
+    the states, which _action_values ignores; deadline w's table is its
+    first w rows (w + 1 values), reversed and copied."""
     kernel = transition_kernel(config)
-    cells = kernel.cells
-    actions = np.zeros((config.w, len(cells)), dtype=np.int64)
-    values = np.zeros((config.w + 1, len(cells)))
-    rewards = kernel.rewards()[:, None, :]  # (A, 1, total_load + 1)
-    passes = _action_values(config, np.zeros(kernel.shape), rewards=rewards)
-    for k, q in zip(reversed(range(config.w)), passes):
-        q_sa = q[:, cells]
-        actions[k] = np.argmax(q_sa, axis=0)  # first (= smallest) maximizing action
-        values[k] = q_sa.max(axis=0)
-    return PolicyTable(config=config, actions=actions, values=values)
+    cells, w = kernel.cells, config.w
+    empty = (np.zeros((0, len(cells)), dtype=np.int64), np.zeros((1, len(cells))))
+    actions, values = kernel._kept.get("table", empty)
+    done = len(actions)
+    if done < w:
+        actions = np.concatenate([actions, np.zeros((w - done, len(cells)), dtype=np.int64)])
+        values = np.concatenate([values, np.zeros((w - done, len(cells)))])
+        v = np.zeros(kernel.shape)
+        v.flat[cells] = values[done]
+        rewards = kernel.rewards()[:, None, :]  # (A, 1, total_load + 1)
+        passes = _action_values(config, w - done, v, rewards=rewards)
+        for j, q in zip(range(done, w), passes):
+            q_sa = q[:, cells]
+            actions[j] = np.argmax(q_sa, axis=0)  # first (= smallest) maximizing action
+            values[j + 1] = q_sa.max(axis=0)
+        kernel._keep("table", (actions, values))
+    return PolicyTable(config=config, actions=actions[w - 1 :: -1], values=values[w::-1])
 
 
 def violation_to_go(config: ScenarioConfig, acts: np.ndarray) -> list[np.ndarray]:
@@ -418,7 +474,7 @@ def violation_to_go(config: ScenarioConfig, acts: np.ndarray) -> list[np.ndarray
     kernel = transition_kernel(config)
     v = np.zeros(kernel.shape)
     v.flat[kernel.cells[kernel.states.nonempty]] = 1.0
-    return list(_action_values(config, v, acts, best=np.minimum))[::-1]
+    return list(_action_values(config, config.w, v, acts, best=np.minimum))[::-1]
 
 
 def baseline_actions(kind: str, q1: np.ndarray, q2: np.ndarray, N: int) -> np.ndarray:

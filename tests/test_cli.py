@@ -661,6 +661,15 @@ class TestSweepRun:
         got = [line.rsplit(",", 1)[0] for line in buf.getvalue().splitlines()]
         assert got == (GOLDEN / "dynamic-deadlines.csv").read_text().splitlines()
 
+    def test_dynamic_sweep_back_at_a_shorter_deadline_golden(self):
+        # sweeps/dynamic-shorter-deadline.sweep, recorded while each deadline
+        # solved its own table; ms column dropped
+        spec = parse_sweep_file((SWEEPS / "dynamic-shorter-deadline.sweep").read_text())
+        buf = io.StringIO()
+        assert run_sweep(spec, buf) == 0
+        got = [line.rsplit(",", 1)[0] for line in buf.getvalue().splitlines()]
+        assert got == (GOLDEN / "dynamic-shorter-deadline.csv").read_text().splitlines()
+
     def test_every_baseline_row_is_its_own_policy(self):
         spec = parse_sweep_file(
             f"x1=1\nx2=2\nw=3\nN=5\npe=0.3\ny=1\npolicies={', '.join(BASELINE_KINDS)}\n"
@@ -973,6 +982,53 @@ class TestSweepRun:
         got = [ln for ln in lines if ln.split(",")[4] != "0.05"]
         assert got == (GOLDEN / "dynamic-deadlines.csv").read_text().splitlines()
 
+    @staticmethod
+    def count_steps(monkeypatch) -> dict[str, int]:
+        """Calls of TransitionKernel.backward and .split from here on, from
+        an empty cache, as in a fresh process."""
+        counts = {"backward": 0, "split": 0}
+
+        def counted(name):
+            method = getattr(TransitionKernel, name)
+
+            def wrapper(kernel, *args):
+                counts[name] += 1
+                return method(kernel, *args)
+
+            return wrapper
+
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        for name in counts:
+            monkeypatch.setattr(TransitionKernel, name, counted(name))
+        return counts
+
+    @pytest.mark.parametrize(
+        "name, first, again",
+        [
+            # one kernel per backlog pair at w = 3..6: its table grows by 3, 1,
+            # 1 and 1 frames (3 + 4 + 5 + 6 backward steps per pair when each
+            # deadline was solved anew), and one split per table and per
+            # state-dependent baseline and pair (per table and baseline and
+            # cell: 64)
+            ("dynamic-deadlines", {"backward": 24, "split": 28}, {"backward": 0, "split": 16}),
+            # three kernels, each table grown by 3 frames twice; the kernel of
+            # (x1, y) = (1, 2) comes back as (2, 1) at w = 3 after w = 6 and
+            # is sliced (36 steps and 32 splits when each deadline was solved
+            # anew)
+            ("dynamic-shorter-deadline", {"backward": 18, "split": 17}, {"backward": 0, "split": 8}),
+        ],
+    )
+    def test_kernels_keep_tables_and_baseline_splits(self, monkeypatch, name, first, again):
+        counts = self.count_steps(monkeypatch)
+        spec = parse_sweep_file((SWEEPS / f"{name}.sweep").read_text())
+        golden = (GOLDEN / f"{name}.csv").read_text().splitlines()
+        for want in (first, again):  # the second run reads what the first kept
+            buf = io.StringIO()
+            assert run_sweep(spec, buf) == 0
+            assert [ln.rsplit(",", 1)[0] for ln in buf.getvalue().splitlines()] == golden
+            assert counts == want
+            counts.update(backward=0, split=0)
+
     def test_monte_carlo_sweep_keeps_its_kernels_within_the_byte_cap(self, monkeypatch):
         spec = parse_sweep_file(
             "x1=1\nx2=1, 2\nw=3\nN=3\npe=0.4\ny=1\npolicies=mdp, mw, fifty\n"
@@ -986,8 +1042,9 @@ class TestSweepRun:
         init = TransitionKernel.__init__
 
         def tracked(kernel, config):
-            # the kept kernels and the new one fit in the cap at every build
-            held = sum(map(mdp._kernel_nbytes, mdp._kernels))
+            # the kept kernels, with all they keep, and the new one fit in
+            # the cap at every build
+            held = sum(kernel._charge() for kernel in mdp._kernels.values())
             assert held + mdp._kernel_nbytes(kernel_key(config)) <= mdp.KERNEL_BYTE_CAP
             alive_at_build.append(sum(ref() is not None for ref in kernels))
             init(kernel, config)

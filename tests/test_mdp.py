@@ -1,6 +1,9 @@
 """State space, transition kernel, value iteration, and baseline policies."""
+import dataclasses
 import importlib.util
 import itertools
+import random
+import weakref
 from collections import OrderedDict
 from pathlib import Path
 
@@ -295,10 +298,44 @@ class TestKernel:
                 states.index(q1, q2)
 
 
+def random_kept_configs(count: int, seed: int) -> list[ScenarioConfig]:
+    # few loss rates and small loads, so that kernel keys repeat across deadlines
+    rng = np.random.default_rng(seed)
+    return [
+        ScenarioConfig(
+            N=int(rng.integers(1, 7)),
+            p_e=float(rng.choice([0.0, 0.2, 0.4, 0.7, 1.0, rng.uniform(0.0, 1.0)])),
+            w=int(rng.integers(1, 10)),
+            y=int(rng.integers(1, 4)),
+            x1=int(rng.integers(0, 3)),
+            x2=int(rng.integers(0, 3)),
+        )
+        for _ in range(count)
+    ]
+
+
+def table_and_chains(config: ScenarioConfig):
+    """value_iteration's bits and text, and the whole EvalResult of the
+    table's chain and of each baseline's."""
+    table = value_iteration(config)
+    chains = [exact_dvp_chain(config, p) for p in (table, *BASELINE_KINDS)]
+    return (
+        table.actions.tobytes(),
+        table.values.tobytes(),
+        table.to_text(),
+        [dataclasses.astuple(r) for r in chains],
+    )
+
+
+def held_charge() -> int:
+    """The bytes charged to every kept kernel, with all it keeps."""
+    return sum(kernel._charge() for kernel in mdp._kernels.values())
+
+
 class TestKernelScenarioGuard:
-    """transition_kernel keeps a kernel per kernel_key, all of them within
-    KERNEL_BYTE_CAP, least recently used first out, serves it to every
-    scenario of its key and builds anew for any other."""
+    """transition_kernel keeps a kernel per kernel_key, all of them with
+    what they keep within KERNEL_BYTE_CAP, least recently used first out,
+    serves it to every scenario of its key and builds anew for any other."""
 
     CFG = ScenarioConfig(N=4, p_e=0.4, w=4, y=1, x1=1, x2=1)
     # the kernel does not depend on w, nor on how first_hop_load splits into y, x1
@@ -375,6 +412,178 @@ class TestKernelScenarioGuard:
         assert kern.rewards() is R and not R.flags.writeable
         fresh = TransitionKernel(self.CFG).rewards()
         assert R.shape == fresh.shape and R.tobytes() == fresh.tobytes()
+
+    def test_every_build_and_keep_fits_the_cap(self, monkeypatch):
+        configs = random_kept_configs(60, seed=34)
+        biggest = max(mdp._kernel_nbytes(kernel_key(c)) for c in configs)
+        monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", 2 * biggest)
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        init, keep = TransitionKernel.__init__, TransitionKernel._keep
+        checks = []
+
+        def tracked_init(kernel, config):
+            # the kept charges and the new kernel fit in the cap at every build
+            assert held_charge() + mdp._kernel_nbytes(kernel_key(config)) <= mdp.KERNEL_BYTE_CAP
+            checks.append("build")
+            init(kernel, config)
+
+        def tracked_keep(kernel, name, arrays):
+            keep(kernel, name, arrays)
+            assert held_charge() <= mdp.KERNEL_BYTE_CAP
+            checks.append(name)
+
+        monkeypatch.setattr(TransitionKernel, "__init__", tracked_init)
+        monkeypatch.setattr(TransitionKernel, "_keep", tracked_keep)
+        for config in configs:
+            table_and_chains(config)
+        assert {"build", "rewards", "table", "mw", "wfq", "bp"} <= set(checks)
+
+    def test_table_over_the_cap_is_computed_and_not_kept(self, monkeypatch):
+        want = table_and_chains(self.CFG)
+        # room for the kernel alone
+        monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", mdp._kernel_nbytes(kernel_key(self.CFG)))
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        kern = transition_kernel(self.CFG)
+        assert table_and_chains(self.CFG) == want
+        assert kern._kept == {} and list(mdp._kernels.values()) == [kern]
+        assert not kern.rewards().flags.writeable
+
+    def test_a_grown_table_is_charged_in_place_of_the_shorter_one(self, monkeypatch):
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        value_iteration(self.CFG)
+        full = transition_kernel(self.CFG)._charge()  # the kernel, its rewards, its w = 4 table
+        monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", full)
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        kern = transition_kernel(self.CFG)
+        value_iteration(dataclasses.replace(self.CFG, w=2))
+        value_iteration(self.CFG)
+        assert len(kern._kept["table"][0]) == 4 and kern._charge() == full
+
+    def test_least_recently_used_kernel_goes_with_what_it_keeps(self, monkeypatch):
+        a, b, c = (dataclasses.replace(self.CFG, p_e=pe) for pe in (0.4, 0.2, 0.3))
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        value_iteration(a)
+        full = transition_kernel(a)._charge()  # the kernel, its rewards and its table
+        # room for two kernels with their tables, not three
+        monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", 2 * full)
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        value_iteration(a)
+        value_iteration(b)
+        table_a = weakref.ref(transition_kernel(a)._kept["table"][0])
+        table_b = weakref.ref(transition_kernel(b)._kept["table"][0])
+        value_iteration(c)  # its build drops a, the least recently used
+        assert list(mdp._kernels) == [kernel_key(b), kernel_key(c)]
+        assert table_a() is None and table_b() is not None
+        assert held_charge() <= mdp.KERNEL_BYTE_CAP
+
+    def test_a_keep_drops_the_least_recently_used_other_kernels(self, monkeypatch):
+        a, b = (dataclasses.replace(self.CFG, p_e=pe) for pe in (0.4, 0.2))
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        value_iteration(a)
+        kern = transition_kernel(a)
+        bare = mdp._kernel_nbytes(kern.key)
+        # room for two bare kernels and the rewards, one byte short of the table too
+        monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", bare + kern._charge() - 1)
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        kern_a = transition_kernel(a)
+        kern_b = transition_kernel(b)
+        transition_kernel(a)  # b is now the least recently used
+        # a keep on b drops a, the least recently used other kernel, not b
+        kern_b._keep("table", tuple(np.zeros_like(arr) for arr in kern._kept["table"]))
+        kern_b._keep("rewards", (np.zeros_like(kern.rewards()),))
+        assert list(mdp._kernels.values()) == [kern_b]
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        kern_a = transition_kernel(a)
+        kern_b = transition_kernel(b)
+        transition_kernel(a)
+        table = value_iteration(b)  # b's table goes in, and a with it goes out
+        assert list(mdp._kernels.values()) == [kern_b]
+        assert sorted(kern_b._kept) == ["rewards", "table"] and kern_a._kept == {}
+        assert held_charge() <= mdp.KERNEL_BYTE_CAP
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        assert table.to_text() == value_iteration(b).to_text()
+
+    def test_over_the_cap_raises_and_drops_none_of_what_is_kept(self, monkeypatch):
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        value_iteration(self.CFG)
+        exact_dvp_chain(self.CFG, "mw")
+        kern = transition_kernel(self.CFG)
+        kept = dict(kern._kept)
+        cap = 2 * kern._charge()
+        monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", cap)
+        big = ScenarioConfig(N=6, p_e=0.4, w=4, y=1, x1=3, x2=200)
+        nbytes = mdp._kernel_nbytes(kernel_key(big))
+        assert nbytes > cap
+        with pytest.raises(CapExceededError) as info:
+            value_iteration(big)
+        assert str(info.value) == (
+            f"transition operator needs {nbytes} bytes "
+            f"(7 actions over a 5 x 205 backlog grid), cap is {cap}"
+        )
+        assert list(mdp._kernels.values()) == [kern] and kern._kept == kept
+
+
+class TestKeptTableAndSplits:
+    """Each kept kernel keeps its stage rewards, the value-iteration table
+    by frames to go and the split of each state-dependent baseline; what it
+    hands out is what a fresh cache computes, bit for bit."""
+
+    S = ScenarioConfig(N=6, p_e=0.4, w=6, y=1, x1=3, x2=3)
+    FIXED = (
+        S,
+        ScenarioConfig(N=10, p_e=0.4, w=10, y=5, x1=5, x2=5),  # M
+        ScenarioConfig(N=16, p_e=0.4, w=12, y=10, x1=10, x2=10),  # L
+        ScenarioConfig(N=5, p_e=0.02, w=6, y=1, x1=1, x2=1),  # the low-loss corner
+        ScenarioConfig(N=4, p_e=0.0, w=5, y=2, x1=1, x2=1),
+        ScenarioConfig(N=4, p_e=1.0, w=5, y=2, x1=1, x2=1),
+    )
+
+    @pytest.mark.parametrize("room", [None, 1, 3])
+    def test_kept_tables_and_chains_are_bit_identical(self, monkeypatch, room):
+        configs = list(self.FIXED) + random_kept_configs(200, seed=33)
+        fresh = []
+        for config in configs:
+            monkeypatch.setattr(mdp, "_kernels", OrderedDict())  # nothing kept
+            fresh.append(table_and_chains(config))
+        if room is not None:  # room for `room` times the largest kernel alone
+            biggest = max(mdp._kernel_nbytes(kernel_key(c)) for c in configs)
+            monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", room * biggest)
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        # each config twice, in shuffled order: every table is both grown and sliced
+        order = list(range(len(configs))) * 2
+        random.Random(room).shuffle(order)
+        seen, grown, sliced = set(), [], 0
+        for i in order:
+            rows = len(transition_kernel(configs[i])._kept.get("table", ((),))[0])
+            if rows < configs[i].w:
+                grown.append(i in seen)
+            sliced += rows > configs[i].w
+            seen.add(i)
+            assert table_and_chains(configs[i]) == fresh[i], configs[i]
+        assert len(grown) >= 100 and sliced >= 10
+        if room is None:  # nothing dropped: a second visit always reads the kept table
+            assert not any(grown)
+
+    def test_kept_arrays_are_read_only_and_a_table_owns_copies(self, monkeypatch):
+        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        shorter = dataclasses.replace(self.S, w=3)
+        kern = transition_kernel(self.S)
+        tables = [value_iteration(self.S), value_iteration(shorter)]
+        for kind in BASELINE_KINDS:
+            exact_dvp_chain(self.S, kind)
+        assert sorted(kern._kept) == ["bp", "mw", "rewards", "table", "wfq"]  # fifty needs no split
+        kept = [a for arrays in kern._kept.values() for a in arrays]
+        assert not any(a.flags.writeable for a in kept)
+        actions, values = kern._kept["table"]
+        assert (len(actions), len(values)) == (6, 7)
+        for table in tables:
+            for arr in (table.actions, table.values):
+                assert not arr.flags.writeable and arr.flags.c_contiguous
+                assert not any(np.shares_memory(arr, a) for a in kept)
+        # deadline 3's table is deadline 6's last three epochs
+        assert tables[1].actions.tobytes() == tables[0].actions[3:].tobytes()
+        assert tables[1].values.tobytes() == tables[0].values[3:].tobytes()
+        assert kern._charge() == mdp._kernel_nbytes(kern.key) + sum(a.nbytes for a in kept)
 
 
 def bench_reference():
