@@ -23,6 +23,7 @@ from .model import (
     CapExceededError,
     ScenarioConfig,
     Schedule,
+    _read_number,
     check_scenario_field,
     pe_text,
 )
@@ -224,15 +225,11 @@ def parse_sweep_file(text: str) -> SweepSpec:
         out = []
         for item in values[key]:
             try:
-                value = kind(item)
-            except ValueError:
-                noun = "an integer" if kind is int else "a number"
-                raise ValueError(f"line {lines[key]}: {key} must be {noun}, got {item!r}") from None
-            if field is not None:
-                try:
+                value = _read_number(key, item, kind)
+                if field is not None:
                     check_scenario_field(field, value)
-                except ValueError as exc:
-                    raise ValueError(f"line {lines[key]}: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"line {lines[key]}: {exc}") from None
             if value in out:
                 raise ValueError(f"line {lines[key]}: {key} repeats {item!r}")
             out.append(value)

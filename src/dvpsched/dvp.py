@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ScenarioConfig, Schedule, binomial_cdf_table, check_schedule
-from .mdp import BASELINE_KINDS, policy_actions, transition_kernel
+from .mdp import BASELINE_KINDS, _baseline_split, policy_actions, transition_kernel
 
 # the exponent search's range is [S_LO, _S_HI * 2**_MAX_DOUBLINGS]: a cold
 # search brackets [S_LO, _S_HI] and doubles its upper end while the bound
@@ -353,13 +353,13 @@ def exact_dvp_chain(config: ScenarioConfig, policy) -> EvalResult:
     mdp.transition_kernel(config) on the backlog grid. A schedule or the
     even split moves every state under one action; another policy moves
     each state under its own, split once from its rows. A state-dependent
-    baseline's split depends on the kernel alone, which keeps it, so its
-    chain starts at its first forward step. The batch met the deadline iff
-    both queues are empty at the horizon, since departures equal the
-    initial load minus what is left."""
+    baseline's split depends on the kernel key alone and is kept beside the
+    kernel (mdp._baseline_split), so its chain starts at its first forward
+    step. The batch met the deadline iff both queues are empty at the
+    horizon, since departures equal the initial load minus what is left."""
     if isinstance(policy, str) and policy in BASELINE_KINDS and policy != "fifty":
+        steps = [_baseline_split(policy, config)] * config.w
         kernel = transition_kernel(config)
-        steps = [kernel._baseline_split(policy, config)] * config.w
     else:
         act = policy_actions(policy, config)
         kernel = transition_kernel(config)

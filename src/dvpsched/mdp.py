@@ -13,12 +13,13 @@ INFORMS J. Computing 12, 2000): a relay table for link 1 and a matrix stack
 for link 2 per action, acting on distributions and values held on the
 (first_hop_load + 1) x (total_load + 1) backlog grid. Its size is capped in
 bytes (KERNEL_BYTE_CAP), not in states. Every evaluator gets it from
-transition_kernel, which keeps the kernels it builds, least recently used
-first out, within that same cap for all of them together. A kept kernel
-also keeps what depends on it alone: its stage rewards, the value-iteration
-table by frames to go, which serves every deadline, and the action split of
-each state-dependent baseline. It is charged for those bytes too, so one
-budget covers everything kept.
+transition_kernel. One store (_kept) holds what the exact path keeps, by
+kernel_key and name, least recently used first: the kernel itself
+("kernel"), the value-iteration table by frames to go, which serves every
+deadline ("table"), and the action split of each state-dependent baseline
+("mw", "wfq", "bp"), each entry charged its bytes, all within that same
+cap. Only a kernel build drops entries; a keep that does not fit is
+computed and returned, not kept.
 
 A bound of the form  DVP <= total_load * E[1 / D(w)]  motivates maximizing
 throughput as a proxy for minimizing DVP, but the expectation is undefined
@@ -43,6 +44,7 @@ from .model import (
     CapExceededError,
     ScenarioConfig,
     Schedule,
+    _read_number,
     backlog_states,
     binomial_pmf_table,
     check_integer,
@@ -150,7 +152,6 @@ class TransitionKernel:
         self._gathered = as_strided(
             self._value, (R, K, C), (size * C, size * (C - 1), size)
         )[:, ::-1]
-        self._kept = {}  # name -> tuple of read-only arrays, charged (_charge)
 
     def start(self) -> np.ndarray:
         """The grid distribution with all its mass on the start state."""
@@ -191,55 +192,18 @@ class TransitionKernel:
         relayed = np.matmul(self._D1_by_q1.transpose(0, 2, 1), self._gathered)  # (R, A, C)
         return relayed.transpose(1, 0, 2) @ self._P_T
 
-    def _charge(self) -> int:
-        """The bytes this kernel counts against KERNEL_BYTE_CAP: its own
-        (_kernel_nbytes) and those of every array it keeps."""
-        return _kernel_nbytes(self.key) + sum(a.nbytes for kept in self._kept.values() for a in kept)
-
-    def _keep(self, name: str, arrays: tuple) -> None:
-        """Freeze arrays and keep them under name, in place of what name
-        held, if transition_kernel holds this kernel and its charge with
-        them fits in KERNEL_BYTE_CAP. To make room it first drops the least
-        recently used other kernels, with all they keep; where its own
-        charge would not fit, it keeps what it held and drops none."""
-        for a in arrays:
-            a.flags.writeable = False
-        if _kernels.get(self.key) is not self:
-            return
-        _kernels.move_to_end(self.key)
-        more = sum(a.nbytes for a in arrays) - sum(a.nbytes for a in self._kept.get(name, ()))
-        if self._charge() + more > KERNEL_BYTE_CAP:
-            return
-        held = sum(kernel._charge() for kernel in _kernels.values())
-        while held + more > KERNEL_BYTE_CAP:
-            held -= _kernels.popitem(last=False)[1]._charge()
-        self._kept[name] = arrays
-
     def rewards(self) -> np.ndarray:
         """R[a, q2] = E[min(q2, Bin(N - a))], the stage reward at any state
         with that q2, summed over the service count r in oracles.reward's
         order, with exact zeros added past N - a, so equal to it bit for bit.
-        Read-only, built on the first call and kept (_keep) for every later
-        one."""
-        if "rewards" in self._kept:
-            return self._kept["rewards"][0]
+        Computed on each call: value_iteration calls it only to grow a kept
+        table."""
         q2 = np.arange(self.shape[1])
         pmf2 = self.pmf[::-1]  # row a: Bin(N - a)
         R = np.zeros((len(pmf2), len(q2)))
         for r in range(len(pmf2)):
             R = R + np.minimum(q2, r) * pmf2[:, r, None]
-        self._keep("rewards", (R,))
         return R
-
-    def _baseline_split(self, kind: str, config: ScenarioConfig) -> ActionSplit:
-        """The ActionSplit of baseline kind's actions, one row that the
-        backlog and N alone decide (policy_actions lays it out for config, a
-        scenario of this kernel): split on the first call and kept (_keep)."""
-        if kind in self._kept:
-            return self._kept[kind]
-        [split] = self.split(policy_actions(kind, config).rows)
-        self._keep(kind, split)
-        return split
 
     def violation(self, rho: np.ndarray) -> float:
         """The DVP of a grid distribution at the horizon: its mass on the
@@ -249,37 +213,68 @@ class TransitionKernel:
         return min(float(np.add.reduce(mass[self.states.nonempty])), 1.0)
 
 
-# the kernels transition_kernel built, by kernel_key, least recently used first
-_kernels: OrderedDict[tuple, TransitionKernel] = OrderedDict()
+# what the exact path keeps: (kernel_key, name) -> (nbytes, value), least
+# recently used first, all of it within KERNEL_BYTE_CAP
+_kept: OrderedDict[tuple, tuple] = OrderedDict()
+
+
+def _recall(key: tuple, name: str):
+    """The value kept under (key, name), now the most recently used, or None."""
+    entry = _kept.get((key, name))
+    if entry is not None:
+        _kept.move_to_end((key, name))
+        return entry[1]
+
+
+def _keep(key: tuple, name: str, arrays: tuple) -> None:
+    """Freeze arrays and keep them under (key, name) in place of what that
+    held, if their bytes fit in KERNEL_BYTE_CAP beside everything else kept.
+    A keep drops nothing else: what does not fit is just not kept."""
+    for a in arrays:
+        a.flags.writeable = False
+    _kept.pop((key, name), None)
+    nbytes = sum(a.nbytes for a in arrays)
+    if sum(n for n, _ in _kept.values()) + nbytes <= KERNEL_BYTE_CAP:
+        _kept[key, name] = (nbytes, arrays)
 
 
 def transition_kernel(config: ScenarioConfig) -> TransitionKernel:
     """The TransitionKernel of config's kernel_key (any deadline, any split
-    of first_hop_load into y and x1). Every kernel built is kept, within one
-    budget: each is charged its own bytes (_kernel_nbytes) plus those of
-    the arrays it keeps (TransitionKernel._keep), and before a build the
-    least recently used kernels are dropped until the charges of those kept
-    plus the new kernel's bytes fit in KERNEL_BYTE_CAP, so all kept kernels
-    and what they keep take no more than one kernel may. A key whose
-    kernel alone is over the cap raises CapExceededError and drops none.
-    So a run builds each key's kernel once while they fit:
-    sweeps/dynamic-deadlines.sweep at two loss rates builds 8 where keeping
-    only the last kernel built 32. Reuse gives the bits of a rebuild, since
-    forward and backward overwrite a kernel's step buffers in full and
-    what it keeps is read-only; for the same reason a kernel serves one
-    thread at a time."""
+    of first_hop_load into y and x1), kept in _kept as the entry "kernel",
+    charged _kernel_nbytes(key). Only a build drops entries: before it the
+    least recently used go, one at a time, until the new kernel fits in
+    KERNEL_BYTE_CAP beside those left, so everything kept takes no more
+    than one kernel may. A key whose kernel alone is over the cap raises
+    CapExceededError and drops none. So a run builds each key's kernel
+    once while they fit: sweeps/dynamic-deadlines.sweep at two loss rates
+    builds 8 where keeping only the last kernel built 32. Reuse gives the
+    bits of a rebuild, since forward and backward overwrite a kernel's step
+    buffers in full; for the same reason a kernel serves one thread at a
+    time."""
     key = kernel_key(config)
-    kernel = _kernels.get(key)
+    kernel = _recall(key, "kernel")
     if kernel is not None:
-        _kernels.move_to_end(key)
         return kernel
     nbytes = _kernel_nbytes(key)
     if nbytes <= KERNEL_BYTE_CAP:  # else TransitionKernel raises, dropping none
-        held = sum(kernel._charge() for kernel in _kernels.values())
+        held = sum(n for n, _ in _kept.values())
         while held + nbytes > KERNEL_BYTE_CAP:
-            held -= _kernels.popitem(last=False)[1]._charge()
-    kernel = _kernels[key] = TransitionKernel(config)
+            held -= _kept.popitem(last=False)[1][0]
+    kernel = TransitionKernel(config)
+    _kept[key, "kernel"] = (nbytes, kernel)
     return kernel
+
+
+def _baseline_split(kind: str, config: ScenarioConfig) -> ActionSplit:
+    """The ActionSplit of state-dependent baseline kind's one row of
+    actions, which the backlog and N alone decide, so one per kernel_key:
+    kept (_keep) under kind, split again only when not kept."""
+    key = kernel_key(config)
+    split = _recall(key, kind)
+    if split is None:
+        [split] = transition_kernel(config).split(policy_actions(kind, config).rows)
+        _keep(key, kind, split)
+    return split
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,11 +283,11 @@ class PolicyTable:
 
     actions[k, i] is the slot count for link 1 at epoch k in state i;
     values[k, i] the expected departures collectable from epoch k on. The
-    terminal row values[w] is zero, so value takes epochs 0..w and action
-    0..w - 1. A table is complete and valid when made: actions must be an
-    integer (w, S) array with every entry in 0..N and values a (w + 1, S)
-    array, else ValueError; both are kept as read-only copies. An epoch or
-    a state outside the range raises ValueError on lookup.
+    terminal row values[w] is zero. A table is complete and valid when
+    made: actions must be an integer (w, S) array with every entry in 0..N
+    and values a (w + 1, S) array, else ValueError; both are kept as
+    read-only copies. action looks up epochs 0..w - 1; an epoch or a state
+    outside the range raises ValueError.
     """
 
     config: ScenarioConfig
@@ -322,18 +317,14 @@ class PolicyTable:
             object.__setattr__(self, name, arr)
 
     def action(self, epoch: int, q1: int, q2: int) -> int:
-        epoch = self._epoch(epoch, self.config.w - 1)
+        epoch = self._epoch(epoch, self.config.w)
         return int(self.actions[epoch, backlog_states(self.config).index(q1, q2)])
 
-    def value(self, epoch: int, q1: int, q2: int) -> float:
-        epoch = self._epoch(epoch, self.config.w)
-        return float(self.values[epoch, backlog_states(self.config).index(q1, q2)])
-
     @staticmethod
-    def _epoch(epoch, last: int) -> int:
-        """epoch as an int (model.check_integer), ValueError outside 0..last."""
-        if not 0 <= check_integer("epoch", epoch) <= last:
-            raise ValueError(f"epoch {epoch} outside 0..{last}")
+    def _epoch(epoch, w: int) -> int:
+        """epoch as an int (model.check_integer), ValueError outside 0..w - 1."""
+        if not 0 <= check_integer("epoch", epoch) < w:
+            raise ValueError(f"epoch {epoch} outside 0..{w - 1}")
         return int(epoch)
 
     def to_text(self) -> str:
@@ -368,16 +359,10 @@ class PolicyTable:
             if key in fields:
                 raise ValueError(f"line 1: repeated field {key!r}")
             fields[key] = val
-
-        def number(key: str):
-            try:
-                return kinds[key](fields[key])
-            except ValueError:
-                noun = "an integer" if kinds[key] is int else "a number"
-                raise ValueError(f"{key} must be {noun}, got {fields[key]!r}") from None
-
         try:
-            config = ScenarioConfig(*map(number, kinds))
+            config = ScenarioConfig(
+                *(_read_number(key, fields[key], kind) for key, kind in kinds.items())
+            )
         except KeyError as exc:
             raise ValueError(f"line 1: header missing field {exc}") from exc
         except ValueError as exc:
@@ -396,7 +381,7 @@ class PolicyTable:
                 k, q1, q2, a = int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
                 v = float(parts[4])
                 i = states.index(q1, q2)
-                k = cls._epoch(k, config.w - 1)
+                k = cls._epoch(k, config.w)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
             if not 0 <= a <= config.N:
@@ -439,16 +424,17 @@ def value_iteration(config: ScenarioConfig) -> PolicyTable:
     continuation, ties broken toward the smallest n1 (_action_values, read
     on the states).
 
-    Frames to go, not the deadline, decide an entry, so the kernel keeps
-    (TransitionKernel._keep) one table by frames to go: actions[j] and
+    Frames to go, not the deadline, decide an entry, so one table by
+    frames to go is kept (_keep) per kernel_key as "table": actions[j] and
     values[j + 1] with j + 1 frames left, values[0] zero. A deadline past
     its rows grows it from its last values, put on the grid with zeros off
-    the states, which _action_values ignores; deadline w's table is its
-    first w rows (w + 1 values), reversed and copied."""
+    the states, which _action_values ignores, and keeps the grown table in
+    place of the shorter one; deadline w's table is its first w rows
+    (w + 1 values), reversed and copied."""
     kernel = transition_kernel(config)
     cells, w = kernel.cells, config.w
     empty = (np.zeros((0, len(cells)), dtype=np.int64), np.zeros((1, len(cells))))
-    actions, values = kernel._kept.get("table", empty)
+    actions, values = _recall(kernel.key, "table") or empty
     done = len(actions)
     if done < w:
         actions = np.concatenate([actions, np.zeros((w - done, len(cells)), dtype=np.int64)])
@@ -461,7 +447,7 @@ def value_iteration(config: ScenarioConfig) -> PolicyTable:
             q_sa = q[:, cells]
             actions[j] = np.argmax(q_sa, axis=0)  # first (= smallest) maximizing action
             values[j + 1] = q_sa.max(axis=0)
-        kernel._keep("table", (actions, values))
+        _keep(kernel.key, "table", (actions, values))
     return PolicyTable(config=config, actions=actions[w - 1 :: -1], values=values[w::-1])
 
 

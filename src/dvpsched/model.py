@@ -59,6 +59,17 @@ def check_scenario_field(name: str, value):
     return float(value)
 
 
+def _read_number(name: str, text: str, kind=int):
+    """A text field as kind (int or float; str keeps it), the one reading
+    of a value in a sweep file and a policy-table header: ValueError naming
+    name and quoting text if it does not convert."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {noun}, got {text!r}") from None
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One problem instance, the one record of a scenario (a sweep cell and

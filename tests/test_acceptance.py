@@ -27,6 +27,7 @@ from dvpsched import (
     wtb_min_s,
     wtb_w,
 )
+from dvpsched.model import backlog_states
 from dvpsched.oracles import exact_dvp_enum, transition_probs, transition_probs_casewise
 
 SWEEP_PES = (0.2, 0.33, 0.4, 0.5)
@@ -171,7 +172,7 @@ def test_criterion_04_throughput_optimality():
     count = 0
     for cfg in criterion_04_grid():
         bf = brute_force_optima(cfg)[0]
-        vi = value_iteration(cfg).value(0, cfg.first_hop_load, cfg.x2)
+        vi = value_iteration(cfg).values[0, backlog_states(cfg).start]
         worst = max(worst, abs(bf - vi))
         count += 1
     elapsed = time.perf_counter() - start

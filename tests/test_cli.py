@@ -944,7 +944,7 @@ class TestSweepRun:
             built.append(config)
             init(kernel, config)
 
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
         monkeypatch.setattr(TransitionKernel, "__init__", counted)
         return built
 
@@ -997,7 +997,7 @@ class TestSweepRun:
 
             return wrapper
 
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
         for name in counts:
             monkeypatch.setattr(TransitionKernel, name, counted(name))
         return counts
@@ -1042,9 +1042,8 @@ class TestSweepRun:
         init = TransitionKernel.__init__
 
         def tracked(kernel, config):
-            # the kept kernels, with all they keep, and the new one fit in
-            # the cap at every build
-            held = sum(kernel._charge() for kernel in mdp._kernels.values())
+            # everything kept and the new kernel fit in the cap at every build
+            held = sum(nbytes for nbytes, _ in mdp._kept.values())
             assert held + mdp._kernel_nbytes(kernel_key(config)) <= mdp.KERNEL_BYTE_CAP
             alive_at_build.append(sum(ref() is not None for ref in kernels))
             init(kernel, config)
@@ -1061,7 +1060,7 @@ class TestSweepRun:
 
         def sweep(cap):
             monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", cap)
-            monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+            monkeypatch.setattr(mdp, "_kept", OrderedDict())
             for log in (kernels, alive_at_build, runs):
                 log.clear()
             buf = io.StringIO()

@@ -327,15 +327,23 @@ def table_and_chains(config: ScenarioConfig):
     )
 
 
-def held_charge() -> int:
-    """The bytes charged to every kept kernel, with all it keeps."""
-    return sum(kernel._charge() for kernel in mdp._kernels.values())
+def held() -> int:
+    """The bytes charged to everything kept."""
+    return sum(nbytes for nbytes, _ in mdp._kept.values())
+
+
+def peek(config: ScenarioConfig, name: str):
+    """What is kept under config's kernel key and name, or None, leaving
+    the order of the store as it is."""
+    entry = mdp._kept.get((kernel_key(config), name))
+    return entry and entry[1]
 
 
 class TestKernelScenarioGuard:
-    """transition_kernel keeps a kernel per kernel_key, all of them with
-    what they keep within KERNEL_BYTE_CAP, least recently used first out,
-    serves it to every scenario of its key and builds anew for any other."""
+    """transition_kernel keeps a kernel per kernel_key in the one store, as
+    its entry "kernel", within KERNEL_BYTE_CAP with everything else kept,
+    least recently used first out, serves it to every scenario of its key
+    and builds anew for any other. Only a build drops entries."""
 
     CFG = ScenarioConfig(N=4, p_e=0.4, w=4, y=1, x1=1, x2=1)
     # the kernel does not depend on w, nor on how first_hop_load splits into y, x1
@@ -366,13 +374,13 @@ class TestKernelScenarioGuard:
             return built.actions.tolist(), built.values.tolist()
 
         evaluators = (lambda cfg: exact_dvp_chain(cfg, "mw"), table, opt)
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
         kern = transition_kernel(self.SAME_KEY)
         reused = [evaluate(self.CFG) for evaluate in evaluators]  # all on SAME_KEY's kernel
         assert transition_kernel(self.CFG) is kern
         rebuilt = []
         for evaluate in evaluators:
-            monkeypatch.setattr(mdp, "_kernels", OrderedDict())  # a fresh kernel each
+            monkeypatch.setattr(mdp, "_kept", OrderedDict())  # a fresh kernel each
             rebuilt.append(evaluate(self.CFG))
         assert reused == rebuilt
 
@@ -380,18 +388,18 @@ class TestKernelScenarioGuard:
         a, b, c = (ScenarioConfig(N=4, p_e=pe, w=4, y=1, x1=1, x2=1) for pe in (0.4, 0.2, 0.3))
         # room for two kernels of this size, not three
         monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", 2 * mdp._kernel_nbytes(kernel_key(a)))
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
         kern_a, kern_b = transition_kernel(a), transition_kernel(b)
         assert transition_kernel(a) is kern_a
         kern_c = transition_kernel(c)
-        assert list(mdp._kernels) == [kernel_key(a), kernel_key(c)]
+        assert list(mdp._kept) == [(kernel_key(a), "kernel"), (kernel_key(c), "kernel")]
         assert transition_kernel(a) is kern_a and transition_kernel(c) is kern_c
         assert transition_kernel(b) is not kern_b
 
     def test_kernel_over_the_cap_raises_and_drops_none(self, monkeypatch):
         cap = 2 * mdp._kernel_nbytes(kernel_key(self.CFG))
         monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", cap)
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
         kept = [transition_kernel(self.CFG), transition_kernel(self.OTHERS["p_e"])]
         big = ScenarioConfig(N=4, p_e=0.4, w=4, y=1, x1=1, x2=10)
         with pytest.raises(CapExceededError) as info:
@@ -401,115 +409,120 @@ class TestKernelScenarioGuard:
             f"(5 actions over a 3 x 13 backlog grid), cap is {cap}"
         )
         assert (info.value.estimate, info.value.cap) == (18296, cap)
-        assert list(mdp._kernels.values()) == kept
+        assert [kernel for _, kernel in mdp._kept.values()] == kept
 
-    def test_rewards_built_once_read_only(self, monkeypatch):
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+    def test_rewards_equal_a_fresh_kernels_bit_for_bit(self, monkeypatch):
+        # computed on each call, on a kernel that has stepped as on a new one
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
         kern = transition_kernel(self.CFG)
-        R = kern.rewards()
         value_iteration(self.CFG)
-        value_iteration(self.SAME_KEY)
-        assert kern.rewards() is R and not R.flags.writeable
+        exact_dvp_chain(self.CFG, "wfq")
+        R = kern.rewards()
         fresh = TransitionKernel(self.CFG).rewards()
         assert R.shape == fresh.shape and R.tobytes() == fresh.tobytes()
+        assert kern.rewards() is not R
 
     def test_every_build_and_keep_fits_the_cap(self, monkeypatch):
         configs = random_kept_configs(60, seed=34)
         biggest = max(mdp._kernel_nbytes(kernel_key(c)) for c in configs)
         monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", 2 * biggest)
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
-        init, keep = TransitionKernel.__init__, TransitionKernel._keep
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
+        init, keep = TransitionKernel.__init__, mdp._keep
         checks = []
 
         def tracked_init(kernel, config):
-            # the kept charges and the new kernel fit in the cap at every build
-            assert held_charge() + mdp._kernel_nbytes(kernel_key(config)) <= mdp.KERNEL_BYTE_CAP
+            # what is kept and the new kernel fit in the cap at every build
+            assert held() + mdp._kernel_nbytes(kernel_key(config)) <= mdp.KERNEL_BYTE_CAP
             checks.append("build")
             init(kernel, config)
 
-        def tracked_keep(kernel, name, arrays):
-            keep(kernel, name, arrays)
-            assert held_charge() <= mdp.KERNEL_BYTE_CAP
+        def tracked_keep(key, name, arrays):
+            keep(key, name, arrays)
+            assert held() <= mdp.KERNEL_BYTE_CAP
             checks.append(name)
 
         monkeypatch.setattr(TransitionKernel, "__init__", tracked_init)
-        monkeypatch.setattr(TransitionKernel, "_keep", tracked_keep)
+        monkeypatch.setattr(mdp, "_keep", tracked_keep)
         for config in configs:
             table_and_chains(config)
-        assert {"build", "rewards", "table", "mw", "wfq", "bp"} <= set(checks)
+        assert {"build", "table", "mw", "wfq", "bp"} <= set(checks)
 
     def test_table_over_the_cap_is_computed_and_not_kept(self, monkeypatch):
         want = table_and_chains(self.CFG)
         # room for the kernel alone
-        monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", mdp._kernel_nbytes(kernel_key(self.CFG)))
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        nbytes = mdp._kernel_nbytes(kernel_key(self.CFG))
+        monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", nbytes)
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
         kern = transition_kernel(self.CFG)
         assert table_and_chains(self.CFG) == want
-        assert kern._kept == {} and list(mdp._kernels.values()) == [kern]
-        assert not kern.rewards().flags.writeable
+        assert list(mdp._kept.items()) == [((kern.key, "kernel"), (nbytes, kern))]
 
     def test_a_grown_table_is_charged_in_place_of_the_shorter_one(self, monkeypatch):
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
         value_iteration(self.CFG)
-        full = transition_kernel(self.CFG)._charge()  # the kernel, its rewards, its w = 4 table
+        full = held()  # the kernel and its w = 4 table
         monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", full)
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
-        kern = transition_kernel(self.CFG)
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
         value_iteration(dataclasses.replace(self.CFG, w=2))
         value_iteration(self.CFG)
-        assert len(kern._kept["table"][0]) == 4 and kern._charge() == full
+        assert len(peek(self.CFG, "table")[0]) == 4 and held() == full
 
-    def test_least_recently_used_kernel_goes_with_what_it_keeps(self, monkeypatch):
+    def test_a_grown_table_that_does_not_fit_drops_the_shorter_one(self, monkeypatch):
+        want = value_iteration(self.CFG).to_text()
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
+        value_iteration(self.CFG)
+        # room for the kernel and its w = 2 table, one byte short of its w = 4 one
+        monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", held() - 1)
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
+        value_iteration(dataclasses.replace(self.CFG, w=2))
+        assert len(peek(self.CFG, "table")[0]) == 2
+        assert value_iteration(self.CFG).to_text() == want
+        assert list(mdp._kept) == [(kernel_key(self.CFG), "kernel")]
+
+    def test_entries_leave_one_at_a_time(self, monkeypatch):
         a, b, c = (dataclasses.replace(self.CFG, p_e=pe) for pe in (0.4, 0.2, 0.3))
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
         value_iteration(a)
-        full = transition_kernel(a)._charge()  # the kernel, its rewards and its table
+        full = held()  # a kernel and its table
         # room for two kernels with their tables, not three
         monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", 2 * full)
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
         value_iteration(a)
         value_iteration(b)
-        table_a = weakref.ref(transition_kernel(a)._kept["table"][0])
-        table_b = weakref.ref(transition_kernel(b)._kept["table"][0])
-        value_iteration(c)  # its build drops a, the least recently used
-        assert list(mdp._kernels) == [kernel_key(b), kernel_key(c)]
-        assert table_a() is None and table_b() is not None
-        assert held_charge() <= mdp.KERNEL_BYTE_CAP
+        table_a = weakref.ref(peek(a, "table")[0])
+        kern_a = weakref.ref(peek(a, "kernel"))
+        transition_kernel(c)  # its build drops a's kernel, the least recently used, alone
+        key_a, key_b, key_c = map(kernel_key, (a, b, c))
+        assert list(mdp._kept) == [
+            (key_a, "table"), (key_b, "kernel"), (key_b, "table"), (key_c, "kernel")
+        ]
+        assert kern_a() is None and table_a() is not None
+        assert held() <= mdp.KERNEL_BYTE_CAP
 
-    def test_a_keep_drops_the_least_recently_used_other_kernels(self, monkeypatch):
+    def test_a_keep_drops_nothing(self, monkeypatch):
         a, b = (dataclasses.replace(self.CFG, p_e=pe) for pe in (0.4, 0.2))
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
+        want = value_iteration(b).to_text()
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
         value_iteration(a)
-        kern = transition_kernel(a)
-        bare = mdp._kernel_nbytes(kern.key)
-        # room for two bare kernels and the rewards, one byte short of the table too
-        monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", bare + kern._charge() - 1)
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
-        kern_a = transition_kernel(a)
-        kern_b = transition_kernel(b)
-        transition_kernel(a)  # b is now the least recently used
-        # a keep on b drops a, the least recently used other kernel, not b
-        kern_b._keep("table", tuple(np.zeros_like(arr) for arr in kern._kept["table"]))
-        kern_b._keep("rewards", (np.zeros_like(kern.rewards()),))
-        assert list(mdp._kernels.values()) == [kern_b]
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
-        kern_a = transition_kernel(a)
-        kern_b = transition_kernel(b)
+        # room for two kernels and a table less one byte
+        monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", held() + mdp._kernel_nbytes(kernel_key(b)) - 1)
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
         transition_kernel(a)
-        table = value_iteration(b)  # b's table goes in, and a with it goes out
-        assert list(mdp._kernels.values()) == [kern_b]
-        assert sorted(kern_b._kept) == ["rewards", "table"] and kern_a._kept == {}
-        assert held_charge() <= mdp.KERNEL_BYTE_CAP
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
-        assert table.to_text() == value_iteration(b).to_text()
+        transition_kernel(b)
+        transition_kernel(a)  # b is now the least recently used
+        kept = dict(mdp._kept)
+        # b's table does not fit beside both kernels: computed, not kept, and a stays
+        assert value_iteration(b).to_text() == want
+        assert dict(mdp._kept) == kept
+        assert held() <= mdp.KERNEL_BYTE_CAP
 
     def test_over_the_cap_raises_and_drops_none_of_what_is_kept(self, monkeypatch):
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
         value_iteration(self.CFG)
         exact_dvp_chain(self.CFG, "mw")
-        kern = transition_kernel(self.CFG)
-        kept = dict(kern._kept)
-        cap = 2 * kern._charge()
+        kept = list(mdp._kept.items())
+        cap = 2 * held()
         monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", cap)
         big = ScenarioConfig(N=6, p_e=0.4, w=4, y=1, x1=3, x2=200)
         nbytes = mdp._kernel_nbytes(kernel_key(big))
@@ -520,13 +533,13 @@ class TestKernelScenarioGuard:
             f"transition operator needs {nbytes} bytes "
             f"(7 actions over a 5 x 205 backlog grid), cap is {cap}"
         )
-        assert list(mdp._kernels.values()) == [kern] and kern._kept == kept
+        assert list(mdp._kept.items()) == kept
 
 
 class TestKeptTableAndSplits:
-    """Each kept kernel keeps its stage rewards, the value-iteration table
-    by frames to go and the split of each state-dependent baseline; what it
-    hands out is what a fresh cache computes, bit for bit."""
+    """The store keeps, per kernel key, the value-iteration table by frames
+    to go and the split of each state-dependent baseline; what it hands out
+    is what an empty store computes, bit for bit."""
 
     S = ScenarioConfig(N=6, p_e=0.4, w=6, y=1, x1=3, x2=3)
     FIXED = (
@@ -543,18 +556,18 @@ class TestKeptTableAndSplits:
         configs = list(self.FIXED) + random_kept_configs(200, seed=33)
         fresh = []
         for config in configs:
-            monkeypatch.setattr(mdp, "_kernels", OrderedDict())  # nothing kept
+            monkeypatch.setattr(mdp, "_kept", OrderedDict())  # nothing kept
             fresh.append(table_and_chains(config))
         if room is not None:  # room for `room` times the largest kernel alone
             biggest = max(mdp._kernel_nbytes(kernel_key(c)) for c in configs)
             monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", room * biggest)
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
         # each config twice, in shuffled order: every table is both grown and sliced
         order = list(range(len(configs))) * 2
         random.Random(room).shuffle(order)
         seen, grown, sliced = set(), [], 0
         for i in order:
-            rows = len(transition_kernel(configs[i])._kept.get("table", ((),))[0])
+            rows = len((peek(configs[i], "table") or ((),))[0])
             if rows < configs[i].w:
                 grown.append(i in seen)
             sliced += rows > configs[i].w
@@ -565,16 +578,22 @@ class TestKeptTableAndSplits:
             assert not any(grown)
 
     def test_kept_arrays_are_read_only_and_a_table_owns_copies(self, monkeypatch):
-        monkeypatch.setattr(mdp, "_kernels", OrderedDict())
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
         shorter = dataclasses.replace(self.S, w=3)
-        kern = transition_kernel(self.S)
         tables = [value_iteration(self.S), value_iteration(shorter)]
         for kind in BASELINE_KINDS:
             exact_dvp_chain(self.S, kind)
-        assert sorted(kern._kept) == ["bp", "mw", "rewards", "table", "wfq"]  # fifty needs no split
-        kept = [a for arrays in kern._kept.values() for a in arrays]
+        key = kernel_key(self.S)
+        # fifty needs no split
+        assert sorted(name for _, name in mdp._kept) == ["bp", "kernel", "mw", "table", "wfq"]
+        assert mdp._kept[key, "kernel"][0] == mdp._kernel_nbytes(key)
+        kept = []
+        for (_, name), (nbytes, arrays) in mdp._kept.items():
+            if name != "kernel":
+                assert nbytes == sum(a.nbytes for a in arrays), name
+                kept += arrays
         assert not any(a.flags.writeable for a in kept)
-        actions, values = kern._kept["table"]
+        actions, values = peek(self.S, "table")
         assert (len(actions), len(values)) == (6, 7)
         for table in tables:
             for arr in (table.actions, table.values):
@@ -583,7 +602,6 @@ class TestKeptTableAndSplits:
         # deadline 3's table is deadline 6's last three epochs
         assert tables[1].actions.tobytes() == tables[0].actions[3:].tobytes()
         assert tables[1].values.tobytes() == tables[0].values[3:].tobytes()
-        assert kern._charge() == mdp._kernel_nbytes(kern.key) + sum(a.nbytes for a in kept)
 
 
 def bench_reference():
@@ -682,34 +700,31 @@ class TestValueIteration:
     def test_lossless_drain(self):
         cfg = ScenarioConfig(N=2, p_e=0.0, w=2, y=1, x1=0, x2=0)
         table = value_iteration(cfg)
-        assert table.value(0, 1, 0) == pytest.approx(1.0, abs=1e-12)
+        assert table.values[0, backlog_states(cfg).index(1, 0)] == pytest.approx(1.0, abs=1e-12)
 
     def test_dead_channel(self):
         cfg = ScenarioConfig(N=2, p_e=1.0, w=3, y=1, x1=1, x2=1)
         table = value_iteration(cfg)
-        for st in domain(cfg):
-            assert table.value(0, st.q1, st.q2) == 0.0
+        assert (table.values[0] == 0.0).all()
 
     def test_matches_policy_enumeration(self):
         cfg = ScenarioConfig(N=1, p_e=0.5, w=2, y=1, x1=0, x2=0)
         table = value_iteration(cfg)
-        assert table.value(0, 1, 0) == pytest.approx(brute_force_optima(cfg)[0], abs=1e-12)
+        value = table.values[0, backlog_states(cfg).index(1, 0)]
+        assert value == pytest.approx(brute_force_optima(cfg)[0], abs=1e-12)
 
     def test_value_monotone_in_remaining_frames(self):
         cfg = ScenarioConfig(N=3, p_e=0.4, w=4, y=2, x1=1, x2=1)
         table = value_iteration(cfg)
-        for st in domain(cfg):
-            for k in range(cfg.w):
-                assert table.value(k, st.q1, st.q2) >= table.value(
-                    min(k + 1, cfg.w - 1), st.q1, st.q2
-                ) - 1e-12
+        for k in range(cfg.w):
+            assert (table.values[k] >= table.values[min(k + 1, cfg.w - 1)] - 1e-12).all()
 
     def test_value_bounded_by_backlog(self):
         cfg = ScenarioConfig(N=4, p_e=0.3, w=5, y=2, x1=2, x2=1)
         table = value_iteration(cfg)
-        for st in domain(cfg):
-            for k in range(cfg.w):
-                assert table.value(k, st.q1, st.q2) <= st.q1 + st.q2 + 1e-12
+        states = backlog_states(cfg)
+        for k in range(cfg.w):
+            assert (table.values[k] <= states.q1 + states.q2 + 1e-12).all()
 
     def test_tie_break_prefers_smallest_action(self):
         cfg = ScenarioConfig(N=3, p_e=0.4, w=2, y=1, x1=1, x2=1)
@@ -889,27 +904,20 @@ class TestPolicyTable:
     def test_epoch_outside_the_table_refused(self):
         cfg = ScenarioConfig(N=2, p_e=0.5, w=2, y=1, x1=0, x2=0)
         table = value_iteration(cfg)
-        # value reads the terminal row w, which is zero; action stops at w - 1
-        assert table.value(np.int64(2), 1, 0) == 0.0
+        # action stops at w - 1
         assert table.action(np.int64(1), 1, 0) == table.action(1, 1, 0)
-        for epoch in (-1, 3):
-            with pytest.raises(ValueError, match=rf"epoch {epoch} outside 0\.\.2"):
-                table.value(epoch, 1, 0)
         for epoch in (-1, 2):
             with pytest.raises(ValueError, match=rf"epoch {epoch} outside 0\.\.1"):
                 table.action(epoch, 1, 0)
         for epoch in (True, 1.0):
-            for lookup in (table.value, table.action):
-                with pytest.raises(TypeError, match="epoch must be an integer"):
-                    lookup(epoch, 1, 0)
+            with pytest.raises(TypeError, match="epoch must be an integer"):
+                table.action(epoch, 1, 0)
 
     def test_lookup_outside_domain_refused(self):
         table = value_iteration(ScenarioConfig(N=2, p_e=0.5, w=1, y=1, x1=0, x2=0))
         for q1, q2 in ((1, 1), (-1, 0), (0, 2)):
             with pytest.raises(ValueError, match="outside the backlog triangle"):
                 table.action(0, q1, q2)
-            with pytest.raises(ValueError, match="outside the backlog triangle"):
-                table.value(0, q1, q2)
 
     def test_header_required(self):
         with pytest.raises(ValueError, match="line 1"):

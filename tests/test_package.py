@@ -1,6 +1,6 @@
 """Package layout: the production modules never reach the test oracles,
-build transition kernels in one place and take the backward step in one,
-the public API is one sorted list of names that resolve, the names the
+build transition kernels in one place, evict what is kept in one and take
+the backward step in one, the public API is one sorted list of names that resolve, the names the
 benchmark harness uses exist, and the README's library example runs."""
 import ast
 from pathlib import Path
@@ -95,6 +95,20 @@ def test_one_violation_recursion():
     # one call of the backward step, in the pass that value iteration and
     # the violation-to-go share
     assert list(calls_by_function("backward")) == ["mdp._action_values"]
+
+
+def test_only_a_kernel_build_evicts_and_the_kernel_keeps_nothing():
+    # one store of what the exact path keeps: one eviction loop, at a build,
+    # and the operator class neither reads nor writes it
+    assert list(calls_by_function("popitem")) == ["mdp.transition_kernel"]
+    tree = ast.parse((PACKAGE / "mdp.py").read_text(encoding="utf-8"))
+    [kernel] = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "TransitionKernel"]
+    for method in kernel.body:
+        if isinstance(method, ast.FunctionDef):
+            assert method.name not in ("_kept", "_recall", "_keep"), method.name
+            for node in ast.walk(method):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                assert name not in ("_kept", "_recall", "_keep"), method.name
 
 
 def test_all_is_sorted_unique_and_resolves():
