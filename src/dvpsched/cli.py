@@ -337,7 +337,8 @@ def run_sweep(spec: SweepSpec, out) -> int:
         # one relaxed solve, shared by the cell's wtb-* rows
         relaxed = functools.cache(semistatic.solve_relaxed)
         # each distinct policy's exact DVP, one chain each; a schedule keys by
-        # value, a table by identity
+        # value, a table by identity, and a baseline's chain is read off the
+        # one that mdp keeps per kernel key for every deadline
         chains = {}
         rows = []
         jobs = []  # Monte Carlo rows, simulated together once all are solved

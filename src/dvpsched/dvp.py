@@ -26,8 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ScenarioConfig, Schedule, binomial_cdf_table, check_schedule
-from .mdp import BASELINE_KINDS, _baseline_split, policy_actions, transition_kernel
+from .model import ScenarioConfig, Schedule, backlog_states, binomial_cdf_table, check_schedule
+from .mdp import BASELINE_KINDS, _baseline_chain, policy_actions, transition_kernel
 
 # the exponent search's range is [S_LO, _S_HI * 2**_MAX_DOUBLINGS]: a cold
 # search brackets [S_LO, _S_HI] and doubles its upper end while the bound
@@ -350,35 +350,34 @@ def exact_dvp_chain(config: ScenarioConfig, policy) -> EvalResult:
     w frames under the given policy, in any form mdp.policy_actions accepts
     (schedule, policy table or baseline name) and lays out over the states
     before the first frame; each frame is one forward step of
-    mdp.transition_kernel(config) on the backlog grid. A schedule or the
-    even split moves every state under one action; another policy moves
-    each state under its own, split once from its rows. A state-dependent
-    baseline's split depends on the kernel key alone and is kept beside the
-    kernel (mdp._baseline_split), so its chain starts at its first forward
-    step. The batch met the deadline iff both queues are empty at the
-    horizon, since departures equal the initial load minus what is left."""
-    if isinstance(policy, str) and policy in BASELINE_KINDS and policy != "fifty":
-        steps = [_baseline_split(policy, config)] * config.w
-        kernel = transition_kernel(config)
+    mdp.transition_kernel(config) on the backlog grid. A schedule moves
+    every state under one action; a table moves each state under its own,
+    split once from its rows. A baseline's chain depends on the kernel key
+    alone and passes through every horizon, so it is read at w from the
+    record kept beside the kernel (mdp._baseline_chain), run only past the
+    horizons that record holds. The batch met the deadline iff both queues
+    are empty at the horizon, since departures equal the initial load minus
+    what is left (TransitionKernel._reading)."""
+    if isinstance(policy, str) and policy in BASELINE_KINDS:
+        dvp, departures, residual = _baseline_chain(policy, config)[config.w - 1].tolist()
     else:
         act = policy_actions(policy, config)
         kernel = transition_kernel(config)
         rows = act.rows
         if len(rows) == 1 and (rows[0] == rows[0, 0]).all():
-            # one action for every state, as a schedule or the even split takes
+            # one action for every state, as a schedule takes
             steps = (act.shift + rows[0, 0]).tolist()
         else:
             splits = kernel.split(rows)
             steps = [splits[epoch % len(splits)] for epoch in range(config.w)]
-    rho = kernel.start()
-    for a in steps:
-        rho = kernel.forward(rho, a)
-    states = kernel.states
-    mass = rho.ravel()[kernel.cells]
+        rho = kernel.start()
+        for a in steps:
+            rho = kernel.forward(rho, a)
+        dvp, departures, residual = kernel._reading(rho)
     return EvalResult(
-        dvp=kernel.violation(rho),
+        dvp=dvp,
         method="exact-chain",
-        mean_departures=config.total_load - float(mass @ (states.q1 + states.q2)),
-        mass_residual=abs(1.0 - float(mass.sum())),
-        states=len(states),
+        mean_departures=departures,
+        mass_residual=residual,
+        states=len(backlog_states(config)),
     )

@@ -15,11 +15,12 @@ for link 2 per action, acting on distributions and values held on the
 bytes (KERNEL_BYTE_CAP), not in states. Every evaluator gets it from
 transition_kernel. One store (_kept) holds what the exact path keeps, by
 kernel_key and name, least recently used first: the kernel itself
-("kernel"), the value-iteration table by frames to go, which serves every
-deadline ("table"), and the action split of each state-dependent baseline
-("mw", "wfq", "bp"), each entry charged its bytes, all within that same
-cap. Only a kernel build drops entries; a keep that does not fit is
-computed and returned, not kept.
+("kernel"), the value-iteration table by frames to go ("table") and each
+baseline's chain, its last distribution and its readings at every horizon
+run ("mw", "wfq", "bp", "fifty"), each entry charged its bytes, all within
+that same cap. The table and the chains serve every deadline, and one that
+covers the deadline is read with no kernel. Only a kernel build drops
+entries; a keep that does not fit is computed and returned, not kept.
 
 A bound of the form  DVP <= total_load * E[1 / D(w)]  motivates maximizing
 throughput as a proxy for minimizing DVP, but the expectation is undefined
@@ -212,6 +213,18 @@ class TransitionKernel:
         mass = rho.ravel()[self.cells]
         return min(float(np.add.reduce(mass[self.states.nonempty])), 1.0)
 
+    def _reading(self, rho: np.ndarray) -> tuple[float, float, float]:
+        """What a chain reads off its grid distribution rho at the horizon:
+        the DVP (violation), the expected departures, which are the initial
+        load less the expected backlog left, and the mass residual
+        |1 - sum(rho)|."""
+        mass = rho.ravel()[self.cells]
+        return (
+            self.violation(rho),
+            self.key[3] - float(mass @ (self.states.q1 + self.states.q2)),
+            abs(1.0 - float(mass.sum())),
+        )
+
 
 # what the exact path keeps: (kernel_key, name) -> (nbytes, value), least
 # recently used first, all of it within KERNEL_BYTE_CAP
@@ -265,16 +278,33 @@ def transition_kernel(config: ScenarioConfig) -> TransitionKernel:
     return kernel
 
 
-def _baseline_split(kind: str, config: ScenarioConfig) -> ActionSplit:
-    """The ActionSplit of state-dependent baseline kind's one row of
-    actions, which the backlog and N alone decide, so one per kernel_key:
-    kept (_keep) under kind, split again only when not kept."""
-    key = kernel_key(config)
-    split = _recall(key, kind)
-    if split is None:
-        [split] = transition_kernel(config).split(policy_actions(kind, config).rows)
-        _keep(key, kind, split)
-    return split
+def _baseline_chain(kind: str, config: ScenarioConfig) -> np.ndarray:
+    """Baseline kind's chain, read at every horizon: an (H, 3) array, H >=
+    config.w, whose row h - 1 is TransitionKernel._reading at horizon h.
+
+    A baseline ignores the epoch, and the backlog and N decide its actions,
+    so its chain depends on the kernel_key alone. One per key is kept
+    (_keep) under kind: the grid distribution at its longest horizon H and
+    its readings. One that covers config.w is read as it is, with no
+    kernel. A shorter one, or none, takes the kernel, moves the kept
+    distribution (or the start) on frame by frame to config.w, each state
+    under its own action, split anew from the rule's one row, or under the
+    one action of a rule that plays one everywhere, and keeps the longer
+    chain in place of the shorter one."""
+    key, w = kernel_key(config), config.w
+    rho, readings = _recall(key, kind) or (None, np.zeros((0, 3)))
+    done = len(readings)
+    if done < w:
+        kernel = transition_kernel(config)
+        rows = policy_actions(kind, config).rows
+        step = int(rows[0, 0]) if (rows == rows[0, 0]).all() else kernel.split(rows)[0]
+        rho = kernel.start() if rho is None else rho
+        readings = np.concatenate([readings, np.zeros((w - done, 3))])
+        for h in range(done, w):
+            rho = kernel.forward(rho, step)
+            readings[h] = kernel._reading(rho)
+        _keep(key, kind, (rho, readings))
+    return readings
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,15 +460,17 @@ def value_iteration(config: ScenarioConfig) -> PolicyTable:
     its rows grows it from its last values, put on the grid with zeros off
     the states, which _action_values ignores, and keeps the grown table in
     place of the shorter one; deadline w's table is its first w rows
-    (w + 1 values), reversed and copied."""
-    kernel = transition_kernel(config)
-    cells, w = kernel.cells, config.w
-    empty = (np.zeros((0, len(cells)), dtype=np.int64), np.zeros((1, len(cells))))
-    actions, values = _recall(kernel.key, "table") or empty
+    (w + 1 values), reversed and copied. A kept table that covers w is read
+    as it is, with no kernel."""
+    key, w, S = kernel_key(config), config.w, len(backlog_states(config))
+    empty = (np.zeros((0, S), dtype=np.int64), np.zeros((1, S)))
+    actions, values = _recall(key, "table") or empty
     done = len(actions)
     if done < w:
-        actions = np.concatenate([actions, np.zeros((w - done, len(cells)), dtype=np.int64)])
-        values = np.concatenate([values, np.zeros((w - done, len(cells)))])
+        kernel = transition_kernel(config)
+        cells = kernel.cells
+        actions = np.concatenate([actions, np.zeros((w - done, S), dtype=np.int64)])
+        values = np.concatenate([values, np.zeros((w - done, S))])
         v = np.zeros(kernel.shape)
         v.flat[cells] = values[done]
         rewards = kernel.rewards()[:, None, :]  # (A, 1, total_load + 1)
@@ -447,7 +479,7 @@ def value_iteration(config: ScenarioConfig) -> PolicyTable:
             q_sa = q[:, cells]
             actions[j] = np.argmax(q_sa, axis=0)  # first (= smallest) maximizing action
             values[j + 1] = q_sa.max(axis=0)
-        _keep(kernel.key, "table", (actions, values))
+        _keep(key, "table", (actions, values))
     return PolicyTable(config=config, actions=actions[w - 1 :: -1], values=values[w::-1])
 
 

@@ -445,7 +445,7 @@ class TestKernelScenarioGuard:
         monkeypatch.setattr(mdp, "_keep", tracked_keep)
         for config in configs:
             table_and_chains(config)
-        assert {"build", "table", "mw", "wfq", "bp"} <= set(checks)
+        assert {"build", "table", *BASELINE_KINDS} <= set(checks)
 
     def test_table_over_the_cap_is_computed_and_not_kept(self, monkeypatch):
         want = table_and_chains(self.CFG)
@@ -499,6 +499,35 @@ class TestKernelScenarioGuard:
         assert kern_a() is None and table_a() is not None
         assert held() <= mdp.KERNEL_BYTE_CAP
 
+    def test_a_covered_table_is_read_without_its_kernel(self, monkeypatch):
+        a, b, c = (dataclasses.replace(self.CFG, p_e=pe) for pe in (0.4, 0.2, 0.3))
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
+        want = value_iteration(a).to_text()
+        # room for two kernels with their tables, not three
+        monkeypatch.setattr(mdp, "KERNEL_BYTE_CAP", 2 * held())
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
+        value_iteration(a)
+        value_iteration(b)
+        transition_kernel(c)  # its build drops a's kernel and keeps a's table
+        kern_b = peek(b, "kernel")
+        counts = {"backward": 0, "build": 0}
+        backward, init = TransitionKernel.backward, TransitionKernel.__init__
+
+        def counted_backward(kernel, v):
+            counts["backward"] += 1
+            return backward(kernel, v)
+
+        def counted_init(kernel, config):
+            counts["build"] += 1
+            init(kernel, config)
+
+        monkeypatch.setattr(TransitionKernel, "backward", counted_backward)
+        monkeypatch.setattr(TransitionKernel, "__init__", counted_init)
+        # a's table covers w: read with no kernel, so b's kernel is not dropped
+        assert value_iteration(a).to_text() == want
+        assert counts == {"backward": 0, "build": 0}
+        assert peek(b, "kernel") is kern_b and peek(a, "kernel") is None
+
     def test_a_keep_drops_nothing(self, monkeypatch):
         a, b = (dataclasses.replace(self.CFG, p_e=pe) for pe in (0.4, 0.2))
         monkeypatch.setattr(mdp, "_kept", OrderedDict())
@@ -538,8 +567,9 @@ class TestKernelScenarioGuard:
 
 class TestKeptTableAndSplits:
     """The store keeps, per kernel key, the value-iteration table by frames
-    to go and the split of each state-dependent baseline; what it hands out
-    is what an empty store computes, bit for bit."""
+    to go and each baseline's chain, its last distribution and its readings
+    at every horizon; what it hands out is what an empty store computes,
+    bit for bit."""
 
     S = ScenarioConfig(N=6, p_e=0.4, w=6, y=1, x1=3, x2=3)
     FIXED = (
@@ -584,8 +614,7 @@ class TestKeptTableAndSplits:
         for kind in BASELINE_KINDS:
             exact_dvp_chain(self.S, kind)
         key = kernel_key(self.S)
-        # fifty needs no split
-        assert sorted(name for _, name in mdp._kept) == ["bp", "kernel", "mw", "table", "wfq"]
+        assert sorted(name for _, name in mdp._kept) == sorted(["kernel", "table", *BASELINE_KINDS])
         assert mdp._kept[key, "kernel"][0] == mdp._kernel_nbytes(key)
         kept = []
         for (_, name), (nbytes, arrays) in mdp._kept.items():
@@ -602,6 +631,37 @@ class TestKeptTableAndSplits:
         # deadline 3's table is deadline 6's last three epochs
         assert tables[1].actions.tobytes() == tables[0].actions[3:].tobytes()
         assert tables[1].values.tobytes() == tables[0].values[3:].tobytes()
+
+    def test_a_baseline_record_reads_every_horizon_it_has_run(self, monkeypatch):
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
+        for kind in BASELINE_KINDS:
+            exact_dvp_chain(self.S, kind)
+        records = {kind: peek(self.S, kind) for kind in BASELINE_KINDS}
+        for kind, (rho, readings) in records.items():
+            assert rho.shape == transition_kernel(self.S).shape and readings.shape == (6, 3)
+            for h in range(1, 7):
+                monkeypatch.setattr(mdp, "_kept", OrderedDict())
+                fresh = exact_dvp_chain(dataclasses.replace(self.S, w=h), kind)
+                got = readings[h - 1].tolist()
+                assert got == [fresh.dvp, fresh.mean_departures, fresh.mass_residual], (kind, h)
+        # a covered read takes no kernel: with the kernel gone, none is built
+        monkeypatch.setattr(mdp, "_kept", OrderedDict())
+        for kind, record in records.items():
+            mdp._keep(kernel_key(self.S), kind, record)
+        built = []
+        init = TransitionKernel.__init__
+
+        def counted(kernel, config):
+            built.append(config)
+            init(kernel, config)
+
+        monkeypatch.setattr(TransitionKernel, "__init__", counted)
+        for kind in BASELINE_KINDS:
+            for h in range(1, 7):
+                result = exact_dvp_chain(dataclasses.replace(self.S, w=h), kind)
+                assert result.dvp == records[kind][1][h - 1, 0]
+                assert result.states == len(backlog_states(self.S))
+        assert built == [] and peek(self.S, "kernel") is None
 
 
 def bench_reference():
