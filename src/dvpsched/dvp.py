@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import ScenarioConfig, Schedule, backlog_states, binomial_cdf_table, check_schedule
-from .mdp import BASELINE_KINDS, _baseline_chain, policy_actions, transition_kernel
+from .mdp import BASELINE_KINDS, _baseline_chain, _policy_values, policy_actions, transition_kernel
 
 # the exponent search's range is [S_LO, _S_HI * 2**_MAX_DOUBLINGS]: a cold
 # search brackets [S_LO, _S_HI] and doubles its upper end while the bound
@@ -46,9 +46,10 @@ _REJECT_MARGIN = 1e-9
 @dataclass(frozen=True)
 class EvalResult:
     """A DVP value with its provenance. Bound methods may exceed 1 and are
-    reported unclamped. The chain evaluator also records its
-    probability-mass residual |1 - sum(rho)| at the horizon and its state
-    count; neither takes part in equality."""
+    reported unclamped. The chain evaluator also records its state count
+    and a forward chain its mass residual |1 - sum(rho)| at the horizon; a
+    backward chain has none (nan), as a third pass, from the ones, would
+    slow a warm dynamic round by about 30 %. Neither takes part in equality."""
 
     dvp: float
     method: str
@@ -346,38 +347,32 @@ def wtb_min_s(config: ScenarioConfig, schedule) -> tuple[float, float]:
 
 
 def exact_dvp_chain(config: ScenarioConfig, policy) -> EvalResult:
-    """Exact DVP by propagating the joint backlog distribution through the
-    w frames under the given policy, in any form mdp.policy_actions accepts
-    (schedule, policy table or baseline name) and lays out over the states
-    before the first frame; each frame is one forward step of
-    mdp.transition_kernel(config) on the backlog grid. A schedule moves
-    every state under one action; a table moves each state under its own,
-    split once from its rows. A baseline's chain depends on the kernel key
-    alone and passes through every horizon, so it is read at w from the
-    record kept beside the kernel (mdp._baseline_chain), run only past the
-    horizons that record holds. The batch met the deadline iff both queues
-    are empty at the horizon, since departures equal the initial load minus
-    what is left (TransitionKernel._reading)."""
+    """Exact DVP of the policy, in any form mdp.policy_actions accepts and
+    checks (schedule, policy table or baseline name), one step of
+    mdp.transition_kernel(config) per frame. A schedule, one action in every
+    state at each frame, moves the backlog distribution forward from the
+    start state; the batch met the deadline iff both queues are empty at the
+    horizon (TransitionKernel._reading). A table runs backward, with no mass
+    residual (mdp._policy_values). A baseline's chain depends on the kernel
+    key alone: it is read at w off the record mdp._baseline_chain keeps."""
     if isinstance(policy, str) and policy in BASELINE_KINDS:
-        dvp, departures, residual = _baseline_chain(policy, config)[config.w - 1].tolist()
+        reading = _baseline_chain(policy, config)[config.w - 1].tolist()
     else:
-        act = policy_actions(policy, config)
+        rows = policy_actions(policy, config).rows
         kernel = transition_kernel(config)
-        rows = act.rows
-        if len(rows) == 1 and (rows[0] == rows[0, 0]).all():
-            # one action for every state, as a schedule takes
-            steps = (act.shift + rows[0, 0]).tolist()
+        if isinstance(policy, Schedule):
+            rho = kernel.start()
+            for a in policy.n1:
+                rho = kernel.forward(rho, a)
+            reading = kernel._reading(rho)
         else:
-            splits = kernel.split(rows)
-            steps = [splits[epoch % len(splits)] for epoch in range(config.w)]
-        rho = kernel.start()
-        for a in steps:
-            rho = kernel.forward(rho, a)
-        dvp, departures, residual = kernel._reading(rho)
+            *_, values = _policy_values(config, rows[::-1], config.w)
+            reading = kernel._value_reading(*values)
+    dvp, departures, *residual = reading
     return EvalResult(
         dvp=dvp,
         method="exact-chain",
         mean_departures=departures,
-        mass_residual=residual,
+        mass_residual=residual[0] if residual else math.nan,
         states=len(backlog_states(config)),
     )

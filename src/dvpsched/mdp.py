@@ -16,11 +16,16 @@ bytes (KERNEL_BYTE_CAP), not in states. Every evaluator gets it from
 transition_kernel. One store (_kept) holds what the exact path keeps, by
 kernel_key and name, least recently used first: the kernel itself
 ("kernel"), the value-iteration table by frames to go ("table") and each
-baseline's chain, its last distribution and its readings at every horizon
-run ("mw", "wfq", "bp", "fifty"), each entry charged its bytes, all within
+baseline's chain, its last values and its readings at every horizon run
+("mw", "wfq", "bp", "fifty"), each entry charged its bytes, all within
 that same cap. The table and the chains serve every deadline, and one that
 covers the deadline is read with no kernel. Only a kernel build drops
 entries; a keep that does not fit is computed and returned, not kept.
+
+A chain whose action depends on the backlog, a table's or a queue-aware
+rule's, runs backward (_policy_values): its DVP and expected departures are
+values of the start state, and it records no mass residual: a third pass
+(from the ones) slows a warm dynamic round by about 30 %. Others run forward.
 
 A bound of the form  DVP <= total_load * E[1 / D(w)]  motivates maximizing
 throughput as a proxy for minimizing DVP, but the expectation is undefined
@@ -36,7 +41,6 @@ from __future__ import annotations
 import io
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -76,17 +80,6 @@ def _kernel_nbytes(key: tuple) -> int:
     return 8 * (2 * A * C * C + 2 * A * R * K + R * K * C + 2 * A * R * C)
 
 
-class ActionSplit(NamedTuple):
-    """States split by action, for TransitionKernel.forward: masks[u] is
-    True at the grid cells of the states under the u-th action used, and
-    P and D1 hold those actions' link-2 matrices, (U, C, C), and relay
-    tables, q1-major, (R, K, U)."""
-
-    masks: np.ndarray
-    P: np.ndarray
-    D1: np.ndarray
-
-
 class TransitionKernel:
     """The one-frame transition operator, factored into its two links.
 
@@ -122,6 +115,8 @@ class TransitionKernel:
         self.states = states = backlog_states(config)
         self.cells = states.q1 * C + states.q2
         self.shape = (R, C)
+        backlog = np.add.outer(np.arange(R), np.arange(C)).ravel()  # q1 + q2 by cell
+        self.ends = np.array([backlog > 0, backlog], dtype=float)  # a backward chain's start
         self.pmf = pmf = binomial_pmf_table(N, 1.0 - config.p_e)
         tail = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]  # P{Bin(n) >= j}
         d1 = np.arange(K)
@@ -136,7 +131,7 @@ class TransitionKernel:
         self.P[:, :, 0] = np.where(q2 <= N, tail[n2][:, np.minimum(q2, N)], 0.0)
         self._P_T = np.ascontiguousarray(self.P.transpose(0, 2, 1))
         self._D1_by_q1 = np.ascontiguousarray(self.D1.transpose(1, 2, 0))  # (R, K, A)
-        for table in (self.P, self.D1, self._P_T, self._D1_by_q1):
+        for table in (self.P, self.D1, self._P_T, self._D1_by_q1, self.ends):
             table.flags.writeable = False
         # relay buffer W[d1, q1, r], then zeros: row d1 of the view, at the
         # flattened cell of (q1, r), is W[d1, q1 + d1, r - d1], the entry
@@ -160,27 +155,11 @@ class TransitionKernel:
         rho.flat[self.cells[self.states.start]] = 1.0
         return rho
 
-    def split(self, acts: np.ndarray) -> list[ActionSplit]:
-        """One ActionSplit per row of acts, a (rows, states) array of
-        actions, state i of row k under acts[k, i], for forward to take.
-        They share the tables of the actions that any row uses."""
-        on_grid = np.full((len(acts), self.shape[0] * self.shape[1]), -1)
-        on_grid[:, self.cells] = acts
-        used = np.bincount(acts.ravel(), minlength=len(self.P)).nonzero()[0]
-        masks = (on_grid[:, None, :] == used[:, None]).reshape(len(acts), len(used), *self.shape)
-        P, D1 = self.P.take(used, axis=0), self._D1_by_q1.take(used, axis=2)
-        return [ActionSplit(m, P, D1) for m in masks]
-
-    def forward(self, rho: np.ndarray, a) -> np.ndarray:
-        """The grid distribution one frame after rho: every state under
-        action a, or, for an ActionSplit a from split, each state under its
-        own; the split's masks cut rho into one grid per action, which that
-        action's link-2 matrix moves and its relay table weights."""
-        if isinstance(a, ActionSplit):
-            moved = np.multiply(a.masks, rho) @ a.P
-            np.matmul(a.D1, moved.transpose(1, 0, 2), out=self._W.transpose(1, 0, 2))
-        else:
-            np.multiply(self.D1[a].T[:, :, None], rho @ self.P[a], out=self._W)
+    def forward(self, rho: np.ndarray, a: int) -> np.ndarray:
+        """The grid distribution one frame after rho, every state under
+        action a: link 2's matrix moves rho and link 1's relay table
+        weights it."""
+        np.multiply(self.D1[a].T[:, :, None], rho @ self.P[a], out=self._W)
         return np.add.reduce(self._shifted, axis=0).reshape(self.shape)
 
     def backward(self, v: np.ndarray) -> np.ndarray:
@@ -214,9 +193,9 @@ class TransitionKernel:
         return min(float(np.add.reduce(mass[self.states.nonempty])), 1.0)
 
     def _reading(self, rho: np.ndarray) -> tuple[float, float, float]:
-        """What a chain reads off its grid distribution rho at the horizon:
-        the DVP (violation), the expected departures, which are the initial
-        load less the expected backlog left, and the mass residual
+        """What a forward chain reads off its grid distribution rho at the
+        horizon: the DVP (violation), the expected departures, which are the
+        initial load less the expected backlog left, and the mass residual
         |1 - sum(rho)|."""
         mass = rho.ravel()[self.cells]
         return (
@@ -224,6 +203,12 @@ class TransitionKernel:
             self.key[3] - float(mass @ (self.states.q1 + self.states.q2)),
             abs(1.0 - float(mass.sum())),
         )
+
+    def _value_reading(self, violation: np.ndarray, left: np.ndarray) -> tuple[float, float]:
+        """What a backward chain (_policy_values) reads off its values at the
+        start state: the DVP and the expected departures, as _reading."""
+        at = self.cells[self.states.start]
+        return min(float(violation[at]), 1.0), self.key[3] - float(left[at])
 
 
 # what the exact path keeps: (kernel_key, name) -> (nbytes, value), least
@@ -279,31 +264,34 @@ def transition_kernel(config: ScenarioConfig) -> TransitionKernel:
 
 
 def _baseline_chain(kind: str, config: ScenarioConfig) -> np.ndarray:
-    """Baseline kind's chain, read at every horizon: an (H, 3) array, H >=
-    config.w, whose row h - 1 is TransitionKernel._reading at horizon h.
+    """Baseline kind's chain at every horizon: an (H, 2) array, H >=
+    config.w, whose row h - 1 is TransitionKernel._value_reading at horizon
+    h, or, for a rule that plays one action everywhere, an (H, 3) array of
+    TransitionKernel._reading, as a schedule's chain gives.
 
     A baseline ignores the epoch, and the backlog and N decide its actions,
     so its chain depends on the kernel_key alone. One per key is kept
-    (_keep) under kind: the grid distribution at its longest horizon H and
-    its readings. One that covers config.w is read as it is, with no
-    kernel. A shorter one, or none, takes the kernel, moves the kept
-    distribution (or the start) on frame by frame to config.w, each state
-    under its own action, split anew from the rule's one row, or under the
-    one action of a rule that plays one everywhere, and keeps the longer
-    chain in place of the shorter one."""
+    (_keep) under kind: its values, or its distribution, at its longest
+    horizon H and its readings. One that covers config.w is read with no
+    kernel; a shorter one, or none, is run on to config.w and kept."""
     key, w = kernel_key(config), config.w
-    rho, readings = _recall(key, kind) or (None, np.zeros((0, 3)))
+    grid, readings = _recall(key, kind) or (None, ())
     done = len(readings)
     if done < w:
         kernel = transition_kernel(config)
         rows = policy_actions(kind, config).rows
-        step = int(rows[0, 0]) if (rows == rows[0, 0]).all() else kernel.split(rows)[0]
-        rho = kernel.start() if rho is None else rho
-        readings = np.concatenate([readings, np.zeros((w - done, 3))])
-        for h in range(done, w):
-            rho = kernel.forward(rho, step)
-            readings[h] = kernel._reading(rho)
-        _keep(key, kind, (rho, readings))
+        grown = []
+        if (rows == rows[0, 0]).all():
+            grid = kernel.start() if grid is None else grid
+            for _ in range(done, w):
+                grid = kernel.forward(grid, int(rows[0, 0]))
+                grown.append(kernel._reading(grid))
+        else:
+            for grid in _policy_values(config, rows, w - done, grid):
+                grown.append(kernel._value_reading(*grid))
+            grid = np.array(grid)
+        readings = np.array([*readings, *grown])
+        _keep(key, kind, (grid, readings))
     return readings
 
 
@@ -431,21 +419,40 @@ class PolicyTable:
 def _action_values(config, epochs, terminal, acts=None, rewards=None, best=np.maximum):
     """The backward recursion over transition_kernel(config), epochs frames
     back from V = terminal, a grid array: yields Q = rewards + backward(V),
-    at the actions acts (all if None), flattened over the grid, one frame
-    further back each time, and folds V = best.reduce(Q, axis=0) back in.
-    V is finite off the triangle, where backward weights it by exact zeros,
-    so any finite terminal there gives the same Q on the states."""
+    at the actions acts (all if None), flattened over the grid, and the V
+    it folds back in, one frame further back each time: best.reduce(Q,
+    axis=0), or, for best a (rows, grid cells) array of flat indices into
+    Q, each cell's own action's, Q.take(best[k % rows]) at the k-th frame
+    back. V is finite off the triangle, where backward weights it by exact
+    zeros, so any finite terminal there gives the same Q on the states."""
     kernel = transition_kernel(config)
     v = terminal
-    for _ in range(epochs):
+    for k in range(epochs):
         q = kernel.backward(v)
         if rewards is not None:
             q += rewards
         if acts is not None:
             q = q[acts]
         q = q.reshape(len(q), -1)
-        yield q
-        v = best.reduce(q, axis=0)
+        v = q.take(best[k % len(best)]) if isinstance(best, np.ndarray) else best.reduce(q, axis=0)
+        yield q, v
+
+
+def _policy_values(config, rows, epochs, values=None):
+    """The backward chain of the policy with actions rows over the states
+    (action 0 off them), row k % len(rows) at the k-th frame back: its
+    violation and backlog values, from values or from the kernel's ends,
+    one frame further back each time, epochs times, by two passes of
+    _action_values (TransitionKernel._value_reading reads them)."""
+    kernel = transition_kernel(config)
+    cells = kernel.ends.shape[1]
+    own = np.zeros((len(rows), cells), dtype=np.int64)
+    own[:, kernel.cells] = rows * cells
+    own += np.arange(cells)
+    values = kernel.ends if values is None else values
+    passes = [_action_values(config, epochs, v, best=own) for v in values]
+    for (_, violation), (_, left) in zip(*passes):
+        yield violation, left
 
 
 def value_iteration(config: ScenarioConfig) -> PolicyTable:
@@ -475,24 +482,21 @@ def value_iteration(config: ScenarioConfig) -> PolicyTable:
         v.flat[cells] = values[done]
         rewards = kernel.rewards()[:, None, :]  # (A, 1, total_load + 1)
         passes = _action_values(config, w - done, v, rewards=rewards)
-        for j, q in zip(range(done, w), passes):
-            q_sa = q[:, cells]
-            actions[j] = np.argmax(q_sa, axis=0)  # first (= smallest) maximizing action
-            values[j + 1] = q_sa.max(axis=0)
+        for j, (q, folded) in zip(range(done, w), passes):
+            actions[j] = np.argmax(q[:, cells], axis=0)  # first (= smallest) maximizing action
+            values[j + 1] = folded[cells]
         _keep(key, "table", (actions, values))
     return PolicyTable(config=config, actions=actions[w - 1 :: -1], values=values[w::-1])
 
 
 def violation_to_go(config: ScenarioConfig, acts: np.ndarray) -> list[np.ndarray]:
-    """The violation recursion (_action_values): V_w indicates the non-empty
-    states, Q_k = backward(V_{k+1})[acts] and V_k = Q_k.min(0). Q[k] @
+    """The violation recursion (_action_values): V_w is 1 on the non-empty
+    cells, Q_k = backward(V_{k+1})[acts] and V_k = Q_k.min(0). Q[k] @
     rho.ravel() is the least DVP that each action at frame k, then the best
     closed-loop play over acts, reaches from rho; over every action 0..N,
     Q[0]'s least entry at the start state is DVP*."""
-    kernel = transition_kernel(config)
-    v = np.zeros(kernel.shape)
-    v.flat[kernel.cells[kernel.states.nonempty]] = 1.0
-    return list(_action_values(config, config.w, v, acts, best=np.minimum))[::-1]
+    ones = transition_kernel(config).ends[0]
+    return [q for q, _ in _action_values(config, config.w, ones, acts, best=np.minimum)][::-1]
 
 
 def baseline_actions(kind: str, q1: np.ndarray, q2: np.ndarray, N: int) -> np.ndarray:

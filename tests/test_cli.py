@@ -984,9 +984,9 @@ class TestSweepRun:
 
     @staticmethod
     def count_steps(monkeypatch) -> dict[str, int]:
-        """Calls of TransitionKernel.backward, .split and .forward from here
-        on, from an empty cache, as in a fresh process."""
-        counts = {"backward": 0, "split": 0, "forward": 0}
+        """Calls of TransitionKernel.backward and .forward from here on,
+        from an empty cache, as in a fresh process."""
+        counts = {"backward": 0, "forward": 0}
 
         def counted(name):
             method = getattr(TransitionKernel, name)
@@ -1007,26 +1007,28 @@ class TestSweepRun:
         [
             # one kernel per backlog pair at w = 3..6: its table grows by 3, 1,
             # 1 and 1 frames (3 + 4 + 5 + 6 backward steps per pair when each
-            # deadline was solved anew), and so does each baseline's chain,
-            # 4 x 6 forward steps per pair (4 x 18 when each deadline ran its
-            # own), with a split of mw, wfq and bp at each growth: 3 x 4 per
-            # pair. The table's own chain runs in full per cell, 3 + 4 + 5 +
-            # 6 forward steps and one split, on every run
+            # deadline was solved anew), and so does each baseline's chain:
+            # mw, wfq and bp by two backward passes, 3 x 2 x 6 steps per
+            # pair, and fifty, which plays one action, by 6 forward steps.
+            # The table's own chain runs in full per cell, two backward
+            # passes of 3 + 4 + 5 + 6 steps, on every run: 24 + 4 x (36 +
+            # 36) backward steps, then 4 x 36
             (
                 "dynamic-deadlines",
-                {"backward": 24, "split": 64, "forward": 168},
-                {"backward": 0, "split": 16, "forward": 72},
+                {"backward": 312, "forward": 24},
+                {"backward": 144, "forward": 0},
             ),
             # three kernels, each table and baseline chain grown by 3 frames
-            # twice (4 x 6 forward steps and 3 x 2 splits per kernel); the
-            # kernel of (x1, y) = (1, 2) comes back as (2, 1) at w = 3 after
-            # w = 6 and is read, not run (36 backward steps when each
-            # deadline was solved anew). The table's chains take 4 x (3 + 6)
-            # forward steps and 8 splits on every run
+            # twice (6 backward steps per table, 3 x 2 x 6 per kernel for mw,
+            # wfq and bp, 6 forward steps for fifty); the kernel of (x1, y) =
+            # (1, 2) comes back as (2, 1) at w = 3 after w = 6 and is read,
+            # not run (36 backward steps when each deadline was solved anew).
+            # The table's chains take two passes of 4 x (3 + 6) backward
+            # steps on every run: 3 x (6 + 36) + 72, then 72
             (
                 "dynamic-shorter-deadline",
-                {"backward": 18, "split": 26, "forward": 108},
-                {"backward": 0, "split": 8, "forward": 36},
+                {"backward": 198, "forward": 18},
+                {"backward": 72, "forward": 0},
             ),
         ],
     )
@@ -1039,7 +1041,7 @@ class TestSweepRun:
             assert run_sweep(spec, buf) == 0
             assert [ln.rsplit(",", 1)[0] for ln in buf.getvalue().splitlines()] == golden
             assert counts == want
-            counts.update(backward=0, split=0, forward=0)
+            counts.update(backward=0, forward=0)
 
     def test_monte_carlo_sweep_keeps_its_kernels_within_the_byte_cap(self, monkeypatch):
         spec = parse_sweep_file(
